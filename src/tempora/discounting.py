@@ -22,16 +22,23 @@ Costs are expressed in the same utility units as streams; infinity is an
 explicit absorbing value, never a large float.  The objective
 delta -> D_delta(x) + cost(delta) need not be convex, so the minimizer runs
 a dense grid per continuous piece of the cost followed by golden-section
-refinement inside each bracketing triple; finite point sets are enumerated
-exactly.
+refinement: one bracket at each end of the grid and one per run of
+adjacent grid minima, so a flat run is searched once, not once per node.
+Finite point sets are enumerated exactly.
 
 Everything here is a pure function of immutable inputs; independent
 (criterion, stream) evaluations can run concurrently without coordination.
+The only shared state is a bounded cache of read-only grid arrays (the
+grid and its stream-independent factors), filled idempotently: a racing
+fill computes the same bits, and a lock keeps each memo within its cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -56,6 +63,42 @@ def _tail_mean(x: Stream) -> float:
     return math.fsum(cyc) / len(cyc)
 
 
+def _dv_scalar(x: Stream) -> Callable[[float], float]:
+    """delta -> D_delta(x) on [0, 1], unchecked.
+
+    The one scalar closed form, behind :func:`discounted_value` and the
+    minimizer's golden-section steps: the prefix and the cycle are reversed
+    and the tail kind is checked once per stream, not once per factor.
+    """
+    prefix = x.prefix[::-1]
+    n = len(prefix)
+    const = x.tail.value if isinstance(x.tail, Constant) else None
+    cyc = () if const is not None else x.tail.cycle[::-1]
+    p = len(cyc)
+
+    def dv(delta: float) -> float:
+        if delta == 1.0:
+            return _tail_mean(x)
+        s = 0.0
+        for v in prefix:
+            s = v + delta * s
+        if const is not None:
+            tail_abel = const
+        else:
+            t = 0.0
+            for v in cyc:
+                t = v + delta * t
+            if delta == 0.0:
+                tail_abel = t
+            else:
+                # (1 - delta^p) via expm1 to avoid cancellation near delta = 1.
+                denom = -math.expm1(p * math.log(delta))
+                tail_abel = (1.0 - delta) * t / denom
+        return (1.0 - delta) * s + delta ** n * tail_abel
+
+    return dv
+
+
 def discounted_value(x: Stream, delta: float) -> float:
     """Closed-form D_delta(x) for delta in [0, 1].
 
@@ -70,50 +113,106 @@ def discounted_value(x: Stream, delta: float) -> float:
     """
     if not 0.0 <= delta <= 1.0:
         raise InvalidDelta(f"discount factor must lie in [0, 1], got {delta}")
-    if delta == 1.0:
-        return _tail_mean(x)
-    s = 0.0
+    return _dv_scalar(x)(delta)
+
+
+#: Caps of the grid cache and of each grid's per-length memos.
+_GRID_CACHE = 16
+_MEMO_CAP = 32
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_MEMO_LOCK = threading.Lock()
+
+
+def _remember(memo: dict, key: int, value: np.ndarray) -> np.ndarray:
+    with _MEMO_LOCK:
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[key] = _frozen(value)
+    return value
+
+
+class _Grid:
+    """The stream-independent factors of D_delta over an array of factors.
+
+    ``d`` is the array itself; ``dd`` is ``d`` with any 1.0 replaced by 0.5
+    (those entries are overwritten by the tail mean), ``one_minus`` is
+    ``1 - dd``.  ``power(n)`` (dd^n) and ``denom(p)`` (1 - dd^p via expm1)
+    are memoised per prefix length and per period, at most ``_MEMO_CAP``
+    of each.  Every array is read-only and each is computed by the same
+    numpy expression whenever it is computed, so a memo filled twice holds
+    the same bits.
+    """
+
+    __slots__ = ("d", "dd", "at_one", "one_minus", "_log", "_pow", "_denom")
+
+    def __init__(self, d: np.ndarray):
+        self.d = _frozen(d)
+        at_one = d == 1.0
+        self.at_one = at_one if at_one.any() else None
+        self.dd = d if self.at_one is None else _frozen(np.where(at_one, 0.5, d))
+        self.one_minus = _frozen(1.0 - self.dd)
+        self._log = None
+        self._pow: dict[int, np.ndarray] = {}
+        self._denom: dict[int, np.ndarray] = {}
+
+    def power(self, n: int) -> np.ndarray:
+        out = self._pow.get(n)
+        return out if out is not None else _remember(self._pow, n, self.dd ** n)
+
+    def denom(self, p: int) -> np.ndarray:
+        out = self._denom.get(p)
+        if out is not None:
+            return out
+        if self._log is None:
+            with np.errstate(divide="ignore"):
+                self._log = _frozen(np.log(self.dd))
+        return _remember(self._denom, p, -np.expm1(p * self._log))
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE)
+def _grid(a: float, b: float, nodes: int) -> _Grid:
+    """The cached geometry of ``np.linspace(a, b, nodes)``."""
+    return _Grid(np.linspace(a, b, nodes))
+
+
+def discounted_value_grid(x: Stream, deltas: np.ndarray | _Grid) -> np.ndarray:
+    """Vectorized :func:`discounted_value` over an array of factors.
+
+    ``deltas`` is an array-like of factors in [0, 1], or a cached grid
+    geometry from the minimizer, whose factors are already known valid.
+    """
+    if isinstance(deltas, _Grid):
+        g = deltas
+    else:
+        d = np.array(deltas, dtype=float, ndmin=1)
+        if d.size and (d.min() < 0.0 or d.max() > 1.0 or np.isnan(d).any()):
+            raise InvalidDelta("discount factors must lie in [0, 1]")
+        g = _Grid(d)
+    dd, one_minus = g.dd, g.one_minus
+    s = np.zeros_like(dd)
     for v in reversed(x.prefix):
-        s = v + delta * s
+        s *= dd
+        s += v
     if isinstance(x.tail, Constant):
         tail_abel = x.tail.value
     else:
         cyc = x.tail.cycle
-        t = 0.0
+        tail_abel = np.zeros_like(dd)
         for v in reversed(cyc):
-            t = v + delta * t
-        if delta == 0.0:
-            tail_abel = t
-        else:
-            # (1 - delta^p) via expm1 to avoid cancellation near delta = 1.
-            denom = -math.expm1(len(cyc) * math.log(delta))
-            tail_abel = (1.0 - delta) * t / denom
-    return (1.0 - delta) * s + delta ** len(x.prefix) * tail_abel
-
-
-def discounted_value_grid(x: Stream, deltas: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`discounted_value` over an array of factors."""
-    d = np.asarray(deltas, dtype=float)
-    if d.size and (d.min() < 0.0 or d.max() > 1.0 or np.isnan(d).any()):
-        raise InvalidDelta("discount factors must lie in [0, 1]")
-    at_one = d == 1.0
-    dd = np.where(at_one, 0.5, d)
-    s = np.zeros_like(dd)
-    for v in reversed(x.prefix):
-        s = v + dd * s
-    if isinstance(x.tail, Constant):
-        tail_abel = np.full_like(dd, x.tail.value)
-    else:
-        cyc = x.tail.cycle
-        t = np.zeros_like(dd)
-        for v in reversed(cyc):
-            t = v + dd * t
-        with np.errstate(divide="ignore"):
-            denom = -np.expm1(len(cyc) * np.log(dd))
-        tail_abel = (1.0 - dd) * t / denom
-    out = (1.0 - dd) * s + dd ** len(x.prefix) * tail_abel
-    if at_one.any():
-        out = np.where(at_one, _tail_mean(x), out)
+            tail_abel *= dd
+            tail_abel += v
+        tail_abel *= one_minus
+        tail_abel /= g.denom(len(cyc))
+    out = one_minus * s
+    out += g.power(len(x.prefix)) * tail_abel
+    if g.at_one is not None:
+        out = np.where(g.at_one, _tail_mean(x), out)
     return out
 
 
@@ -211,6 +310,44 @@ class Tabulated:
 CostFunction = Union[IndicatorSet, Quadratic, Tabulated]
 
 
+def _quadratic(c: Quadratic) -> Callable:
+    """stiffness * (delta - center)^2, on a float or elementwise on an array."""
+    k, center = c.stiffness, c.center
+    return lambda d: k * (d - center) ** 2
+
+
+def _interp(c: Tabulated) -> Callable[[float], float]:
+    """Scalar ``np.interp`` through the knots, bit for bit.
+
+    Below the first knot the cost is the first knot's, at a knot (or past
+    the last) it is that knot's, and in between it is numpy's own formula,
+    ``slope * (d - xp[j]) + fp[j]`` with ``slope = (fp[j+1] - fp[j]) /
+    (xp[j+1] - xp[j])``, found by bisection instead of a numpy call.
+    """
+    xp = [d for d, _ in c.knots]
+    fp = [k for _, k in c.knots]
+    slopes = [(fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) for j in range(len(xp) - 1)]
+    last = len(xp) - 1
+
+    def interp(d: float) -> float:
+        j = bisect_right(xp, d) - 1
+        if j < 0:
+            return fp[0]
+        if j == last or xp[j] == d:
+            return fp[j]
+        return slopes[j] * (d - xp[j]) + fp[j]
+
+    return interp
+
+
+def _zero_vec(g: np.ndarray) -> np.ndarray:
+    return np.zeros_like(g)
+
+
+def _zero(d: float) -> float:
+    return 0.0
+
+
 def cost_eval(c: CostFunction, delta: float) -> float:
     """Cost value in [0, +inf]; always +inf at delta = 1."""
     if not 0.0 <= delta <= 1.0:
@@ -227,12 +364,11 @@ def cost_eval(c: CostFunction, delta: float) -> float:
                 return 0.0
         return best
     if isinstance(c, Quadratic):
-        return c.stiffness * (delta - c.center) ** 2
+        return _quadratic(c)(delta)
     if isinstance(c, Tabulated):
-        ds = [d for d, _ in c.knots]
-        if delta > ds[-1]:
+        if delta > c.knots[-1][0]:
             return _INF
-        return float(np.interp(delta, ds, [k for _, k in c.knots]))
+        return float(_interp(c)(delta))
     raise InvalidCost(f"not a cost function: {c!r}")
 
 
@@ -248,18 +384,14 @@ def _cost_pieces(c: CostFunction) -> list[tuple[float, float,
                                                 Callable[[float], float]]]:
     """Continuous finite-cost pieces (a, b, vector_cost, scalar_cost)."""
     if isinstance(c, IndicatorSet):
-        return [(a, min(b, _ONE_EDGE), lambda g: np.zeros_like(g), lambda d: 0.0)
-                for a, b in c.intervals]
+        return [(a, min(b, _ONE_EDGE), _zero_vec, _zero) for a, b in c.intervals]
     if isinstance(c, Quadratic):
-        return [(0.0, _ONE_EDGE,
-                 lambda g: c.stiffness * (g - c.center) ** 2,
-                 lambda d: c.stiffness * (d - c.center) ** 2)]
+        q = _quadratic(c)
+        return [(0.0, _ONE_EDGE, q, q)]
     if isinstance(c, Tabulated):
         ds = [d for d, _ in c.knots]
         ks = [k for _, k in c.knots]
-        return [(0.0, ds[-1],
-                 lambda g: np.interp(g, ds, ks),
-                 lambda d: float(np.interp(d, ds, ks)))]
+        return [(0.0, ds[-1], lambda g: np.interp(g, ds, ks), _interp(c))]
     raise InvalidCost(f"not a cost function: {c!r}")
 
 
@@ -298,22 +430,38 @@ def _minimize_on_interval(x: Stream, a: float, b: float,
                           vec_cost: Callable[[np.ndarray], np.ndarray],
                           scalar_cost: Callable[[float], float],
                           nodes: int) -> tuple[float, float]:
-    """Grid scan plus golden refinement of D_delta(x) + cost on [a, b]."""
+    """Grid scan plus golden refinement of D_delta(x) + cost on [a, b].
+
+    The grid is ``np.linspace(a, b, nodes)``, with its stream-independent
+    factors taken from a bounded cache.  Every grid node that is no larger
+    than both neighbours is a candidate.  Golden-section searches run on
+    the two end brackets [grid[0], grid[1]] and [grid[-2], grid[-1]], and
+    on one bracket [grid[s-1], grid[e+1]] per run s..e of adjacent interior
+    minima: such a run is flat on the grid, so a constant stream opens
+    three searches, not one per node.  Returns (argmin, value); ties
+    resolve to the smallest argmin.
+    """
+    dv = _dv_scalar(x)
 
     def objective(d: float) -> float:
-        return discounted_value(x, d) + scalar_cost(d)
+        return dv(d) + scalar_cost(d)
 
     if b <= a:
         return a, objective(a)
-    grid = np.linspace(a, b, nodes)
-    f = discounted_value_grid(x, grid) + vec_cost(grid)
-    interior = np.nonzero((f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:]))[0] + 1
-    brackets = {0, nodes - 1, *interior.tolist()}
-    candidates = [(float(f[i]), float(grid[i])) for i in brackets]
-    for i in brackets:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, nodes - 1)]
-        d_star, v_star = _golden(objective, float(lo), float(hi))
+    g = _grid(a, b, nodes)
+    grid = g.d
+    f = discounted_value_grid(x, g) + vec_cost(grid)
+    interior = (np.nonzero((f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:]))[0] + 1).tolist()
+    candidates = [(float(f[i]), float(grid[i])) for i in {0, nodes - 1, *interior}]
+    runs: list[list[int]] = []
+    for i in interior:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i - 1, i + 1])
+    brackets = {(0, min(1, nodes - 1)), (max(nodes - 2, 0), nodes - 1), *map(tuple, runs)}
+    for lo, hi in brackets:
+        d_star, v_star = _golden(objective, float(grid[lo]), float(grid[hi]))
         candidates.append((v_star, d_star))
     v_best, d_best = min(candidates)
     return d_best, v_best
@@ -325,8 +473,9 @@ def minimize_over_delta(x: Stream, c: CostFunction,
 
     Finite point sets are enumerated exactly; each continuous piece of the
     cost gets a dense grid (``nodes`` per piece) followed by golden-section
-    refinement inside every bracketing triple.  Returns (argmin, value);
-    ties resolve to the smallest argmin.
+    refinement of its two end brackets and of one bracket per run of
+    adjacent grid minima (see :func:`_minimize_on_interval`).  Returns
+    (argmin, value); ties resolve to the smallest argmin.
 
     Raises:
         InfeasibleCost: if the cost is infinite everywhere on [0, 1).
@@ -413,12 +562,10 @@ Criterion = Union[Edu, Maxmin, Variational, Inf, Liminf, BanachWindow, Cesaro]
 
 
 def _maxmin_value(x: Stream, k: Maxmin, nodes: int) -> float:
-    zero_vec = lambda g: np.zeros_like(g)
-    zero_sca = lambda d: 0.0
     candidates = [(discounted_value(x, d), d) for d in k.points]
     for a, b in k.intervals:
         d_star, v_star = _minimize_on_interval(x, a, min(b, _ONE_EDGE),
-                                               zero_vec, zero_sca, nodes)
+                                               _zero_vec, _zero, nodes)
         candidates.append((v_star, d_star))
     v_best, _ = min(candidates)
     return v_best

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from tempora import (BanachWindow, Cesaro, Constant, Edu, IndicatorSet, Inf,
                      discounted_value, evaluate, make_stream,
                      minimize_over_delta, random_stream, scale_translate,
                      sup_distance, unanimity_probe)
-from tempora.discounting import discounted_value_grid
+from tempora.discounting import (_GRID_CACHE, _MEMO_CAP, _grid, _interp,
+                                 discounted_value_grid)
 from tempora.errors import (InvalidCost, InvalidCriterion, InvalidDelta)
+import tempora.discounting as D
 
 ALL_DELTAS = [i / 10 for i in range(10)] + [0.99, 1.0]
 
@@ -322,3 +326,316 @@ def test_edu_additivity(rng):
         x, y = random_stream(rng), random_stream(rng)
         lhs = evaluate(k, add(x, y))
         assert abs(lhs - evaluate(k, x) - evaluate(k, y)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the minimizer against its per-node reference, bit for bit
+# ---------------------------------------------------------------------------
+#
+# The reference below is the minimizer as it was before brackets were
+# merged per flat run and the grid factors were cached: one golden-section
+# search per grid minimum, a fresh np.linspace per call, and the scalar
+# discounted value plus the scalar cost (np.interp for tabulated costs) as
+# the objective.  The functions are copied verbatim, renamed with ref_.
+
+def ref_tail_mean(x):
+    cyc = x.tail_cycle
+    return math.fsum(cyc) / len(cyc)
+
+
+def ref_discounted_value(x, delta):
+    if not 0.0 <= delta <= 1.0:
+        raise InvalidDelta(f"discount factor must lie in [0, 1], got {delta}")
+    if delta == 1.0:
+        return ref_tail_mean(x)
+    s = 0.0
+    for v in reversed(x.prefix):
+        s = v + delta * s
+    if isinstance(x.tail, Constant):
+        tail_abel = x.tail.value
+    else:
+        cyc = x.tail.cycle
+        t = 0.0
+        for v in reversed(cyc):
+            t = v + delta * t
+        if delta == 0.0:
+            tail_abel = t
+        else:
+            # (1 - delta^p) via expm1 to avoid cancellation near delta = 1.
+            denom = -math.expm1(len(cyc) * math.log(delta))
+            tail_abel = (1.0 - delta) * t / denom
+    return (1.0 - delta) * s + delta ** len(x.prefix) * tail_abel
+
+
+def ref_discounted_value_grid(x, deltas):
+    d = np.asarray(deltas, dtype=float)
+    if d.size and (d.min() < 0.0 or d.max() > 1.0 or np.isnan(d).any()):
+        raise InvalidDelta("discount factors must lie in [0, 1]")
+    at_one = d == 1.0
+    dd = np.where(at_one, 0.5, d)
+    s = np.zeros_like(dd)
+    for v in reversed(x.prefix):
+        s = v + dd * s
+    if isinstance(x.tail, Constant):
+        tail_abel = np.full_like(dd, x.tail.value)
+    else:
+        cyc = x.tail.cycle
+        t = np.zeros_like(dd)
+        for v in reversed(cyc):
+            t = v + dd * t
+        with np.errstate(divide="ignore"):
+            denom = -np.expm1(len(cyc) * np.log(dd))
+        tail_abel = (1.0 - dd) * t / denom
+    out = (1.0 - dd) * s + dd ** len(x.prefix) * tail_abel
+    if at_one.any():
+        out = np.where(at_one, ref_tail_mean(x), out)
+    return out
+
+
+REF_ONE_EDGE = 1.0 - 1e-9
+REF_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def ref_cost_points(c):
+    if isinstance(c, IndicatorSet):
+        return list(zip(c.points, c.point_costs))
+    return []
+
+
+def ref_cost_pieces(c):
+    if isinstance(c, IndicatorSet):
+        return [(a, min(b, REF_ONE_EDGE), lambda g: np.zeros_like(g), lambda d: 0.0)
+                for a, b in c.intervals]
+    if isinstance(c, Quadratic):
+        return [(0.0, REF_ONE_EDGE,
+                 lambda g: c.stiffness * (g - c.center) ** 2,
+                 lambda d: c.stiffness * (d - c.center) ** 2)]
+    if isinstance(c, Tabulated):
+        ds = [d for d, _ in c.knots]
+        ks = [k for _, k in c.knots]
+        return [(0.0, ds[-1],
+                 lambda g: np.interp(g, ds, ks),
+                 lambda d: float(np.interp(d, ds, ks)))]
+    raise InvalidCost(f"not a cost function: {c!r}")
+
+
+def ref_golden(fun, a, b, xtol=1e-9, maxiter=80):
+    x1 = b - REF_INVPHI * (b - a)
+    x2 = a + REF_INVPHI * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    fa, fb = fun(a), fun(b)
+    for _ in range(maxiter):
+        if b - a <= xtol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - REF_INVPHI * (b - a)
+            f1 = fun(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + REF_INVPHI * (b - a)
+            f2 = fun(x2)
+    xm = 0.5 * (a + b)
+    candidates = [(fun(xm), xm), (f1, x1), (f2, x2), (fa, a), (fb, b)]
+    best_v, best_x = min(candidates)
+    return best_x, best_v
+
+
+def ref_minimize_on_interval(x, a, b, vec_cost, scalar_cost, nodes):
+
+    def objective(d):
+        return ref_discounted_value(x, d) + scalar_cost(d)
+
+    if b <= a:
+        return a, objective(a)
+    grid = np.linspace(a, b, nodes)
+    f = ref_discounted_value_grid(x, grid) + vec_cost(grid)
+    interior = np.nonzero((f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:]))[0] + 1
+    brackets = {0, nodes - 1, *interior.tolist()}
+    candidates = [(float(f[i]), float(grid[i])) for i in brackets]
+    for i in brackets:
+        lo = grid[max(i - 1, 0)]
+        hi = grid[min(i + 1, nodes - 1)]
+        d_star, v_star = ref_golden(objective, float(lo), float(hi))
+        candidates.append((v_star, d_star))
+    v_best, d_best = min(candidates)
+    return d_best, v_best
+
+
+def ref_minimize_over_delta(x, c, nodes=2001):
+    candidates = []
+    for d, k in ref_cost_points(c):
+        candidates.append((ref_discounted_value(x, d) + k, d))
+    for a, b, vcost, scost in ref_cost_pieces(c):
+        d_star, v_star = ref_minimize_on_interval(x, a, b, vcost, scost, nodes)
+        candidates.append((v_star, d_star))
+    v_best, d_best = min(candidates)
+    return d_best, v_best
+
+
+def ref_maxmin_value(x, k, nodes=2001):
+    zero_vec = lambda g: np.zeros_like(g)
+    zero_sca = lambda d: 0.0
+    candidates = [(ref_discounted_value(x, d), d) for d in k.points]
+    for a, b in k.intervals:
+        d_star, v_star = ref_minimize_on_interval(x, a, min(b, REF_ONE_EDGE),
+                                                  zero_vec, zero_sca, nodes)
+        candidates.append((v_star, d_star))
+    v_best, _ = min(candidates)
+    return v_best
+
+
+REF_COSTS = [
+    Quadratic(0.8, 3.0),
+    Quadratic(0.3, 10.0),
+    Tabulated(knots=((0.2, 1.0), (0.5, 0.0), (0.8, 2.0))),
+    Tabulated(knots=((0.3, 0.0), (0.8, 2.0))),          # flat extension below 0.3
+    Tabulated(knots=((0.1, 0.0), (0.4, 0.0), (0.6, 1.0))),  # flat between knots too
+    Tabulated(knots=((0.5, 0.0),)),
+    IndicatorSet(points=(0.3,), intervals=((0.5, 0.7),), point_costs=(0.0,)),
+    IndicatorSet(points=(0.9, 0.95), point_costs=(0.2, 0.0),
+                 intervals=((0.2, 0.25), (0.6, 1.0))),
+]
+REF_MAXMIN = [Maxmin(intervals=((0.4, 0.6),)),
+              Maxmin(points=(0.3, 0.7), intervals=((0.0, 1.0),))]
+
+
+def ref_streams(rng, n):
+    """Random draws and constant streams.  A constant stream's objective is
+    flat on the grid under maxmin and interval costs, and on the flat
+    extension of a tabulated cost below its first knot."""
+    return [random_stream(rng) for _ in range(n)] + [constant_stream(v) for v in (1.0, 0.0, -2.5)]
+
+
+def test_minimizer_matches_per_node_reference_bit_for_bit(rng):
+    for x in ref_streams(rng, 15):
+        for c in REF_COSTS:
+            want = ref_minimize_over_delta(x, c)
+            assert minimize_over_delta(x, c) == want
+            assert evaluate(Variational(c), x) == want[1]
+        for k in REF_MAXMIN:
+            assert evaluate(k, x) == ref_maxmin_value(x, k)
+
+
+def test_grid_matches_reference_bit_for_bit(rng):
+    grid = np.linspace(0.0, 1.0, 101)
+    for x in ref_streams(rng, 30):
+        want = ref_discounted_value_grid(x, grid).tobytes()
+        assert discounted_value_grid(x, grid).tobytes() == want
+        assert discounted_value_grid(x, _grid(0.0, 1.0, 101)).tobytes() == want
+        for d in (0.0, 0.37, 1.0):
+            assert discounted_value(x, d) == ref_discounted_value(x, d)
+
+
+# ---------------------------------------------------------------------------
+# flat objectives and the grid cache
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [
+    Maxmin(intervals=((0.4, 0.6),)),
+    Variational(Tabulated(knots=((0.3, 0.0), (0.8, 2.0)))),
+    Variational(IndicatorSet(intervals=((0.4, 0.6),))),
+    Variational(IndicatorSet(intervals=((0.1, 0.2), (0.5, 1.0)))),
+])
+def test_flat_objective_opens_three_searches_per_piece(monkeypatch, k):
+    calls = {"golden": 0, "piece": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(D, "_golden", counted("golden", D._golden))
+    monkeypatch.setattr(D, "_minimize_on_interval",
+                        counted("piece", D._minimize_on_interval))
+    assert evaluate(k, constant_stream(1.0)) == 1.0
+    assert calls["piece"] >= 1
+    assert calls["golden"] <= 3 * calls["piece"]
+
+
+def test_cached_grid_is_read_only():
+    g = _grid(0.4, 0.6, 2001)
+    assert _grid(0.4, 0.6, 2001) is g
+    for arr in (g.d, g.dd, g.one_minus, g.power(3), g.denom(2)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    assert g.d.tobytes() == np.linspace(0.4, 0.6, 2001).tobytes()
+
+
+def test_grid_cache_and_memos_are_bounded():
+    k = Maxmin(intervals=((0.25, 0.75),))
+    g = _grid(0.25, 0.75, 51)
+    for i, n in enumerate([*range(40), 1000, 2000, 3000]):
+        x = make_stream([0.5] * n, Periodic(tuple(float(j) for j in range(2 + i))))
+        evaluate(k, x, nodes=51)
+        assert _grid(0.25, 0.75, 51) is g
+        assert 0 < len(g._pow) <= _MEMO_CAP
+        assert 0 < len(g._denom) <= _MEMO_CAP
+    for i in range(2 * _GRID_CACHE):
+        _grid(0.0, 0.5, 3 + i)
+    assert _grid.cache_info().currsize <= _GRID_CACHE
+
+
+def test_concurrent_grid_evaluations_share_the_cache_safely(monkeypatch):
+    # A cap of 2 makes the memos refill on nearly every call, so that two
+    # fills racing each other would show as a memo past its cap.
+    monkeypatch.setattr(D, "_MEMO_CAP", 2)
+    g = D._grid(0.35, 0.65, 41)
+    xs = [make_stream([0.25 * (n + 1)] * n, Periodic(tuple(float(i) for i in range(2 + n % 5))))
+          for n in range(12)]
+    want = [discounted_value_grid(x, g).tobytes() for x in xs]
+    bad, sizes = [], []
+
+    def work(t):
+        for _ in range(300):
+            for i in range(t % 12, 12):
+                if discounted_value_grid(xs[i], g).tobytes() != want[i]:
+                    bad.append(i)
+                sizes.append(max(len(g._pow), len(g._denom)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert bad == []
+    assert max(sizes) <= 2
+
+
+# ---------------------------------------------------------------------------
+# the tabulated cost's scalar closed form
+# ---------------------------------------------------------------------------
+
+def test_tabulated_cost_eval_is_np_interp_bit_for_bit():
+    knots = ((0.2, 1.0), (0.45, 0.0), (0.7, 3.3), (0.9, 0.1))
+    c = Tabulated(knots=knots)
+    xp, fp = [d for d, _ in knots], [k for _, k in knots]
+    points = [0.0, 0.1, 0.2, 0.3, 1 / 3, 0.45, 0.5, 0.7, 0.8, 0.9 - 1e-12, 0.9]
+    for d in points:
+        assert cost_eval(c, d) == float(np.interp(d, xp, fp))
+    assert cost_eval(c, 0.9 + 1e-12) == math.inf
+    single = Tabulated(knots=((0.4, 0.0),))
+    for d in (0.0, 0.39, 0.4):
+        assert cost_eval(single, d) == float(np.interp(d, [0.4], [0.0]))
+    assert cost_eval(single, 0.41) == math.inf
+
+
+def test_tabulated_closed_form_matches_np_interp_on_random_tables():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        m = int(rng.integers(1, 8))
+        xp = np.sort(rng.choice(np.linspace(0.0, 0.99, 200), m, replace=False))
+        fp = rng.uniform(0.0, 10.0, m)
+        fp[rng.integers(m)] = 0.0
+        c = Tabulated(knots=tuple(zip(xp.tolist(), fp.tolist())))
+        pts = np.concatenate([rng.uniform(0.0, xp[-1], 40), xp, [0.0, xp[-1]]])
+        got = np.array([_interp(c)(float(d)) for d in pts])
+        assert got.tobytes() == np.interp(pts, xp, fp).tobytes()
+        assert all(_interp(c)(float(d)) == float(np.interp(float(d), xp, fp)) for d in pts)
