@@ -17,7 +17,8 @@ import sys
 
 from . import axioms as ax
 from . import jsonio
-from .discounting import (cost_eval, discounted_value, evaluate,
+from .discounting import (BanachWindow, Cesaro, Edu, Inf, Liminf, Maxmin,
+                          Variational, cost_eval, discounted_value, evaluate,
                           minimize_over_delta)
 from .eigen import adjoint, invariant_structure
 from .errors import (InvalidAxiom, NoInvariantFound, NonConvergence,
@@ -43,15 +44,15 @@ _ALL_BATTERY = frozenset(a if t is None else f"{a}:{t}" for a, t in BATTERY)
 #: failure (exit code 1).  Failures outside the listed set are informative
 #: only: they are the behaviors the family is known not to have.
 EXPECTED_PASS: dict[str, frozenset[str]] = {
-    "edu": _UNIVERSAL | {"isu", "iou", "idis", "itis:scale:2"},
-    "maxmin": _UNIVERSAL | {"isu", "idis"},
-    "variational": _UNIVERSAL | {"idis"},
-    "inf": _UNIVERSAL | {"isu", "patience"},
-    "liminf": _UNIVERSAL | {"isu", "patience", "time_invariance", "ifpis"},
+    Edu.tag: _UNIVERSAL | {"isu", "iou", "idis", "itis:scale:2"},
+    Maxmin.tag: _UNIVERSAL | {"isu", "idis"},
+    Variational.tag: _UNIVERSAL | {"idis"},
+    Inf.tag: _UNIVERSAL | {"isu", "patience"},
+    Liminf.tag: _UNIVERSAL | {"isu", "patience", "time_invariance", "ifpis"},
     # The window and Cesaro criteria act linearly on eventually periodic
     # streams, so every battery axiom holds on this class.
-    "banach_window": _ALL_BATTERY,
-    "cesaro": _ALL_BATTERY,
+    BanachWindow.tag: _ALL_BATTERY,
+    Cesaro.tag: _ALL_BATTERY,
 }
 
 
@@ -173,7 +174,6 @@ def _parse_axiom_id(text: str):
 def _cmd_axioms(args) -> int:
     data = jsonio.load_json_file(args.criterion)
     criterion = jsonio.criterion_from_dict(data)
-    (kind,) = data.keys()
     seed = args.seed if args.seed is not None else _default_seed()
     if args.axiom is not None:
         name, transform = _parse_axiom_id(args.axiom)
@@ -183,7 +183,7 @@ def _cmd_axioms(args) -> int:
     reports = [ax.check_axiom(criterion, name, trials=args.trials, seed=seed,
                               transform=transform)
                for name, transform in plan]
-    expected = EXPECTED_PASS.get(kind, _UNIVERSAL)
+    expected = EXPECTED_PASS[criterion.tag]
     unexpected = []
     for rep in reports:
         key = rep.axiom if rep.transform is None else f"{rep.axiom}:{rep.transform}"
@@ -261,9 +261,6 @@ def main(argv=None) -> int:
     except (RegressionFailure, NonConvergence, NoInvariantFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, InvalidAxiom) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TemporaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Discounted evaluation of streams and the three discounting criteria.
+"""Discounted evaluation of streams, the cost shapes and every criterion.
 
 The building block is the normalized discounted value
 
@@ -17,6 +17,12 @@ Three criteria are built on top of D:
 * ``Maxmin(points, intervals)`` -- worst case over a closed set of factors;
 * ``Variational(cost)``   -- min over delta of D_delta(x) + cost(delta),
   where the cost is grounded (its infimum is 0) and infinite at 1.
+
+Maxmin is the variational criterion of its set's zero-cost indicator; the
+four patient criteria (``Inf``, ``Liminf``, ``BanachWindow``, ``Cesaro``)
+take their closed forms from :mod:`tempora.patient`.  Each criterion and
+each cost shape is one class that owns its JSON tag (the table ``TAGS``),
+its JSON body and its value, so there is one dispatch point per concept.
 
 Costs are expressed in the same utility units as streams; infinity is an
 explicit absorbing value, never a large float.  The objective
@@ -39,13 +45,15 @@ import functools
 import math
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
 from . import patient
-from .errors import InfeasibleCost, InvalidCost, InvalidCriterion, InvalidDelta
+from .errors import (InfeasibleCost, InvalidCost, InvalidCriterion, InvalidDelta,
+                     ParseError, decoding, tagged)
+from .patient import _tail_mean
 from .streams import Constant, Stream
 
 #: Right edge used for numerically searching half-open pieces [a, 1).
@@ -57,11 +65,6 @@ _INF = math.inf
 # ---------------------------------------------------------------------------
 # discounted value
 # ---------------------------------------------------------------------------
-
-def _tail_mean(x: Stream) -> float:
-    cyc = x.tail_cycle
-    return math.fsum(cyc) / len(cyc)
-
 
 def _dv_scalar(x: Stream) -> Callable[[float], float]:
     """delta -> D_delta(x) on [0, 1], unchecked.
@@ -217,8 +220,85 @@ def discounted_value_grid(x: Stream, deltas: np.ndarray | _Grid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# tagged values: the one dispatch point of every criterion and cost shape
+# ---------------------------------------------------------------------------
+
+#: JSON tag -> class, for every criterion and every cost shape.  Decoding,
+#: encoding and the CLI's per-family expectations all read this table.
+TAGS: dict[str, type] = {}
+
+
+class _Tagged:
+    """A value written in JSON as ``{tag: body}``.
+
+    A subclass registers under its tag (``class Edu(_Criterion,
+    tag="edu")``).  Its body is its dataclass fields by name, tuples as
+    lists and a nested cost as its own ``{tag: body}``; decoding ignores
+    extra keys and lets fields with defaults be left out.
+    """
+
+    tag: ClassVar[str]
+    family: ClassVar[str]
+
+    def __init_subclass__(cls, tag: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if tag is not None:
+            cls.tag = tag
+            TAGS[tag] = cls
+
+    def to_dict(self) -> dict:
+        return {self.tag: {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}}
+
+    @classmethod
+    def from_body(cls, body: dict) -> "_Tagged":
+        return cls(**{f.name: _from_json(body[f.name]) for f in fields(cls)
+                      if f.name in body or f.default is MISSING})
+
+    @classmethod
+    def from_dict(cls, data) -> "_Tagged":
+        """Decode ``{tag: body}`` into the subclass of ``cls`` under ``tag``;
+        anything malformed raises :class:`ParseError`."""
+        tag, body = tagged(data, cls.family,
+                           [t for t, k in TAGS.items() if issubclass(k, cls)])
+        if not isinstance(body, dict):
+            raise ParseError(f"{tag} body must be an object", field=tag)
+        with decoding(tag):
+            return TAGS[tag].from_body(body)
+
+
+def _to_json(v):
+    if isinstance(v, _Tagged):
+        return v.to_dict()
+    return [_to_json(e) for e in v] if isinstance(v, tuple) else v
+
+
+def _from_json(v):
+    """JSON arrays as tuples, two levels deep: a body holds at most a list
+    of pairs, and anything deeper fails validation as it stands."""
+    if not isinstance(v, list):
+        return v
+    return tuple(tuple(e) if isinstance(e, list) else e for e in v)
+
+
+# ---------------------------------------------------------------------------
 # cost functions
 # ---------------------------------------------------------------------------
+
+class _Cost(_Tagged):
+    """A grounded cost: finite on a closed subset of [0, 1), infinite
+    elsewhere and always at 1.
+
+    ``value(delta)`` is the cost at a factor in [0, 1); ``isolated()``
+    lists the finite-cost points (delta, cost), solved by enumeration;
+    ``pieces()`` lists the continuous finite-cost pieces (a, b,
+    vector_cost, scalar_cost), each searched on a grid.
+    """
+
+    family = "cost"
+
+    def isolated(self) -> list[tuple[float, float]]:
+        return []
+
 
 def _check_unit_point(value: float, what: str) -> float:
     v = float(value)
@@ -228,7 +308,7 @@ def _check_unit_point(value: float, what: str) -> float:
 
 
 @dataclass(frozen=True)
-class IndicatorSet:
+class IndicatorSet(_Cost, tag="indicator"):
     """Zero (or finite per-point) cost on a closed set E, infinite elsewhere.
 
     E is a finite union of points and closed sub-intervals of [0, 1).  Each
@@ -266,9 +346,25 @@ class IndicatorSet:
         object.__setattr__(self, "intervals", tuple(ivs))
         object.__setattr__(self, "point_costs", costs)
 
+    def value(self, delta: float) -> float:
+        best = _INF
+        for p, k in zip(self.points, self.point_costs):
+            if delta == p:
+                best = min(best, k)
+        for a, b in self.intervals:
+            if a <= delta <= b:
+                return 0.0
+        return best
+
+    def isolated(self) -> list[tuple[float, float]]:
+        return list(zip(self.points, self.point_costs))
+
+    def pieces(self) -> list:
+        return [(a, min(b, _ONE_EDGE), _zero_vec, _zero) for a, b in self.intervals]
+
 
 @dataclass(frozen=True)
-class Quadratic:
+class Quadratic(_Cost, tag="quadratic"):
     """cost(delta) = stiffness * (delta - center)^2, infinite at delta = 1."""
 
     center: float
@@ -281,9 +377,16 @@ class Quadratic:
             raise InvalidCost(f"stiffness must be finite and >= 0, got {self.stiffness}")
         object.__setattr__(self, "stiffness", k)
 
+    def value(self, delta):
+        """The cost, on a float or elementwise on an array of factors."""
+        return self.stiffness * (delta - self.center) ** 2
+
+    def pieces(self) -> list:
+        return [(0.0, _ONE_EDGE, self.value, self.value)]
+
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_Cost, tag="tabulated"):
     """Piecewise-linear cost through sorted (delta, cost) knots.
 
     Finite on [0, delta_max] with delta_max < 1 (below the first knot the
@@ -306,14 +409,16 @@ class Tabulated:
             raise InvalidCost("not grounded: no zero-cost knot")
         object.__setattr__(self, "knots", ks)
 
+    def value(self, delta: float) -> float:
+        return _INF if delta > self.knots[-1][0] else float(_interp(self)(delta))
+
+    def pieces(self) -> list:
+        ds = [d for d, _ in self.knots]
+        ks = [k for _, k in self.knots]
+        return [(0.0, ds[-1], lambda g: np.interp(g, ds, ks), _interp(self))]
+
 
 CostFunction = Union[IndicatorSet, Quadratic, Tabulated]
-
-
-def _quadratic(c: Quadratic) -> Callable:
-    """stiffness * (delta - center)^2, on a float or elementwise on an array."""
-    k, center = c.stiffness, c.center
-    return lambda d: k * (d - center) ** 2
 
 
 def _interp(c: Tabulated) -> Callable[[float], float]:
@@ -352,47 +457,9 @@ def cost_eval(c: CostFunction, delta: float) -> float:
     """Cost value in [0, +inf]; always +inf at delta = 1."""
     if not 0.0 <= delta <= 1.0:
         raise InvalidDelta(f"discount factor must lie in [0, 1], got {delta}")
-    if delta == 1.0:
-        return _INF
-    if isinstance(c, IndicatorSet):
-        best = _INF
-        for p, k in zip(c.points, c.point_costs):
-            if delta == p:
-                best = min(best, k)
-        for a, b in c.intervals:
-            if a <= delta <= b:
-                return 0.0
-        return best
-    if isinstance(c, Quadratic):
-        return _quadratic(c)(delta)
-    if isinstance(c, Tabulated):
-        if delta > c.knots[-1][0]:
-            return _INF
-        return float(_interp(c)(delta))
-    raise InvalidCost(f"not a cost function: {c!r}")
-
-
-def _cost_points(c: CostFunction) -> list[tuple[float, float]]:
-    """Isolated finite-cost points (delta, cost); solved by enumeration."""
-    if isinstance(c, IndicatorSet):
-        return list(zip(c.points, c.point_costs))
-    return []
-
-
-def _cost_pieces(c: CostFunction) -> list[tuple[float, float,
-                                                Callable[[np.ndarray], np.ndarray],
-                                                Callable[[float], float]]]:
-    """Continuous finite-cost pieces (a, b, vector_cost, scalar_cost)."""
-    if isinstance(c, IndicatorSet):
-        return [(a, min(b, _ONE_EDGE), _zero_vec, _zero) for a, b in c.intervals]
-    if isinstance(c, Quadratic):
-        q = _quadratic(c)
-        return [(0.0, _ONE_EDGE, q, q)]
-    if isinstance(c, Tabulated):
-        ds = [d for d, _ in c.knots]
-        ks = [k for _, k in c.knots]
-        return [(0.0, ds[-1], lambda g: np.interp(g, ds, ks), _interp(c))]
-    raise InvalidCost(f"not a cost function: {c!r}")
+    if not isinstance(c, _Cost):
+        raise InvalidCost(f"not a cost function: {c!r}")
+    return _INF if delta == 1.0 else c.value(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +547,10 @@ def minimize_over_delta(x: Stream, c: CostFunction,
     Raises:
         InfeasibleCost: if the cost is infinite everywhere on [0, 1).
     """
-    candidates: list[tuple[float, float]] = []
-    for d, k in _cost_points(c):
-        candidates.append((discounted_value(x, d) + k, d))
-    for a, b, vcost, scost in _cost_pieces(c):
+    if not isinstance(c, _Cost):
+        raise InvalidCost(f"not a cost function: {c!r}")
+    candidates = [(discounted_value(x, d) + k, d) for d, k in c.isolated()]
+    for a, b, vcost, scost in c.pieces():
         d_star, v_star = _minimize_on_interval(x, a, b, vcost, scost, nodes)
         candidates.append((v_star, d_star))
     if not candidates:
@@ -496,8 +563,16 @@ def minimize_over_delta(x: Stream, c: CostFunction,
 # criteria
 # ---------------------------------------------------------------------------
 
+class _Criterion(_Tagged):
+    """An evaluation criterion: ``value(x, nodes)`` is the constant
+    equivalent of the stream ``x``, with ``nodes`` grid points per piece
+    for the criteria that minimize over the discount factor."""
+
+    family = "criterion"
+
+
 @dataclass(frozen=True)
-class Edu:
+class Edu(_Criterion, tag="edu"):
     """Exponential discounting with a single factor strictly inside (0, 1)."""
 
     delta: float
@@ -508,11 +583,15 @@ class Edu:
             raise InvalidCriterion(f"EDU factor must lie in (0, 1), got {self.delta}")
         object.__setattr__(self, "delta", d)
 
+    def value(self, x: Stream, nodes: int = 2001) -> float:
+        return discounted_value(x, self.delta)
+
 
 @dataclass(frozen=True)
-class Maxmin:
+class Maxmin(_Criterion, tag="maxmin"):
     """Worst-case discounting over a closed set of factors in [0, 1).
 
+    This is the variational criterion of the set's zero-cost indicator.
     delta = 0 is admissible here (mass on the present, via 0^0 = 1), unlike
     in :class:`Edu`.
     """
@@ -521,73 +600,76 @@ class Maxmin:
     intervals: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        # Validation rules are identical to a zero-cost indicator set.
         ind = IndicatorSet(points=self.points, intervals=self.intervals)
         object.__setattr__(self, "points", ind.points)
         object.__setattr__(self, "intervals", ind.intervals)
+        object.__setattr__(self, "_indicator", ind)
+
+    def value(self, x: Stream, nodes: int = 2001) -> float:
+        return minimize_over_delta(x, self._indicator, nodes)[1]
 
 
 @dataclass(frozen=True)
-class Variational:
+class Variational(_Criterion, tag="variational"):
     """min over delta of discounted value plus a grounded cost."""
 
     cost: CostFunction
 
     def __post_init__(self):
-        if not isinstance(self.cost, (IndicatorSet, Quadratic, Tabulated)):
+        if not isinstance(self.cost, _Cost):
             raise InvalidCriterion(f"not a cost function: {self.cost!r}")
 
+    def value(self, x: Stream, nodes: int = 2001) -> float:
+        return minimize_over_delta(x, self.cost, nodes)[1]
+
+    @classmethod
+    def from_body(cls, body: dict) -> "Variational":
+        return cls(cost=_Cost.from_dict(body["cost"]))
+
+
+# The patient criteria look their closed forms up in ``patient`` at call
+# time, so a function replaced there (say, by a tracer) is the one called.
 
 @dataclass(frozen=True)
-class Inf:
+class Inf(_Criterion, tag="inf"):
     """Worst utility over all periods."""
 
+    def value(self, x: Stream, nodes: int = 2001) -> float:
+        return patient.inf_value(x)
+
 
 @dataclass(frozen=True)
-class Liminf:
+class Liminf(_Criterion, tag="liminf"):
     """Worst recurring utility."""
 
+    def value(self, x: Stream, nodes: int = 2001) -> float:
+        return patient.liminf_value(x)
+
 
 @dataclass(frozen=True)
-class BanachWindow:
+class BanachWindow(_Criterion, tag="banach_window"):
     """Long-run worst window average (shift-invariant patient criterion)."""
 
+    def value(self, x: Stream, nodes: int = 2001) -> float:
+        return patient.banach_window_value(x)
+
 
 @dataclass(frozen=True)
-class Cesaro:
+class Cesaro(_Criterion, tag="cesaro"):
     """Long-run plain average."""
+
+    def value(self, x: Stream, nodes: int = 2001) -> float:
+        return patient.cesaro_value(x)
 
 
 Criterion = Union[Edu, Maxmin, Variational, Inf, Liminf, BanachWindow, Cesaro]
 
 
-def _maxmin_value(x: Stream, k: Maxmin, nodes: int) -> float:
-    candidates = [(discounted_value(x, d), d) for d in k.points]
-    for a, b in k.intervals:
-        d_star, v_star = _minimize_on_interval(x, a, min(b, _ONE_EDGE),
-                                               _zero_vec, _zero, nodes)
-        candidates.append((v_star, d_star))
-    v_best, _ = min(candidates)
-    return v_best
-
-
 def evaluate(k: Criterion, x: Stream, nodes: int = 2001) -> float:
     """Constant equivalent I(x) of the stream under criterion ``k``."""
-    if isinstance(k, Edu):
-        return discounted_value(x, k.delta)
-    if isinstance(k, Maxmin):
-        return _maxmin_value(x, k, nodes)
-    if isinstance(k, Variational):
-        return minimize_over_delta(x, k.cost, nodes)[1]
-    if isinstance(k, Inf):
-        return patient.inf_value(x)
-    if isinstance(k, Liminf):
-        return patient.liminf_value(x)
-    if isinstance(k, BanachWindow):
-        return patient.banach_window_value(x)
-    if isinstance(k, Cesaro):
-        return patient.cesaro_value(x)
-    raise InvalidCriterion(f"not a criterion: {k!r}")
+    if not isinstance(k, _Criterion):
+        raise InvalidCriterion(f"not a criterion: {k!r}")
+    return k.value(x, nodes)
 
 
 def as_evaluator(k) -> Callable[[Stream], float]:

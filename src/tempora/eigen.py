@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .discounting import discounted_value
 from .errors import (InvalidOperator, InvalidPermutation, NoInvariantFound,
@@ -115,22 +114,6 @@ class EigenResult:
     iterations: int
 
 
-def _kernel_simplex_element(mstar: OperatorMatrix, tol: float) -> np.ndarray:
-    """Solve M v = 0, v >= 0, sum v = 1 as a linear feasibility problem."""
-    n = mstar.dim
-    a_eq = np.vstack([mstar.entries, np.ones((1, n))])
-    b_eq = np.concatenate([np.zeros(n), [1.0]])
-    res = linprog(c=np.zeros(n), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None),
-                  method="highs")
-    if not res.success:
-        raise NoInvariantFound("simplex kernel of the operator is empty")
-    v = np.clip(res.x, 0.0, None)
-    v /= v.sum()
-    if float(np.abs(mstar.entries @ v).sum()) > tol:
-        raise NoInvariantFound("kernel candidate fails the residual check")
-    return v
-
-
 def invariant_structure(mstar: OperatorMatrix, *, tol: float = 1e-10,
                         max_iter: int = 10 ** 5,
                         cesaro_averaging: bool = False,
@@ -141,8 +124,9 @@ def invariant_structure(mstar: OperatorMatrix, *, tol: float = 1e-10,
     With ``cesaro_averaging`` the convergence test is applied to the
     renormalized running mean of the iterates, which converges for periodic
     operators where the plain iteration cycles.  If <1, M p> underflows
-    below 1e-14 the routine switches to a kernel search and returns a
-    simplex element of ker M with eigenvalue 0.
+    below 1e-14 the routine returns a simplex element of ker M with
+    eigenvalue 0: the iterate itself when ``M p`` is within ``tol`` of 0,
+    else the vertex of the first all-zero column of M.
 
     Raises:
         NonConvergence: if the residual never drops below ``tol`` within
@@ -172,15 +156,19 @@ def invariant_structure(mstar: OperatorMatrix, *, tol: float = 1e-10,
             residual = float(np.abs(q - lam * cand).sum())
             if residual <= tol:
                 return EigenResult(DiscountVector(cand), lam, residual, it)
-        step = mstar.entries @ p
-        mass = float(step.sum())
-        if mass < 1e-14:
-            if float(np.abs(mstar.entries @ p).sum()) <= tol:
-                return EigenResult(DiscountVector(p), 0.0, 0.0, it)
-            v = _kernel_simplex_element(mstar, tol)
-            res = float(np.abs(mstar.entries @ v).sum())
-            return EigenResult(DiscountVector(v), 0.0, res, it)
-        p = step / mass
+        # The last candidate is p itself, so q is the step M p, and
+        # lam = <1, M p> is its mass, which is also ||M p||_1 as M p >= 0.
+        if lam < 1e-14:
+            if lam > tol:
+                # For M, v >= 0, M v = 0 exactly when v sits on all-zero
+                # columns of M: the kernel vertex is e_j, j the first one.
+                zero = np.flatnonzero(~mstar.entries.any(axis=0))
+                if zero.size == 0:
+                    raise NoInvariantFound("simplex kernel of the operator is empty")
+                p = np.zeros(n)
+                p[zero[0]] = 1.0
+            return EigenResult(DiscountVector(p), 0.0, 0.0, it)
+        p = q / lam
         running_sum += p
     raise NonConvergence(
         f"no invariant vector within {max_iter} iterations "
@@ -191,6 +179,11 @@ def invariant_structure(mstar: OperatorMatrix, *, tol: float = 1e-10,
 # builtin operator truncations
 # ---------------------------------------------------------------------------
 
+#: Largest builtin dimension: a dense float64 matrix of 4096^2 entries is
+#: 128 MiB, and the solver holds a few copies of it.
+MAX_BUILTIN_DIM = 4096
+
+
 def builtin_operator(name: str, n: int, *, sigma=None, factor: float | None = None) -> OperatorMatrix:
     """Named truncations acting on streams' leading N coordinates.
 
@@ -198,9 +191,11 @@ def builtin_operator(name: str, n: int, *, sigma=None, factor: float | None = No
     ``absorbing_delay``  (x_0..x_{N-1}) -> (0, x_0, .., x_{N-2})
     ``permutation``      x -> (x_{sigma(0)}, .., x_{sigma(N-1)})
     ``scaling``          x -> factor * x
+
+    The matrix is dense, so ``n`` is capped at :data:`MAX_BUILTIN_DIM`.
     """
-    if n < 1:
-        raise InvalidOperator(f"dimension must be >= 1, got {n}")
+    if not 1 <= n <= MAX_BUILTIN_DIM:
+        raise InvalidOperator(f"dimension must lie in [1, {MAX_BUILTIN_DIM}], got {n}")
     m = np.zeros((n, n))
     if name == "cyclic_delay":
         for i in range(n):

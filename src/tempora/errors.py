@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the decoding boundary
+(:func:`decoding`) that every JSON body is built behind."""
+
+from contextlib import contextmanager
 
 
 class TemporaError(Exception):
@@ -74,3 +77,26 @@ class ParseError(TemporaError, ValueError):
         self.line = line
         self.column = column
         self.field = field
+
+
+def tagged(data, what: str, tags) -> tuple[str, object]:
+    """Split a tagged object ``{tag: body}`` with ``tag`` in ``tags``."""
+    if not isinstance(data, dict) or len(data) != 1:
+        raise ParseError(f"{what} must be an object with exactly one tag "
+                         f"out of {tuple(tags)}", field=what)
+    ((tag, body),) = data.items()
+    if tag not in tags:
+        raise ParseError(f"unknown {what} tag {tag!r}", field=tag)
+    return tag, body
+
+
+@contextmanager
+def decoding(field: str):
+    """Turn a wrong type, a missing key, a short pair or an invalid value
+    raised while building a value from JSON into a ParseError."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (ValueError, TypeError, LookupError, OverflowError) as exc:
+        raise ParseError(f"malformed {field}: {exc}", field=field) from exc

@@ -11,11 +11,9 @@ import json
 
 import numpy as np
 
-from .discounting import (BanachWindow, Cesaro, CostFunction, Criterion, Edu,
-                          IndicatorSet, Inf, Liminf, Maxmin, Quadratic,
-                          Tabulated, Variational)
+from .discounting import CostFunction, Criterion, _Cost, _Criterion
 from .eigen import OperatorMatrix, builtin_operator
-from .errors import ParseError, TemporaError
+from .errors import ParseError, decoding, tagged
 from .panel import ExpertPanel
 from .streams import stream_from_dict, stream_to_dict  # noqa: F401  (re-export)
 
@@ -28,119 +26,44 @@ def load_json_file(path: str) -> dict:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bytes that are not UTF-8, nesting too deep
+        raise ParseError(f"{path}: {exc}") from exc
 
 
-def _only_key(data: dict, what: str, allowed: tuple[str, ...]) -> str:
-    if not isinstance(data, dict) or len(data) != 1:
-        raise ParseError(f"{what} must be an object with exactly one tag "
-                         f"out of {allowed}", field=what)
-    (key,) = data.keys()
-    if key not in allowed:
-        raise ParseError(f"unknown {what} tag {key!r}", field=key)
-    return key
-
-
-# -- cost functions ---------------------------------------------------------
-
-_COST_TAGS = ("indicator", "quadratic", "tabulated")
-
+# -- cost functions and criteria -------------------------------------------
+#
+# Each class owns its tag and its body (``discounting.TAGS``); these are
+# the package's entry points to that one table.
 
 def cost_to_dict(c: CostFunction) -> dict:
-    if isinstance(c, IndicatorSet):
-        return {"indicator": {"points": list(c.points),
-                              "intervals": [list(iv) for iv in c.intervals],
-                              "point_costs": list(c.point_costs)}}
-    if isinstance(c, Quadratic):
-        return {"quadratic": {"center": c.center, "stiffness": c.stiffness}}
-    if isinstance(c, Tabulated):
-        return {"tabulated": {"knots": [list(k) for k in c.knots]}}
-    raise ParseError(f"not a cost function: {c!r}")
+    if not isinstance(c, _Cost):
+        raise ParseError(f"not a cost function: {c!r}")
+    return c.to_dict()
 
 
 def cost_from_dict(data: dict) -> CostFunction:
-    tag = _only_key(data, "cost", _COST_TAGS)
-    body = data[tag]
-    try:
-        if tag == "indicator":
-            return IndicatorSet(points=tuple(body.get("points", [])),
-                                intervals=tuple(tuple(iv) for iv in body.get("intervals", [])),
-                                point_costs=tuple(body.get("point_costs", [])))
-        if tag == "quadratic":
-            return Quadratic(center=body["center"], stiffness=body["stiffness"])
-        return Tabulated(knots=tuple(tuple(k) for k in body["knots"]))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed {tag} cost: {exc}", field=tag) from exc
-    except TemporaError as exc:
-        raise ParseError(str(exc), field=tag) from exc
-
-
-# -- criteria ---------------------------------------------------------------
-
-_CRITERION_TAGS = ("edu", "maxmin", "variational", "inf", "liminf",
-                   "banach_window", "cesaro")
+    return _Cost.from_dict(data)
 
 
 def criterion_to_dict(k: Criterion) -> dict:
-    if isinstance(k, Edu):
-        return {"edu": {"delta": k.delta}}
-    if isinstance(k, Maxmin):
-        return {"maxmin": {"points": list(k.points),
-                           "intervals": [list(iv) for iv in k.intervals]}}
-    if isinstance(k, Variational):
-        return {"variational": {"cost": cost_to_dict(k.cost)}}
-    if isinstance(k, Inf):
-        return {"inf": {}}
-    if isinstance(k, Liminf):
-        return {"liminf": {}}
-    if isinstance(k, BanachWindow):
-        return {"banach_window": {}}
-    if isinstance(k, Cesaro):
-        return {"cesaro": {}}
-    raise ParseError(f"not a criterion: {k!r}")
+    if not isinstance(k, _Criterion):
+        raise ParseError(f"not a criterion: {k!r}")
+    return k.to_dict()
 
 
 def criterion_from_dict(data: dict) -> Criterion:
-    tag = _only_key(data, "criterion", _CRITERION_TAGS)
-    body = data[tag]
-    try:
-        if tag == "edu":
-            return Edu(delta=body["delta"])
-        if tag == "maxmin":
-            return Maxmin(points=tuple(body.get("points", [])),
-                          intervals=tuple(tuple(iv) for iv in body.get("intervals", [])))
-        if tag == "variational":
-            return Variational(cost=cost_from_dict(body["cost"]))
-        if tag == "inf":
-            return Inf()
-        if tag == "liminf":
-            return Liminf()
-        if tag == "banach_window":
-            return BanachWindow()
-        return Cesaro()
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed {tag} criterion: {exc}", field=tag) from exc
-    except ParseError:
-        raise
-    except TemporaError as exc:
-        raise ParseError(str(exc), field=tag) from exc
+    return _Criterion.from_dict(data)
 
 
 # -- operators --------------------------------------------------------------
 
 def operator_from_dict(data: dict) -> OperatorMatrix:
-    tag = _only_key(data, "operator", ("builtin", "matrix"))
-    body = data[tag]
-    try:
+    tag, body = tagged(data, "operator", ("builtin", "matrix"))
+    with decoding(tag):
         if tag == "matrix":
             return OperatorMatrix(np.asarray(body, dtype=float))
-        name = body["name"]
-        n = int(body["n"])
-        return builtin_operator(name, n, sigma=body.get("sigma"),
+        return builtin_operator(body["name"], int(body["n"]), sigma=body.get("sigma"),
                                 factor=body.get("factor"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed {tag} operator: {exc}", field=tag) from exc
-    except TemporaError as exc:
-        raise ParseError(str(exc), field=tag) from exc
 
 
 # -- panels -----------------------------------------------------------------
@@ -152,8 +75,6 @@ def panel_to_dict(panel: ExpertPanel) -> dict:
 def panel_from_dict(data: dict) -> ExpertPanel:
     if not isinstance(data, dict) or "factors" not in data:
         raise ParseError("panel object needs a 'factors' entry", field="factors")
-    try:
+    with decoding("factors"):
         return ExpertPanel(factors=tuple(data["factors"]),
                            confidences=tuple(data.get("confidences", [])))
-    except TemporaError as exc:
-        raise ParseError(str(exc), field="factors") from exc

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy import optimize, stats
 
 from .axioms import AxiomReport, random_stream
 from .discounting import (IndicatorSet, Variational, as_evaluator,
@@ -34,9 +33,12 @@ from .patient import inf_value
 from .streams import (Constant, Stream, add, constant_stream, make_stream,
                       scale_translate, stream_to_dict)
 
-_SURVEY_MEAN_RATE = 0.0396
-_SURVEY_SD_RATE = 0.0294
 _RATE_CAP = 0.20
+#: Parent (mu, sigma) of the normal whose truncation to (0, _RATE_CAP] has
+#: the survey's mean 3.96% and sd 2.94%, solved once from the closed-form
+#: truncated-normal moments (the tests re-derive both from these numbers).
+_SURVEY_MU = 0.005033733949671083
+_SURVEY_SIGMA = 0.04727146642801978
 
 
 @dataclass(frozen=True)
@@ -220,36 +222,19 @@ def panel_from_rates(rates, conversion: str = "inverse") -> ExpertPanel:
     return ExpertPanel(factors=tuple(rate_to_factor(r, conversion) for r in rates))
 
 
-@lru_cache(maxsize=None)
-def _survey_truncnorm_params() -> tuple[float, float]:
-    """Parent (mu, sigma) such that the normal truncated to (0, 0.20] has
-    mean 3.96% and sd 2.94% (the survey moments being reproduced)."""
-
-    def residual(theta):
-        mu, sigma = theta
-        a, b = (0.0 - mu) / sigma, (_RATE_CAP - mu) / sigma
-        m, v = stats.truncnorm.stats(a, b, loc=mu, scale=sigma, moments="mv")
-        return [float(m) - _SURVEY_MEAN_RATE,
-                math.sqrt(float(v)) - _SURVEY_SD_RATE]
-
-    sol, info, ok, msg = optimize.fsolve(residual, [_SURVEY_MEAN_RATE, _SURVEY_SD_RATE],
-                                         full_output=True)
-    if ok != 1:
-        raise InvalidPanel(f"survey sampler calibration failed: {msg}")
-    return float(sol[0]), float(sol[1])
-
-
 def weitzman_panel(n: int, seed: int, conversion: str = "inverse") -> ExpertPanel:
     """Panel of ``n`` experts with rates drawn from the survey distribution:
     a truncated normal on (0%, 20%] with mean 3.96% and sd 2.94%.
 
-    All confidences are zero.  Raises :class:`InvalidPanel` for n < 1.
+    Each rate is drawn by inverse CDF from one uniform draw of the seeded
+    generator.  All confidences are zero.  Raises :class:`InvalidPanel`
+    for n < 1.
     """
     if n < 1:
         raise InvalidPanel(f"panel size must be >= 1, got {n}")
-    mu, sigma = _survey_truncnorm_params()
-    a, b = (0.0 - mu) / sigma, (_RATE_CAP - mu) / sigma
+    parent = NormalDist(_SURVEY_MU, _SURVEY_SIGMA)
+    lo, hi = parent.cdf(0.0), parent.cdf(_RATE_CAP)
     rng = np.random.default_rng(int(seed) % (2 ** 63))
-    rates = stats.truncnorm.rvs(a, b, loc=mu, scale=sigma, size=n, random_state=rng)
+    rates = [parent.inv_cdf(lo + u * (hi - lo)) for u in rng.uniform(size=n).tolist()]
     rates = np.clip(rates, np.nextafter(0.0, 1.0), _RATE_CAP)
     return panel_from_rates(rates.tolist(), conversion)

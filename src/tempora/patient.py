@@ -17,6 +17,13 @@ import numpy as np
 from .streams import Stream
 
 
+def _tail_mean(x: Stream) -> float:
+    """Mean of the tail cycle; ``math.fsum`` keeps it exact under cycle
+    rotations."""
+    cyc = x.tail_cycle
+    return math.fsum(cyc) / len(cyc)
+
+
 def inf_value(x: Stream) -> float:
     """Worst utility over all periods: inf_t x_t (exact min)."""
     vals = list(x.prefix) + list(x.tail_cycle)
@@ -32,17 +39,14 @@ def banach_window_value(x: Stream) -> float:
     """Long-run value liminf_T inf_j of the average of x over [j, j+T].
 
     On an eventually periodic stream every shift-invariant normalized
-    weighting agrees and equals the mean of the tail cycle; ``math.fsum``
-    keeps the mean exact under cycle rotations.
+    weighting agrees and equals the mean of the tail cycle.
     """
-    cyc = x.tail_cycle
-    return math.fsum(cyc) / len(cyc)
+    return _tail_mean(x)
 
 
 def cesaro_value(x: Stream) -> float:
     """lim_T (1/T) sum_{t<T} x_t, which is again the tail-cycle mean."""
-    cyc = x.tail_cycle
-    return math.fsum(cyc) / len(cyc)
+    return _tail_mean(x)
 
 
 def window_oracle(x: Stream, horizon: int) -> float:

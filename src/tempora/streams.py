@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import InvalidPermutation, InvalidScale, InvalidStream
+from .errors import (InvalidPermutation, InvalidScale, InvalidStream, ParseError,
+                     decoding)
 
 
 @dataclass(frozen=True)
@@ -203,8 +204,7 @@ def add(x: Stream, y: Stream) -> Stream:
     if isinstance(tx, Constant) and isinstance(ty, Constant):
         tail: TailSpec = Constant(tx.value + ty.value)
     else:
-        q = math.lcm(1 if isinstance(tx, Constant) else len(tx.cycle),
-                     1 if isinstance(ty, Constant) else len(ty.cycle))
+        q = math.lcm(x.period, y.period)
         tail = Periodic(tuple(_tail_at(tx, k) + _tail_at(ty, k) for k in range(q)))
     return Stream(pre, tail)
 
@@ -316,23 +316,13 @@ def sup_distance(x: Stream, y: Stream) -> float:
     the two tails, so a finite scan is exact.
     """
     n, tx, ty = _aligned(x, y)
-    q = math.lcm(1 if isinstance(tx, Constant) else len(tx.cycle),
-                 1 if isinstance(ty, Constant) else len(ty.cycle))
+    q = math.lcm(x.period, y.period)
     best = 0.0
     for t in range(n):
         best = max(best, abs(value_at(x, t) - value_at(y, t)))
     for k in range(q):
         best = max(best, abs(_tail_at(tx, k) - _tail_at(ty, k)))
     return best
-
-
-def dominates(x: Stream, y: Stream) -> bool:
-    """Pointwise order: x_t >= y_t for every t (exact)."""
-    n, tx, ty = _aligned(x, y)
-    q = math.lcm(1 if isinstance(tx, Constant) else len(tx.cycle),
-                 1 if isinstance(ty, Constant) else len(ty.cycle))
-    return (all(value_at(x, t) >= value_at(y, t) for t in range(n))
-            and all(_tail_at(tx, k) >= _tail_at(ty, k) for k in range(q)))
 
 
 # -- JSON encoding ----------------------------------------------------------
@@ -349,21 +339,16 @@ def stream_to_dict(x: Stream) -> dict:
 
 
 def stream_from_dict(data: dict) -> Stream:
-    from .errors import ParseError
-
     if not isinstance(data, dict) or "tail" not in data:
         raise ParseError("stream object needs a 'tail' entry", field="tail")
     tail_data = data["tail"]
     if not isinstance(tail_data, dict):
         raise ParseError("stream tail must be an object", field="tail")
-    if "constant" in tail_data:
-        tail: TailSpec = Constant(tail_data["constant"])
-    elif "periodic" in tail_data:
-        tail = Periodic(tuple(tail_data["periodic"]))
-    else:
-        raise ParseError("tail must carry 'constant' or 'periodic'", field="tail")
-    prefix = data.get("prefix", [])
-    try:
-        return make_stream(prefix, tail)
-    except InvalidStream as exc:
-        raise ParseError(str(exc), field="prefix") from exc
+    with decoding("stream"):
+        if "constant" in tail_data:
+            tail: TailSpec = Constant(tail_data["constant"])
+        elif "periodic" in tail_data:
+            tail = Periodic(tuple(tail_data["periodic"]))
+        else:
+            raise ParseError("tail must carry 'constant' or 'periodic'", field="tail")
+        return make_stream(data.get("prefix", []), tail)

@@ -1,9 +1,20 @@
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tempora import cli
+import tempora
+from tempora import Criterion, cli
 from tempora.axioms import AxiomReport
+from tempora.eigen import MAX_BUILTIN_DIM
 
 
 def write(path, payload):
@@ -202,3 +213,157 @@ def test_missing_file_exits_two(files, capsys):
     code, _, err = run(capsys, ["eval", "--stream", "/nonexistent.json",
                                 "--criterion", files["edu"]])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit code 2 and an error line, never a traceback
+# ---------------------------------------------------------------------------
+
+MALFORMED_STREAMS = [
+    {"prefix": ["a"], "tail": {"constant": 0}},
+    {"tail": {"constant": None}},
+    {"prefix": 5, "tail": {"constant": 0}},
+    {"tail": {"periodic": "ab"}},
+]
+
+MALFORMED_CRITERIA = [
+    {"maxmin": {"points": "ab"}},
+    {"maxmin": {"intervals": [[0.1]]}},
+    {"maxmin": 5},
+    {"variational": {"cost": {"tabulated": {"knots": [[0.1]]}}}},
+    {"variational": {"cost": {"indicator": 3}}},
+]
+
+
+def assert_parse_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", MALFORMED_STREAMS, ids=json.dumps)
+def test_malformed_stream_exits_two(data, files, capsys):
+    bad = write(files["tmp"] / "bad.json", data)
+    assert_parse_error(*run(capsys, ["eval", "--stream", bad, "--criterion", files["edu"]]))
+
+
+@pytest.mark.parametrize("data", MALFORMED_CRITERIA, ids=json.dumps)
+def test_malformed_criterion_exits_two(data, files, capsys):
+    bad = write(files["tmp"] / "bad.json", data)
+    for argv in (["eval", "--stream", files["one"], "--criterion", bad],
+                 ["axioms", "--criterion", bad, "--trials", "1"],
+                 ["recover-cost", "--criterion", bad, "--grid", "0.5", "--alphas", "1"]):
+        assert_parse_error(*run(capsys, argv))
+
+
+def test_builtin_operator_over_the_bound_exits_two(files, capsys):
+    op = write(files["tmp"] / "big.json",
+               {"builtin": {"name": "cyclic_delay", "n": MAX_BUILTIN_DIM + 1}})
+    assert_parse_error(*run(capsys, ["eigen", "--operator", op]))
+
+
+def test_expected_pass_has_one_entry_per_criterion_tag():
+    tags = [k.tag for k in typing.get_args(Criterion)]
+    assert sorted(cli.EXPECTED_PASS) == sorted(tags) and len(set(tags)) == len(tags)
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(tempora.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, tempora.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# property: arbitrary JSON through every file-reading subcommand
+# ---------------------------------------------------------------------------
+
+_WIRE_KEYS = ["prefix", "tail", "constant", "periodic", "edu", "delta", "maxmin",
+              "points", "intervals", "variational", "cost", "indicator", "point_costs",
+              "quadratic", "center", "stiffness", "tabulated", "knots", "inf", "liminf",
+              "banach_window", "cesaro", "builtin", "matrix", "name", "n", "sigma",
+              "factor"]
+_WORDS = ["cyclic_delay", "absorbing_delay", "permutation", "scaling", "a", ""]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-2.0, 2.0)
+    | st.sampled_from([0.0, 0.5, 0.95, 1.0, math.inf, -math.inf, math.nan])
+    | st.sampled_from(_WORDS),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_WIRE_KEYS) | st.text(max_size=2),
+                                     inner, max_size=3)),
+    max_leaves=12)
+
+
+
+def near(valid):
+    """``valid`` with any of its parts (itself included) possibly swapped
+    for arbitrary JSON; most parts are kept, so decoding gets deep."""
+    if isinstance(valid, dict):
+        kept = st.fixed_dictionaries({k: near(v) for k, v in valid.items()})
+    elif isinstance(valid, list):
+        kept = st.tuples(*map(near, valid)).map(list)
+    else:
+        kept = st.just(valid)
+    return st.one_of(kept, kept, kept, json_values)
+
+
+#: Valid files for every slot; the property perturbs one of them.
+_VALID = {
+    "stream": [{"prefix": [1.0, -0.5], "tail": {"constant": 0.25}},
+               {"tail": {"periodic": [0.0, 1.0]}}],
+    "criterion": [{"edu": {"delta": 0.9}},
+                  {"maxmin": {"points": [0.3], "intervals": [[0.5, 0.7]]}},
+                  {"variational": {"cost": {"indicator": {"points": [0.2],
+                                                          "point_costs": [0.0]}}}},
+                  {"variational": {"cost": {"quadratic": {"center": 0.5, "stiffness": 1.0}}}},
+                  {"variational": {"cost": {"tabulated": {"knots": [[0.1, 1.0], [0.5, 0.0]]}}}},
+                  {"inf": {}}, {"liminf": {}}, {"banach_window": {}}, {"cesaro": {}}],
+    "cost": [{"indicator": {"points": [0.2], "intervals": [[0.4, 0.6]]}},
+             {"quadratic": {"center": 0.5, "stiffness": 1.0}},
+             {"tabulated": {"knots": [[0.1, 1.0], [0.5, 0.0]]}}],
+    "operator": [{"builtin": {"name": "cyclic_delay", "n": 3}},
+                 {"builtin": {"name": "permutation", "n": 3, "sigma": [1, 2, 0]}},
+                 {"builtin": {"name": "scaling", "n": 2, "factor": 0.5}},
+                 {"matrix": [[0.5, 0.5], [0.25, 0.75]]}],
+}
+
+_COMMANDS = {
+    "eval": ["eval", "--stream", "stream", "--criterion", "criterion"],
+    "compare": ["compare", "--a", "stream", "--b", "stream", "--criterion", "criterion"],
+    "sweep": ["sweep", "--stream", "stream", "--cost", "cost", "--grid", "3"],
+    "axioms": ["axioms", "--criterion", "criterion", "--trials", "1",
+               "--axiom", "normalization"],
+    "recover-cost": ["recover-cost", "--criterion", "criterion", "--grid", "0.5",
+                     "--alphas", "1"],
+    "eigen": ["eigen", "--operator", "operator"],
+}
+
+
+@pytest.fixture(scope="module")
+def slot_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("slots")
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(draw=st.data())
+def test_arbitrary_json_never_escapes_main(command, slot_dir, draw):
+    argv = list(_COMMANDS[command])
+    slots = [i for i, a in enumerate(argv) if a in _VALID]
+    bad = draw.draw(st.sampled_from(slots))
+    for i in slots:
+        kind = argv[i]
+        payload = draw.draw(st.sampled_from(_VALID[kind]).flatmap(
+            near if i == bad else st.just))
+        path = slot_dir / f"{command}-{i}.json"
+        path.write_text(json.dumps(payload))
+        argv[i] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -187,6 +187,33 @@ def test_kernel_branch_via_nilpotent_block():
     assert float(np.abs(m @ res.p.weights).sum()) <= 1e-10
 
 
+def test_kernel_branch_returns_the_first_zero_column_exactly():
+    # M p = (5e-16, 0) from the uniform start: below the 1e-14 mass guard
+    # but above tol, so the kernel vertex e_0 (column 0 is zero) is returned
+    # with residual exactly 0.
+    res = invariant_structure(OperatorMatrix([[0.0, 1e-15], [0.0, 0.0]]), tol=1e-16)
+    assert res.p.weights.tolist() == [1.0, 0.0]
+    assert res.eigenvalue == 0.0 and res.residual == 0.0
+    assert verify_eigen(OperatorMatrix([[0.0, 1e-15], [0.0, 0.0]]), res.p) == (0.0, 0.0)
+
+
+def test_kernel_branch_without_a_zero_column_finds_nothing():
+    # every column carries mass, so no simplex vector is killed by M; the
+    # start is no eigenvector, and its step has mass 1e-15 > tol
+    m = OperatorMatrix([[0.0, 1e-15], [1e-15, 0.0]])
+    with pytest.raises(NoInvariantFound):
+        invariant_structure(m, tol=1e-17, start=DiscountVector(np.array([0.25, 0.75])))
+
+
+def test_builtin_dimension_is_bounded_before_allocation():
+    from tempora.eigen import MAX_BUILTIN_DIM
+    for name in ("cyclic_delay", "absorbing_delay", "permutation", "scaling"):
+        with pytest.raises(InvalidOperator):
+            builtin_operator(name, MAX_BUILTIN_DIM + 1, sigma=[0], factor=1.0)
+    with pytest.raises(InvalidOperator):
+        builtin_operator("cyclic_delay", 0)
+
+
 def test_no_invariant_in_kernel_branch_is_impossible_for_singular_start():
     # a matrix whose kernel misses the simplex never reaches the kernel
     # branch from the uniform start; it converges to a positive eigenvector

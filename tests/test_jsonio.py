@@ -1,11 +1,14 @@
 import json
+import typing
 
 import numpy as np
 import pytest
 
-from tempora import (BanachWindow, Cesaro, Edu, ExpertPanel, IndicatorSet,
-                     Inf, Liminf, Maxmin, Quadratic, Tabulated, Variational)
+from tempora import (BanachWindow, Cesaro, CostFunction, Criterion, Edu,
+                     ExpertPanel, IndicatorSet, Inf, Liminf, Maxmin, Quadratic,
+                     Tabulated, Variational)
 from tempora import jsonio
+from tempora.discounting import TAGS
 from tempora.errors import ParseError
 
 CRITERIA = [
@@ -49,6 +52,68 @@ def test_criterion_parse_errors():
         jsonio.criterion_from_dict({"variational": {"cost": {"quadratic": {"center": 0.5}}}})
 
 
+#: Bodies that used to escape the decoders as raw ValueError, IndexError,
+#: AttributeError or TypeError.
+MALFORMED_CRITERIA = [
+    {"maxmin": {"points": "ab"}},
+    {"maxmin": {"intervals": [[0.1]]}},
+    {"maxmin": 5},
+    {"variational": {"cost": {"tabulated": {"knots": [[0.1]]}}}},
+    {"variational": {"cost": {"indicator": 3}}},
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED_CRITERIA, ids=json.dumps)
+def test_malformed_criterion_is_a_parse_error(data):
+    with pytest.raises(ParseError):
+        jsonio.criterion_from_dict(data)
+
+
+def test_tag_table_holds_every_criterion_and_cost_once():
+    classes = typing.get_args(Criterion) + typing.get_args(CostFunction)
+    assert sorted(TAGS.values(), key=lambda c: c.tag) == sorted(classes, key=lambda c: c.tag)
+    assert {c.tag: c for c in classes} == TAGS
+    assert [k.tag for k in typing.get_args(Criterion)] == [
+        "edu", "maxmin", "variational", "inf", "liminf", "banach_window", "cesaro"]
+    assert [c.tag for c in typing.get_args(CostFunction)] == [
+        "indicator", "quadratic", "tabulated"]
+
+
+def test_cost_wire_format_and_round_trip():
+    costs = [IndicatorSet(points=(0.3,), intervals=((0.4, 0.6),), point_costs=(0.0,)),
+             Quadratic(0.9, 5.0), Tabulated(knots=((0.1, 1.0), (0.5, 0.0)))]
+    assert [jsonio.cost_to_dict(c) for c in costs] == [
+        {"indicator": {"points": [0.3], "intervals": [[0.4, 0.6]], "point_costs": [0.0]}},
+        {"quadratic": {"center": 0.9, "stiffness": 5.0}},
+        {"tabulated": {"knots": [[0.1, 1.0], [0.5, 0.0]]}},
+    ]
+    for c in costs:
+        assert jsonio.cost_from_dict(json.loads(json.dumps(jsonio.cost_to_dict(c)))) == c
+    with pytest.raises(ParseError):
+        jsonio.cost_from_dict({"edu": {"delta": 0.5}})     # a criterion, not a cost
+    with pytest.raises(ParseError):
+        jsonio.criterion_from_dict({"quadratic": {"center": 0.5, "stiffness": 1.0}})
+    with pytest.raises(ParseError):
+        jsonio.cost_to_dict(Edu(0.5))
+    with pytest.raises(ParseError):
+        jsonio.criterion_to_dict(Quadratic(0.5, 1.0))
+
+
+def test_deeply_nested_body_is_a_parse_error():
+    deep = json.loads("[" * 900 + "]" * 900)
+    for data in ({"maxmin": {"points": deep}}, {"maxmin": {"intervals": deep}},
+                 {"variational": {"cost": {"tabulated": {"knots": deep}}}}):
+        with pytest.raises(ParseError):
+            jsonio.criterion_from_dict(data)
+
+
+def test_decoders_ignore_extra_keys():
+    assert jsonio.criterion_from_dict({"edu": {"delta": 0.9, "note": "x"}}) == Edu(0.9)
+    assert jsonio.criterion_from_dict({"inf": {"note": 1}}) == Inf()
+    assert jsonio.cost_from_dict({"quadratic": {"center": 0.5, "stiffness": 1.0,
+                                                "unit": "utils"}}) == Quadratic(0.5, 1.0)
+
+
 def test_operator_decoding():
     op = jsonio.operator_from_dict({"matrix": [[0.0, 1.0], [1.0, 0.0]]})
     assert np.array_equal(op.entries, [[0.0, 1.0], [1.0, 0.0]])
@@ -59,6 +124,11 @@ def test_operator_decoding():
         jsonio.operator_from_dict({"builtin": {"name": "cyclic_delay"}})
     with pytest.raises(ParseError):
         jsonio.operator_from_dict({"matrix": [[-1.0]]})
+    for bad in ({"matrix": "ab"}, {"matrix": [[1.0], [1.0, 2.0]]}, {"builtin": 5},
+                {"builtin": {"name": "cyclic_delay", "n": "x"}},
+                {"builtin": {"name": "permutation", "n": 2, "sigma": 3}}):
+        with pytest.raises(ParseError):
+            jsonio.operator_from_dict(bad)
 
 
 def test_panel_round_trip():
@@ -69,6 +139,15 @@ def test_panel_round_trip():
         jsonio.panel_from_dict({"confidences": [0.0]})
     with pytest.raises(ParseError):
         jsonio.panel_from_dict({"factors": []})
+
+
+def test_load_json_file_rejects_undecodable_files(tmp_path):
+    for name, content in (("bytes.json", b"\xff\xfe{}"),
+                          ("deep.json", b"[" * 100000 + b"]" * 100000)):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            jsonio.load_json_file(str(path))
 
 
 def test_load_json_file_reports_location(tmp_path):

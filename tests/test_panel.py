@@ -1,3 +1,6 @@
+import math
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from tempora import (BanachWindow, Edu, ExpertPanel, Maxmin, Quadratic,
                      panel_criterion, panel_from_rates, random_stream,
                      rate_to_factor, recover_cost, unanimity_probe,
                      weitzman_panel)
-from tempora.panel import _survey_truncnorm_params
+from tempora.panel import _RATE_CAP, _SURVEY_MU, _SURVEY_SIGMA
 from tempora.errors import InvalidDelta, InvalidPanel
 
 
@@ -178,13 +181,38 @@ def test_panel_from_single_forced_rate():
         panel_from_rates([-0.01])
 
 
+def _truncnorm_moments(mu, sigma, lo, hi):
+    """Mean and sd of N(mu, sigma^2) truncated to [lo, hi], in closed form."""
+    std = NormalDist()
+    a, b = (lo - mu) / sigma, (hi - mu) / sigma
+    z = std.cdf(b) - std.cdf(a)
+    pa, pb = std.pdf(a), std.pdf(b)
+    mean = mu + sigma * (pa - pb) / z
+    var = sigma ** 2 * (1.0 + (a * pa - b * pb) / z - ((pa - pb) / z) ** 2)
+    return mean, math.sqrt(var)
+
+
 def test_survey_calibration_matches_target_moments():
-    mu, sigma = _survey_truncnorm_params()
+    assert _RATE_CAP == 0.20
+    m, sd = _truncnorm_moments(_SURVEY_MU, _SURVEY_SIGMA, 0.0, _RATE_CAP)
+    assert m == pytest.approx(0.0396, abs=1e-9)
+    assert sd == pytest.approx(0.0294, abs=1e-9)
     from scipy import stats
-    a, b = (0.0 - mu) / sigma, (0.20 - mu) / sigma
-    m, v = stats.truncnorm.stats(a, b, loc=mu, scale=sigma, moments="mv")
+    a, b = (0.0 - _SURVEY_MU) / _SURVEY_SIGMA, (_RATE_CAP - _SURVEY_MU) / _SURVEY_SIGMA
+    m, v = stats.truncnorm.stats(a, b, loc=_SURVEY_MU, scale=_SURVEY_SIGMA, moments="mv")
     assert float(m) == pytest.approx(0.0396, abs=1e-9)
     assert float(np.sqrt(v)) == pytest.approx(0.0294, abs=1e-9)
+
+
+def test_weitzman_panel_draws_match_scipy_truncnorm():
+    # The same uniform draws through scipy's truncated-normal sampler.
+    from scipy import stats
+    a, b = (0.0 - _SURVEY_MU) / _SURVEY_SIGMA, (_RATE_CAP - _SURVEY_MU) / _SURVEY_SIGMA
+    for seed in (0, 99, 2 ** 40 + 3):
+        want = stats.truncnorm.rvs(a, b, loc=_SURVEY_MU, scale=_SURVEY_SIGMA, size=5000,
+                                   random_state=np.random.default_rng(seed))
+        rates = 1.0 / np.array(weitzman_panel(5000, seed=seed).factors) - 1.0
+        assert np.abs(rates - want).max() <= 1e-12
 
 
 def test_weitzman_panel_statistics():

@@ -9,7 +9,8 @@ from tempora import (Constant, Periodic, Stream, add, canonicalize_tail,
                      constant_stream, delay, make_stream, pairwise_swap,
                      permute, scale_translate, shift_left, stream_from_dict,
                      stream_to_dict, sup_distance, value_at)
-from tempora.errors import InvalidPermutation, InvalidScale, InvalidStream
+from tempora.errors import (InvalidPermutation, InvalidScale, InvalidStream,
+                            ParseError)
 from tempora.streams import inverse_permutation
 
 from conftest import streams
@@ -297,6 +298,17 @@ def test_json_examples():
     d = stream_to_dict(make_stream([1.0], Constant(5.0)))
     assert d == {"prefix": [1.0], "tail": {"constant": 5.0}}
     assert stream_from_dict({"tail": {"periodic": [0, 1]}}) == ALT
+
+
+@pytest.mark.parametrize("data", [
+    {"prefix": ["a"], "tail": {"constant": 0}},
+    {"tail": {"constant": None}},
+    {"prefix": 5, "tail": {"constant": 0}},
+    {"tail": {"periodic": "ab"}},
+], ids=json.dumps)
+def test_malformed_stream_is_a_parse_error(data):
+    with pytest.raises(ParseError):
+        stream_from_dict(data)
 
 
 @settings(max_examples=80)
