@@ -8,13 +8,13 @@ with conjugate cost recovery.
 
 from .streams import (Constant, Periodic, Stream, TailSpec, add,
                       canonicalize_tail, constant_stream, delay, make_stream,
-                      pairwise_swap, permute, scale_translate, shift_left,
-                      stream_from_dict, stream_to_dict, sup_distance,
-                      value_at)
+                      mixtures, pairwise_swap, permute, scale_translate,
+                      shift_left, stream_from_dict, stream_to_dict,
+                      sup_distance, value_at)
 from .discounting import (BanachWindow, Cesaro, CostFunction, Criterion, Edu,
                           IndicatorSet, Inf, Liminf, Maxmin, Quadratic,
                           Tabulated, Variational, cost_eval, discounted_value,
-                          evaluate, minimize_over_delta)
+                          evaluate, evaluate_many, minimize_over_delta)
 from .patient import (banach_window_value, cesaro_value, inf_value,
                       liminf_value, window_oracle)
 from .eigen import (DiscountVector, EigenResult, OperatorMatrix, adjoint,
@@ -33,13 +33,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Constant", "Periodic", "Stream", "TailSpec", "add", "canonicalize_tail",
-    "constant_stream", "delay", "make_stream", "pairwise_swap", "permute",
+    "constant_stream", "delay", "make_stream", "mixtures", "pairwise_swap", "permute",
     "scale_translate", "shift_left", "stream_from_dict", "stream_to_dict",
     "sup_distance", "value_at",
     "BanachWindow", "Cesaro", "CostFunction", "Criterion", "Edu",
     "IndicatorSet", "Inf", "Liminf", "Maxmin", "Quadratic", "Tabulated",
     "Variational", "cost_eval", "discounted_value", "evaluate",
-    "minimize_over_delta",
+    "evaluate_many", "minimize_over_delta",
     "banach_window_value", "cesaro_value", "inf_value", "liminf_value",
     "window_oracle",
     "DiscountVector", "EigenResult", "OperatorMatrix", "adjoint",

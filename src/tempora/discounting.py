@@ -30,13 +30,16 @@ delta -> D_delta(x) + cost(delta) need not be convex, so the minimizer runs
 a dense grid per continuous piece of the cost followed by golden-section
 refinement: one bracket at each end of the grid and one per run of
 adjacent grid minima, so a flat run is searched once, not once per node.
-Finite point sets are enumerated exactly.
+Finite point sets are enumerated exactly.  ``evaluate_many`` gives the
+same bits for many streams at once: it refines all their brackets in one
+lockstep golden-section search.
 
 Everything here is a pure function of immutable inputs; independent
 (criterion, stream) evaluations can run concurrently without coordination.
-The only shared state is a bounded cache of read-only grid arrays (the
-grid and its stream-independent factors), filled idempotently: a racing
-fill computes the same bits, and a lock keeps each memo within its cap.
+The only shared state is bounded caches of read-only arrays (the grid and
+its stream-independent factors, and each cost piece's cost on the grid),
+filled idempotently: a racing fill computes the same bits, and a lock
+keeps each memo within its cap.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
-from typing import Callable, ClassVar, Union
+from itertools import islice, repeat
+from operator import mul
+from typing import Callable, ClassVar, Iterable, Union
 
 import numpy as np
 
@@ -184,6 +189,23 @@ def _grid(a: float, b: float, nodes: int) -> _Grid:
     return _Grid(np.linspace(a, b, nodes))
 
 
+def _horner(coeffs, d: np.ndarray, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """sum_j coeffs[j] * d^j by Horner's rule, on a fresh array of
+    ``shape`` (by default ``d``'s); each coefficient is a number or an
+    array of that shape, and ``d`` broadcasts against it.
+
+    The vector Horner core of the closed form, shared by
+    :func:`discounted_value_grid` and the lockstep objective.  Zero
+    coefficients at the far end leave the bits as they are: the sum stays
+    +0.0 until the first real coefficient, as in the scalar form.
+    """
+    s = np.zeros(d.shape if shape is None else shape)
+    for v in reversed(coeffs):
+        s *= d
+        s += v
+    return s
+
+
 def discounted_value_grid(x: Stream, deltas: np.ndarray | _Grid) -> np.ndarray:
     """Vectorized :func:`discounted_value` over an array of factors.
 
@@ -198,20 +220,13 @@ def discounted_value_grid(x: Stream, deltas: np.ndarray | _Grid) -> np.ndarray:
             raise InvalidDelta("discount factors must lie in [0, 1]")
         g = _Grid(d)
     dd, one_minus = g.dd, g.one_minus
-    s = np.zeros_like(dd)
-    for v in reversed(x.prefix):
-        s *= dd
-        s += v
+    s = _horner(x.prefix, dd)
     if isinstance(x.tail, Constant):
         tail_abel = x.tail.value
     else:
-        cyc = x.tail.cycle
-        tail_abel = np.zeros_like(dd)
-        for v in reversed(cyc):
-            tail_abel *= dd
-            tail_abel += v
+        tail_abel = _horner(x.tail.cycle, dd)
         tail_abel *= one_minus
-        tail_abel /= g.denom(len(cyc))
+        tail_abel /= g.denom(len(x.tail.cycle))
     out = one_minus * s
     out += g.power(len(x.prefix)) * tail_abel
     if g.at_one is not None:
@@ -290,14 +305,42 @@ class _Cost(_Tagged):
 
     ``value(delta)`` is the cost at a factor in [0, 1); ``isolated()``
     lists the finite-cost points (delta, cost), solved by enumeration;
-    ``pieces()`` lists the continuous finite-cost pieces (a, b,
-    vector_cost, scalar_cost), each searched on a grid.
+    ``pieces`` lists the continuous finite-cost pieces (:class:`_Piece`),
+    each searched on a grid.  It is built once per cost, so each piece's
+    cost on the grid is computed once per geometry.
     """
 
     family = "cost"
 
     def isolated(self) -> list[tuple[float, float]]:
         return []
+
+
+class _Piece:
+    """A continuous finite-cost piece [a, b] of a cost.
+
+    ``scalar(delta)`` is the cost at one factor and ``lanes(d)`` is the
+    cost at each factor of an array with ``scalar``'s bits (by default
+    ``vector``, where the two agree).  ``on_grid(nodes)`` is the cost on
+    the minimizer's grid ``np.linspace(a, b, nodes)``, computed by
+    ``vector``; it does not depend on the stream, so it is kept read-only
+    per node count, at most ``_MEMO_CAP`` of them.
+    """
+
+    __slots__ = ("a", "b", "scalar", "lanes", "_vector", "_on_grid")
+
+    def __init__(self, a: float, b: float, vector: Callable[[np.ndarray], np.ndarray],
+                 scalar: Callable[[float], float],
+                 lanes: Callable[[np.ndarray], np.ndarray] | None = None):
+        self.a, self.b, self.scalar, self._vector = a, b, scalar, vector
+        self.lanes = vector if lanes is None else lanes
+        self._on_grid: dict[int, np.ndarray] = {}
+
+    def on_grid(self, nodes: int) -> np.ndarray:
+        out = self._on_grid.get(nodes)
+        if out is not None:
+            return out
+        return _remember(self._on_grid, nodes, self._vector(_grid(self.a, self.b, nodes).d))
 
 
 def _check_unit_point(value: float, what: str) -> float:
@@ -359,8 +402,9 @@ class IndicatorSet(_Cost, tag="indicator"):
     def isolated(self) -> list[tuple[float, float]]:
         return list(zip(self.points, self.point_costs))
 
-    def pieces(self) -> list:
-        return [(a, min(b, _ONE_EDGE), _zero_vec, _zero) for a, b in self.intervals]
+    @functools.cached_property
+    def pieces(self) -> list[_Piece]:
+        return [_Piece(a, min(b, _ONE_EDGE), _zero_vec, _zero) for a, b in self.intervals]
 
 
 @dataclass(frozen=True)
@@ -381,8 +425,15 @@ class Quadratic(_Cost, tag="quadratic"):
         """The cost, on a float or elementwise on an array of factors."""
         return self.stiffness * (delta - self.center) ** 2
 
-    def pieces(self) -> list:
-        return [(0.0, _ONE_EDGE, self.value, self.value)]
+    def _value_each(self, d: np.ndarray) -> np.ndarray:
+        """``value`` of each float in ``d``, bit for bit: numpy's square may
+        differ from the float power in the last bit, so the square is
+        taken by ``pow`` per element."""
+        return self.stiffness * np.array(list(map(pow, (d - self.center).tolist(), repeat(2))))
+
+    @functools.cached_property
+    def pieces(self) -> list[_Piece]:
+        return [_Piece(0.0, _ONE_EDGE, self.value, self.value, self._value_each)]
 
 
 @dataclass(frozen=True)
@@ -412,10 +463,12 @@ class Tabulated(_Cost, tag="tabulated"):
     def value(self, delta: float) -> float:
         return _INF if delta > self.knots[-1][0] else float(_interp(self)(delta))
 
-    def pieces(self) -> list:
+    @functools.cached_property
+    def pieces(self) -> list[_Piece]:
+        # _interp has np.interp's bits, so the vector form serves the lanes.
         ds = [d for d, _ in self.knots]
         ks = [k for _, k in self.knots]
-        return [(0.0, ds[-1], lambda g: np.interp(g, ds, ks), _interp(self))]
+        return [_Piece(0.0, ds[-1], lambda g: np.interp(g, ds, ks), _interp(self))]
 
 
 CostFunction = Union[IndicatorSet, Quadratic, Tabulated]
@@ -493,31 +546,120 @@ def _golden(fun: Callable[[float], float], a: float, b: float,
     return best_x, best_v
 
 
-def _minimize_on_interval(x: Stream, a: float, b: float,
-                          vec_cost: Callable[[np.ndarray], np.ndarray],
-                          scalar_cost: Callable[[float], float],
-                          nodes: int) -> tuple[float, float]:
-    """Grid scan plus golden refinement of D_delta(x) + cost on [a, b].
+def _golden_lockstep(fun: "_Lanes", a: np.ndarray, b: np.ndarray, xtol: float = 1e-9,
+                     maxiter: int = 80) -> list[tuple[float, float]]:
+    """:func:`_golden` on every bracket [a[i], b[i]] at once.
+
+    ``fun`` is the objective of bracket i on lane i.  Each lane takes
+    ``_golden``'s steps with the same IEEE operations and stops where it
+    would, so its (argmin, value) has ``_golden``'s bits.
+    """
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    every = np.arange(a.size)
+    f1, f2, fa, fb = np.split(fun.take(np.tile(every, 4))(np.concatenate([x1, x2, a, b])), 4)
+    # The live lanes' state is kept compact; a lane's final state is
+    # written to ``final`` when it stops.
+    final = [v.copy() for v in (a, b, x1, x2, f1, f2)]
+    lanes, live = every, fun
+    for _ in range(maxiter):
+        keep = ~(b - a <= xtol)
+        if not keep.all():
+            for whole, part in zip(final, (a, b, x1, x2, f1, f2)):
+                whole[lanes[~keep]] = part[~keep]
+            lanes, a, b, x1, x2, f1, f2 = (v[keep] for v in (lanes, a, b, x1, x2, f1, f2))
+            if not lanes.size:
+                break
+            live = live.take(keep)
+        # f1 <= f2: b, x2, f2 = x2, x1, f1 and a new x1; else the mirror.
+        left = f1 <= f2
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+        new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
+        f = live(new)
+        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
+    for whole, part in zip(final, (a, b, x1, x2, f1, f2)):
+        whole[lanes] = part
+    a, b, x1, x2, f1, f2 = final
+    xm = 0.5 * (a + b)
+    # min() over the (value, factor) candidates, as tuples compare: the
+    # first candidate that no later one undercuts.
+    best_v, best_x = fun(xm), xm
+    for v, x in ((f1, x1), (f2, x2), (fa, a), (fb, b)):
+        less = (v < best_v) | ((v == best_v) & (x < best_x))
+        best_v, best_x = np.where(less, v, best_v), np.where(less, x, best_x)
+    return list(zip(best_x.tolist(), best_v.tolist()))
+
+
+class _Lanes:
+    """The objective d -> D_d(x) + cost(d) on lanes of streams, one factor
+    per lane: lane by lane the bits of ``_dv_scalar(x)(d) + scalar cost``,
+    for factors in [0, 1); ``cost`` is a piece's ``lanes``.
+
+    Horner's rule runs in numpy, over each lane's prefix and cycle stacked
+    and zero-padded at the far end.  ``d ** n``, ``math.log`` and
+    ``math.expm1`` run per element in Python, because numpy's ``power``,
+    ``log`` and ``expm1`` may differ in the last bit.
+    """
+
+    __slots__ = ("coeffs", "lengths", "periods", "consts", "cost", "_length_list", "_period_list")
+
+    def __init__(self, xs: list[Stream], cost: Callable[[np.ndarray], np.ndarray]):
+        m = max(max(len(x.prefix), x.period) for x in xs)
+        rows = [e for x in xs for v in (x.prefix, x.tail_cycle) for e in v + (0.0,) * (m - len(v))]
+        # coeffs[j] is (2, lanes): the j-th entry of each prefix and cycle.
+        self._set(np.array(rows).reshape(len(xs), 2, m).transpose(2, 1, 0),
+                  np.array([len(x.prefix) for x in xs]), np.array([x.period for x in xs]), cost)
+
+    def _set(self, coeffs, lengths, periods, cost) -> None:
+        self.coeffs = np.ascontiguousarray(coeffs)
+        self.lengths, self.periods, self.cost = lengths, periods, cost
+        self.consts = self.coeffs[0, 1]
+        self._length_list = lengths.tolist()
+        self._period_list = periods.tolist()
+
+    def take(self, index: np.ndarray) -> "_Lanes":
+        """The lanes picked by a boolean mask or an index array."""
+        out = object.__new__(type(self))
+        out._set(self.coeffs[:, :, index], self.lengths[index], self.periods[index], self.cost)
+        return out
+
+    def __call__(self, d: np.ndarray) -> np.ndarray:
+        s, t = _horner(self.coeffs, d, self.coeffs.shape[1:])
+        t *= 1.0 - d
+        # 1 - d^p via expm1, as in the scalar form, where it is used.
+        dl = d.tolist()
+        periodic = self.periods > 1
+        live = periodic & (d != 0.0)
+        if live.all():
+            den = np.negative(list(map(math.expm1, map(mul, self._period_list, map(math.log, dl)))))
+        else:
+            den = np.ones_like(d)
+            den[live] = np.negative(list(map(math.expm1, map(
+                mul, self.periods[live].tolist(), map(math.log, d[live].tolist())))))
+        t /= den
+        out = (1.0 - d) * s
+        out += np.array(list(map(pow, dl, self._length_list))) * np.where(periodic, t, self.consts)
+        out += self.cost(d)
+        return out
+
+
+def _scan(x: Stream, piece: _Piece, nodes: int) -> tuple[list, list]:
+    """The grid pass over one piece: (candidates, brackets).
 
     The grid is ``np.linspace(a, b, nodes)``, with its stream-independent
-    factors taken from a bounded cache.  Every grid node that is no larger
-    than both neighbours is a candidate.  Golden-section searches run on
-    the two end brackets [grid[0], grid[1]] and [grid[-2], grid[-1]], and
-    on one bracket [grid[s-1], grid[e+1]] per run s..e of adjacent interior
-    minima: such a run is flat on the grid, so a constant stream opens
-    three searches, not one per node.  Returns (argmin, value); ties
-    resolve to the smallest argmin.
+    factors and the cost on it taken from bounded caches.  Every grid node
+    that is no larger than both neighbours is a candidate (value, factor).
+    The golden-section brackets (lo, hi) are the two end ones [grid[0],
+    grid[1]] and [grid[-2], grid[-1]], and one [grid[s-1], grid[e+1]] per
+    run s..e of adjacent interior minima: such a run is flat on the grid,
+    so a constant stream opens three searches, not one per node.
     """
-    dv = _dv_scalar(x)
-
-    def objective(d: float) -> float:
-        return dv(d) + scalar_cost(d)
-
-    if b <= a:
-        return a, objective(a)
-    g = _grid(a, b, nodes)
+    g = _grid(piece.a, piece.b, nodes)
     grid = g.d
-    f = discounted_value_grid(x, g) + vec_cost(grid)
+    f = discounted_value_grid(x, g)
+    f += piece.on_grid(nodes)
     interior = (np.nonzero((f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:]))[0] + 1).tolist()
     candidates = [(float(f[i]), float(grid[i])) for i in {0, nodes - 1, *interior}]
     runs: list[list[int]] = []
@@ -527,11 +669,66 @@ def _minimize_on_interval(x: Stream, a: float, b: float,
         else:
             runs.append([i - 1, i + 1])
     brackets = {(0, min(1, nodes - 1)), (max(nodes - 2, 0), nodes - 1), *map(tuple, runs)}
+    return candidates, [(float(grid[lo]), float(grid[hi])) for lo, hi in brackets]
+
+
+def _minimize_on_interval(x: Stream, piece: _Piece, nodes: int) -> tuple[float, float]:
+    """Grid scan plus golden refinement of D_delta(x) + cost on one piece.
+
+    See :func:`_scan` for the candidates and brackets; each bracket gets
+    one scalar golden-section search.  Returns (argmin, value); ties
+    resolve to the smallest argmin.
+    """
+    dv, cost = _dv_scalar(x), piece.scalar
+
+    def objective(d: float) -> float:
+        return dv(d) + cost(d)
+
+    if piece.b <= piece.a:
+        return piece.a, objective(piece.a)
+    candidates, brackets = _scan(x, piece, nodes)
     for lo, hi in brackets:
-        d_star, v_star = _golden(objective, float(grid[lo]), float(grid[hi]))
+        d_star, v_star = _golden(objective, lo, hi)
         candidates.append((v_star, d_star))
     v_best, d_best = min(candidates)
     return d_best, v_best
+
+
+def _minimize_lockstep(xs: list[Stream], piece: _Piece, nodes: int) -> list[tuple[float, float]]:
+    """:func:`_minimize_on_interval` for each stream, bit for bit: the same
+    grid scans, then the brackets of every stream in one lockstep search."""
+    scans = [_scan(x, piece, nodes) for x in xs]
+    owners = [i for i, (_, brackets) in enumerate(scans) for _ in brackets]
+    lo, hi = np.array([br for _, brackets in scans for br in brackets]).T
+    found = iter(_golden_lockstep(_Lanes(xs, piece.lanes).take(owners), lo, hi))
+    out = []
+    for candidates, brackets in scans:
+        candidates += [(v_star, d_star) for d_star, v_star in islice(found, len(brackets))]
+        v_best, d_best = min(candidates)
+        out.append((d_best, v_best))
+    return out
+
+
+#: Fewest streams for which a piece is refined by the lockstep search;
+#: below it numpy's fixed cost per call loses to scalar golden steps.
+_LOCKSTEP_MIN = 24
+
+
+def _minimize_many(xs: list[Stream], c: CostFunction, nodes: int) -> list[tuple[float, float]]:
+    """:func:`minimize_over_delta` for each stream, bit for bit."""
+    if not isinstance(c, _Cost):
+        raise InvalidCost(f"not a cost function: {c!r}")
+    if not (c.pieces or c.isolated()):
+        raise InfeasibleCost("cost is identically infinite on [0, 1)")
+    found = [[(discounted_value(x, d) + k, d) for d, k in c.isolated()] for x in xs]
+    for piece in c.pieces:
+        if len(xs) < _LOCKSTEP_MIN or piece.b <= piece.a:
+            best = [_minimize_on_interval(x, piece, nodes) for x in xs]
+        else:
+            best = _minimize_lockstep(xs, piece, nodes)
+        for candidates, (d_star, v_star) in zip(found, best):
+            candidates.append((v_star, d_star))
+    return [min(candidates)[::-1] for candidates in found]
 
 
 def minimize_over_delta(x: Stream, c: CostFunction,
@@ -541,22 +738,22 @@ def minimize_over_delta(x: Stream, c: CostFunction,
     Finite point sets are enumerated exactly; each continuous piece of the
     cost gets a dense grid (``nodes`` per piece) followed by golden-section
     refinement of its two end brackets and of one bracket per run of
-    adjacent grid minima (see :func:`_minimize_on_interval`).  Returns
-    (argmin, value); ties resolve to the smallest argmin.
+    adjacent grid minima (see :func:`_scan`).  Returns (argmin, value);
+    ties resolve to the smallest argmin.
+
+    A piece [a, 1) (an indicator interval ending at 1.0, or the quadratic
+    cost's [0, 1)) is searched on [a, 1 - 1e-9], so the reported minimum
+    may exceed the piece's infimum.  With ``n`` the prefix length and
+    ``p`` the period of ``x``, the closed form gives
+    ``|D_delta(x) - tail mean| <= 2 * ||x||_inf * (1 - delta) * (n + (p - 1)
+    * delta^(1 - p))``.  So the gap is at most twice that bound at
+    ``delta = 1 - 1e-9``, plus the search tolerance; a quadratic cost whose
+    center lies past 1 - 1e-9 adds at most ``stiffness * 1e-18``.
 
     Raises:
         InfeasibleCost: if the cost is infinite everywhere on [0, 1).
     """
-    if not isinstance(c, _Cost):
-        raise InvalidCost(f"not a cost function: {c!r}")
-    candidates = [(discounted_value(x, d) + k, d) for d, k in c.isolated()]
-    for a, b, vcost, scost in c.pieces():
-        d_star, v_star = _minimize_on_interval(x, a, b, vcost, scost, nodes)
-        candidates.append((v_star, d_star))
-    if not candidates:
-        raise InfeasibleCost("cost is identically infinite on [0, 1)")
-    v_best, d_best = min(candidates)
-    return d_best, v_best
+    return _minimize_many([x], c, nodes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +763,13 @@ def minimize_over_delta(x: Stream, c: CostFunction,
 class _Criterion(_Tagged):
     """An evaluation criterion: ``value(x, nodes)`` is the constant
     equivalent of the stream ``x``, with ``nodes`` grid points per piece
-    for the criteria that minimize over the discount factor."""
+    for the criteria that minimize over the discount factor, and
+    ``values(xs, nodes)`` is ``value`` of each stream, bit for bit."""
 
     family = "criterion"
+
+    def values(self, xs: list[Stream], nodes: int = 2001) -> list[float]:
+        return [self.value(x, nodes) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -608,6 +809,9 @@ class Maxmin(_Criterion, tag="maxmin"):
     def value(self, x: Stream, nodes: int = 2001) -> float:
         return minimize_over_delta(x, self._indicator, nodes)[1]
 
+    def values(self, xs: list[Stream], nodes: int = 2001) -> list[float]:
+        return [v for _, v in _minimize_many(xs, self._indicator, nodes)]
+
 
 @dataclass(frozen=True)
 class Variational(_Criterion, tag="variational"):
@@ -621,6 +825,9 @@ class Variational(_Criterion, tag="variational"):
 
     def value(self, x: Stream, nodes: int = 2001) -> float:
         return minimize_over_delta(x, self.cost, nodes)[1]
+
+    def values(self, xs: list[Stream], nodes: int = 2001) -> list[float]:
+        return [v for _, v in _minimize_many(xs, self.cost, nodes)]
 
     @classmethod
     def from_body(cls, body: dict) -> "Variational":
@@ -672,8 +879,37 @@ def evaluate(k: Criterion, x: Stream, nodes: int = 2001) -> float:
     return k.value(x, nodes)
 
 
+def evaluate_many(k: Criterion, xs: Iterable[Stream], nodes: int = 2001) -> list[float]:
+    """``[evaluate(k, x, nodes) for x in xs]``, bit for bit.
+
+    Maxmin and variational criteria scan each stream's grid as ``evaluate``
+    does, then refine the golden-section brackets of all the streams in one
+    lockstep search (from ``_LOCKSTEP_MIN`` streams on); the other criteria
+    evaluate one stream at a time.
+    """
+    if not isinstance(k, _Criterion):
+        raise InvalidCriterion(f"not a criterion: {k!r}")
+    return k.values(list(xs), nodes)
+
+
+class _Evaluator:
+    """A criterion as a stream -> value function; ``many`` is its batched
+    form, :func:`evaluate_many`."""
+
+    __slots__ = ("criterion",)
+
+    def __init__(self, criterion: Criterion):
+        self.criterion = criterion
+
+    def __call__(self, x: Stream) -> float:
+        return evaluate(self.criterion, x)
+
+    def many(self, xs: Iterable[Stream]) -> list[float]:
+        return evaluate_many(self.criterion, xs)
+
+
 def as_evaluator(k) -> Callable[[Stream], float]:
     """Criterion (or plain callable) as a stream -> value function."""
     if callable(k) and not isinstance(k, type):
         return k
-    return lambda x: evaluate(k, x)
+    return _Evaluator(k)

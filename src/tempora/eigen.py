@@ -206,7 +206,7 @@ def builtin_operator(name: str, n: int, *, sigma=None, factor: float | None = No
     elif name == "permutation":
         if sigma is None:
             raise InvalidPermutation("permutation operator needs sigma")
-        mapping = _as_mapping(sigma)
+        mapping = _as_mapping(sigma, bound=n)
         if len(mapping) != n:
             raise InvalidPermutation(
                 f"sigma acts on {len(mapping)} indices, operator has {n}")

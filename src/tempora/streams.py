@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from .errors import (InvalidPermutation, InvalidScale, InvalidStream, ParseError,
                      decoding)
 
@@ -44,10 +46,10 @@ class Periodic:
     cycle: tuple[float, ...]
 
     def __post_init__(self):
-        cyc = tuple(float(v) for v in self.cycle)
+        cyc = tuple(map(float, self.cycle))
         if not cyc:
             raise InvalidStream("periodic tail requires a nonempty cycle")
-        if not all(math.isfinite(v) for v in cyc):
+        if not all(map(math.isfinite, cyc)):
             raise InvalidStream("non-finite value in periodic cycle")
         object.__setattr__(self, "cycle", cyc)
 
@@ -57,11 +59,13 @@ TailSpec = Union[Constant, Periodic]
 
 def _minimal_cycle(cycle: Sequence[float]) -> tuple[float, ...]:
     """Shortest block whose repetition reproduces ``cycle``."""
+    cycle = tuple(cycle)
     n = len(cycle)
     for d in range(1, n + 1):
-        if n % d == 0 and all(cycle[i] == cycle[i % d] for i in range(n)):
-            return tuple(cycle[:d])
-    return tuple(cycle)
+        # Period d: every entry equals the one d places before it.
+        if n % d == 0 and cycle[d:] == cycle[:n - d]:
+            return cycle[:d]
+    return cycle
 
 
 def canonicalize_tail(tail: TailSpec) -> TailSpec:
@@ -108,8 +112,8 @@ class Stream:
     tail: TailSpec = Constant(0.0)
 
     def __post_init__(self):
-        pre = [float(v) for v in self.prefix]
-        if not all(math.isfinite(v) for v in pre):
+        pre = list(map(float, self.prefix))
+        if not all(map(math.isfinite, pre)):
             raise InvalidStream("non-finite value in stream prefix")
         tail = self.tail
         if not isinstance(tail, (Constant, Periodic)):
@@ -225,6 +229,26 @@ def scale_translate(x: Stream, a: float, theta: float = 0.0) -> Stream:
     return Stream(pre, tail)
 
 
+def mixtures(x: Stream, z: Stream, lams) -> list[Stream]:
+    """The streams lam * x + (1 - lam) * z, one per lam in ``lams``.
+
+    Each is ``add(scale_translate(x, lam), scale_translate(z, 1 - lam))``:
+    its values ``(lam * x_t + 0.0) + ((1 - lam) * z_t + 0.0)`` are computed
+    for every lam at once with numpy, over the longer prefix and one
+    common period, and canonicalized by :class:`Stream` as usual.
+
+    Raises:
+        InvalidScale: if a lam lies outside [0, 1].
+    """
+    lam = np.array(lams, dtype=float).reshape(-1, 1)
+    if not ((lam >= 0.0) & (lam <= 1.0)).all():
+        raise InvalidScale("mixing weights must lie in [0, 1]")
+    n = max(len(x.prefix), len(z.prefix))
+    m = n + math.lcm(x.period, z.period)
+    vals = (lam * np.array(x.values(m)) + 0.0) + ((1.0 - lam) * np.array(z.values(m)) + 0.0)
+    return [Stream(row[:n], Periodic(row[n:])) for row in vals.tolist()]
+
+
 def delay(x: Stream) -> Stream:
     """Prepend a zero period: (0, x_0, x_1, ...)."""
     return Stream((0.0,) + x.prefix, x.tail)
@@ -237,22 +261,26 @@ def shift_left(x: Stream) -> Stream:
     return Stream((), _rotated(x.tail, 1))
 
 
-def _as_mapping(sigma) -> tuple[int, ...]:
+def _as_mapping(sigma, bound: int | None = None) -> tuple[int, ...]:
     """Normalize permutation input to an explicit image list on {0..M-1}.
 
     Accepts either an explicit mapping [sigma(0), ..., sigma(M-1)] or a list
     of index pairs interpreted as transpositions composed left to right.
+    With ``bound``, a transposition index outside [0, bound) is rejected
+    before the image list (of length max index + 1) is built.
     """
     sigma = list(sigma)
     if not sigma:
         return ()
     if all(isinstance(e, (tuple, list)) and len(e) == 2 for e in sigma):
-        m = max(max(int(i), int(j)) for i, j in sigma) + 1
+        pairs = [(int(i), int(j)) for i, j in sigma]
+        if any(i < 0 or j < 0 for i, j in pairs):
+            raise InvalidPermutation("negative index in transposition")
+        m = max(max(pair) for pair in pairs) + 1
+        if bound is not None and m > bound:
+            raise InvalidPermutation(f"transposition index {m - 1} outside 0..{bound - 1}")
         mapping = list(range(m))
-        for i, j in sigma:
-            i, j = int(i), int(j)
-            if i < 0 or j < 0:
-                raise InvalidPermutation("negative index in transposition")
+        for i, j in pairs:
             mapping[i], mapping[j] = mapping[j], mapping[i]
     else:
         try:

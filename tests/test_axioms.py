@@ -1,10 +1,16 @@
+import json
+
+import numpy as np
 import pytest
 
+import tempora.axioms as AX
 from tempora import (AXIOM_IDS, BanachWindow, Cesaro, Edu, Inf, Liminf,
                      Maxmin, PairwiseSwapTransform, Quadratic, ScaleTransform,
-                     Variational, add, check_axiom, evaluate, improving_pair,
-                     parse_transform, replay_violation, run_counterexamples,
-                     stream_from_dict)
+                     Variational, add, check_axiom, constant_stream, delay,
+                     discounted_value, evaluate, improving_pair,
+                     parse_transform, random_stream, replay_violation,
+                     run_counterexamples, scale_translate, stream_from_dict,
+                     sup_distance)
 from tempora.axioms import DelayTransform, MatrixTransform, PermuteTransform
 from tempora.errors import InvalidAxiom
 
@@ -142,6 +148,95 @@ def test_monotone_continuity_proxy_separates_discounting_from_patience():
 def test_continuity_segment_smoke():
     rep = check_axiom(Edu(0.9), "continuity_segment", trials=2, seed=1)
     assert rep.violation is None
+
+
+# The per-point scan and conditional check as they were before the scan
+# was batched, kept verbatim as references.
+
+def ref_continuity_segment(ev, rng, tol, transform, trial, grid=10001):
+    x, z = random_stream(rng), random_stream(rng)
+    slack = sup_distance(x, z) / (grid - 1) + 1e-6
+    prev = ev(z)
+    for i in range(1, grid):
+        lam = i / (grid - 1)
+        cur = ev(add(scale_translate(x, lam), scale_translate(z, 1.0 - lam)))
+        if abs(cur - prev) > slack:
+            return AX._cert(x=x, z=z, alpha=lam, lhs=cur, rhs=prev,
+                            gap=abs(cur - prev) - slack)
+        prev = cur
+    return None
+
+
+def ref_conditional_check(ev, x, d, transformed, tol):
+    if ev(add(x, d)) < ev(x) - 1e-12:
+        return None
+    lhs, rhs = ev(add(x, transformed)), ev(x)
+    if lhs < rhs - tol:
+        return AX._cert(x=x, d=d, lhs=lhs, rhs=rhs, gap=rhs - lhs)
+    return None
+
+
+#: One criterion per tag; maxmin and variational take the batched minimizer.
+ONE_PER_TAG = [Edu(0.9), Maxmin(points=(0.3,), intervals=((0.4, 0.6),)),
+               Variational(Quadratic(0.9, 5.0)), Inf(), Liminf(), BanachWindow(), Cesaro()]
+
+
+@pytest.mark.parametrize("k", ONE_PER_TAG, ids=lambda k: k.tag)
+def test_continuity_reports_match_the_per_point_scan(k, monkeypatch):
+    got = [check_axiom(k, "continuity_segment", trials=2, seed=s).to_dict() for s in (0, 1)]
+    monkeypatch.setitem(AX._CHECKS, "continuity_segment", ref_continuity_segment)
+    want = [check_axiom(k, "continuity_segment", trials=2, seed=s).to_dict() for s in (0, 1)]
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_continuity_scan_of_a_plain_callable_finds_the_same_jump(monkeypatch):
+    # I(x) = D_0.5(x), plus 1 past the midpoint of the segment's two ends:
+    # a jump the scan must report at the same alpha, after the same calls.
+    seed = 3
+    rng = np.random.default_rng([AXIOM_IDS.index("continuity_segment"), seed, 0])
+    x, z = random_stream(rng), random_stream(rng)
+    mid = 0.5 * (discounted_value(x, 0.5) + discounted_value(z, 0.5))
+    up = discounted_value(x, 0.5) > mid
+    calls = []
+
+    def ev(y):
+        calls.append(1)
+        v = discounted_value(y, 0.5)
+        return v + (1.0 if (v > mid) == up else 0.0)
+
+    got = check_axiom(ev, "continuity_segment", trials=1, seed=seed)
+    n_got, calls[:] = len(calls), []
+    monkeypatch.setitem(AX._CHECKS, "continuity_segment", ref_continuity_segment)
+    want = check_axiom(ev, "continuity_segment", trials=1, seed=seed)
+    assert got.violation is not None and 0.0 < got.violation["alpha"] < 1.0
+    for key in ("alpha", "lhs", "rhs", "gap"):
+        assert got.violation[key].hex() == want.violation[key].hex()
+    assert got.to_dict() == want.to_dict()
+    assert n_got == len(calls) < 10001
+
+
+def test_conditional_check_evaluates_x_once():
+    calls = []
+
+    def ev(y):
+        calls.append(y)
+        return evaluate(Cesaro(), y)
+
+    x = random_stream(np.random.default_rng(2))
+    for d, expected in ((constant_stream(1.0), 3), (constant_stream(-1.0), 2)):
+        calls.clear()
+        assert AX._conditional_check(ev, x, d, delay(d), 1e-9) is None
+        assert len(calls) == expected       # 4 and 2 when I(x) ran twice
+
+
+@pytest.mark.parametrize("k", ONE_PER_TAG, ids=lambda k: k.tag)
+def test_conditional_reports_are_unchanged(k, monkeypatch):
+    runs = [("itis", ScaleTransform(2.0)), ("itis", DelayTransform()), ("ifpis", None),
+            ("ipis", None)]
+    got = [check_axiom(k, a, trials=20, seed=4, transform=t).to_dict() for a, t in runs]
+    monkeypatch.setattr(AX, "_conditional_check", ref_conditional_check)
+    want = [check_axiom(k, a, trials=20, seed=4, transform=t).to_dict() for a, t in runs]
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_itis_with_delay_matches_idis():

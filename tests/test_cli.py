@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import typing
 
 import pytest
@@ -259,6 +260,19 @@ def test_builtin_operator_over_the_bound_exits_two(files, capsys):
     op = write(files["tmp"] / "big.json",
                {"builtin": {"name": "cyclic_delay", "n": MAX_BUILTIN_DIM + 1}})
     assert_parse_error(*run(capsys, ["eigen", "--operator", op]))
+
+
+def test_permutation_index_over_the_size_exits_two(files, capsys):
+    op = write(files["tmp"] / "perm.json",
+               {"builtin": {"name": "permutation", "n": 2, "sigma": [[0, 1000000000]]}})
+    tracemalloc.start()
+    try:
+        result = run(capsys, ["eigen", "--operator", op])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_parse_error(*result)
+    assert peak < 2 ** 20
 
 
 def test_expected_pass_has_one_entry_per_criterion_tag():

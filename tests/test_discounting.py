@@ -4,16 +4,19 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempora import (BanachWindow, Cesaro, Constant, Edu, IndicatorSet, Inf,
-                     Liminf, Maxmin, Periodic, Quadratic, Tabulated,
+                     Liminf, Maxmin, Periodic, Quadratic, Stream, Tabulated,
                      Variational, add, constant_stream, cost_eval, delay,
-                     discounted_value, evaluate, make_stream,
+                     discounted_value, evaluate, evaluate_many, make_stream,
                      minimize_over_delta, random_stream, scale_translate,
                      sup_distance, unanimity_probe)
 from tempora.discounting import (_GRID_CACHE, _MEMO_CAP, _grid, _interp,
                                  discounted_value_grid)
 from tempora.errors import (InvalidCost, InvalidCriterion, InvalidDelta)
+from tempora.jsonio import criterion_from_dict
 import tempora.discounting as D
 
 ALL_DELTAS = [i / 10 for i in range(10)] + [0.99, 1.0]
@@ -639,3 +642,285 @@ def test_tabulated_closed_form_matches_np_interp_on_random_tables():
         got = np.array([_interp(c)(float(d)) for d in pts])
         assert got.tobytes() == np.interp(pts, xp, fp).tobytes()
         assert all(_interp(c)(float(d)) == float(np.interp(float(d), xp, fp)) for d in pts)
+
+
+# ---------------------------------------------------------------------------
+# evaluate_many: the batched evaluation is evaluate, bit for bit
+# ---------------------------------------------------------------------------
+
+MANY_CRITERIA = CRITERIA + [
+    Maxmin(intervals=((0.4, 0.6),)),
+    Maxmin(points=(0.3, 0.7), intervals=((0.0, 1.0),)),       # interval ending at 1.0
+    Maxmin(points=(0.0, 0.5), intervals=((0.2, 0.3), (0.5, 0.5))),  # degenerate interval
+    Variational(Quadratic(0.8, 3.0)),
+    Variational(Quadratic(0.0, 0.0)),                         # flat cost
+    Variational(Tabulated(knots=((0.3, 0.0), (0.8, 2.0)))),   # flat below 0.3
+    Variational(Tabulated(knots=((0.5, 0.0),))),
+    Variational(IndicatorSet(points=(0.9, 0.95), point_costs=(0.2, 0.0),
+                             intervals=((0.2, 0.25), (0.6, 1.0)))),
+]
+
+
+def hex_bits(values):
+    return [float(v).hex() for v in values]
+
+
+def many_streams(rng, n):
+    """Random draws of several shapes, constant streams (flat objectives,
+    signed zeros), periodic tails with an empty prefix, and short cycles
+    that sit right at the front."""
+    out = [random_stream(rng, max_prefix=int(rng.integers(0, 13)),
+                         max_period=int(rng.integers(1, 5))) for _ in range(n)]
+    out += [constant_stream(v) for v in (1.0, 0.0, -0.0, -2.5)]
+    out += [make_stream([], Periodic((1.0, -2.0, 3.0))), make_stream([], Periodic((0.0, 5.0))),
+            make_stream([-0.0, -1.0], Constant(-0.0)), make_stream([4.0], Periodic((-0.0, 0.5)))]
+    return out
+
+
+def test_evaluate_many_is_evaluate_bit_for_bit(rng):
+    xs = many_streams(rng, 520)
+    for k in MANY_CRITERIA:
+        want = hex_bits(evaluate(k, x) for x in xs)
+        assert hex_bits(evaluate_many(k, xs)) == want, k
+        # the scalar path below the lockstep threshold, and a batch of one
+        assert hex_bits(evaluate_many(k, xs[:D._LOCKSTEP_MIN - 1])) == want[:D._LOCKSTEP_MIN - 1]
+        assert hex_bits(evaluate_many(k, xs[-1:])) == want[-1:]
+
+
+def test_evaluate_many_other_node_counts_and_inputs(rng):
+    xs = many_streams(rng, 30)
+    for k in (Maxmin(intervals=((0.1, 0.9),)), Variational(Quadratic(0.5, 8.0))):
+        for nodes in (3, 101):
+            want = hex_bits(evaluate(k, x, nodes=nodes) for x in xs)
+            assert hex_bits(evaluate_many(k, iter(xs), nodes=nodes)) == want
+    assert evaluate_many(Variational(Quadratic(0.5, 8.0)), []) == []
+    with pytest.raises(InvalidCriterion):
+        evaluate_many(lambda x: 0.0, xs)
+
+
+def test_minimize_many_matches_minimize_over_delta(rng):
+    xs = many_streams(rng, 60)
+    for c in REF_COSTS:
+        want = [minimize_over_delta(x, c) for x in xs]
+        got = D._minimize_many(xs, c, 2001)
+        assert [(d.hex(), v.hex()) for d, v in got] == [(d.hex(), v.hex()) for d, v in want]
+
+
+def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
+    xs = many_streams(rng, 120)
+    pieces = [Quadratic(0.8, 3.0).pieces[0], Quadratic(0.3, 10.0).pieces[0],
+              Tabulated(knots=((0.2, 1.0), (0.5, 0.0), (0.8, 2.0))).pieces[0],
+              IndicatorSet(intervals=((0.0, 1.0),)).pieces[0]]
+    periodic = 0
+    for piece in pieces:
+        owners, brackets = [], []
+        for i, x in enumerate(xs):
+            _, found = D._scan(x, piece, 2001)
+            # plus the whole piece, a wide bracket, and a degenerate one
+            for br in found + [(piece.a, piece.b), (piece.b, piece.b)]:
+                owners.append(i)
+                brackets.append(br)
+        lo, hi = np.array(brackets).T
+        got = D._golden_lockstep(D._Lanes(xs, piece.lanes).take(owners), lo, hi)
+        for i, (a, b), (d, v) in zip(owners, brackets, got):
+            dv = D._dv_scalar(xs[i])
+            want_d, want_v = D._golden(lambda t: dv(t) + piece.scalar(t), a, b)
+            assert (d.hex(), v.hex()) == (want_d.hex(), want_v.hex())
+            periodic += xs[i].period > 1
+    assert periodic > 500
+
+
+def test_piece_lanes_cost_has_the_scalar_bits(rng):
+    d = np.concatenate([rng.uniform(0.0, 1.0, 2000), [0.0, 0.3, 0.5, 0.8, 1 - 1e-9]])
+    for c in (Quadratic(0.8, 3.0), Quadratic(0.123, 7.7), Tabulated(knots=((0.2, 1.0), (0.5, 0.0), (0.8, 2.0))),
+              IndicatorSet(intervals=((0.0, 1.0),))):
+        for piece in c.pieces:
+            assert hex_bits(piece.lanes(d)) == hex_bits(piece.scalar(v) for v in d.tolist())
+
+
+def test_grid_cost_is_cached_read_only_per_piece():
+    c = Quadratic(0.8, 3.0)
+    assert c.pieces is c.pieces
+    piece = c.pieces[0]
+    g = piece.on_grid(2001)
+    assert piece.on_grid(2001) is g
+    assert g.tobytes() == c.value(np.linspace(piece.a, piece.b, 2001)).tobytes()
+    with pytest.raises(ValueError):
+        g[0] = 1.0
+    for nodes in range(3, 3 + 2 * _MEMO_CAP):
+        piece.on_grid(nodes)
+    assert len(piece._on_grid) <= _MEMO_CAP
+
+
+# ---------------------------------------------------------------------------
+# the exact critical-point oracle
+# ---------------------------------------------------------------------------
+#
+# On an eventually periodic stream with prefix A (length n) and cycle B
+# (period p), D_delta = R / S with S = 1 + delta + ... + delta^(p-1) > 0 and
+# R = (1 - delta) A S + delta^n B.  Every cost shape is a polynomial on
+# each of its continuous pieces, so the objective's critical points there
+# are the real roots of R'S - RS' + c'S^2.
+
+P = np.polynomial.Polynomial
+ORACLE_EDGE = 1.0 - 1e-9
+
+
+def oracle_ratio(x):
+    a = P(list(x.prefix) or [0.0])
+    b = P(list(x.tail_cycle))
+    s = P([1.0] * x.period)
+    r = P([1.0, -1.0]) * a * s + P([0.0] * len(x.prefix) + [1.0]) * b
+    return r, s
+
+
+def oracle_pieces(cost):
+    """(lo, hi, cost polynomial) of each continuous piece, on the domain the
+    minimizer searches, and the isolated (delta, cost) points."""
+    if isinstance(cost, Maxmin):
+        cost = IndicatorSet(points=cost.points, intervals=cost.intervals)
+    if isinstance(cost, Quadratic):
+        k, c0 = cost.stiffness, cost.center
+        return [(0.0, ORACLE_EDGE, P([k * c0 * c0, -2.0 * k * c0, k]))], []
+    if isinstance(cost, Tabulated):
+        ds = [d for d, _ in cost.knots]
+        ks = [k for _, k in cost.knots]
+        out = [(0.0, ds[0], P([ks[0]]))] if ds[0] > 0.0 else []
+        for (d0, k0), (d1, k1) in zip(cost.knots, cost.knots[1:]):
+            slope = (k1 - k0) / (d1 - d0)
+            out.append((d0, d1, P([k0 - slope * d0, slope])))
+        return out or [(ds[0], ds[0], P([ks[0]]))], []
+    pieces = [(a, min(b, ORACLE_EDGE), P([0.0])) for a, b in cost.intervals]
+    return pieces, list(zip(cost.points, cost.point_costs))
+
+
+def oracle_minimum(x, cost, edge=None):
+    """Exact minimum of D_delta(x) + cost(delta) over the searched domain
+    (or, with ``edge``, with every piece's right end moved to ``edge``)."""
+    r, s = oracle_ratio(x)
+    pieces, isolated = oracle_pieces(cost)
+    value = lambda d, c: float(r(d) / s(d) + c(d))
+    best = [float(r(d) / s(d)) + k for d, k in isolated]
+    for lo, hi, c in pieces:
+        hi = hi if edge is None else edge
+        best += [value(d, c) for d in [lo, hi, *critical_points(
+            r.deriv() * s - r * s.deriv() + c.deriv() * s * s, lo, hi)]]
+    return min(best)
+
+
+def critical_points(crit, lo, hi):
+    """The real roots of ``crit`` in (lo, hi).
+
+    The companion-matrix roots lose a small root next to a huge one, so
+    negligible top coefficients are dropped first and each root is then
+    polished by Newton steps on the full polynomial; every sign change on
+    a fine grid is added, found by bisection.  A spurious point costs
+    nothing, since the minimum is taken over real points of the piece.
+    """
+    if not np.any(crit.coef):
+        return []
+    top = np.abs(crit.coef).max()
+    roots = [z.real for z in crit.trim(1e-14 * top).roots()
+             if abs(z.imag) <= 1e-6 and lo - 1.0 < z.real < hi + 1.0]
+    d1 = crit.deriv()
+    for _ in range(3):
+        roots = [z - crit(z) / d1(z) if d1(z) else z for z in roots]
+    grid = np.linspace(lo, hi, 20001)
+    f = crit(grid)
+    for i in np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)[0]:
+        a, b = grid[i], grid[i + 1]
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            a, b = (m, b) if np.sign(crit(m)) == np.sign(crit(a)) else (a, m)
+        roots.append(0.5 * (a + b))
+    return [z for z in roots if lo < z < hi]
+
+
+costs = st.one_of(
+    st.builds(Quadratic, st.floats(0.0, 0.99), st.floats(0.0, 50.0)),
+    # knots on a 1e-3 lattice, so that the oracle's slopes stay finite
+    st.lists(st.tuples(st.integers(0, 990).map(lambda i: i / 1000), st.floats(0.0, 10.0)),
+             min_size=1, max_size=4, unique_by=lambda kc: kc[0]).map(
+        lambda ks: Tabulated(knots=tuple(sorted(ks[:-1] + [(ks[-1][0], 0.0)])))),
+    st.builds(lambda pts, ivs: IndicatorSet(points=tuple(p for p, _ in pts),
+                                            point_costs=tuple(k for _, k in pts),
+                                            intervals=ivs),
+              st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 3.0)), max_size=2,
+                       unique_by=lambda pk: pk[0]),
+              st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 1.0)).map(sorted)
+                       .map(tuple), min_size=1, max_size=2).map(tuple)),
+    st.builds(lambda pts, ivs: Maxmin(points=tuple(pts), intervals=ivs),
+              st.lists(st.floats(0.0, 0.99), max_size=2),
+              st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 1.0)).map(sorted)
+                       .map(tuple), min_size=1, max_size=2).map(tuple)),
+)
+@st.composite
+def oracle_streams(draw):
+    """Streams like ``random_stream``'s: prefix <= 12, period <= 4,
+    values in [-5, 5]."""
+    values = st.floats(-5.0, 5.0)
+    prefix = draw(st.lists(values, max_size=12))
+    if draw(st.booleans()):
+        return Stream(tuple(prefix), Constant(draw(values)))
+    return Stream(tuple(prefix), Periodic(tuple(draw(st.lists(values, min_size=1, max_size=4)))))
+
+
+def oracle_tolerance(x, cost):
+    """1e-9, except at the knots of a tabulated cost.
+
+    A knot inside the piece is a kink of the objective that is neither a
+    grid node nor a candidate: golden-section search stops within its
+    1e-9 tolerance of it, so the value found may exceed the minimum by the
+    objective's steepest slope times that distance.  The slope is at most
+    the cost's steepest one plus ``max |D'|``, which the closed form bounds
+    by ``2 * ||x||_inf * (n + p^2)`` on the searched domain.
+    """
+    if not isinstance(cost, Tabulated):
+        return 1e-9
+    slopes = [abs((k1 - k0) / (d1 - d0)) for (d0, k0), (d1, k1) in zip(cost.knots, cost.knots[1:])]
+    steepest = max(slopes, default=0.0) + 2.0 * x.sup_norm() * (len(x.prefix) + x.period ** 2)
+    return 1e-9 * (1.0 + steepest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_streams(), costs)
+def test_minimizer_agrees_with_the_exact_oracle(x, cost):
+    if isinstance(cost, Maxmin):
+        k, got = cost, cost.value(x)
+    else:
+        k, got = Variational(cost), minimize_over_delta(x, cost)[1]
+    want = oracle_minimum(x, cost)
+    tol = oracle_tolerance(x, cost)
+    assert want - 1e-12 <= got <= want + tol
+    batched = evaluate_many(k, [x] * D._LOCKSTEP_MIN)
+    assert all(want - 1e-12 <= v <= want + tol for v in batched)
+
+
+def test_a_tabulated_knot_is_found_to_the_search_tolerance_only():
+    # The zero stream's minimum is 0 at the knot 0.375, which is no grid
+    # node of [0, 0.8125]: the search ends 1.04e-9 above it.
+    cost = Tabulated(knots=((0.25, 1.0), (0.375, 0.0), (0.8125, 5.0)))
+    x = constant_stream(0.0)
+    assert oracle_minimum(x, cost) == 0.0
+    got = minimize_over_delta(x, cost)[1]
+    assert 1e-9 < got <= oracle_tolerance(x, cost)
+
+
+def open_end_bound(x, delta):
+    """The documented bound on |D_delta(x) - tail mean|."""
+    n, p = len(x.prefix), x.period
+    return 2.0 * x.sup_norm() * (1.0 - delta) * (n + (p - 1) * delta ** (1 - p))
+
+
+def test_open_end_at_one_stays_within_the_documented_bound(rng):
+    k = criterion_from_dict({"maxmin": {"intervals": [[0.5, 1.0]]}})
+    edge = 1.0 - 1e-9
+    xs = [random_stream(rng) for _ in range(200)]
+    xs += [make_stream([5.0] * 12, Constant(0.0)), make_stream([-5.0] * 12, Periodic((5.0, -5.0)))]
+    for x in xs:
+        beta = open_end_bound(x, edge)
+        mean = float(np.mean(x.tail_cycle))
+        assert abs(discounted_value(x, edge) - mean) <= beta
+        infimum = oracle_minimum(x, k, edge=1.0)    # the closed piece [0.5, 1]
+        got = evaluate(k, x)
+        assert infimum - 1e-12 <= got <= infimum + 2.0 * beta + 1e-9

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,23 @@ def test_builtin_dimension_is_bounded_before_allocation():
             builtin_operator(name, MAX_BUILTIN_DIM + 1, sigma=[0], factor=1.0)
     with pytest.raises(InvalidOperator):
         builtin_operator("cyclic_delay", 0)
+
+
+def test_permutation_index_is_bounded_before_allocation():
+    # A transposition index of 10^9 once built list(range(10^9 + 1)) before
+    # the size check: tens of GB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidPermutation):
+            builtin_operator("permutation", 2, sigma=[[0, 1000000000]])
+        with pytest.raises(InvalidPermutation):
+            builtin_operator("permutation", 2, sigma=[[0, 2]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    swap = builtin_operator("permutation", 2, sigma=[[0, 1]])
+    assert swap.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_no_invariant_in_kernel_branch_is_impossible_for_singular_start():

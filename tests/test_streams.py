@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from tempora import (Constant, Periodic, Stream, add, canonicalize_tail,
                      constant_stream, delay, make_stream, pairwise_swap,
-                     permute, scale_translate, shift_left, stream_from_dict,
-                     stream_to_dict, sup_distance, value_at)
+                     permute, random_stream, scale_translate, shift_left,
+                     stream_from_dict, stream_to_dict, sup_distance, value_at)
 from tempora.errors import (InvalidPermutation, InvalidScale, InvalidStream,
                             ParseError)
-from tempora.streams import inverse_permutation
+from tempora.streams import _minimal_cycle, inverse_permutation, mixtures
 
 from conftest import streams
 
@@ -148,6 +148,75 @@ def test_scale_translate_pointwise(x, a, theta):
     out = scale_translate(x, a, theta)
     for t in range(30):
         assert out.value_at(t) == a * x.value_at(t) + theta
+
+
+# ---------------------------------------------------------------------------
+# mixtures: the segment lam * x + (1 - lam) * z, built with numpy
+# ---------------------------------------------------------------------------
+
+def bits(x):
+    """A stream's representation as bit patterns, so signed zeros count."""
+    return ([v.hex() for v in x.prefix], type(x.tail).__name__,
+            [v.hex() for v in x.tail_cycle])
+
+
+def reference_mix(x, z, lam):
+    return add(scale_translate(x, lam), scale_translate(z, 1.0 - lam))
+
+
+#: Pairs whose mixes canonicalize to a shorter prefix or period: mirrored
+#: cycles meet in a constant at lam 1/2, equal tails leave the prefix
+#: alone, and at lam 0 or 1 one side's prefix or cycle vanishes.
+SHRINKING_PAIRS = [
+    (make_stream([], Periodic((1.0, 0.0))), make_stream([], Periodic((0.0, 1.0)))),
+    (make_stream([3.0, -0.0], Periodic((1.0, 2.0))), make_stream([-0.0], Periodic((2.0, 1.0)))),
+    (make_stream([4.0, 1.0, 2.0], Constant(-0.0)), make_stream([], Periodic((-1.0, 0.0, 5.0)))),
+    (make_stream([2.0, 2.0], Constant(2.0)), constant_stream(2.0)),
+    (make_stream([1.0], Periodic((1.0, 3.0, 1.0, 3.0))), make_stream([-0.0, 0.0], Constant(0.0))),
+]
+
+
+def test_mixtures_match_add_of_scaled_streams_bit_for_bit(rng):
+    pairs = SHRINKING_PAIRS + [(random_stream(rng), random_stream(rng)) for _ in range(60)]
+    lams = [0.0, 1.0, 0.5, 1 / 3, 1e-4, 1 - 1e-4] + rng.uniform(0.0, 1.0, 10).tolist()
+    shorter = 0
+    for x, z in pairs:
+        for lam, got in zip(lams, mixtures(x, z, lams)):
+            want = reference_mix(x, z, lam)
+            assert got == want and bits(got) == bits(want)
+            longest = max(len(x.prefix), len(z.prefix))
+            shorter += len(got.prefix) < longest or got.period < max(x.period, z.period)
+    assert shorter >= 2 * len(SHRINKING_PAIRS)
+
+
+def test_mixtures_of_the_segment_grid_match_the_per_point_mix(rng):
+    x, z = random_stream(rng), random_stream(rng)
+    lams = [i / 10000 for i in range(10001)]
+    for lam, got in zip(lams, mixtures(x, z, lams)):
+        assert bits(got) == bits(reference_mix(x, z, lam))
+
+
+def test_mixtures_reject_weights_outside_the_unit_interval():
+    assert mixtures(ALT, ALT_NEG, []) == []
+    for lam in (-0.1, 1.5, float("nan")):
+        with pytest.raises(InvalidScale):
+            mixtures(ALT, ALT_NEG, [0.5, lam])
+
+
+def reference_minimal_cycle(cycle):
+    n = len(cycle)
+    for d in range(1, n + 1):
+        if n % d == 0 and all(cycle[i] == cycle[i % d] for i in range(n)):
+            return tuple(cycle[:d])
+    return tuple(cycle)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]), min_size=1, max_size=12))
+def test_minimal_cycle_matches_the_elementwise_definition(cycle):
+    got = _minimal_cycle(cycle)
+    want = reference_minimal_cycle(cycle)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 # ---------------------------------------------------------------------------
