@@ -4,7 +4,7 @@ Subcommands: eval, compare, sweep, axioms, recover-cost, eigen,
 counterexamples.  JSON in, CSV or JSON out; all outputs are deterministic
 given the inputs and the seed (flag ``--seed`` or fallback environment
 variable ``TEMPORA_SEED``).  Exit codes: 0 success, 1 property or
-regression failure, 2 usage or parse error.
+regression failure (or stdout closed early), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -257,7 +257,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        try:
+            return _HANDLERS[args.command](args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull, so the
+        # interpreter's last flush cannot raise again (the SIGPIPE note in
+        # Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (RegressionFailure, NonConvergence, NoInvariantFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,7 +5,8 @@ The building block is the normalized discounted value
     D_delta(x) = (1 - delta) * sum_t delta^t x_t,
 
 computed in closed form for eventually periodic streams: a Horner pass over
-the prefix plus a geometric-tail term.  The delta-domain is the closed
+the prefix plus a geometric-tail term, written once per factor and once
+over arrays, with the same bits.  The delta-domain is the closed
 interval [0, 1]; at delta = 1 the continuous (Abel) extension equals the
 tail-cycle mean, and every cost function is infinite there, so minimization
 over [0, 1] is effectively over [0, 1).  The convention 0^0 = 1 makes
@@ -30,7 +31,8 @@ delta -> D_delta(x) + cost(delta) need not be convex, so the minimizer runs
 a dense grid per continuous piece of the cost followed by golden-section
 refinement: one bracket at each end of the grid and one per run of
 adjacent grid minima, so a flat run is searched once, not once per node.
-Finite point sets are enumerated exactly.  ``evaluate_many`` gives the
+Finite point sets and the knots of a tabulated cost (kinks of the
+objective) are enumerated exactly.  ``evaluate_many`` gives the
 same bits for many streams at once: it refines all their brackets in one
 lockstep golden-section search.
 
@@ -137,50 +139,60 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 _MEMO_LOCK = threading.Lock()
 
 
-def _remember(memo: dict, key: int, value: np.ndarray) -> np.ndarray:
-    with _MEMO_LOCK:
-        if len(memo) >= _MEMO_CAP:
-            memo.clear()
-        memo[key] = _frozen(value)
-    return value
+def _memoised(memo: dict, key: int, make: Callable[[], np.ndarray]) -> np.ndarray:
+    """``memo[key]``, made read-only by ``make()`` on a miss."""
+    out = memo.get(key)
+    if out is None:
+        out = _frozen(make())
+        with _MEMO_LOCK:
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[key] = out
+    return out
+
+
+def _powers(d: list[float], ns: Iterable[int]) -> np.ndarray:
+    """``d[i] ** ns[i]`` with the scalar form's ``pow``: numpy's ``power``,
+    like its ``log`` and ``expm1``, may differ from Python's in the last bit."""
+    return np.array(list(map(pow, d, ns)))
+
+
+def _denoms(d: np.ndarray, p: np.ndarray | int) -> np.ndarray:
+    """``1 - d ** p`` (``p`` one period, or one per element) as the scalar
+    form takes it, ``-expm1(p * log(d))`` with Python's ``math``; 1.0 where
+    ``p == 1`` or ``d == 0``, where the scalar form does not divide."""
+    p = np.broadcast_to(p, d.shape)
+    live = (p > 1) & (d != 0.0)
+    out = np.ones(d.shape)
+    out[live] = np.negative(list(map(math.expm1, map(
+        mul, p[live].tolist(), map(math.log, d[live].tolist())))))
+    return out
 
 
 class _Grid:
     """The stream-independent factors of D_delta over an array of factors.
 
     ``d`` is the array itself; ``dd`` is ``d`` with any 1.0 replaced by 0.5
-    (those entries are overwritten by the tail mean), ``one_minus`` is
-    ``1 - dd``.  ``power(n)`` (dd^n) and ``denom(p)`` (1 - dd^p via expm1)
-    are memoised per prefix length and per period, at most ``_MEMO_CAP``
-    of each.  Every array is read-only and each is computed by the same
-    numpy expression whenever it is computed, so a memo filled twice holds
-    the same bits.
+    (those entries are overwritten by the tail mean).  ``power(n)`` (dd^n)
+    and ``denom(p)`` (1 - dd^p) are memoised read-only per prefix length
+    and per period, at most ``_MEMO_CAP`` of each.
     """
 
-    __slots__ = ("d", "dd", "at_one", "one_minus", "_log", "_pow", "_denom")
+    __slots__ = ("d", "dd", "at_one", "_pow", "_denom")
 
     def __init__(self, d: np.ndarray):
         self.d = _frozen(d)
         at_one = d == 1.0
         self.at_one = at_one if at_one.any() else None
         self.dd = d if self.at_one is None else _frozen(np.where(at_one, 0.5, d))
-        self.one_minus = _frozen(1.0 - self.dd)
-        self._log = None
         self._pow: dict[int, np.ndarray] = {}
         self._denom: dict[int, np.ndarray] = {}
 
     def power(self, n: int) -> np.ndarray:
-        out = self._pow.get(n)
-        return out if out is not None else _remember(self._pow, n, self.dd ** n)
+        return _memoised(self._pow, n, lambda: _powers(self.dd.tolist(), repeat(n)))
 
     def denom(self, p: int) -> np.ndarray:
-        out = self._denom.get(p)
-        if out is not None:
-            return out
-        if self._log is None:
-            with np.errstate(divide="ignore"):
-                self._log = _frozen(np.log(self.dd))
-        return _remember(self._denom, p, -np.expm1(p * self._log))
+        return _memoised(self._denom, p, lambda: _denoms(self.dd, p))
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE)
@@ -189,25 +201,43 @@ def _grid(a: float, b: float, nodes: int) -> _Grid:
     return _Grid(np.linspace(a, b, nodes))
 
 
-def _horner(coeffs, d: np.ndarray, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """sum_j coeffs[j] * d^j by Horner's rule, on a fresh array of
-    ``shape`` (by default ``d``'s); each coefficient is a number or an
-    array of that shape, and ``d`` broadcasts against it.
-
-    The vector Horner core of the closed form, shared by
-    :func:`discounted_value_grid` and the lockstep objective.  Zero
-    coefficients at the far end leave the bits as they are: the sum stays
-    +0.0 until the first real coefficient, as in the scalar form.
-    """
-    s = np.zeros(d.shape if shape is None else shape)
+def _horner(coeffs, d: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] * d^j by Horner's rule, on a fresh array shaped
+    like ``d``; each coefficient is a number or an array of that shape.
+    Zero coefficients at the far end leave the bits as they are: the sum
+    stays +0.0 until the first real coefficient, as in the scalar form."""
+    s = np.zeros(d.shape)
     for v in reversed(coeffs):
         s *= d
         s += v
     return s
 
 
+def _dv_array(prefix, cycle, periodic, const, d: np.ndarray, power: np.ndarray,
+              denom: np.ndarray | None) -> np.ndarray:
+    """D_d at each factor of ``d`` in [0, 1) with :func:`_dv_scalar`'s bits:
+    ``(1 - d) * s + power * tail``, ``s`` the prefix's Horner sum.
+
+    The coefficients are numbers (one stream) or arrays shaped like ``d``
+    (one stream per element).  The tail is ``(1 - d) * t / denom``, ``t``
+    the cycle's Horner sum, where ``periodic`` holds and ``const``
+    elsewhere (a bool and a number, or one of each per element).
+    """
+    one_minus = 1.0 - d
+    out = one_minus * _horner(prefix, d)
+    tail = const
+    if periodic is not False:
+        tail = _horner(cycle, d)
+        tail *= one_minus
+        tail /= denom
+        if periodic is not True:
+            tail = np.where(periodic, tail, const)
+    out += power * tail
+    return out
+
+
 def discounted_value_grid(x: Stream, deltas: np.ndarray | _Grid) -> np.ndarray:
-    """Vectorized :func:`discounted_value` over an array of factors.
+    """:func:`discounted_value` at each factor of an array, bit for bit.
 
     ``deltas`` is an array-like of factors in [0, 1], or a cached grid
     geometry from the minimizer, whose factors are already known valid.
@@ -219,16 +249,9 @@ def discounted_value_grid(x: Stream, deltas: np.ndarray | _Grid) -> np.ndarray:
         if d.size and (d.min() < 0.0 or d.max() > 1.0 or np.isnan(d).any()):
             raise InvalidDelta("discount factors must lie in [0, 1]")
         g = _Grid(d)
-    dd, one_minus = g.dd, g.one_minus
-    s = _horner(x.prefix, dd)
-    if isinstance(x.tail, Constant):
-        tail_abel = x.tail.value
-    else:
-        tail_abel = _horner(x.tail.cycle, dd)
-        tail_abel *= one_minus
-        tail_abel /= g.denom(len(x.tail.cycle))
-    out = one_minus * s
-    out += g.power(len(x.prefix)) * tail_abel
+    periodic = x.period > 1
+    out = _dv_array(x.prefix, x.tail_cycle, periodic, x.tail_cycle[0], g.dd,
+                    g.power(len(x.prefix)), g.denom(x.period) if periodic else None)
     if g.at_one is not None:
         out = np.where(g.at_one, _tail_mean(x), out)
     return out
@@ -304,7 +327,8 @@ class _Cost(_Tagged):
     elsewhere and always at 1.
 
     ``value(delta)`` is the cost at a factor in [0, 1); ``isolated()``
-    lists the finite-cost points (delta, cost), solved by enumeration;
+    lists points (delta, cost) solved by enumeration: the finite-cost
+    points of an indicator set, the knots of a tabulated cost;
     ``pieces`` lists the continuous finite-cost pieces (:class:`_Piece`),
     each searched on a grid.  It is built once per cost, so each piece's
     cost on the grid is computed once per geometry.
@@ -319,28 +343,21 @@ class _Cost(_Tagged):
 class _Piece:
     """A continuous finite-cost piece [a, b] of a cost.
 
-    ``scalar(delta)`` is the cost at one factor and ``lanes(d)`` is the
-    cost at each factor of an array with ``scalar``'s bits (by default
-    ``vector``, where the two agree).  ``on_grid(nodes)`` is the cost on
-    the minimizer's grid ``np.linspace(a, b, nodes)``, computed by
-    ``vector``; it does not depend on the stream, so it is kept read-only
+    ``scalar(delta)`` is the cost at one factor and ``lanes(d)`` the cost
+    at each factor of an array, with ``scalar``'s bits.  ``on_grid(nodes)``
+    is ``lanes`` on the grid ``np.linspace(a, b, nodes)``, kept read-only
     per node count, at most ``_MEMO_CAP`` of them.
     """
 
-    __slots__ = ("a", "b", "scalar", "lanes", "_vector", "_on_grid")
+    __slots__ = ("a", "b", "scalar", "lanes", "_on_grid")
 
-    def __init__(self, a: float, b: float, vector: Callable[[np.ndarray], np.ndarray],
-                 scalar: Callable[[float], float],
-                 lanes: Callable[[np.ndarray], np.ndarray] | None = None):
-        self.a, self.b, self.scalar, self._vector = a, b, scalar, vector
-        self.lanes = vector if lanes is None else lanes
+    def __init__(self, a: float, b: float, scalar: Callable[[float], float],
+                 lanes: Callable[[np.ndarray], np.ndarray]):
+        self.a, self.b, self.scalar, self.lanes = a, b, scalar, lanes
         self._on_grid: dict[int, np.ndarray] = {}
 
     def on_grid(self, nodes: int) -> np.ndarray:
-        out = self._on_grid.get(nodes)
-        if out is not None:
-            return out
-        return _remember(self._on_grid, nodes, self._vector(_grid(self.a, self.b, nodes).d))
+        return _memoised(self._on_grid, nodes, lambda: self.lanes(_grid(self.a, self.b, nodes).d))
 
 
 def _check_unit_point(value: float, what: str) -> float:
@@ -404,7 +421,7 @@ class IndicatorSet(_Cost, tag="indicator"):
 
     @functools.cached_property
     def pieces(self) -> list[_Piece]:
-        return [_Piece(a, min(b, _ONE_EDGE), _zero_vec, _zero) for a, b in self.intervals]
+        return [_Piece(a, min(b, _ONE_EDGE), _zero, np.zeros_like) for a, b in self.intervals]
 
 
 @dataclass(frozen=True)
@@ -421,8 +438,7 @@ class Quadratic(_Cost, tag="quadratic"):
             raise InvalidCost(f"stiffness must be finite and >= 0, got {self.stiffness}")
         object.__setattr__(self, "stiffness", k)
 
-    def value(self, delta):
-        """The cost, on a float or elementwise on an array of factors."""
+    def value(self, delta: float) -> float:
         return self.stiffness * (delta - self.center) ** 2
 
     def _value_each(self, d: np.ndarray) -> np.ndarray:
@@ -433,7 +449,7 @@ class Quadratic(_Cost, tag="quadratic"):
 
     @functools.cached_property
     def pieces(self) -> list[_Piece]:
-        return [_Piece(0.0, _ONE_EDGE, self.value, self.value, self._value_each)]
+        return [_Piece(0.0, _ONE_EDGE, self.value, self._value_each)]
 
 
 @dataclass(frozen=True)
@@ -463,12 +479,15 @@ class Tabulated(_Cost, tag="tabulated"):
     def value(self, delta: float) -> float:
         return _INF if delta > self.knots[-1][0] else float(_interp(self)(delta))
 
+    def isolated(self) -> list[tuple[float, float]]:
+        """The knots and their costs: a minimum at a kink is found exactly."""
+        return list(self.knots)
+
     @functools.cached_property
     def pieces(self) -> list[_Piece]:
-        # _interp has np.interp's bits, so the vector form serves the lanes.
-        ds = [d for d, _ in self.knots]
-        ks = [k for _, k in self.knots]
-        return [_Piece(0.0, ds[-1], lambda g: np.interp(g, ds, ks), _interp(self))]
+        # _interp has np.interp's bits, so np.interp serves the lanes.
+        ds, ks = zip(*self.knots)
+        return [_Piece(0.0, ds[-1], _interp(self), lambda g: np.interp(g, ds, ks))]
 
 
 CostFunction = Union[IndicatorSet, Quadratic, Tabulated]
@@ -496,10 +515,6 @@ def _interp(c: Tabulated) -> Callable[[float], float]:
         return slopes[j] * (d - xp[j]) + fp[j]
 
     return interp
-
-
-def _zero_vec(g: np.ndarray) -> np.ndarray:
-    return np.zeros_like(g)
 
 
 def _zero(d: float) -> float:
@@ -592,55 +607,42 @@ def _golden_lockstep(fun: "_Lanes", a: np.ndarray, b: np.ndarray, xtol: float = 
     return list(zip(best_x.tolist(), best_v.tolist()))
 
 
+def _stacked(rows: list[tuple[float, ...]]) -> np.ndarray:
+    """Row j holds the j-th entry of every lane, zero-padded at the far end."""
+    m = max(map(len, rows))
+    padded = np.array([r + (0.0,) * (m - len(r)) for r in rows]).reshape(len(rows), m)
+    return np.ascontiguousarray(padded.T)
+
+
 class _Lanes:
     """The objective d -> D_d(x) + cost(d) on lanes of streams, one factor
     per lane: lane by lane the bits of ``_dv_scalar(x)(d) + scalar cost``,
-    for factors in [0, 1); ``cost`` is a piece's ``lanes``.
-
-    Horner's rule runs in numpy, over each lane's prefix and cycle stacked
-    and zero-padded at the far end.  ``d ** n``, ``math.log`` and
-    ``math.expm1`` run per element in Python, because numpy's ``power``,
-    ``log`` and ``expm1`` may differ in the last bit.
+    for factors in [0, 1); ``cost`` is a piece's ``lanes``.  The prefixes
+    and cycles are stacked for :func:`_dv_array`.
     """
 
-    __slots__ = ("coeffs", "lengths", "periods", "consts", "cost", "_length_list", "_period_list")
+    __slots__ = ("prefixes", "cycles", "lengths", "periods", "periodic", "cost", "_length_list")
 
     def __init__(self, xs: list[Stream], cost: Callable[[np.ndarray], np.ndarray]):
-        m = max(max(len(x.prefix), x.period) for x in xs)
-        rows = [e for x in xs for v in (x.prefix, x.tail_cycle) for e in v + (0.0,) * (m - len(v))]
-        # coeffs[j] is (2, lanes): the j-th entry of each prefix and cycle.
-        self._set(np.array(rows).reshape(len(xs), 2, m).transpose(2, 1, 0),
+        self._set(_stacked([x.prefix for x in xs]), _stacked([x.tail_cycle for x in xs]),
                   np.array([len(x.prefix) for x in xs]), np.array([x.period for x in xs]), cost)
 
-    def _set(self, coeffs, lengths, periods, cost) -> None:
-        self.coeffs = np.ascontiguousarray(coeffs)
-        self.lengths, self.periods, self.cost = lengths, periods, cost
-        self.consts = self.coeffs[0, 1]
+    def _set(self, prefixes, cycles, lengths, periods, cost) -> None:
+        self.prefixes, self.cycles, self.lengths, self.periods, self.cost = (
+            prefixes, cycles, lengths, periods, cost)
+        self.periodic = periods > 1
         self._length_list = lengths.tolist()
-        self._period_list = periods.tolist()
 
     def take(self, index: np.ndarray) -> "_Lanes":
         """The lanes picked by a boolean mask or an index array."""
         out = object.__new__(type(self))
-        out._set(self.coeffs[:, :, index], self.lengths[index], self.periods[index], self.cost)
+        out._set(self.prefixes[:, index], self.cycles[:, index], self.lengths[index],
+                 self.periods[index], self.cost)
         return out
 
     def __call__(self, d: np.ndarray) -> np.ndarray:
-        s, t = _horner(self.coeffs, d, self.coeffs.shape[1:])
-        t *= 1.0 - d
-        # 1 - d^p via expm1, as in the scalar form, where it is used.
-        dl = d.tolist()
-        periodic = self.periods > 1
-        live = periodic & (d != 0.0)
-        if live.all():
-            den = np.negative(list(map(math.expm1, map(mul, self._period_list, map(math.log, dl)))))
-        else:
-            den = np.ones_like(d)
-            den[live] = np.negative(list(map(math.expm1, map(
-                mul, self.periods[live].tolist(), map(math.log, d[live].tolist())))))
-        t /= den
-        out = (1.0 - d) * s
-        out += np.array(list(map(pow, dl, self._length_list))) * np.where(periodic, t, self.consts)
+        out = _dv_array(self.prefixes, self.cycles, self.periodic, self.cycles[0], d,
+                        _powers(d.tolist(), self._length_list), _denoms(d, self.periods))
         out += self.cost(d)
         return out
 
@@ -735,11 +737,11 @@ def minimize_over_delta(x: Stream, c: CostFunction,
                         nodes: int = 2001) -> tuple[float, float]:
     """Global minimum of delta -> D_delta(x) + cost(delta) over [0, 1].
 
-    Finite point sets are enumerated exactly; each continuous piece of the
-    cost gets a dense grid (``nodes`` per piece) followed by golden-section
-    refinement of its two end brackets and of one bracket per run of
-    adjacent grid minima (see :func:`_scan`).  Returns (argmin, value);
-    ties resolve to the smallest argmin.
+    Finite point sets and tabulated knots are enumerated exactly; each
+    continuous piece of the cost gets a dense grid (``nodes`` per piece)
+    followed by golden-section refinement of its two end brackets and of
+    one bracket per run of adjacent grid minima (see :func:`_scan`).
+    Returns (argmin, value); ties resolve to the smallest argmin.
 
     A piece [a, 1) (an indicator interval ending at 1.0, or the quadratic
     cost's [0, 1)) is searched on [a, 1 - 1e-9], so the reported minimum

@@ -19,9 +19,14 @@ from .streams import Stream
 
 def _tail_mean(x: Stream) -> float:
     """Mean of the tail cycle; ``math.fsum`` keeps it exact under cycle
-    rotations."""
+    rotations.  A sum past the float range is taken on the cycle scaled
+    down by an exact power of two, which leaves every other mean's bits."""
     cyc = x.tail_cycle
-    return math.fsum(cyc) / len(cyc)
+    try:
+        return math.fsum(cyc) / len(cyc)
+    except OverflowError:
+        k = len(cyc).bit_length() + 1
+        return math.ldexp(math.fsum(math.ldexp(v, -k) for v in cyc) / len(cyc), k)
 
 
 def inf_value(x: Stream) -> float:

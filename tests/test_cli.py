@@ -51,6 +51,13 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def src_env():
+    """The environment with the imported ``tempora``'s tree first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(tempora.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 # ---------------------------------------------------------------------------
 
 def test_eval_constant_one_is_normalized(files, capsys):
@@ -281,14 +288,36 @@ def test_expected_pass_has_one_entry_per_criterion_tag():
 
 
 def test_cli_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(tempora.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, tempora.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_tail_mean_past_the_float_range_is_printed(tmp_path, capsys):
+    # fsum of the cycle overflows; the mean itself is a float.
+    big = write(tmp_path / "big.json", {"prefix": [], "tail": {"periodic": [1e308, 1.5e308]}})
+    for criterion in ({"cesaro": {}}, {"banach_window": {}}):
+        crit = write(tmp_path / "crit.json", criterion)
+        code, out, err = run(capsys, ["eval", "--stream", big, "--criterion", crit])
+        assert (code, out.strip(), err) == (0, "1.25e+308", "")
+    x = tempora.make_stream([], tempora.Periodic((1e308, 1.5e308)))
+    assert tempora.discounted_value(x, 1.0) == 1.25e308
+
+
+def test_stdout_closed_early_exits_one_without_traceback(files):
+    cost = write(files["tmp"] / "cost.json", {"quadratic": {"center": 0.9, "stiffness": 5}})
+    with subprocess.Popen([sys.executable, "-m", "tempora", "sweep", "--stream", files["probe"],
+                           "--cost", cost, "--grid", "100000"], env=src_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code == 1
+    assert lines[0] == b"delta,discounted,cost,total,is_argmin\n"
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------
