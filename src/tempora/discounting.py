@@ -31,10 +31,12 @@ delta -> D_delta(x) + cost(delta) need not be convex, so the minimizer runs
 a dense grid per continuous piece of the cost followed by golden-section
 refinement: one bracket at each end of the grid and one per run of
 adjacent grid minima, so a flat run is searched once, not once per node.
-Finite point sets and the knots of a tabulated cost (kinks of the
-objective) are enumerated exactly.  ``evaluate_many`` gives the
-same bits for many streams at once: it refines all their brackets in one
-lockstep golden-section search.
+Only brackets whose certified lower bound (Lipschitz, or the tail mean's)
+undercuts the grid's best value are searched; a search skipped could not
+have won, so the bits are those of searching them all.  Finite point sets
+and the knots of a tabulated cost (kinks of the objective) are enumerated
+exactly.  ``evaluate_many`` gives the same bits for many streams at once:
+it refines all their brackets in one lockstep golden-section search.
 
 Everything here is a pure function of immutable inputs; independent
 (criterion, stream) evaluations can run concurrently without coordination.
@@ -346,14 +348,15 @@ class _Piece:
     ``scalar(delta)`` is the cost at one factor and ``lanes(d)`` the cost
     at each factor of an array, with ``scalar``'s bits.  ``on_grid(nodes)``
     is ``lanes`` on the grid ``np.linspace(a, b, nodes)``, kept read-only
-    per node count, at most ``_MEMO_CAP`` of them.
+    per node count, at most ``_MEMO_CAP`` of them.  ``bound(lo, hi)`` is
+    (a bound on the cost's slope, the cost's minimum) on [lo, hi].
     """
 
-    __slots__ = ("a", "b", "scalar", "lanes", "_on_grid")
+    __slots__ = ("a", "b", "scalar", "lanes", "bound", "_on_grid")
 
     def __init__(self, a: float, b: float, scalar: Callable[[float], float],
-                 lanes: Callable[[np.ndarray], np.ndarray]):
-        self.a, self.b, self.scalar, self.lanes = a, b, scalar, lanes
+                 lanes: Callable[[np.ndarray], np.ndarray], bound: Callable):
+        self.a, self.b, self.scalar, self.lanes, self.bound = a, b, scalar, lanes, bound
         self._on_grid: dict[int, np.ndarray] = {}
 
     def on_grid(self, nodes: int) -> np.ndarray:
@@ -421,7 +424,8 @@ class IndicatorSet(_Cost, tag="indicator"):
 
     @functools.cached_property
     def pieces(self) -> list[_Piece]:
-        return [_Piece(a, min(b, _ONE_EDGE), _zero, np.zeros_like) for a, b in self.intervals]
+        return [_Piece(a, min(b, _ONE_EDGE), _zero, np.zeros_like, lambda lo, hi: (0.0, 0.0))
+                for a, b in self.intervals]
 
 
 @dataclass(frozen=True)
@@ -447,9 +451,14 @@ class Quadratic(_Cost, tag="quadratic"):
         taken by ``pow`` per element."""
         return self.stiffness * np.array(list(map(pow, (d - self.center).tolist(), repeat(2))))
 
+    def _bound(self, lo: float, hi: float) -> tuple[float, float]:
+        k, c = self.stiffness, self.center
+        gap = max(lo - c, c - hi, 0.0)
+        return 2.0 * k * max(abs(lo - c), abs(hi - c)), k * gap * gap
+
     @functools.cached_property
     def pieces(self) -> list[_Piece]:
-        return [_Piece(0.0, _ONE_EDGE, self.value, self._value_each)]
+        return [_Piece(0.0, _ONE_EDGE, self.value, self._value_each, self._bound)]
 
 
 @dataclass(frozen=True)
@@ -487,7 +496,9 @@ class Tabulated(_Cost, tag="tabulated"):
     def pieces(self) -> list[_Piece]:
         # _interp has np.interp's bits, so np.interp serves the lanes.
         ds, ks = zip(*self.knots)
-        return [_Piece(0.0, ds[-1], _interp(self), lambda g: np.interp(g, ds, ks))]
+        interp, steepest = _interp(self), max(map(abs, _slopes(self)), default=0.0)
+        return [_Piece(0.0, ds[-1], interp, lambda g: np.interp(g, ds, ks), lambda lo, hi: (
+            steepest, min(interp(lo), interp(hi), *(k for d, k in self.knots if lo < d < hi))))]
 
 
 CostFunction = Union[IndicatorSet, Quadratic, Tabulated]
@@ -503,7 +514,7 @@ def _interp(c: Tabulated) -> Callable[[float], float]:
     """
     xp = [d for d, _ in c.knots]
     fp = [k for _, k in c.knots]
-    slopes = [(fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) for j in range(len(xp) - 1)]
+    slopes = _slopes(c)
     last = len(xp) - 1
 
     def interp(d: float) -> float:
@@ -515,6 +526,10 @@ def _interp(c: Tabulated) -> Callable[[float], float]:
         return slopes[j] * (d - xp[j]) + fp[j]
 
     return interp
+
+
+def _slopes(c: Tabulated) -> list[float]:
+    return [(k1 - k0) / (d1 - d0) for (d0, k0), (d1, k1) in zip(c.knots, c.knots[1:])]
 
 
 def _zero(d: float) -> float:
@@ -647,23 +662,27 @@ class _Lanes:
         return out
 
 
-def _scan(x: Stream, piece: _Piece, nodes: int) -> tuple[list, list]:
-    """The grid pass over one piece: (candidates, brackets).
+def _scan(x: Stream, piece: _Piece, nodes: int) -> tuple[list, list, list]:
+    """The grid pass over one piece: (candidates, brackets, ends).
 
     The grid is ``np.linspace(a, b, nodes)``, with its stream-independent
-    factors and the cost on it taken from bounded caches.  Every grid node
-    that is no larger than both neighbours is a candidate (value, factor).
-    The golden-section brackets (lo, hi) are the two end ones [grid[0],
-    grid[1]] and [grid[-2], grid[-1]], and one [grid[s-1], grid[e+1]] per
-    run s..e of adjacent interior minima: such a run is flat on the grid,
-    so a constant stream opens three searches, not one per node.
+    factors and the cost on it taken from bounded caches.  The candidate
+    (value, factor) is the grid's first minimum, the least as tuples
+    compare; where a value is NaN, every node no larger than both
+    neighbours is one.  The golden-section brackets (lo, hi) are [grid[0],
+    grid[1]], [grid[-2], grid[-1]] and one [grid[s-1], grid[e+1]] per run
+    s..e of adjacent interior minima: such a run is flat on the grid, so a
+    constant stream opens three searches, not one per node.  ``ends``
+    holds the grid values at each bracket's ends.
     """
     g = _grid(piece.a, piece.b, nodes)
     grid = g.d
     f = discounted_value_grid(x, g)
     f += piece.on_grid(nodes)
     interior = (np.nonzero((f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:]))[0] + 1).tolist()
-    candidates = [(float(f[i]), float(grid[i])) for i in {0, nodes - 1, *interior}]
+    first = int(f.argmin())
+    nodes_at = {0, nodes - 1, *interior} if math.isnan(f.item(first)) else [first]
+    candidates = [(f.item(i), grid.item(i)) for i in nodes_at]
     runs: list[list[int]] = []
     for i in interior:
         if runs and runs[-1][1] == i:
@@ -671,15 +690,56 @@ def _scan(x: Stream, piece: _Piece, nodes: int) -> tuple[list, list]:
         else:
             runs.append([i - 1, i + 1])
     brackets = {(0, min(1, nodes - 1)), (max(nodes - 2, 0), nodes - 1), *map(tuple, runs)}
-    return candidates, [(float(grid[lo]), float(grid[hi])) for lo, hi in brackets]
+    return (candidates, [(grid.item(lo), grid.item(hi)) for lo, hi in brackets],
+            [(f.item(lo), f.item(hi)) for lo, hi in brackets])
+
+
+def _undercutting(x: Stream, piece: _Piece, candidates: list, brackets: list, ends: list) -> list:
+    """The brackets of a scan whose lower bound on f = D_d(x) + cost (the
+    larger of the two in :func:`minimize_over_delta`), less the margin E,
+    is not above the first candidate's value.
+
+    Proof.  The weights w_t = (1 - d) d^t sum to 1, so D' = sum_t w_t' (x_t
+    - c) for the midpoint c of the values; w_t' < 0 up to T and > 0 after,
+    so sum_t |w_t'| = 2 d/dd d^(T+1) = 2 (T + 1) d^T = max_m 2 (m + 1) d^m,
+    continuous and nondecreasing.  Golden-section steps evaluate f only in
+    the bracket (b - fl(k fl(b - a)) and a + fl(k fl(b - a)), k < 0.62,
+    stay in [a, b]); there f(t) takes at most 2 (n + p) + 30 roundings of
+    relative size 2^-53 on terms bounded by ||x||_inf (the weights sum to
+    at most 1), |f(t)| + ||x||_inf or L_cost (a knot's cost is at most the
+    cost on its segment plus L_cost), and a float T off by one moves S by
+    2^-52.  A dropped bracket's bound exceeds the candidate's value, so
+    each of its terms is at most 3 (|f(lo)| + |f(hi)| + ||x||_inf).  The
+    bound's rounding, and that of f(t) wherever f(t) is near the bound,
+    is thus far below E: a dropped search would end strictly above the
+    candidate, which ``min`` meets first.  Nothing is dropped where (n +
+    p) ||x||_inf >= 1e300 (sums may overflow) or an end is not finite.
+    """
+    values = x.prefix + x.tail_cycle
+    top, bottom, n = max(values), min(values), len(x.prefix)
+    p, norm = len(values) - n, max(top, -bottom)
+    if not norm * (n + p) < 1e300:
+        return brackets
+    two_r, mu, best, scale = top - bottom, _tail_mean(x), candidates[0][0], 1e-9 * (n + p)
+    kept = []
+    for (lo, hi), (f_lo, f_hi) in zip(brackets, ends):
+        slope, least = piece.bound(lo, hi)
+        t = math.floor(hi / (1.0 - hi))
+        bound = 0.5 * (f_lo + f_hi - (two_r * (t + 1) * hi ** t + slope) * (hi - lo))
+        if lo >= 0.5 and p <= 1024:     # lo ** (1 - p) <= 2 ** 1023
+            tail = 2.0 * norm * (1.0 - lo) * (n + (p - 1) * lo ** (1 - p))
+            bound = max(bound, mu - tail + least)
+        if not bound - scale * (1.0 + abs(f_lo) + abs(f_hi) + norm + slope) > best:
+            kept.append((lo, hi))
+    return kept
 
 
 def _minimize_on_interval(x: Stream, piece: _Piece, nodes: int) -> tuple[float, float]:
     """Grid scan plus golden refinement of D_delta(x) + cost on one piece.
 
-    See :func:`_scan` for the candidates and brackets; each bracket gets
-    one scalar golden-section search.  Returns (argmin, value); ties
-    resolve to the smallest argmin.
+    See :func:`_scan` for the candidates and brackets; each bracket that
+    :func:`_undercutting` keeps gets one scalar golden-section search.
+    Returns (argmin, value); ties resolve to the smallest argmin.
     """
     dv, cost = _dv_scalar(x), piece.scalar
 
@@ -688,8 +748,8 @@ def _minimize_on_interval(x: Stream, piece: _Piece, nodes: int) -> tuple[float, 
 
     if piece.b <= piece.a:
         return piece.a, objective(piece.a)
-    candidates, brackets = _scan(x, piece, nodes)
-    for lo, hi in brackets:
+    candidates, brackets, ends = _scan(x, piece, nodes)
+    for lo, hi in _undercutting(x, piece, candidates, brackets, ends):
         d_star, v_star = _golden(objective, lo, hi)
         candidates.append((v_star, d_star))
     v_best, d_best = min(candidates)
@@ -698,13 +758,14 @@ def _minimize_on_interval(x: Stream, piece: _Piece, nodes: int) -> tuple[float, 
 
 def _minimize_lockstep(xs: list[Stream], piece: _Piece, nodes: int) -> list[tuple[float, float]]:
     """:func:`_minimize_on_interval` for each stream, bit for bit: the same
-    grid scans, then the brackets of every stream in one lockstep search."""
+    grid scans and kept brackets, then all of them in one lockstep search."""
     scans = [_scan(x, piece, nodes) for x in xs]
-    owners = [i for i, (_, brackets) in enumerate(scans) for _ in brackets]
-    lo, hi = np.array([br for _, brackets in scans for br in brackets]).T
+    kept = [_undercutting(x, piece, *scan) for x, scan in zip(xs, scans)]
+    owners = [i for i, brackets in enumerate(kept) for _ in brackets]
+    lo, hi = np.array([br for brackets in kept for br in brackets]).T
     found = iter(_golden_lockstep(_Lanes(xs, piece.lanes).take(owners), lo, hi))
     out = []
-    for candidates, brackets in scans:
+    for (candidates, _, _), brackets in zip(scans, kept):
         candidates += [(v_star, d_star) for d_star, v_star in islice(found, len(brackets))]
         v_best, d_best = min(candidates)
         out.append((d_best, v_best))
@@ -740,8 +801,17 @@ def minimize_over_delta(x: Stream, c: CostFunction,
     Finite point sets and tabulated knots are enumerated exactly; each
     continuous piece of the cost gets a dense grid (``nodes`` per piece)
     followed by golden-section refinement of its two end brackets and of
-    one bracket per run of adjacent grid minima (see :func:`_scan`).
-    Returns (argmin, value); ties resolve to the smallest argmin.
+    one bracket per run of adjacent grid minima (see :func:`_scan`).  Only
+    the brackets whose lower bound, less a float margin, undercuts the
+    grid's best value are searched (see :func:`_undercutting`): the
+    Lipschitz bound ``(f(lo) + f(hi) - L (hi - lo)) / 2`` with ``L = r *
+    2 (T + 1) hi^T + L_cost``, ``T = floor(hi / (1 - hi))`` and ``r`` the
+    half-range of the stream's values, and for ``lo >= 0.5`` the tail mean
+    less the bound below at ``lo``, plus the cost's minimum on the
+    bracket; the margin is ``1e-9 * (n + p) * (1 + |f(lo)| + |f(hi)| +
+    ||x||_inf + L_cost)``, with ``n`` and ``p`` as below.  Returns
+    (argmin, value); ties resolve to the smallest argmin, with the bits of
+    searching every bracket.
 
     A piece [a, 1) (an indicator interval ending at 1.0, or the quadratic
     cost's [0, 1)) is searched on [a, 1 - 1e-9], so the reported minimum

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempora import (BanachWindow, Cesaro, Constant, Edu, IndicatorSet, Inf,
@@ -694,7 +694,7 @@ def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
     for piece in pieces:
         owners, brackets = [], []
         for i, x in enumerate(xs):
-            _, found = D._scan(x, piece, 2001)
+            found = D._scan(x, piece, 2001)[1]
             # plus the whole piece, a wide bracket, and a degenerate one
             for br in found + [(piece.a, piece.b), (piece.b, piece.b)]:
                 owners.append(i)
@@ -908,3 +908,92 @@ def test_grid_objective_is_the_scalar_objective_at_every_node(x, cost, nodes):
         g = _grid(piece.a, piece.b, nodes)
         got = discounted_value_grid(x, g) + piece.on_grid(nodes)
         assert hex_bits(got) == hex_bits(dv(d) + piece.scalar(d) for d in g.d.tolist())
+
+
+# ---------------------------------------------------------------------------
+# certified bracket pruning: a dropped search could never have won
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_streams(), costs, st.sampled_from([1e-3, 1.0, 1e3]),
+       st.sampled_from([3, 5, 101, 2001]))
+# The minimum sits in the last bracket, where only the tail bound can
+# drop it; a cost's minimum on a bracket is at a knot inside it.
+@example(make_stream([5.0] * 12, Constant(-5.0)), Quadratic(0.99, 50.0), 1.0, 2001)
+@example(constant_stream(-5.0), Tabulated(((0.2, 2.0), (0.5, 10.0), (0.9, 0.0), (0.95, 10.0))),
+         1.0, 5)
+def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale, nodes):
+    x = make_stream([v * scale for v in x.prefix],
+                    Periodic(tuple(v * scale for v in x.tail_cycle)))
+    cost = cost._indicator if isinstance(cost, Maxmin) else cost
+    dv = D._dv_scalar(x)
+    for piece in cost.pieces:
+        if piece.b <= piece.a:
+            continue
+        candidates, brackets, ends = D._scan(x, piece, nodes)
+        kept = D._undercutting(x, piece, candidates, brackets, ends)
+        assert set(kept) <= set(brackets)
+        best, cost_at = candidates[0][0], piece.scalar
+        for lo, hi in set(brackets) - set(kept):
+            objective = lambda d: dv(d) + cost_at(d)
+            assert D._golden(objective, lo, hi)[1] > best
+            assert all(objective(d) > best for d in np.linspace(lo, hi, 101).tolist())
+
+
+def test_most_brackets_are_certified_away_on_a_fixed_battery(monkeypatch):
+    from tempora.axioms import check_axiom, parse_transform
+    from tempora.cli import BATTERY
+
+    counts = {"scanned": 0, "searched": 0}
+    scan, golden, lockstep = D._scan, D._golden, D._golden_lockstep
+
+    def counted_scan(*args):
+        out = scan(*args)
+        counts["scanned"] += len(out[1])
+        return out
+
+    def counted_golden(*args, **kwargs):
+        counts["searched"] += 1
+        return golden(*args, **kwargs)
+
+    def counted_lockstep(fun, a, b, *args, **kwargs):
+        counts["searched"] += a.size
+        return lockstep(fun, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(D, "_scan", counted_scan)
+    monkeypatch.setattr(D, "_golden", counted_golden)
+    monkeypatch.setattr(D, "_golden_lockstep", counted_lockstep)
+    k = Variational(Quadratic(0.8, 3.0))
+    rng = np.random.default_rng(7)
+    lanes = [random_stream(rng) for _ in range(D._LOCKSTEP_MIN)]
+    runs = []
+    for _ in range(2):
+        counts.update(scanned=0, searched=0)
+        for seed in range(4):
+            for axiom, t in BATTERY:
+                check_axiom(k, axiom, 2, seed, transform=t and parse_transform(t))
+        evaluate_many(k, lanes)
+        runs.append(dict(counts))
+    assert runs[0] == runs[1]
+    assert runs[0]["searched"] <= 0.6 * runs[0]["scanned"]
+
+
+OVERFLOW_STREAMS = [make_stream([1e308, 1e308], Constant(-1e308)),
+                    make_stream([1e308, 1e308], Periodic((-1e308, -1.5e308)))]
+
+
+@pytest.mark.parametrize("x", OVERFLOW_STREAMS + [constant_stream(v) for v in (1.0, 0.0, -0.0, -2.5)])
+@pytest.mark.parametrize("cost", [Quadratic(0.9, 5.0), IndicatorSet(intervals=((0.1, 0.9),))])
+def test_overflowing_and_constant_streams_keep_the_reference_bits(x, cost):
+    # The overflowing streams' grid values turn inf, or NaN, above delta ~
+    # 0.8; a constant stream has r = 0, and a flat objective on an interval.
+    # Where the minimum is -inf, the reference's per-node searches end at
+    # another factor that overflows, so only the value is compared there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_d, want_v = ref_minimize_over_delta(x, cost)
+        got_d, got_v = minimize_over_delta(x, cost)
+        k = Variational(cost) if isinstance(cost, Quadratic) else Maxmin(intervals=cost.intervals)
+        batched = evaluate_many(k, [x] * D._LOCKSTEP_MIN)
+    assert got_v.hex() == want_v.hex()
+    assert got_d.hex() == want_d.hex() or want_v == -math.inf
+    assert hex_bits(batched) == [want_v.hex()] * D._LOCKSTEP_MIN
