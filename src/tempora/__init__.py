@@ -22,8 +22,9 @@ from .eigen import (DiscountVector, EigenResult, OperatorMatrix, adjoint,
                     invariant_structure, uniform_vector, verify_eigen)
 from .axioms import (AXIOM_IDS, AxiomReport, DelayTransform, MatrixTransform,
                      PairwiseSwapTransform, PermuteTransform, ScaleTransform,
-                     check_axiom, improving_pair, parse_transform,
-                     random_stream, replay_violation, run_counterexamples)
+                     check_axiom, improving_pair, parse_axiom_id,
+                     parse_transform, random_stream, replay_violation,
+                     run_counterexamples)
 from .panel import (ExpertPanel, check_unanimity, panel_criterion,
                     panel_from_rates, rate_to_factor, recover_cost,
                     unanimity_probe, weitzman_panel)
@@ -47,8 +48,8 @@ __all__ = [
     "uniform_vector", "verify_eigen",
     "AXIOM_IDS", "AxiomReport", "DelayTransform", "MatrixTransform",
     "PairwiseSwapTransform", "PermuteTransform", "ScaleTransform",
-    "check_axiom", "improving_pair", "parse_transform", "random_stream",
-    "replay_violation", "run_counterexamples",
+    "check_axiom", "improving_pair", "parse_axiom_id", "parse_transform",
+    "random_stream", "replay_violation", "run_counterexamples",
     "ExpertPanel", "check_unanimity", "panel_criterion", "panel_from_rates",
     "rate_to_factor", "recover_cost", "unanimity_probe", "weitzman_panel",
     "errors",

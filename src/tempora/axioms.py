@@ -1,27 +1,31 @@
 """Seeded property-test harness for the evaluation axioms.
 
-Each axiom of the criteria library becomes an executable check against an
-arbitrary evaluator: seeded instances are generated, the quantified
-statement is tested at a tolerance, and the first failure is captured as a
-replayable certificate.  Conditional axioms about improving sequences
-(``idis``, ``itis``, ``ifpis``, ``ipis``) do not filter random pairs for
-the premise; :func:`improving_pair` manufactures exactly indifferent pairs
-through translation invariance, so the premise holds by construction.
-
-Reports are deterministic: trial i derives its own generator from
+Each axiom is one ``(draw, judge)`` entry of the table ``_AXIOMS``.
+``draw(ev, rng, transform, trial)`` returns the instance: the streams and
+numbers that lead the certificate, ``{x, theta}`` for icrp.
+``judge(ev, tol, transform, **instance)`` states the axiom's inequality
+once: it returns None when it holds, else the certificate's ``lhs``,
+``rhs`` and ``gap`` (and ``alpha``, ``k``, ``theta`` for the two scans).
+:func:`check_axiom` judges fresh draws, trial i from a generator seeded by
 (axiom, seed, i), so serial and parallel runs agree.
+:func:`replay_violation` judges a certificate's decoded instance again, so
+it returns the reported gap bit for bit.  An axiom id is a bare axiom or
+``itis:<transform>``: :func:`parse_axiom_id` reads it, and
+:attr:`AxiomReport.key` writes it.
 
-Completeness and transitivity of the induced ranking are not tested:
-every evaluator here is a real-valued functional, so both hold by
-construction.
-
-``run_counterexamples`` executes a fixed regression registry of four
-documented cases with hard-coded expected values.
+Conditional axioms about improving sequences (``idis``, ``itis``,
+``ifpis``, ``ipis``) do not filter random pairs for the premise;
+:func:`improving_pair` manufactures exactly indifferent pairs, so the
+premise holds by construction.  Completeness and transitivity of the
+induced ranking hold by construction for a real-valued functional, and
+are not tested.  ``run_counterexamples`` replays a fixed regression
+registry of four documented cases with hard-coded expected values.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,15 +35,10 @@ from .discounting import (BanachWindow, Inf, Liminf, Maxmin, _Evaluator,
                           as_evaluator, discounted_value, evaluate)
 from .errors import InvalidAxiom, RegressionFailure
 from .patient import inf_value
-from .streams import (Constant, Periodic, Stream, add, constant_stream, delay,
-                      make_stream, mixtures, pairwise_swap, permute,
-                      scale_translate, shift_left, stream_to_dict, sup_distance)
-
-AXIOM_IDS = (
-    "monotonicity", "continuity_segment", "icrp", "convexity", "isu", "iou",
-    "monotone_continuity_proxy", "idis", "itis", "ifpis", "ipis",
-    "patience", "time_invariance", "lipschitz", "normalization",
-)
+from .streams import (Constant, Periodic, Stream, _rotated, add,
+                      constant_stream, delay, make_stream, mixtures,
+                      pairwise_swap, permute, scale_translate, shift_left,
+                      stream_from_dict, stream_to_dict, sup_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +63,9 @@ class ScaleTransform:
 
     @property
     def label(self) -> str:
-        return f"scale:{self.factor:g}"
+        # The short form where it reads back as the same factor.
+        short = f"{self.factor:g}"
+        return f"scale:{short if float(short) == self.factor else repr(self.factor)}"
 
     def apply(self, d: Stream) -> Stream:
         return scale_translate(d, self.factor, 0.0)
@@ -116,22 +117,24 @@ class MatrixTransform:
         vals = d.values(ln)
         head = self.matrix @ np.asarray(vals[:n])
         pre = tuple(float(v) for v in head) + tuple(vals[n:])
-        from .streams import _rotated
         return Stream(pre, _rotated(d.tail, ln - len(d.prefix)))
 
 
 def parse_transform(text: str):
     """Transform from a CLI-style id: 'delay', 'swap', 'scale:<a>',
-    'permute:<i0,i1,...>'."""
+    'permute:<i0,i1,...>'.  Raises :class:`InvalidAxiom` for any other text."""
     if text == "delay":
         return DelayTransform()
     if text == "swap":
         return PairwiseSwapTransform()
-    if text.startswith("scale:"):
-        return ScaleTransform(float(text.split(":", 1)[1]))
-    if text.startswith("permute:"):
-        idx = tuple(int(i) for i in text.split(":", 1)[1].split(","))
-        return PermuteTransform(idx)
+    kind, _, arg = text.partition(":")
+    try:
+        if kind == "scale":
+            return ScaleTransform(float(arg))
+        if kind == "permute":
+            return PermuteTransform(tuple(int(i) for i in arg.split(",")))
+    except ValueError as exc:
+        raise InvalidAxiom(f"malformed transform id {text!r}: {exc}") from exc
     raise InvalidAxiom(f"unknown transform id {text!r}")
 
 
@@ -153,6 +156,11 @@ class AxiomReport:
     @property
     def passed(self) -> bool:
         return self.violation is None
+
+    @property
+    def key(self) -> str:
+        """The axiom id: ``itis:<transform>``, or the bare axiom."""
+        return self.axiom if self.transform is None else f"{self.axiom}:{self.transform}"
 
     def to_dict(self) -> dict:
         return {
@@ -181,11 +189,6 @@ def random_stream(rng: np.random.Generator, max_prefix: int = 12,
     return Stream(prefix, tail)
 
 
-def _nonneg_stream(rng: np.random.Generator) -> Stream:
-    u = random_stream(rng)
-    return scale_translate(u, 1.0, -inf_value(u))
-
-
 def improving_pair(evaluator, seed) -> tuple[Stream, Stream]:
     """Random (x, d) with I(x + d) = I(x) to within roundoff.
 
@@ -208,87 +211,115 @@ def _cert(**kw) -> dict:
     return out
 
 
+def _run_trials(axiom: str, salt: int, trials: int, seed: int, tol: float,
+                trial: Callable, transform: str | None = None) -> AxiomReport:
+    """Report on ``trial(rng, i)`` for i < trials, where trial i draws
+    from its own generator seeded by (salt, seed, i) and returns None on
+    a pass; the first violation is kept with its trial index."""
+    if trials < 1:
+        raise InvalidAxiom(f"trials must be >= 1, got {trials}")
+    seed = int(seed) % (2 ** 63)
+    passes, violation = 0, None
+    for i in range(trials):
+        v = trial(np.random.default_rng([salt, seed, i]), i)
+        if v is None:
+            passes += 1
+        elif violation is None:
+            violation = {**v, "trial": i}
+    return AxiomReport(axiom=axiom, trials=trials, passes=passes,
+                       violation=violation, seed=seed, tol=tol, transform=transform)
+
+
 # ---------------------------------------------------------------------------
-# per-axiom checks; each returns None (pass) or a violation certificate
+# the axioms: each draws its instance and states its inequality once
 # ---------------------------------------------------------------------------
 
-def _chk_monotonicity(ev, rng, tol, transform, trial):
-    y = random_stream(rng)
-    x = add(y, _nonneg_stream(rng))
-    lhs, rhs = ev(x), ev(y)
+def _at_least(lhs: float, rhs: float, tol: float) -> dict | None:
+    """lhs >= rhs - tol, else the verdict."""
     if lhs < rhs - tol:
-        return _cert(x=x, y=y, lhs=lhs, rhs=rhs, gap=rhs - lhs)
+        return {"lhs": lhs, "rhs": rhs, "gap": rhs - lhs}
     return None
 
 
-def _chk_icrp(ev, rng, tol, transform, trial):
-    x = random_stream(rng)
-    theta = float(rng.uniform(-5.0, 5.0))
-    lhs = ev(scale_translate(x, 1.0, theta))
-    rhs = ev(x) + theta
+def _equal(lhs: float, rhs: float, tol: float) -> dict | None:
+    """|lhs - rhs| <= tol, else the verdict."""
     gap = abs(lhs - rhs)
     if gap > tol:
-        return _cert(x=x, theta=theta, lhs=lhs, rhs=rhs, gap=gap)
+        return {"lhs": lhs, "rhs": rhs, "gap": gap}
     return None
 
 
-def _chk_convexity(ev, rng, tol, transform, trial):
-    x, y = random_stream(rng), random_stream(rng)
-    lam = float(rng.uniform(0.0, 1.0))
+def _draw(*streams, **numbers):
+    """The draw of one independent random stream per name in ``streams``,
+    then one value ``f(rng)`` per ``name=f`` in ``numbers``."""
+    def draw(ev, rng, transform, trial):
+        instance = {name: random_stream(rng) for name in streams}
+        return {**instance, **{name: f(rng) for name, f in numbers.items()}}
+    return draw
+
+
+def _uniform(lo: float, hi: float) -> Callable:
+    return lambda rng: float(rng.uniform(lo, hi))
+
+
+def _permutation(rng: np.random.Generator) -> list[int]:
+    """A random bijection of {0..m-1}, 2 <= m <= 8."""
+    m = int(rng.integers(2, 9))
+    return [int(i) for i in rng.permutation(m)]
+
+
+def _draw_monotonicity(ev, rng, transform, trial):
+    y, u = random_stream(rng), random_stream(rng)
+    return {"x": add(y, scale_translate(u, 1.0, -inf_value(u))), "y": y}  # x >= y
+
+
+def _judge_monotonicity(ev, tol, transform, x, y):
+    return _at_least(ev(x), ev(y), tol)
+
+
+def _judge_icrp(ev, tol, transform, x, theta):
+    return _equal(ev(scale_translate(x, 1.0, theta)), ev(x) + theta, tol)
+
+
+def _judge_convexity(ev, tol, transform, x, y, lam):
     mix = add(scale_translate(x, lam), scale_translate(y, 1.0 - lam))
-    lhs = ev(mix)
-    rhs = min(ev(x), ev(y))
-    if lhs < rhs - tol:
-        return _cert(x=x, y=y, lam=lam, lhs=lhs, rhs=rhs, gap=rhs - lhs)
-    return None
+    return _at_least(ev(mix), min(ev(x), ev(y)), tol)
 
 
-def _chk_isu(ev, rng, tol, transform, trial):
-    x = random_stream(rng)
-    a = float(rng.uniform(0.0, 4.0))
-    lhs = ev(scale_translate(x, a))
-    rhs = a * ev(x)
-    gap = abs(lhs - rhs)
-    if gap > tol * (1.0 + a):
-        return _cert(x=x, a=a, lhs=lhs, rhs=rhs, gap=gap)
-    return None
+def _judge_isu(ev, tol, transform, x, a):
+    return _equal(ev(scale_translate(x, a)), a * ev(x), tol * (1.0 + a))
 
 
-def _chk_iou(ev, rng, tol, transform, trial):
+def _draw_iou(ev, rng, transform, trial):
     x = random_stream(rng)
     y0 = random_stream(rng)
     y = scale_translate(y0, 1.0, ev(x) - ev(y0))  # manufactured x ~ y
-    z = random_stream(rng)
-    lhs, rhs = ev(add(x, z)), ev(add(y, z))
-    gap = abs(lhs - rhs)
-    if gap > tol:
-        return _cert(x=x, y=y, z=z, lhs=lhs, rhs=rhs, gap=gap)
-    return None
+    return {"x": x, "y": y, "z": random_stream(rng)}
 
 
-def _chk_lipschitz(ev, rng, tol, transform, trial):
-    x, y = random_stream(rng), random_stream(rng)
+def _judge_iou(ev, tol, transform, x, y, z):
+    return _equal(ev(add(x, z)), ev(add(y, z)), tol)
+
+
+def _judge_lipschitz(ev, tol, transform, x, y):
+    """|I(x) - I(y)| <= sup |x - y| + tol."""
     dist = sup_distance(x, y)
-    gap = abs(ev(x) - ev(y)) - dist
-    if gap > tol:
-        return _cert(x=x, y=y, lhs=abs(ev(x) - ev(y)), rhs=dist, gap=gap)
+    lhs = abs(ev(x) - ev(y))
+    if lhs - dist > tol:
+        return {"lhs": lhs, "rhs": dist, "gap": lhs - dist}
     return None
 
 
-def _chk_normalization(ev, rng, tol, transform, trial):
-    lhs = ev(constant_stream(1.0))
-    gap = abs(lhs - 1.0)
-    if gap > tol:
-        return _cert(lhs=lhs, rhs=1.0, gap=gap)
-    return None
+def _judge_normalization(ev, tol, transform):
+    return _equal(ev(constant_stream(1.0)), 1.0, tol)
 
 
-def _chk_idis(ev, rng, tol, transform, trial):
-    x, d = improving_pair(ev, rng)
-    lhs, rhs = ev(add(x, delay(d))), ev(x)
-    if lhs < rhs - tol:
-        return _cert(x=x, d=d, lhs=lhs, rhs=rhs, gap=rhs - lhs)
-    return None
+def _judge_patience(ev, tol, transform, x, sigma):
+    return _equal(ev(permute(x, sigma)), ev(x), tol)
+
+
+def _judge_time_invariance(ev, tol, transform, x):
+    return _equal(ev(shift_left(x)), ev(x), tol)
 
 
 #: Known breaking instance for doubled improvements under the worst-period
@@ -306,59 +337,37 @@ _CANON_IPIS: tuple[Stream, Stream] = (
 )
 
 
-def _conditional_check(ev, x, d, transformed, tol):
-    """Check the conclusion I(x + T(d)) >= I(x) when the premise
-    I(x + d) >= I(x) holds; a failed premise passes vacuously."""
+def _improving(canon=None, **numbers):
+    """The draw of an improving pair (x, d), or of ``canon`` on trial 0,
+    then one value ``f(rng)`` per ``name=f`` in ``numbers``."""
+    def draw(ev, rng, transform, trial):
+        x, d = canon if canon is not None and trial == 0 else improving_pair(ev, rng)
+        return {"x": x, "d": d, **{name: f(rng) for name, f in numbers.items()}}
+    return draw
+
+
+def _judge_idis(ev, tol, transform, x, d):
+    return _at_least(ev(add(x, delay(d))), ev(x), tol)
+
+
+def _premised(ev, tol, x, d, moved):
+    """I(x + moved) >= I(x) - tol where the premise I(x + d) >= I(x)
+    holds; a failed premise passes vacuously.  I(x) is evaluated once."""
     rhs = ev(x)
     if ev(add(x, d)) < rhs - 1e-12:
         return None
-    lhs = ev(add(x, transformed))
-    if lhs < rhs - tol:
-        return _cert(x=x, d=d, lhs=lhs, rhs=rhs, gap=rhs - lhs)
-    return None
+    return _at_least(ev(add(x, moved)), rhs, tol)
 
 
-def _chk_itis(ev, rng, tol, transform, trial):
-    x, d = _CANON_ITIS if trial == 0 else improving_pair(ev, rng)
-    return _conditional_check(ev, x, d, transform.apply(d), tol)
+def _judge_itis(ev, tol, transform, x, d):
+    return _premised(ev, tol, x, d, transform.apply(d))
 
 
-def _chk_ifpis(ev, rng, tol, transform, trial):
-    x, d = improving_pair(ev, rng)
-    m = int(rng.integers(2, 9))
-    sigma = tuple(int(i) for i in rng.permutation(m))
-    v = _conditional_check(ev, x, d, permute(d, sigma), tol)
-    if v is not None:
-        v["sigma"] = list(sigma)
-    return v
-
-
-def _chk_ipis(ev, rng, tol, transform, trial):
-    x, d = _CANON_IPIS if trial == 0 else improving_pair(ev, rng)
-    v = _conditional_check(ev, x, d, pairwise_swap(d), tol)
-    if v is not None:
-        v["sigma"] = "pairwise_swap"
-    return v
-
-
-def _chk_patience(ev, rng, tol, transform, trial):
-    x = random_stream(rng)
-    m = int(rng.integers(2, 9))
-    sigma = tuple(int(i) for i in rng.permutation(m))
-    lhs, rhs = ev(permute(x, sigma)), ev(x)
-    gap = abs(lhs - rhs)
-    if gap > tol:
-        return _cert(x=x, sigma=list(sigma), lhs=lhs, rhs=rhs, gap=gap)
-    return None
-
-
-def _chk_time_invariance(ev, rng, tol, transform, trial):
-    x = random_stream(rng)
-    lhs, rhs = ev(shift_left(x)), ev(x)
-    gap = abs(lhs - rhs)
-    if gap > tol:
-        return _cert(x=x, lhs=lhs, rhs=rhs, gap=gap)
-    return None
+def _judge_permuted(ev, tol, transform, x, d, sigma):
+    """The premised conclusion for d permuted by sigma: a finite bijection,
+    or ``"pairwise_swap"`` for the whole-sequence pair swap."""
+    moved = pairwise_swap(d) if sigma == "pairwise_swap" else permute(d, sigma)
+    return _premised(ev, tol, x, d, moved)
 
 
 #: Mixes per batch of the continuity scan: large enough that numpy's fixed
@@ -373,58 +382,78 @@ def _each(ev, xs):
     return ev.many(xs) if isinstance(ev, _Evaluator) else map(ev, xs)
 
 
-def _chk_continuity_segment(ev, rng, tol, transform, trial, grid: int = 10001):
-    """Falsification proxy: scan alpha -> I(alpha x + (1-alpha) z) for jumps
-    beyond the 1-Lipschitz allowance plus a 1e-6 slack.  The mixes are
-    built and evaluated ``_SCAN_CHUNK`` at a time."""
-    x, z = random_stream(rng), random_stream(rng)
+def _judge_continuity_segment(ev, tol, transform, x, z):
+    """Falsification proxy: scan alpha -> I(alpha x + (1-alpha) z) on a
+    10^4-step grid for jumps beyond the 1-Lipschitz allowance plus a 1e-6
+    slack.  The mixes are built and evaluated ``_SCAN_CHUNK`` at a time."""
+    grid = 10001
     slack = sup_distance(x, z) / (grid - 1) + 1e-6
     prev = ev(z)
     for start in range(1, grid, _SCAN_CHUNK):
         lams = [i / (grid - 1) for i in range(start, min(start + _SCAN_CHUNK, grid))]
         for lam, cur in zip(lams, _each(ev, mixtures(x, z, lams))):
             if abs(cur - prev) > slack:
-                return _cert(x=x, z=z, alpha=lam, lhs=cur, rhs=prev,
-                             gap=abs(cur - prev) - slack)
+                return {"alpha": lam, "lhs": cur, "rhs": prev,
+                        "gap": abs(cur - prev) - slack}
             prev = cur
     return None
 
 
-def _chk_monotone_continuity_proxy(ev, rng, tol, transform, trial):
+def _judge_monotone_continuity_proxy(ev, tol, transform, x):
     """Weak check: replacing the far tail with a low constant must
     eventually leave the value above I(x) - 0.5.  Only tail sets that
     truncate at the stream's own tail are representable here."""
-    x = random_stream(rng)
-    ix = ev(x)
-    theta = ix - 0.5
+    theta = ev(x) - 0.5
     k = inf_value(x) - 1.0
     n0 = len(x.prefix)
-    last = -np.inf
     for n in [n0 + s for s in (0, 5, 10, 20, 30, 50, 75, 100, 150, 200, 300, 400)]:
-        trunc = Stream(tuple(x.values(n)), Constant(k))
-        last = ev(trunc)
+        last = ev(Stream(tuple(x.values(n)), Constant(k)))
         if last > theta:
             return None
-    return _cert(x=x, k=k, theta=theta, lhs=last, rhs=theta, gap=theta - last)
+    return {"k": k, "theta": theta, "lhs": last, "rhs": theta, "gap": theta - last}
 
 
-_CHECKS: dict[str, Callable] = {
-    "monotonicity": _chk_monotonicity,
-    "continuity_segment": _chk_continuity_segment,
-    "icrp": _chk_icrp,
-    "convexity": _chk_convexity,
-    "isu": _chk_isu,
-    "iou": _chk_iou,
-    "monotone_continuity_proxy": _chk_monotone_continuity_proxy,
-    "idis": _chk_idis,
-    "itis": _chk_itis,
-    "ifpis": _chk_ifpis,
-    "ipis": _chk_ipis,
-    "patience": _chk_patience,
-    "time_invariance": _chk_time_invariance,
-    "lipschitz": _chk_lipschitz,
-    "normalization": _chk_normalization,
+#: axiom -> (draw, judge), in the order of AXIOM_IDS.
+_AXIOMS: dict[str, tuple[Callable, Callable]] = {
+    "monotonicity": (_draw_monotonicity, _judge_monotonicity),
+    "continuity_segment": (_draw("x", "z"), _judge_continuity_segment),
+    "icrp": (_draw("x", theta=_uniform(-5.0, 5.0)), _judge_icrp),
+    "convexity": (_draw("x", "y", lam=_uniform(0.0, 1.0)), _judge_convexity),
+    "isu": (_draw("x", a=_uniform(0.0, 4.0)), _judge_isu),
+    "iou": (_draw_iou, _judge_iou),
+    "monotone_continuity_proxy": (_draw("x"), _judge_monotone_continuity_proxy),
+    "idis": (_improving(), _judge_idis),
+    "itis": (_improving(_CANON_ITIS), _judge_itis),
+    "ifpis": (_improving(sigma=_permutation), _judge_permuted),
+    "ipis": (_improving(_CANON_IPIS, sigma=lambda rng: "pairwise_swap"), _judge_permuted),
+    "patience": (_draw("x", sigma=_permutation), _judge_patience),
+    "time_invariance": (_draw("x"), _judge_time_invariance),
+    "lipschitz": (_draw("x", "y"), _judge_lipschitz),
+    "normalization": (_draw(), _judge_normalization),
 }
+
+
+#: The axiom names; an axiom's index here salts its trial generators.
+AXIOM_IDS = tuple(_AXIOMS)
+
+
+def _check_id(axiom: str, has_transform: bool) -> None:
+    """A known axiom; itis needs a transform, and only itis takes one."""
+    if axiom not in _AXIOMS:
+        raise InvalidAxiom(f"unknown axiom {axiom!r}")
+    if axiom == "itis" and not has_transform:
+        raise InvalidAxiom("itis needs a transform, e.g. itis:scale:2 or itis:delay")
+    if axiom != "itis" and has_transform:
+        raise InvalidAxiom(f"only itis takes a transform, not {axiom!r}")
+
+
+def parse_axiom_id(text: str):
+    """(axiom, transform) from an axiom id: a bare axiom, or
+    ``itis:<transform>`` with a transform id of :func:`parse_transform`.
+    Raises :class:`InvalidAxiom` for any other text."""
+    axiom, colon, rest = text.partition(":")
+    _check_id(axiom, bool(colon))
+    return axiom, parse_transform(rest) if colon else None
 
 
 def check_axiom(criterion, axiom: str, trials: int, seed: int,
@@ -432,76 +461,44 @@ def check_axiom(criterion, axiom: str, trials: int, seed: int,
     """Run the quantified check for one axiom on seeded instances.
 
     Raises:
-        InvalidAxiom: unknown axiom id, missing itis transform, trials < 1.
+        InvalidAxiom: unknown axiom id, a transform missing on itis or
+        given to any other axiom, trials < 1.
     """
-    if axiom not in _CHECKS:
-        raise InvalidAxiom(f"unknown axiom {axiom!r}")
-    if axiom == "itis" and transform is None:
-        raise InvalidAxiom("itis carries its transformation; pass transform=")
-    if trials < 1:
-        raise InvalidAxiom(f"trials must be >= 1, got {trials}")
+    _check_id(axiom, transform is not None)
     ev = as_evaluator(criterion)
-    salt = AXIOM_IDS.index(axiom)
-    seed = int(seed) % (2 ** 63)
-    passes = 0
-    violation: dict | None = None
-    for i in range(trials):
-        rng = np.random.default_rng([salt, seed, i])
-        v = _CHECKS[axiom](ev, rng, tol, transform, i)
-        if v is None:
-            passes += 1
-        elif violation is None:
-            violation = {**v, "trial": i}
-    return AxiomReport(axiom=axiom, trials=trials, passes=passes,
-                       violation=violation, seed=seed, tol=tol,
-                       transform=transform.label if transform is not None else None)
+    draw, judge = _AXIOMS[axiom]
+
+    def trial(rng, i):
+        instance = draw(ev, rng, transform, i)
+        verdict = judge(ev, tol, transform, **instance)
+        return None if verdict is None else {**_cert(**instance), **verdict}
+
+    return _run_trials(axiom, AXIOM_IDS.index(axiom), trials, seed, tol, trial,
+                       None if transform is None else transform.label)
 
 
 def replay_violation(criterion, report: AxiomReport) -> float:
-    """Recompute a certificate's gap from its stored instance.
+    """Recompute a certificate's gap: judge its decoded instance again at
+    the report's tolerance, which returns the reported gap bit for bit.
+    The judge's parameters after (ev, tol, transform) name the instance.
 
-    Used to confirm that reported violations are sound: the replayed gap
-    must exceed the report tolerance.
+    Raises:
+        InvalidAxiom: no violation; a key that is not an axiom id (a
+        registry or unanimity report, or itis under a MatrixTransform,
+        whose label ``matrix:N`` carries no entries); or an instance that
+        no longer violates the axiom.
     """
-    from .streams import stream_from_dict
-
     if report.violation is None:
         raise InvalidAxiom("report has no violation to replay")
-    ev = as_evaluator(criterion)
+    axiom, transform = parse_axiom_id(report.key)
+    _, judge = _AXIOMS[axiom]
     cert = report.violation
-    get = lambda key: stream_from_dict(cert[key])
-    ax = report.axiom
-    if ax == "monotonicity":
-        return ev(get("y")) - ev(get("x"))
-    if ax == "icrp":
-        return abs(ev(scale_translate(get("x"), 1.0, cert["theta"])) - ev(get("x")) - cert["theta"])
-    if ax == "convexity":
-        x, y, lam = get("x"), get("y"), cert["lam"]
-        mix = add(scale_translate(x, lam), scale_translate(y, 1.0 - lam))
-        return min(ev(x), ev(y)) - ev(mix)
-    if ax == "isu":
-        return abs(ev(scale_translate(get("x"), cert["a"])) - cert["a"] * ev(get("x")))
-    if ax == "iou":
-        return abs(ev(add(get("x"), get("z"))) - ev(add(get("y"), get("z"))))
-    if ax == "lipschitz":
-        x, y = get("x"), get("y")
-        return abs(ev(x) - ev(y)) - sup_distance(x, y)
-    if ax == "normalization":
-        return abs(ev(constant_stream(1.0)) - 1.0)
-    if ax == "idis":
-        return ev(get("x")) - ev(add(get("x"), delay(get("d"))))
-    if ax == "itis":
-        t = parse_transform(report.transform)
-        return ev(get("x")) - ev(add(get("x"), t.apply(get("d"))))
-    if ax == "ifpis":
-        return ev(get("x")) - ev(add(get("x"), permute(get("d"), cert["sigma"])))
-    if ax == "ipis":
-        return ev(get("x")) - ev(add(get("x"), pairwise_swap(get("d"))))
-    if ax == "patience":
-        return abs(ev(permute(get("x"), cert["sigma"])) - ev(get("x")))
-    if ax == "time_invariance":
-        return abs(ev(shift_left(get("x"))) - ev(get("x")))
-    raise InvalidAxiom(f"replay not supported for axiom {ax!r}")
+    instance = {k: stream_from_dict(cert[k]) if isinstance(cert[k], dict) else cert[k]
+                for k in list(inspect.signature(judge).parameters)[3:]}
+    verdict = judge(as_evaluator(criterion), report.tol, transform, **instance)
+    if verdict is None:
+        raise InvalidAxiom(f"the {report.key} certificate no longer violates")
+    return verdict["gap"]
 
 
 # ---------------------------------------------------------------------------

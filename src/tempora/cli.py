@@ -21,23 +21,21 @@ from .discounting import (BanachWindow, Cesaro, Edu, Inf, Liminf, Maxmin,
                           Variational, cost_eval, discounted_value, evaluate,
                           minimize_over_delta)
 from .eigen import adjoint, invariant_structure
-from .errors import (InvalidAxiom, NoInvariantFound, NonConvergence,
-                     ParseError, RegressionFailure, TemporaError)
+from .errors import (NoInvariantFound, NonConvergence, ParseError,
+                     RegressionFailure, TemporaError)
 from .panel import recover_cost
 
 #: Default axiom battery; itis is exercised with the doubling transform,
 #: the canonical way to break criteria whose adjoint inflates total mass.
-BATTERY: tuple[tuple[str, str | None], ...] = (
-    ("monotonicity", None), ("icrp", None), ("convexity", None),
-    ("isu", None), ("iou", None), ("lipschitz", None),
-    ("normalization", None), ("idis", None), ("itis", "scale:2"),
-    ("ifpis", None), ("ipis", None), ("patience", None),
-    ("time_invariance", None),
+BATTERY: tuple[str, ...] = (
+    "monotonicity", "icrp", "convexity", "isu", "iou", "lipschitz",
+    "normalization", "idis", "itis:scale:2", "ifpis", "ipis", "patience",
+    "time_invariance",
 )
 
 _UNIVERSAL = frozenset({"monotonicity", "icrp", "convexity", "lipschitz",
                         "normalization"})
-_ALL_BATTERY = frozenset(a if t is None else f"{a}:{t}" for a, t in BATTERY)
+_ALL_BATTERY = frozenset(BATTERY)
 
 #: Axioms each criterion family is expected to satisfy on this stream
 #: class; a reported violation of anything listed here is an unexpected
@@ -158,37 +156,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_axiom_id(text: str):
-    if ":" in text:
-        name, _, rest = text.partition(":")
-        if name != "itis":
-            raise InvalidAxiom(f"only itis takes a transform, got {text!r}")
-        return name, ax.parse_transform(rest)
-    if text == "itis":
-        raise InvalidAxiom("itis needs a transform, e.g. itis:scale:2 or itis:delay")
-    if text not in ax.AXIOM_IDS:
-        raise InvalidAxiom(f"unknown axiom {text!r}")
-    return text, None
-
-
 def _cmd_axioms(args) -> int:
     data = jsonio.load_json_file(args.criterion)
     criterion = jsonio.criterion_from_dict(data)
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.axiom is not None:
-        name, transform = _parse_axiom_id(args.axiom)
-        plan = [(name, transform)]
-    else:
-        plan = [(a, None if t is None else ax.parse_transform(t)) for a, t in BATTERY]
+    plan = [ax.parse_axiom_id(i) for i in (BATTERY if args.axiom is None else [args.axiom])]
     reports = [ax.check_axiom(criterion, name, trials=args.trials, seed=seed,
                               transform=transform)
                for name, transform in plan]
     expected = EXPECTED_PASS[criterion.tag]
-    unexpected = []
-    for rep in reports:
-        key = rep.axiom if rep.transform is None else f"{rep.axiom}:{rep.transform}"
-        if rep.violation is not None and key in expected:
-            unexpected.append(key)
+    unexpected = [rep.key for rep in reports
+                  if rep.violation is not None and rep.key in expected]
     _print_json({
         "criterion": data,
         "trials": args.trials,

@@ -25,13 +25,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .axioms import AxiomReport, random_stream
+from .axioms import AxiomReport, _at_least, _cert, _run_trials, random_stream
 from .discounting import (IndicatorSet, Variational, as_evaluator,
                           discounted_value)
 from .errors import InvalidDelta, InvalidPanel
 from .patient import inf_value
 from .streams import (Constant, Stream, add, constant_stream, make_stream,
-                      scale_translate, stream_to_dict)
+                      scale_translate)
 
 _RATE_CAP = 0.20
 #: Parent (mu, sigma) of the normal whose truncation to (0, _RATE_CAP] has
@@ -111,16 +111,12 @@ def check_unanimity(panel: ExpertPanel, criterion, trials: int, seed: int,
     I(x) >= I(y) - tol.  Each trial additionally fires a probe at an
     off-panel center with escalating scales: unanimity forces the probe's
     value to reach the best constant all experts accept, which any finite
-    off-panel cost eventually fails.
+    off-panel cost eventually fails.  Raises :class:`InvalidAxiom` for
+    trials < 1.
     """
     ev = as_evaluator(criterion)
-    seed = int(seed) % (2 ** 63)
-    passes = 0
-    violation: dict | None = None
-    for i in range(trials):
-        rng = np.random.default_rng([977, seed, i])
-        cert = None
 
+    def trial(rng, i):
         y = random_stream(rng)
         bump = unanimity_probe(float(rng.uniform(0.0, 1.0)),
                                float(rng.uniform(0.1, 3.0)))
@@ -128,31 +124,20 @@ def check_unanimity(panel: ExpertPanel, criterion, trials: int, seed: int,
             u = random_stream(rng)
             bump = add(bump, scale_translate(u, 1.0, -inf_value(u)))
         x = add(y, bump)
-        lhs, rhs = ev(x), ev(y)
-        if lhs < rhs - tol:
-            cert = {"x": stream_to_dict(x), "y": stream_to_dict(y),
-                    "lhs": lhs, "rhs": rhs, "gap": rhs - lhs}
+        verdict = _at_least(ev(x), ev(y), tol)
+        if verdict is not None:
+            return {**_cert(x=x, y=y), **verdict}
+        center = _off_panel_center(panel, rng)
+        if center is None:
+            return None
+        theta = min((f - center) ** 2 for f in panel.factors)
+        for alpha in _PROBE_HUNT_ALPHAS:
+            verdict = _at_least(ev(unanimity_probe(center, alpha)), alpha * theta, tol)
+            if verdict is not None:
+                return {"probe_center": center, "alpha": alpha, **verdict}
+        return None
 
-        if cert is None:
-            center = _off_panel_center(panel, rng)
-            if center is not None:
-                theta = min((f - center) ** 2 for f in panel.factors)
-                for alpha in _PROBE_HUNT_ALPHAS:
-                    probe = unanimity_probe(center, alpha)
-                    value = ev(probe)
-                    floor = alpha * theta
-                    if value < floor - tol:
-                        cert = {"probe_center": center, "alpha": alpha,
-                                "lhs": value, "rhs": floor,
-                                "gap": floor - value}
-                        break
-
-        if cert is None:
-            passes += 1
-        elif violation is None:
-            violation = {**cert, "trial": i}
-    return AxiomReport(axiom="unanimity", trials=trials, passes=passes,
-                       violation=violation, seed=seed, tol=tol)
+    return _run_trials("unanimity", 977, trials, seed, tol, trial)
 
 
 def _off_panel_center(panel: ExpertPanel, rng: np.random.Generator,

@@ -7,7 +7,7 @@ import tempora.axioms as AX
 from tempora import (AXIOM_IDS, BanachWindow, Cesaro, Edu, Inf, Liminf,
                      Maxmin, PairwiseSwapTransform, Quadratic, ScaleTransform,
                      Variational, add, check_axiom, constant_stream, delay,
-                     discounted_value, evaluate, improving_pair,
+                     discounted_value, evaluate, improving_pair, parse_axiom_id,
                      parse_transform, random_stream, replay_violation,
                      run_counterexamples, scale_translate, stream_from_dict,
                      sup_distance)
@@ -151,29 +151,33 @@ def test_continuity_segment_smoke():
 
 
 # The per-point scan and conditional check as they were before the scan
-# was batched, kept verbatim as references.
+# was batched, kept as references.  Each is a judge: check_axiom draws the
+# instance and puts it ahead of the verdict returned here.
 
-def ref_continuity_segment(ev, rng, tol, transform, trial, grid=10001):
-    x, z = random_stream(rng), random_stream(rng)
+def ref_continuity_segment(ev, tol, transform, x, z, grid=10001):
     slack = sup_distance(x, z) / (grid - 1) + 1e-6
     prev = ev(z)
     for i in range(1, grid):
         lam = i / (grid - 1)
         cur = ev(add(scale_translate(x, lam), scale_translate(z, 1.0 - lam)))
         if abs(cur - prev) > slack:
-            return AX._cert(x=x, z=z, alpha=lam, lhs=cur, rhs=prev,
-                            gap=abs(cur - prev) - slack)
+            return {"alpha": lam, "lhs": cur, "rhs": prev, "gap": abs(cur - prev) - slack}
         prev = cur
     return None
 
 
-def ref_conditional_check(ev, x, d, transformed, tol):
+def ref_premised(ev, tol, x, d, transformed):
     if ev(add(x, d)) < ev(x) - 1e-12:
         return None
     lhs, rhs = ev(add(x, transformed)), ev(x)
     if lhs < rhs - tol:
-        return AX._cert(x=x, d=d, lhs=lhs, rhs=rhs, gap=rhs - lhs)
+        return {"lhs": lhs, "rhs": rhs, "gap": rhs - lhs}
     return None
+
+
+def use_ref_scan(monkeypatch):
+    draw, _ = AX._AXIOMS["continuity_segment"]
+    monkeypatch.setitem(AX._AXIOMS, "continuity_segment", (draw, ref_continuity_segment))
 
 
 #: One criterion per tag; maxmin and variational take the batched minimizer.
@@ -184,29 +188,36 @@ ONE_PER_TAG = [Edu(0.9), Maxmin(points=(0.3,), intervals=((0.4, 0.6),)),
 @pytest.mark.parametrize("k", ONE_PER_TAG, ids=lambda k: k.tag)
 def test_continuity_reports_match_the_per_point_scan(k, monkeypatch):
     got = [check_axiom(k, "continuity_segment", trials=2, seed=s).to_dict() for s in (0, 1)]
-    monkeypatch.setitem(AX._CHECKS, "continuity_segment", ref_continuity_segment)
+    use_ref_scan(monkeypatch)
     want = [check_axiom(k, "continuity_segment", trials=2, seed=s).to_dict() for s in (0, 1)]
     assert json.dumps(got) == json.dumps(want)
 
 
-def test_continuity_scan_of_a_plain_callable_finds_the_same_jump(monkeypatch):
-    # I(x) = D_0.5(x), plus 1 past the midpoint of the segment's two ends:
-    # a jump the scan must report at the same alpha, after the same calls.
-    seed = 3
+def planted_jump(seed, calls):
+    """I(x) = D_0.5(x), plus 1 past the midpoint of the two ends of the
+    segment that the continuity scan draws first under ``seed``."""
     rng = np.random.default_rng([AXIOM_IDS.index("continuity_segment"), seed, 0])
     x, z = random_stream(rng), random_stream(rng)
     mid = 0.5 * (discounted_value(x, 0.5) + discounted_value(z, 0.5))
     up = discounted_value(x, 0.5) > mid
-    calls = []
 
     def ev(y):
         calls.append(1)
         v = discounted_value(y, 0.5)
         return v + (1.0 if (v > mid) == up else 0.0)
 
+    return ev
+
+
+def test_continuity_scan_of_a_plain_callable_finds_the_same_jump(monkeypatch):
+    # The planted jump: the scan must report it at the same alpha, after
+    # the same calls.
+    seed = 3
+    calls = []
+    ev = planted_jump(seed, calls)
     got = check_axiom(ev, "continuity_segment", trials=1, seed=seed)
     n_got, calls[:] = len(calls), []
-    monkeypatch.setitem(AX._CHECKS, "continuity_segment", ref_continuity_segment)
+    use_ref_scan(monkeypatch)
     want = check_axiom(ev, "continuity_segment", trials=1, seed=seed)
     assert got.violation is not None and 0.0 < got.violation["alpha"] < 1.0
     for key in ("alpha", "lhs", "rhs", "gap"):
@@ -225,7 +236,7 @@ def test_conditional_check_evaluates_x_once():
     x = random_stream(np.random.default_rng(2))
     for d, expected in ((constant_stream(1.0), 3), (constant_stream(-1.0), 2)):
         calls.clear()
-        assert AX._conditional_check(ev, x, d, delay(d), 1e-9) is None
+        assert AX._premised(ev, 1e-9, x, d, delay(d)) is None
         assert len(calls) == expected       # 4 and 2 when I(x) ran twice
 
 
@@ -234,7 +245,7 @@ def test_conditional_reports_are_unchanged(k, monkeypatch):
     runs = [("itis", ScaleTransform(2.0)), ("itis", DelayTransform()), ("ifpis", None),
             ("ipis", None)]
     got = [check_axiom(k, a, trials=20, seed=4, transform=t).to_dict() for a, t in runs]
-    monkeypatch.setattr(AX, "_conditional_check", ref_conditional_check)
+    monkeypatch.setattr(AX, "_premised", ref_premised)
     want = [check_axiom(k, a, trials=20, seed=4, transform=t).to_dict() for a, t in runs]
     assert json.dumps(got) == json.dumps(want)
 
@@ -243,6 +254,73 @@ def test_itis_with_delay_matches_idis():
     for k in (Edu(0.9), Variational(Quadratic(0.7, 1.0))):
         rep = check_axiom(k, "itis", trials=100, seed=9, transform=DelayTransform())
         assert rep.violation is None
+
+
+# ---------------------------------------------------------------------------
+# axiom ids and replay
+# ---------------------------------------------------------------------------
+
+ITIS_TRANSFORMS = [ScaleTransform(2.0), DelayTransform(), PairwiseSwapTransform(),
+                   PermuteTransform((1, 0, 2))]
+
+
+@pytest.mark.parametrize("k", ONE_PER_TAG, ids=lambda k: k.tag)
+def test_every_violation_replays_to_its_gap_bit_for_bit(k):
+    runs = [(a, None) for a in AXIOM_IDS if a not in ("itis", "continuity_segment")]
+    runs += [("itis", t) for t in ITIS_TRANSFORMS]
+    replayed = set()
+    for axiom, t in runs:
+        rep = check_axiom(k, axiom, trials=10, seed=0, transform=t)
+        if rep.violation is not None:
+            assert replay_violation(k, rep).hex() == rep.violation["gap"].hex(), rep.key
+            replayed.add(rep.key)
+    if k.tag == "inf":
+        assert {"monotone_continuity_proxy", "itis:scale:2"} <= replayed
+    if k.tag == "liminf":
+        assert "ipis" in replayed
+
+
+def test_a_continuity_jump_replays_to_its_gap_bit_for_bit():
+    ev = planted_jump(3, [])
+    rep = check_axiom(ev, "continuity_segment", trials=1, seed=3)
+    assert rep.violation is not None
+    assert replay_violation(ev, rep).hex() == rep.violation["gap"].hex()
+
+
+def test_reports_without_an_axiom_id_do_not_replay():
+    rep = check_axiom(Inf(), "itis", trials=1, seed=0,
+                      transform=MatrixTransform(2.0 * np.eye(2)))
+    assert rep.violation is not None and rep.key == "itis:matrix:2"
+    registry = next(r for r in run_counterexamples() if r.axiom == "strong_monotonicity")
+    for report in (rep, registry):
+        with pytest.raises(InvalidAxiom):
+            replay_violation(Inf(), report)
+
+
+@pytest.mark.parametrize("text", ["itis:scale:abc", "itis:permute:a,b", "itis:permute:",
+                                  "itis", "itis:", "itis:wat", "idis:delay", "nope",
+                                  "nope:delay"])
+def test_malformed_axiom_ids_raise_invalid_axiom(text):
+    with pytest.raises(InvalidAxiom):
+        parse_axiom_id(text)
+
+
+def test_axiom_ids_parse_to_axiom_and_transform():
+    assert parse_axiom_id("idis") == ("idis", None)
+    assert parse_axiom_id("itis:scale:2") == ("itis", ScaleTransform(2.0))
+    assert parse_axiom_id("itis:permute:1,0") == ("itis", PermuteTransform((1, 0)))
+
+
+def test_check_axiom_rejects_a_transform_it_would_ignore():
+    with pytest.raises(InvalidAxiom):
+        check_axiom(Edu(0.9), "idis", 3, 0, transform=ScaleTransform(2.0))
+
+
+def test_scale_labels_read_back_as_the_same_factor():
+    assert ScaleTransform(2.0).label == "scale:2"
+    assert ScaleTransform(1e6).label == "scale:1e+06"
+    for factor in (2.0, 0.5, 1e6, 2.1234567, 1.0 / 3.0):
+        assert parse_transform(ScaleTransform(factor).label) == ScaleTransform(factor)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tempora
-from tempora import Criterion, cli
-from tempora.axioms import AxiomReport
+from tempora import Criterion, Edu, cli
+from tempora.axioms import AxiomReport, check_axiom, parse_axiom_id
 from tempora.eigen import MAX_BUILTIN_DIM
 
 
@@ -285,6 +285,27 @@ def test_permutation_index_over_the_size_exits_two(files, capsys):
 def test_expected_pass_has_one_entry_per_criterion_tag():
     tags = [k.tag for k in typing.get_args(Criterion)]
     assert sorted(cli.EXPECTED_PASS) == sorted(tags) and len(set(tags)) == len(tags)
+
+
+def test_expected_passes_are_battery_ids():
+    # A mistyped id would turn an expected pass into an informative failure.
+    for tag, ids in cli.EXPECTED_PASS.items():
+        assert ids <= frozenset(cli.BATTERY), (tag, ids - frozenset(cli.BATTERY))
+
+
+def test_battery_report_keys_parse_back():
+    for axiom_id in cli.BATTERY:
+        axiom, transform = parse_axiom_id(axiom_id)
+        rep = check_axiom(Edu(0.9), axiom, trials=1, seed=0, transform=transform)
+        assert rep.key == axiom_id
+        axiom, transform = parse_axiom_id(rep.key)
+        assert (axiom, transform and transform.label) == (rep.axiom, rep.transform)
+
+
+@pytest.mark.parametrize("axiom_id", ["itis:scale:abc", "itis:permute:a,b", "itis:permute:"])
+def test_malformed_transform_id_exits_two(axiom_id, files, capsys):
+    assert_parse_error(*run(capsys, ["axioms", "--criterion", files["edu"], "--trials", "1",
+                                     "--axiom", axiom_id]))
 
 
 def test_cli_import_loads_no_scipy():

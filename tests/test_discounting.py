@@ -941,7 +941,7 @@ def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale,
 
 
 def test_most_brackets_are_certified_away_on_a_fixed_battery(monkeypatch):
-    from tempora.axioms import check_axiom, parse_transform
+    from tempora.axioms import check_axiom, parse_axiom_id
     from tempora.cli import BATTERY
 
     counts = {"scanned": 0, "searched": 0}
@@ -970,8 +970,9 @@ def test_most_brackets_are_certified_away_on_a_fixed_battery(monkeypatch):
     for _ in range(2):
         counts.update(scanned=0, searched=0)
         for seed in range(4):
-            for axiom, t in BATTERY:
-                check_axiom(k, axiom, 2, seed, transform=t and parse_transform(t))
+            for axiom_id in BATTERY:
+                axiom, t = parse_axiom_id(axiom_id)
+                check_axiom(k, axiom, 2, seed, transform=t)
         evaluate_many(k, lanes)
         runs.append(dict(counts))
     assert runs[0] == runs[1]

@@ -10,7 +10,7 @@ from tempora import (BanachWindow, Edu, ExpertPanel, Maxmin, Quadratic,
                      rate_to_factor, recover_cost, unanimity_probe,
                      weitzman_panel)
 from tempora.panel import _RATE_CAP, _SURVEY_MU, _SURVEY_SIGMA
-from tempora.errors import InvalidDelta, InvalidPanel
+from tempora.errors import InvalidAxiom, InvalidDelta, InvalidPanel
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +99,13 @@ def test_panel_criterion_satisfies_unanimity():
     rep = check_unanimity(panel, panel_criterion(panel), trials=60, seed=2)
     assert rep.violation is None
     assert rep.passes == rep.trials
+
+
+def test_unanimity_needs_a_trial():
+    panel = ExpertPanel(factors=(0.3, 0.6))
+    for trials in (0, -3):
+        with pytest.raises(InvalidAxiom):
+            check_unanimity(panel, panel_criterion(panel), trials=trials, seed=0)
 
 
 def test_finite_off_panel_cost_is_hunted_down():
