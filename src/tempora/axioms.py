@@ -33,12 +33,12 @@ import numpy as np
 
 from .discounting import (BanachWindow, Inf, Liminf, Maxmin, _Evaluator,
                           as_evaluator, discounted_value, evaluate)
-from .errors import InvalidAxiom, RegressionFailure
+from .errors import InvalidAxiom, InvalidPermutation, RegressionFailure
 from .patient import inf_value
-from .streams import (Constant, Periodic, Stream, _rotated, add,
-                      constant_stream, delay, make_stream, mixtures,
-                      pairwise_swap, permute, scale_translate, shift_left,
-                      stream_from_dict, stream_to_dict, sup_distance)
+from .streams import (Constant, Periodic, Stream, add, constant_stream, delay,
+                      inverse_permutation, make_stream, mixtures, pairwise_swap,
+                      permute, scale_translate, shift_left, stream_from_dict,
+                      stream_to_dict, sup_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,10 @@ class ScaleTransform:
 
     factor: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.factor < np.inf:
+            raise InvalidAxiom(f"scale factor must be finite and >= 0, got {self.factor!r}")
+
     @property
     def label(self) -> str:
         # The short form where it reads back as the same factor.
@@ -76,6 +80,12 @@ class PermuteTransform:
     """d -> d permuted by a finite bijection."""
 
     mapping: tuple[int, ...]
+
+    def __post_init__(self):
+        try:
+            inverse_permutation(self.mapping)
+        except InvalidPermutation as exc:
+            raise InvalidAxiom(str(exc)) from exc
 
     @property
     def label(self) -> str:
@@ -112,12 +122,12 @@ class MatrixTransform:
         return f"matrix:{self.matrix.shape[0]}"
 
     def apply(self, d: Stream) -> Stream:
-        n = self.matrix.shape[0]
-        ln = max(n, len(d.prefix))
-        vals = d.values(ln)
-        head = self.matrix @ np.asarray(vals[:n])
-        pre = tuple(float(v) for v in head) + tuple(vals[n:])
-        return Stream(pre, _rotated(d.tail, ln - len(d.prefix)))
+        # The window of d: up to where a cycle starts past the matrix, then one cycle.
+        k = self.matrix.shape[0]
+        n = max(k, len(d.prefix))
+        vals = d.values(n + d.period)
+        vals[:k] = (self.matrix @ np.asarray(vals[:k])).tolist()
+        return Stream(vals[:n], Periodic(vals[n:]))
 
 
 def parse_transform(text: str):

@@ -36,7 +36,8 @@ undercuts the grid's best value are searched; a search skipped could not
 have won, so the bits are those of searching them all.  Finite point sets
 and the knots of a tabulated cost (kinks of the objective) are enumerated
 exactly.  ``evaluate_many`` gives the same bits for many streams at once:
-it refines all their brackets in one lockstep golden-section search.
+from ``_LOCKSTEP_MIN`` kept brackets on, one piece's brackets of every
+stream are refined in one lockstep golden-section search.
 
 Everything here is a pure function of immutable inputs; independent
 (criterion, stream) evaluations can run concurrently without coordination.
@@ -53,7 +54,7 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
-from itertools import islice, repeat
+from itertools import repeat
 from operator import mul
 from typing import Callable, ClassVar, Iterable, Union
 
@@ -172,29 +173,24 @@ def _denoms(d: np.ndarray, p: np.ndarray | int) -> np.ndarray:
 
 
 class _Grid:
-    """The stream-independent factors of D_delta over an array of factors.
-
-    ``d`` is the array itself; ``dd`` is ``d`` with any 1.0 replaced by 0.5
-    (those entries are overwritten by the tail mean).  ``power(n)`` (dd^n)
-    and ``denom(p)`` (1 - dd^p) are memoised read-only per prefix length
-    and per period, at most ``_MEMO_CAP`` of each.
+    """The stream-independent factors of D_delta on an array ``d`` of
+    factors in [0, 1): ``power(n)`` (d^n) and ``denom(p)`` (1 - d^p) are
+    memoised read-only per prefix length and per period, at most
+    ``_MEMO_CAP`` of each.
     """
 
-    __slots__ = ("d", "dd", "at_one", "_pow", "_denom")
+    __slots__ = ("d", "_pow", "_denom")
 
     def __init__(self, d: np.ndarray):
         self.d = _frozen(d)
-        at_one = d == 1.0
-        self.at_one = at_one if at_one.any() else None
-        self.dd = d if self.at_one is None else _frozen(np.where(at_one, 0.5, d))
         self._pow: dict[int, np.ndarray] = {}
         self._denom: dict[int, np.ndarray] = {}
 
     def power(self, n: int) -> np.ndarray:
-        return _memoised(self._pow, n, lambda: _powers(self.dd.tolist(), repeat(n)))
+        return _memoised(self._pow, n, lambda: _powers(self.d.tolist(), repeat(n)))
 
     def denom(self, p: int) -> np.ndarray:
-        return _memoised(self._denom, p, lambda: _denoms(self.dd, p))
+        return _memoised(self._denom, p, lambda: _denoms(self.d, p))
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE)
@@ -244,18 +240,21 @@ def discounted_value_grid(x: Stream, deltas: np.ndarray | _Grid) -> np.ndarray:
     ``deltas`` is an array-like of factors in [0, 1], or a cached grid
     geometry from the minimizer, whose factors are already known valid.
     """
+    at_one = None
     if isinstance(deltas, _Grid):
         g = deltas
     else:
         d = np.array(deltas, dtype=float, ndmin=1)
         if d.size and (d.min() < 0.0 or d.max() > 1.0 or np.isnan(d).any()):
             raise InvalidDelta("discount factors must lie in [0, 1]")
-        g = _Grid(d)
+        # D_1 is the tail mean: the closed form runs at 0.5 there instead.
+        at_one = d == 1.0
+        g = _Grid(np.where(at_one, 0.5, d))
     periodic = x.period > 1
-    out = _dv_array(x.prefix, x.tail_cycle, periodic, x.tail_cycle[0], g.dd,
+    out = _dv_array(x.prefix, x.tail_cycle, periodic, x.tail_cycle[0], g.d,
                     g.power(len(x.prefix)), g.denom(x.period) if periodic else None)
-    if g.at_one is not None:
-        out = np.where(g.at_one, _tail_mean(x), out)
+    if at_one is not None:
+        out[at_one] = _tail_mean(x)
     return out
 
 
@@ -734,47 +733,44 @@ def _undercutting(x: Stream, piece: _Piece, candidates: list, brackets: list, en
     return kept
 
 
-def _minimize_on_interval(x: Stream, piece: _Piece, nodes: int) -> tuple[float, float]:
-    """Grid scan plus golden refinement of D_delta(x) + cost on one piece.
-
-    See :func:`_scan` for the candidates and brackets; each bracket that
-    :func:`_undercutting` keeps gets one scalar golden-section search.
-    Returns (argmin, value); ties resolve to the smallest argmin.
-    """
+def _objective(x: Stream, piece: _Piece) -> Callable[[float], float]:
+    """d -> D_d(x) + cost(d) at one factor."""
     dv, cost = _dv_scalar(x), piece.scalar
+    return lambda d: dv(d) + cost(d)
 
-    def objective(d: float) -> float:
-        return dv(d) + cost(d)
 
+#: Fewest kept brackets refined by one lockstep search instead of one
+#: scalar search each; below it numpy's fixed cost per call loses to
+#: scalar golden steps.  Measured: the two break even between 64 and 112
+#: brackets for quadratic, tabulated and interval pieces, at about 170
+#: for an interval piece on random streams.
+_LOCKSTEP_MIN = 96
+
+
+def _minimize_on_interval(xs: list[Stream], piece: _Piece,
+                          nodes: int) -> list[tuple[float, float]]:
+    """Grid scan plus golden refinement of D_delta(x) + cost on one piece,
+    for each stream x of ``xs``.
+
+    See :func:`_scan` for the candidates and brackets.  The brackets that
+    :func:`_undercutting` keeps get one scalar golden-section search each,
+    or, from ``_LOCKSTEP_MIN`` of them on, one lockstep search together,
+    with the same bits.  Returns (argmin, value) per stream; ties resolve
+    to the smallest argmin.
+    """
     if piece.b <= piece.a:
-        return piece.a, objective(piece.a)
-    candidates, brackets, ends = _scan(x, piece, nodes)
-    for lo, hi in _undercutting(x, piece, candidates, brackets, ends):
-        d_star, v_star = _golden(objective, lo, hi)
-        candidates.append((v_star, d_star))
-    v_best, d_best = min(candidates)
-    return d_best, v_best
-
-
-def _minimize_lockstep(xs: list[Stream], piece: _Piece, nodes: int) -> list[tuple[float, float]]:
-    """:func:`_minimize_on_interval` for each stream, bit for bit: the same
-    grid scans and kept brackets, then all of them in one lockstep search."""
+        return [(piece.a, _objective(x, piece)(piece.a)) for x in xs]
     scans = [_scan(x, piece, nodes) for x in xs]
-    kept = [_undercutting(x, piece, *scan) for x, scan in zip(xs, scans)]
-    owners = [i for i, brackets in enumerate(kept) for _ in brackets]
-    lo, hi = np.array([br for brackets in kept for br in brackets]).T
-    found = iter(_golden_lockstep(_Lanes(xs, piece.lanes).take(owners), lo, hi))
-    out = []
-    for (candidates, _, _), brackets in zip(scans, kept):
-        candidates += [(v_star, d_star) for d_star, v_star in islice(found, len(brackets))]
-        v_best, d_best = min(candidates)
-        out.append((d_best, v_best))
-    return out
-
-
-#: Fewest streams for which a piece is refined by the lockstep search;
-#: below it numpy's fixed cost per call loses to scalar golden steps.
-_LOCKSTEP_MIN = 24
+    kept = [(i, lo, hi) for i, (x, scan) in enumerate(zip(xs, scans))
+            for lo, hi in _undercutting(x, piece, *scan)]
+    if len(kept) >= _LOCKSTEP_MIN:
+        _, lo, hi = np.array(kept).T
+        found = _golden_lockstep(_Lanes([xs[i] for i, _, _ in kept], piece.lanes), lo, hi)
+    else:
+        found = [_golden(_objective(xs[i], piece), lo, hi) for i, lo, hi in kept]
+    for (i, _, _), (d_star, v_star) in zip(kept, found):
+        scans[i][0].append((v_star, d_star))
+    return [min(candidates)[::-1] for candidates, _, _ in scans]
 
 
 def _minimize_many(xs: list[Stream], c: CostFunction, nodes: int) -> list[tuple[float, float]]:
@@ -785,11 +781,7 @@ def _minimize_many(xs: list[Stream], c: CostFunction, nodes: int) -> list[tuple[
         raise InfeasibleCost("cost is identically infinite on [0, 1)")
     found = [[(discounted_value(x, d) + k, d) for d, k in c.isolated()] for x in xs]
     for piece in c.pieces:
-        if len(xs) < _LOCKSTEP_MIN or piece.b <= piece.a:
-            best = [_minimize_on_interval(x, piece, nodes) for x in xs]
-        else:
-            best = _minimize_lockstep(xs, piece, nodes)
-        for candidates, (d_star, v_star) in zip(found, best):
+        for candidates, (d_star, v_star) in zip(found, _minimize_on_interval(xs, piece, nodes)):
             candidates.append((v_star, d_star))
     return [min(candidates)[::-1] for candidates in found]
 
@@ -955,9 +947,10 @@ def evaluate_many(k: Criterion, xs: Iterable[Stream], nodes: int = 2001) -> list
     """``[evaluate(k, x, nodes) for x in xs]``, bit for bit.
 
     Maxmin and variational criteria scan each stream's grid as ``evaluate``
-    does, then refine the golden-section brackets of all the streams in one
-    lockstep search (from ``_LOCKSTEP_MIN`` streams on); the other criteria
-    evaluate one stream at a time.
+    does, then refine the golden-section brackets kept on a piece, of all
+    the streams together, in one lockstep search once there are
+    ``_LOCKSTEP_MIN`` of them (one search each below that); the other
+    criteria evaluate one stream at a time.
     """
     if not isinstance(k, _Criterion):
         raise InvalidCriterion(f"not a criterion: {k!r}")

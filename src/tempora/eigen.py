@@ -129,6 +129,7 @@ def invariant_structure(mstar: OperatorMatrix, *, tol: float = 1e-10,
     else the vertex of the first all-zero column of M.
 
     Raises:
+        InvalidOperator: if <1, M p> overflows.
         NonConvergence: if the residual never drops below ``tol`` within
             ``max_iter`` iterations (the message carries the last residual).
         NoInvariantFound: if the zero-eigenvalue branch is reached but the
@@ -151,8 +152,12 @@ def invariant_structure(mstar: OperatorMatrix, *, tol: float = 1e-10,
         if cesaro_averaging:
             candidates.insert(0, running_sum / running_sum.sum())
         for cand in candidates:
-            q = mstar.entries @ cand
-            lam = float(q.sum())
+            with np.errstate(over="ignore"):
+                q = mstar.entries @ cand
+                lam = float(q.sum())
+            if not np.isfinite(lam):
+                raise InvalidOperator(f"<1, M p> overflows at iteration {it}: "
+                                      "the matrix entries are too large")
             residual = float(np.abs(q - lam * cand).sum())
             if residual <= tol:
                 return EigenResult(DiscountVector(cand), lam, residual, it)
@@ -213,8 +218,8 @@ def builtin_operator(name: str, n: int, *, sigma=None, factor: float | None = No
         for i in range(n):
             m[i, mapping[i]] = 1.0
     elif name == "scaling":
-        if factor is None or factor < 0:
-            raise InvalidOperator("scaling operator needs a factor >= 0")
+        if factor is None or not 0 <= factor < np.inf:
+            raise InvalidOperator(f"scaling operator needs a finite factor >= 0, got {factor!r}")
         m = float(factor) * np.eye(n)
     else:
         raise InvalidOperator(f"unknown builtin operator {name!r}")

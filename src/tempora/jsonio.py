@@ -62,7 +62,10 @@ def operator_from_dict(data: dict) -> OperatorMatrix:
     with decoding(tag):
         if tag == "matrix":
             return OperatorMatrix(np.asarray(body, dtype=float))
-        return builtin_operator(body["name"], int(body["n"]), sigma=body.get("sigma"),
+        n = body["n"]
+        if type(n) is not int:
+            raise ParseError(f"operator dimension must be an integer, got {n!r}", field="n")
+        return builtin_operator(body["name"], n, sigma=body.get("sigma"),
                                 factor=body.get("factor"))
 
 

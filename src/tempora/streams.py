@@ -12,6 +12,11 @@ constant tail, cycles are reduced to their minimal period, and prefix
 entries that merely replay the tail are absorbed into it.  Canonicalization
 never changes pointwise values, so two streams are equal (``==``) exactly
 when they agree at every index.
+
+Every pointwise operation reads its operands' values on one aligned
+window, ``[0, n + lcm(periods))`` with ``n`` the longest prefix, maps
+them to ``vals`` and returns ``Stream(vals[:n], Periodic(vals[n:]))``:
+the constructor does the rest, so no operation has tail branches.
 """
 
 from __future__ import annotations
@@ -71,32 +76,16 @@ def _minimal_cycle(cycle: Sequence[float]) -> tuple[float, ...]:
 def canonicalize_tail(tail: TailSpec) -> TailSpec:
     """Phase-free normal form of a tail.
 
-    Reduces a periodic cycle to its minimal period, folds length-1 cycles
-    into :class:`Constant`, and stores the cycle in its lexicographically
+    The tail of ``Stream((), tail)`` (minimal period, length-1 cycles
+    folded into :class:`Constant`), with the cycle in its lexicographically
     least rotation (the tie-breaking rule for comparing tails regardless of
     where the prefix ends).
     """
+    tail = Stream((), tail).tail
     if isinstance(tail, Constant):
         return tail
-    cyc = _minimal_cycle(tail.cycle)
-    if len(cyc) == 1:
-        return Constant(cyc[0])
-    best = min(cyc[k:] + cyc[:k] for k in range(len(cyc)))
-    return Periodic(best)
-
-
-def _tail_at(tail: TailSpec, k: int) -> float:
-    if isinstance(tail, Constant):
-        return tail.value
-    return tail.cycle[k % len(tail.cycle)]
-
-
-def _rotated(tail: TailSpec, k: int) -> TailSpec:
-    """Tail as seen after advancing its phase by ``k`` steps."""
-    if isinstance(tail, Constant) or k % len(tail.cycle) == 0:
-        return tail
-    r = k % len(tail.cycle)
-    return Periodic(tail.cycle[r:] + tail.cycle[:r])
+    cyc = tail.cycle
+    return Periodic(min(cyc[k:] + cyc[:k] for k in range(len(cyc))))
 
 
 @dataclass(frozen=True)
@@ -115,25 +104,18 @@ class Stream:
         pre = list(map(float, self.prefix))
         if not all(map(math.isfinite, pre)):
             raise InvalidStream("non-finite value in stream prefix")
-        tail = self.tail
-        if not isinstance(tail, (Constant, Periodic)):
-            raise InvalidStream(f"not a tail spec: {tail!r}")
-        if isinstance(tail, Periodic):
-            cyc = list(_minimal_cycle(tail.cycle))
-            if len(cyc) == 1:
-                tail = Constant(cyc[0])
-        if isinstance(tail, Constant):
-            while pre and pre[-1] == tail.value:
-                pre.pop()
-        else:
-            # Absorb prefix entries that already follow the cycle; each
-            # absorbed entry rotates the cycle's phase back by one.
-            while pre and pre[-1] == cyc[-1]:
-                pre.pop()
-                cyc.insert(0, cyc.pop())
-            tail = Periodic(tuple(cyc))
+        if not isinstance(self.tail, (Constant, Periodic)):
+            raise InvalidStream(f"not a tail spec: {self.tail!r}")
+        cyc = list(_minimal_cycle(self.tail_cycle))
+        # Absorb prefix entries that already follow the cycle; each
+        # absorbed entry rotates the cycle's phase back by one.
+        while pre and pre[-1] == cyc[-1]:
+            pre.pop()
+            cyc.insert(0, cyc.pop())
         object.__setattr__(self, "prefix", tuple(pre))
-        object.__setattr__(self, "tail", tail)
+        # A tail given in canonical form is kept as it is.
+        if isinstance(self.tail, Periodic) and (len(cyc) == 1 or tuple(cyc) != self.tail.cycle):
+            object.__setattr__(self, "tail", Constant(cyc[0]) if len(cyc) == 1 else Periodic(tuple(cyc)))
 
     # -- accessors ---------------------------------------------------------
 
@@ -152,8 +134,10 @@ class Stream:
         return value_at(self, t)
 
     def values(self, n: int) -> list[float]:
-        """First ``n`` terms, materialized."""
-        return [value_at(self, t) for t in range(n)]
+        """First ``n`` terms, materialized: the prefix, then the cycle
+        repeated as often as needed (none for ``n <= 0``)."""
+        rest, cyc = max(n - len(self.prefix), 0), self.tail_cycle
+        return list(self.prefix[:max(n, 0)]) + list(cyc * (rest // len(cyc) + 1))[:rest]
 
     def sup_norm(self) -> float:
         vals = list(self.prefix) + list(self.tail_cycle)
@@ -187,30 +171,27 @@ def value_at(x: Stream, t: int) -> float:
         raise InvalidStream(f"negative time index {t}")
     if t < len(x.prefix):
         return x.prefix[t]
-    return _tail_at(x.tail, t - len(x.prefix))
+    return x.tail_cycle[(t - len(x.prefix)) % x.period]
 
 
-def _aligned(x: Stream, y: Stream) -> tuple[int, TailSpec, TailSpec]:
-    n = max(len(x.prefix), len(y.prefix))
-    return (n,
-            _rotated(x.tail, n - len(x.prefix)),
-            _rotated(y.tail, n - len(y.prefix)))
+def _window(xs: Sequence[Stream], n: int = 0, q: int = 1) -> tuple[int, list[list[float]]]:
+    """The aligned window of ``xs``: the index ``n`` where a common cycle
+    starts (the longest prefix, and at least ``n``), and each stream's
+    values on [0, n + lcm(q, periods))."""
+    for x in xs:
+        n, q = max(n, len(x.prefix)), math.lcm(q, x.period)
+    return n, [x.values(n + q) for x in xs]
 
 
 def add(x: Stream, y: Stream) -> Stream:
     """Exact pointwise sum.
 
-    Prefixes align to the longer one; two constant tails sum to a constant
-    tail, otherwise the result cycles with period lcm of the tail periods.
+    The result cycles from the longer prefix on, with period dividing the
+    lcm of the tail periods.
     """
-    n, tx, ty = _aligned(x, y)
-    pre = tuple(value_at(x, t) + value_at(y, t) for t in range(n))
-    if isinstance(tx, Constant) and isinstance(ty, Constant):
-        tail: TailSpec = Constant(tx.value + ty.value)
-    else:
-        q = math.lcm(x.period, y.period)
-        tail = Periodic(tuple(_tail_at(tx, k) + _tail_at(ty, k) for k in range(q)))
-    return Stream(pre, tail)
+    n, (vx, vy) = _window((x, y))
+    vals = [a + b for a, b in zip(vx, vy)]
+    return Stream(vals[:n], Periodic(vals[n:]))
 
 
 def scale_translate(x: Stream, a: float, theta: float = 0.0) -> Stream:
@@ -221,12 +202,9 @@ def scale_translate(x: Stream, a: float, theta: float = 0.0) -> Stream:
     """
     if a < 0:
         raise InvalidScale(f"scale factor must be >= 0, got {a}")
-    pre = tuple(a * v + theta for v in x.prefix)
-    if isinstance(x.tail, Constant):
-        tail: TailSpec = Constant(a * x.tail.value + theta)
-    else:
-        tail = Periodic(tuple(a * v + theta for v in x.tail.cycle))
-    return Stream(pre, tail)
+    n, (v,) = _window((x,))
+    vals = [a * t + theta for t in v]
+    return Stream(vals[:n], Periodic(vals[n:]))
 
 
 def mixtures(x: Stream, z: Stream, lams) -> list[Stream]:
@@ -234,8 +212,7 @@ def mixtures(x: Stream, z: Stream, lams) -> list[Stream]:
 
     Each is ``add(scale_translate(x, lam), scale_translate(z, 1 - lam))``:
     its values ``(lam * x_t + 0.0) + ((1 - lam) * z_t + 0.0)`` are computed
-    for every lam at once with numpy, over the longer prefix and one
-    common period, and canonicalized by :class:`Stream` as usual.
+    on the aligned window for every lam at once with numpy.
 
     Raises:
         InvalidScale: if a lam lies outside [0, 1].
@@ -243,9 +220,8 @@ def mixtures(x: Stream, z: Stream, lams) -> list[Stream]:
     lam = np.array(lams, dtype=float).reshape(-1, 1)
     if not ((lam >= 0.0) & (lam <= 1.0)).all():
         raise InvalidScale("mixing weights must lie in [0, 1]")
-    n = max(len(x.prefix), len(z.prefix))
-    m = n + math.lcm(x.period, z.period)
-    vals = (lam * np.array(x.values(m)) + 0.0) + ((1.0 - lam) * np.array(z.values(m)) + 0.0)
+    n, (vx, vz) = _window((x, z))
+    vals = (lam * np.array(vx) + 0.0) + ((1.0 - lam) * np.array(vz) + 0.0)
     return [Stream(row[:n], Periodic(row[n:])) for row in vals.tolist()]
 
 
@@ -256,9 +232,8 @@ def delay(x: Stream) -> Stream:
 
 def shift_left(x: Stream) -> Stream:
     """Drop the current period: (x_1, x_2, ...)."""
-    if x.prefix:
-        return Stream(x.prefix[1:], x.tail)
-    return Stream((), _rotated(x.tail, 1))
+    n, (v,) = _window((x,), n=1)
+    return Stream(v[1:n], Periodic(v[n:]))
 
 
 def _as_mapping(sigma, bound: int | None = None) -> tuple[int, ...]:
@@ -296,18 +271,14 @@ def permute(x: Stream, sigma) -> Stream:
     """Rearrange finitely many terms: result_t = x_{sigma(t)} for t < M.
 
     ``sigma`` must be a bijection on {0..M-1}; all indices >= M are fixed.
-    Tail values needed under the permutation are materialized into the
-    prefix first.
 
     Raises:
         InvalidPermutation: if sigma is not a bijection on its support.
     """
     mapping = _as_mapping(sigma)
-    m = len(mapping)
-    n = max(m, len(x.prefix))
-    pre = tuple(value_at(x, mapping[t]) if t < m else value_at(x, t)
-                for t in range(n))
-    return Stream(pre, _rotated(x.tail, n - len(x.prefix)))
+    n, (v,) = _window((x,), n=len(mapping))
+    vals = [v[s] for s in mapping] + v[len(mapping):]
+    return Stream(vals[:n], Periodic(vals[n:]))
 
 
 def inverse_permutation(sigma) -> tuple[int, ...]:
@@ -322,35 +293,21 @@ def pairwise_swap(x: Stream) -> Stream:
     """Swap every adjacent pair of terms: indices 2i and 2i+1, for all i.
 
     Unlike :func:`permute` this acts on the whole sequence, not a finite
-    window; the result is still eventually periodic.
+    window; the result is still eventually periodic.  Its window starts at
+    an even index and spans an even number of terms, so pairs stay inside.
     """
-    n = len(x.prefix)
-    ln = n + (n % 2)
-    vals = x.values(ln)
-    pre = tuple(vals[t + 1] if t % 2 == 0 else vals[t - 1] for t in range(ln))
-    tail = _rotated(x.tail, ln - n)
-    if isinstance(tail, Periodic):
-        p = len(tail.cycle)
-        q = math.lcm(p, 2)
-        tail = Periodic(tuple(tail.cycle[(k + 1) % p] if k % 2 == 0
-                              else tail.cycle[(k - 1) % p] for k in range(q)))
-    return Stream(pre, tail)
+    n, (v,) = _window((x,), n=len(x.prefix) + len(x.prefix) % 2, q=2)
+    vals = [v[t ^ 1] for t in range(len(v))]
+    return Stream(vals[:n], Periodic(vals[n:]))
 
 
 def sup_distance(x: Stream, y: Stream) -> float:
     """Exact sup over t of |x_t - y_t|.
 
-    The sup is attained on the aligned prefix or within one lcm window of
-    the two tails, so a finite scan is exact.
+    The sup is attained on the aligned window, so a finite scan is exact.
     """
-    n, tx, ty = _aligned(x, y)
-    q = math.lcm(x.period, y.period)
-    best = 0.0
-    for t in range(n):
-        best = max(best, abs(value_at(x, t) - value_at(y, t)))
-    for k in range(q):
-        best = max(best, abs(_tail_at(tx, k) - _tail_at(ty, k)))
-    return best
+    _, (vx, vy) = _window((x, y))
+    return max(abs(a - b) for a, b in zip(vx, vy))
 
 
 # -- JSON encoding ----------------------------------------------------------

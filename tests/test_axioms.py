@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -314,6 +315,13 @@ def test_axiom_ids_parse_to_axiom_and_transform():
 def test_check_axiom_rejects_a_transform_it_would_ignore():
     with pytest.raises(InvalidAxiom):
         check_axiom(Edu(0.9), "idis", 3, 0, transform=ScaleTransform(2.0))
+
+
+@pytest.mark.parametrize("build", [lambda: ScaleTransform(math.inf), lambda: ScaleTransform(math.nan),
+                                   lambda: ScaleTransform(-1.0), lambda: PermuteTransform((0, 0))])
+def test_transform_payload_is_checked_when_built(build):
+    with pytest.raises(InvalidAxiom):
+        build()
 
 
 def test_scale_labels_read_back_as_the_same_factor():

@@ -269,6 +269,21 @@ def test_builtin_operator_over_the_bound_exits_two(files, capsys):
     assert_parse_error(*run(capsys, ["eigen", "--operator", op]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, reason", [
+    ('{"builtin": {"name": "scaling", "n": 3, "factor": 1e400}}', "finite factor >= 0, got inf"),
+    ('{"builtin": {"name": "scaling", "n": 2.5, "factor": 1.0}}', "integer, got 2.5"),
+    ('{"builtin": {"name": "cyclic_delay", "n": true}}', "integer, got True"),
+    ('{"matrix": [[1e308, 1e308], [1e308, 1e308]]}', "<1, M p> overflows"),
+])
+def test_operator_at_the_float_limit_exits_two(text, reason, files, capsys):
+    op = files["tmp"] / "op.json"
+    op.write_text(text)
+    code, out, err = run(capsys, ["eigen", "--operator", str(op)])
+    assert_parse_error(code, out, err)
+    assert reason in err
+
+
 def test_permutation_index_over_the_size_exits_two(files, capsys):
     op = write(files["tmp"] / "perm.json",
                {"builtin": {"name": "permutation", "n": 2, "sigma": [[0, 1000000000]]}})
@@ -302,10 +317,14 @@ def test_battery_report_keys_parse_back():
         assert (axiom, transform and transform.label) == (rep.axiom, rep.transform)
 
 
-@pytest.mark.parametrize("axiom_id", ["itis:scale:abc", "itis:permute:a,b", "itis:permute:"])
+@pytest.mark.parametrize("axiom_id", ["itis:scale:abc", "itis:permute:a,b", "itis:permute:",
+                                      "itis:scale:inf", "itis:scale:nan", "itis:scale:1e400",
+                                      "itis:scale:-1", "itis:permute:0,0"])
 def test_malformed_transform_id_exits_two(axiom_id, files, capsys):
-    assert_parse_error(*run(capsys, ["axioms", "--criterion", files["edu"], "--trials", "1",
-                                     "--axiom", axiom_id]))
+    code, out, err = run(capsys, ["axioms", "--criterion", files["edu"], "--trials", "1",
+                                  "--axiom", axiom_id])
+    assert_parse_error(code, out, err)
+    assert repr(axiom_id.removeprefix("itis:")) in err.splitlines()[0]
 
 
 def test_cli_import_loads_no_scipy():

@@ -501,10 +501,13 @@ def test_minimizer_matches_per_node_reference_bit_for_bit(rng):
 
 def test_grid_matches_reference_bit_for_bit(rng):
     grid = np.linspace(0.0, 1.0, 101)
+    # The minimizer's cached grids end below 1.
+    below_one = np.linspace(0.0, 1.0 - 1e-9, 101)
     for x in ref_streams(rng, 30):
         want = ref_discounted_value_grid(x, grid).tobytes()
         assert discounted_value_grid(x, grid).tobytes() == want
-        assert discounted_value_grid(x, _grid(0.0, 1.0, 101)).tobytes() == want
+        assert discounted_value_grid(x, _grid(0.0, 1.0 - 1e-9, 101)).tobytes() == \
+            ref_discounted_value_grid(x, below_one).tobytes()
         for d in (0.0, 0.37, 1.0):
             assert discounted_value(x, d) == ref_discounted_value(x, d)
 
@@ -539,7 +542,7 @@ def test_flat_objective_opens_three_searches_per_piece(monkeypatch, k):
 def test_cached_grid_is_read_only():
     g = _grid(0.4, 0.6, 2001)
     assert _grid(0.4, 0.6, 2001) is g
-    for arr in (g.d, g.dd, g.power(3), g.denom(2)):
+    for arr in (g.d, g.power(3), g.denom(2)):
         with pytest.raises(ValueError):
             arr[0] = 0.5
     assert g.d.tobytes() == np.linspace(0.4, 0.6, 2001).tobytes()
@@ -661,7 +664,7 @@ def test_evaluate_many_is_evaluate_bit_for_bit(rng):
     for k in MANY_CRITERIA:
         want = hex_bits(evaluate(k, x) for x in xs)
         assert hex_bits(evaluate_many(k, xs)) == want, k
-        # the scalar path below the lockstep threshold, and a batch of one
+        # a shorter batch, and a batch of one
         assert hex_bits(evaluate_many(k, xs[:D._LOCKSTEP_MIN - 1])) == want[:D._LOCKSTEP_MIN - 1]
         assert hex_bits(evaluate_many(k, xs[-1:])) == want[-1:]
 
@@ -707,6 +710,36 @@ def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
             assert (d.hex(), v.hex()) == (want_d.hex(), want_v.hex())
             periodic += xs[i].period > 1
     assert periodic > 500
+
+
+def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
+    piece = Quadratic(0.8, 3.0).pieces[0]
+    xs = many_streams(rng, 2 * D._LOCKSTEP_MIN)
+    kept = np.cumsum([len(D._undercutting(x, piece, *D._scan(x, piece, 2001))) for x in xs])
+    # The fewest streams whose brackets reach the threshold; one less falls short.
+    j = int(np.searchsorted(kept, D._LOCKSTEP_MIN)) + 1
+    assert kept[j - 2] < D._LOCKSTEP_MIN <= kept[j - 1]
+    calls = {"golden": 0, "lockstep": 0}
+    golden, lockstep = D._golden, D._golden_lockstep
+
+    def counted_golden(*args, **kwargs):
+        calls["golden"] += 1
+        return golden(*args, **kwargs)
+
+    def counted_lockstep(*args, **kwargs):
+        calls["lockstep"] += 1
+        return lockstep(*args, **kwargs)
+
+    monkeypatch.setattr(D, "_golden", counted_golden)
+    monkeypatch.setattr(D, "_golden_lockstep", counted_lockstep)
+    for batch, want in ((xs[:j - 1], {"golden": kept[j - 2], "lockstep": 0}),
+                        (xs[:j], {"golden": 0, "lockstep": 1})):
+        calls.update(golden=0, lockstep=0)
+        got = D._minimize_on_interval(batch, piece, 2001)
+        assert calls == want
+        assert [(d.hex(), v.hex()) for d, v in got] == \
+            [(d.hex(), v.hex()) for d, v in (D._minimize_on_interval([x], piece, 2001)[0]
+                                             for x in batch)]
 
 
 def test_piece_lanes_cost_has_the_scalar_bits(rng):

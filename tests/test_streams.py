@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,8 @@ from tempora import (Constant, Periodic, Stream, add, canonicalize_tail,
                      stream_from_dict, stream_to_dict, sup_distance, value_at)
 from tempora.errors import (InvalidPermutation, InvalidScale, InvalidStream,
                             ParseError)
-from tempora.streams import _minimal_cycle, inverse_permutation, mixtures
+from tempora.axioms import MatrixTransform
+from tempora.streams import _as_mapping, _minimal_cycle, inverse_permutation, mixtures
 
 from conftest import streams
 
@@ -394,3 +396,211 @@ def test_json_round_trip_extreme_doubles():
     x = make_stream([1e-300, -0.0, 1.0 + 2 ** -52], Periodic((1e15, -1e-15)))
     back = stream_from_dict(json.loads(json.dumps(stream_to_dict(x))))
     assert back == x
+
+
+# ---------------------------------------------------------------------------
+# the window form against the per-operation tail branches it replaced
+# ---------------------------------------------------------------------------
+#
+# The ref_* functions are the earlier code of each operation, verbatim but
+# for the names: every tail kind handled in its own branch, the tail's
+# phase rotated by hand, and values read one value_at call at a time.
+
+def _ref_tail_at(tail, k):
+    if isinstance(tail, Constant):
+        return tail.value
+    return tail.cycle[k % len(tail.cycle)]
+
+
+def _ref_rotated(tail, k):
+    if isinstance(tail, Constant) or k % len(tail.cycle) == 0:
+        return tail
+    r = k % len(tail.cycle)
+    return Periodic(tail.cycle[r:] + tail.cycle[:r])
+
+
+def ref_value_at(x, t):
+    if t < 0:
+        raise InvalidStream(f"negative time index {t}")
+    if t < len(x.prefix):
+        return x.prefix[t]
+    return _ref_tail_at(x.tail, t - len(x.prefix))
+
+
+def ref_values(x, n):
+    return [ref_value_at(x, t) for t in range(n)]
+
+
+def _ref_aligned(x, y):
+    n = max(len(x.prefix), len(y.prefix))
+    return (n,
+            _ref_rotated(x.tail, n - len(x.prefix)),
+            _ref_rotated(y.tail, n - len(y.prefix)))
+
+
+def ref_add(x, y):
+    n, tx, ty = _ref_aligned(x, y)
+    pre = tuple(ref_value_at(x, t) + ref_value_at(y, t) for t in range(n))
+    if isinstance(tx, Constant) and isinstance(ty, Constant):
+        tail = Constant(tx.value + ty.value)
+    else:
+        q = math.lcm(x.period, y.period)
+        tail = Periodic(tuple(_ref_tail_at(tx, k) + _ref_tail_at(ty, k) for k in range(q)))
+    return Stream(pre, tail)
+
+
+def ref_scale_translate(x, a, theta=0.0):
+    if a < 0:
+        raise InvalidScale(f"scale factor must be >= 0, got {a}")
+    pre = tuple(a * v + theta for v in x.prefix)
+    if isinstance(x.tail, Constant):
+        tail = Constant(a * x.tail.value + theta)
+    else:
+        tail = Periodic(tuple(a * v + theta for v in x.tail.cycle))
+    return Stream(pre, tail)
+
+
+def ref_mixtures(x, z, lams):
+    lam = np.array(lams, dtype=float).reshape(-1, 1)
+    if not ((lam >= 0.0) & (lam <= 1.0)).all():
+        raise InvalidScale("mixing weights must lie in [0, 1]")
+    n = max(len(x.prefix), len(z.prefix))
+    m = n + math.lcm(x.period, z.period)
+    vals = (lam * np.array(ref_values(x, m)) + 0.0) + ((1.0 - lam) * np.array(ref_values(z, m)) + 0.0)
+    return [Stream(row[:n], Periodic(row[n:])) for row in vals.tolist()]
+
+
+def ref_shift_left(x):
+    if x.prefix:
+        return Stream(x.prefix[1:], x.tail)
+    return Stream((), _ref_rotated(x.tail, 1))
+
+
+def ref_permute(x, sigma):
+    mapping = _as_mapping(sigma)
+    m = len(mapping)
+    n = max(m, len(x.prefix))
+    pre = tuple(ref_value_at(x, mapping[t]) if t < m else ref_value_at(x, t)
+                for t in range(n))
+    return Stream(pre, _ref_rotated(x.tail, n - len(x.prefix)))
+
+
+def ref_pairwise_swap(x):
+    n = len(x.prefix)
+    ln = n + (n % 2)
+    vals = ref_values(x, ln)
+    pre = tuple(vals[t + 1] if t % 2 == 0 else vals[t - 1] for t in range(ln))
+    tail = _ref_rotated(x.tail, ln - n)
+    if isinstance(tail, Periodic):
+        p = len(tail.cycle)
+        q = math.lcm(p, 2)
+        tail = Periodic(tuple(tail.cycle[(k + 1) % p] if k % 2 == 0
+                              else tail.cycle[(k - 1) % p] for k in range(q)))
+    return Stream(pre, tail)
+
+
+def ref_sup_distance(x, y):
+    n, tx, ty = _ref_aligned(x, y)
+    q = math.lcm(x.period, y.period)
+    best = 0.0
+    for t in range(n):
+        best = max(best, abs(ref_value_at(x, t) - ref_value_at(y, t)))
+    for k in range(q):
+        best = max(best, abs(_ref_tail_at(tx, k) - _ref_tail_at(ty, k)))
+    return best
+
+
+def ref_matrix_apply(matrix, d):
+    n = matrix.shape[0]
+    ln = max(n, len(d.prefix))
+    vals = ref_values(d, ln)
+    head = matrix @ np.asarray(vals[:n])
+    pre = tuple(float(v) for v in head) + tuple(vals[n:])
+    return Stream(pre, _ref_rotated(d.tail, ln - len(d.prefix)))
+
+
+def ref_canonical(prefix, tail):
+    """The earlier constructor's canonical form of (prefix, tail), as bits."""
+    pre = list(map(float, prefix))
+    if isinstance(tail, Periodic):
+        cyc = list(_minimal_cycle(tail.cycle))
+        if len(cyc) == 1:
+            tail = Constant(cyc[0])
+    if isinstance(tail, Constant):
+        while pre and pre[-1] == tail.value:
+            pre.pop()
+    else:
+        while pre and pre[-1] == cyc[-1]:
+            pre.pop()
+            cyc.insert(0, cyc.pop())
+        tail = Periodic(tuple(cyc))
+    cycle = (tail.value,) if isinstance(tail, Constant) else tail.cycle
+    return [v.hex() for v in pre], type(tail).__name__, [v.hex() for v in cycle]
+
+
+def outcome(f, *args):
+    """What a call gives, down to the bits: a stream by its representation,
+    floats by ``float.hex``, lists element by element, an error by its type."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = f(*args)
+    except (InvalidStream, InvalidScale, InvalidPermutation) as exc:
+        return type(exc).__name__
+    if isinstance(out, list):
+        return [bits(v) if isinstance(v, Stream) else v.hex() for v in out]
+    return bits(out) if isinstance(out, Stream) else out.hex()
+
+
+#: Signed zeros, and values whose sums and products overflow.
+edge_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e308, -1e308]),
+                        st.floats(-5.0, 5.0))
+
+
+@st.composite
+def edge_streams(draw):
+    """Prefixes up to 6 and periods 1 to 5 (a cycle of one value, or of
+    equal values, is a constant tail)."""
+    prefix = draw(st.lists(edge_values, max_size=6))
+    cycle = draw(st.lists(edge_values, min_size=1, max_size=5))
+    return Stream(tuple(prefix), Periodic(tuple(cycle)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_streams(), edge_streams(), st.sampled_from([0.0, -0.0, 0.5, 2.0, 1e308]),
+       edge_values, st.integers(0, 7).flatmap(lambda m: st.permutations(list(range(m)))),
+       st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 1.0]), max_size=3),
+       st.integers(0, 4).flatmap(lambda k: st.lists(st.floats(-2.0, 2.0), min_size=k * k,
+                                                     max_size=k * k)))
+def test_window_form_has_the_bits_of_the_tail_branches(x, y, a, theta, sigma, lams, entries):
+    matrix = np.array(entries).reshape((math.isqrt(len(entries)),) * 2)
+    for new, ref, args in [(add, ref_add, (x, y)), (sup_distance, ref_sup_distance, (x, y)),
+                           (scale_translate, ref_scale_translate, (x, a, theta)),
+                           (shift_left, ref_shift_left, (x,)),
+                           (permute, ref_permute, (x, sigma)),
+                           (pairwise_swap, ref_pairwise_swap, (x,)),
+                           (mixtures, ref_mixtures, (x, y, lams)),
+                           (MatrixTransform(matrix).apply, ref_matrix_apply, (matrix, x))]:
+        new_args = args[1:] if ref is ref_matrix_apply else args
+        assert outcome(new, *new_args) == outcome(ref, *args), new
+    for n in range(-2, 16):
+        assert outcome(x.values, n) == outcome(ref_values, x, n)
+
+
+#: Few distinct values, signed zeros among them, so cycles reduce and
+#: prefixes are absorbed often.
+few_values = st.sampled_from([0.0, -0.0, 1.0, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(few_values, max_size=6),
+       st.one_of(st.builds(Constant, few_values),
+                 st.lists(few_values, min_size=1, max_size=6).map(lambda c: Periodic(tuple(c)))))
+def test_constructor_has_the_bits_of_the_tail_branches(prefix, tail):
+    assert bits(Stream(tuple(prefix), tail)) == ref_canonical(prefix, tail)
+
+
+def test_values_of_a_nonpositive_count_is_empty():
+    x = make_stream([1.0, 2.0], Periodic((3.0, 4.0)))
+    assert x.values(0) == x.values(-1) == x.values(-5) == []
+    assert x.values(1) == [1.0]
+    assert x.values(7) == [1.0, 2.0, 3.0, 4.0, 3.0, 4.0, 3.0]
