@@ -28,9 +28,10 @@ its JSON body and its value, so there is one dispatch point per concept.
 Costs are expressed in the same utility units as streams; infinity is an
 explicit absorbing value, never a large float.  The objective
 delta -> D_delta(x) + cost(delta) need not be convex, so the minimizer runs
-a dense grid per continuous piece of the cost followed by golden-section
-refinement: one bracket at each end of the grid and one per run of
-adjacent grid minima, so a flat run is searched once, not once per node.
+a fixed grid of ``_NODES`` nodes per continuous piece of the cost followed
+by golden-section refinement: one bracket at each end of the grid and one
+per run of adjacent grid minima, so a flat run is searched once, not once
+per node.
 Only brackets whose certified lower bound (Lipschitz, or the tail mean's)
 undercuts the grid's best value are searched; a search skipped could not
 have won, so the bits are those of searching them all.  Finite point sets
@@ -42,9 +43,8 @@ stream are refined in one lockstep golden-section search.
 Everything here is a pure function of immutable inputs; independent
 (criterion, stream) evaluations can run concurrently without coordination.
 The only shared state is bounded caches of read-only arrays (the grid and
-its stream-independent factors, and each cost piece's cost on the grid),
-filled idempotently: a racing fill computes the same bits, and a lock
-keeps each memo within its cap.
+its stream-independent factors), filled idempotently: a racing fill
+computes the same bits, and a lock keeps each memo within its cap.
 """
 
 from __future__ import annotations
@@ -129,17 +129,18 @@ def discounted_value(x: Stream, delta: float) -> float:
     return _dv_scalar(x)(delta)
 
 
+#: Grid nodes per continuous cost piece.
+_NODES = 2001
+
 #: Caps of the grid cache and of each grid's per-length memos.
 _GRID_CACHE = 16
 _MEMO_CAP = 32
+_MEMO_LOCK = threading.Lock()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-_MEMO_LOCK = threading.Lock()
 
 
 def _memoised(memo: dict, key: int, make: Callable[[], np.ndarray]) -> np.ndarray:
@@ -194,9 +195,9 @@ class _Grid:
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE)
-def _grid(a: float, b: float, nodes: int) -> _Grid:
-    """The cached geometry of ``np.linspace(a, b, nodes)``."""
-    return _Grid(np.linspace(a, b, nodes))
+def _grid(a: float, b: float) -> _Grid:
+    """The cached geometry of ``np.linspace(a, b, _NODES)``."""
+    return _Grid(np.linspace(a, b, _NODES))
 
 
 def _horner(coeffs, d: np.ndarray) -> np.ndarray:
@@ -331,8 +332,8 @@ class _Cost(_Tagged):
     lists points (delta, cost) solved by enumeration: the finite-cost
     points of an indicator set, the knots of a tabulated cost;
     ``pieces`` lists the continuous finite-cost pieces (:class:`_Piece`),
-    each searched on a grid.  It is built once per cost, so each piece's
-    cost on the grid is computed once per geometry.
+    each searched on its fixed grid.  It is built once per cost, so each
+    piece's cost on the grid is computed once.
     """
 
     family = "cost"
@@ -345,21 +346,18 @@ class _Piece:
     """A continuous finite-cost piece [a, b] of a cost.
 
     ``scalar(delta)`` is the cost at one factor and ``lanes(d)`` the cost
-    at each factor of an array, with ``scalar``'s bits.  ``on_grid(nodes)``
-    is ``lanes`` on the grid ``np.linspace(a, b, nodes)``, kept read-only
-    per node count, at most ``_MEMO_CAP`` of them.  ``bound(lo, hi)`` is
-    (a bound on the cost's slope, the cost's minimum) on [lo, hi].
+    at each factor of an array, with ``scalar``'s bits.  ``on_grid`` is
+    ``lanes`` on the piece's grid ``_grid(a, b)``, read-only and built with
+    the piece.  ``bound(lo, hi)`` is (a bound on the cost's slope, the
+    cost's minimum) on [lo, hi].
     """
 
-    __slots__ = ("a", "b", "scalar", "lanes", "bound", "_on_grid")
+    __slots__ = ("a", "b", "scalar", "lanes", "bound", "on_grid")
 
     def __init__(self, a: float, b: float, scalar: Callable[[float], float],
                  lanes: Callable[[np.ndarray], np.ndarray], bound: Callable):
         self.a, self.b, self.scalar, self.lanes, self.bound = a, b, scalar, lanes, bound
-        self._on_grid: dict[int, np.ndarray] = {}
-
-    def on_grid(self, nodes: int) -> np.ndarray:
-        return _memoised(self._on_grid, nodes, lambda: self.lanes(_grid(self.a, self.b, nodes).d))
+        self.on_grid = _frozen(lanes(_grid(a, b).d))
 
 
 def _check_unit_point(value: float, what: str) -> float:
@@ -485,7 +483,7 @@ class Tabulated(_Cost, tag="tabulated"):
         object.__setattr__(self, "knots", ks)
 
     def value(self, delta: float) -> float:
-        return _INF if delta > self.knots[-1][0] else float(_interp(self)(delta))
+        return _INF if delta > self.knots[-1][0] else self.pieces[0].scalar(delta)
 
     def isolated(self) -> list[tuple[float, float]]:
         """The knots and their costs: a minimum at a kink is found exactly."""
@@ -550,16 +548,19 @@ def cost_eval(c: CostFunction, delta: float) -> float:
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Golden-section search stops at a bracket ``_XTOL`` wide, or after ``_MAXITER`` steps.
+_XTOL = 1e-9
+_MAXITER = 80
 
-def _golden(fun: Callable[[float], float], a: float, b: float,
-            xtol: float = 1e-9, maxiter: int = 80) -> tuple[float, float]:
+
+def _golden(fun: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """Golden-section minimum of ``fun`` on [a, b]; returns (argmin, value)."""
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = fun(x1), fun(x2)
     fa, fb = fun(a), fun(b)
-    for _ in range(maxiter):
-        if b - a <= xtol:
+    for _ in range(_MAXITER):
+        if b - a <= _XTOL:
             break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -575,42 +576,32 @@ def _golden(fun: Callable[[float], float], a: float, b: float,
     return best_x, best_v
 
 
-def _golden_lockstep(fun: "_Lanes", a: np.ndarray, b: np.ndarray, xtol: float = 1e-9,
-                     maxiter: int = 80) -> list[tuple[float, float]]:
+def _golden_lockstep(fun: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
+                     b: np.ndarray) -> list[tuple[float, float]]:
     """:func:`_golden` on every bracket [a[i], b[i]] at once.
 
-    ``fun`` is the objective of bracket i on lane i.  Each lane takes
-    ``_golden``'s steps with the same IEEE operations and stops where it
-    would, so its (argmin, value) has ``_golden``'s bits.
+    ``fun`` is the objective of bracket i on lane i (see :func:`_lanes`).
+    Each lane takes ``_golden``'s steps with the same IEEE operations and
+    keeps its state from where ``_golden`` would stop, while the others
+    step on, so its (argmin, value) has ``_golden``'s bits.
     """
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    every = np.arange(a.size)
-    f1, f2, fa, fb = np.split(fun.take(np.tile(every, 4))(np.concatenate([x1, x2, a, b])), 4)
-    # The live lanes' state is kept compact; a lane's final state is
-    # written to ``final`` when it stops.
-    final = [v.copy() for v in (a, b, x1, x2, f1, f2)]
-    lanes, live = every, fun
-    for _ in range(maxiter):
-        keep = ~(b - a <= xtol)
-        if not keep.all():
-            for whole, part in zip(final, (a, b, x1, x2, f1, f2)):
-                whole[lanes[~keep]] = part[~keep]
-            lanes, a, b, x1, x2, f1, f2 = (v[keep] for v in (lanes, a, b, x1, x2, f1, f2))
-            if not lanes.size:
-                break
-            live = live.take(keep)
+    f1, f2, fa, fb = (fun(v) for v in (x1, x2, a, b))
+    for _ in range(_MAXITER):
+        live = ~(b - a <= _XTOL)
+        if not live.any():
+            break
+        was = a, b, x1, x2, f1, f2
         # f1 <= f2: b, x2, f2 = x2, x1, f1 and a new x1; else the mirror.
         left = f1 <= f2
         b = np.where(left, x2, b)
         a = np.where(left, a, x1)
         new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
         x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
-        f = live(new)
+        f = fun(new)
         f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
-    for whole, part in zip(final, (a, b, x1, x2, f1, f2)):
-        whole[lanes] = part
-    a, b, x1, x2, f1, f2 = final
+        a, b, x1, x2, f1, f2 = (np.where(live, v, w) for v, w in zip((a, b, x1, x2, f1, f2), was))
     xm = 0.5 * (a + b)
     # min() over the (value, factor) candidates, as tuples compare: the
     # first candidate that no later one undercuts.
@@ -628,44 +619,27 @@ def _stacked(rows: list[tuple[float, ...]]) -> np.ndarray:
     return np.ascontiguousarray(padded.T)
 
 
-class _Lanes:
+def _lanes(xs: list[Stream], cost: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """The objective d -> D_d(x) + cost(d) on lanes of streams, one factor
-    per lane: lane by lane the bits of ``_dv_scalar(x)(d) + scalar cost``,
-    for factors in [0, 1); ``cost`` is a piece's ``lanes``.  The prefixes
-    and cycles are stacked for :func:`_dv_array`.
-    """
+    per lane in [0, 1), with the bits of ``_dv_scalar(x)(d) + scalar cost``
+    lane by lane; ``cost`` is a piece's ``lanes``."""
+    prefixes, cycles = _stacked([x.prefix for x in xs]), _stacked([x.tail_cycle for x in xs])
+    lengths, periods = [len(x.prefix) for x in xs], np.array([x.period for x in xs])
 
-    __slots__ = ("prefixes", "cycles", "lengths", "periods", "periodic", "cost", "_length_list")
-
-    def __init__(self, xs: list[Stream], cost: Callable[[np.ndarray], np.ndarray]):
-        self._set(_stacked([x.prefix for x in xs]), _stacked([x.tail_cycle for x in xs]),
-                  np.array([len(x.prefix) for x in xs]), np.array([x.period for x in xs]), cost)
-
-    def _set(self, prefixes, cycles, lengths, periods, cost) -> None:
-        self.prefixes, self.cycles, self.lengths, self.periods, self.cost = (
-            prefixes, cycles, lengths, periods, cost)
-        self.periodic = periods > 1
-        self._length_list = lengths.tolist()
-
-    def take(self, index: np.ndarray) -> "_Lanes":
-        """The lanes picked by a boolean mask or an index array."""
-        out = object.__new__(type(self))
-        out._set(self.prefixes[:, index], self.cycles[:, index], self.lengths[index],
-                 self.periods[index], self.cost)
+    def objective(d: np.ndarray) -> np.ndarray:
+        out = _dv_array(prefixes, cycles, periods > 1, cycles[0], d,
+                        _powers(d.tolist(), lengths), _denoms(d, periods))
+        out += cost(d)
         return out
 
-    def __call__(self, d: np.ndarray) -> np.ndarray:
-        out = _dv_array(self.prefixes, self.cycles, self.periodic, self.cycles[0], d,
-                        _powers(d.tolist(), self._length_list), _denoms(d, self.periods))
-        out += self.cost(d)
-        return out
+    return objective
 
 
-def _scan(x: Stream, piece: _Piece, nodes: int) -> tuple[list, list, list]:
+def _scan(x: Stream, piece: _Piece) -> tuple[list, list, list]:
     """The grid pass over one piece: (candidates, brackets, ends).
 
-    The grid is ``np.linspace(a, b, nodes)``, with its stream-independent
-    factors and the cost on it taken from bounded caches.  The candidate
+    The grid is ``_grid(a, b)``, with its stream-independent factors from
+    bounded caches and the cost on it from the piece.  The candidate
     (value, factor) is the grid's first minimum, the least as tuples
     compare; where a value is NaN, every node no larger than both
     neighbours is one.  The golden-section brackets (lo, hi) are [grid[0],
@@ -674,13 +648,12 @@ def _scan(x: Stream, piece: _Piece, nodes: int) -> tuple[list, list, list]:
     constant stream opens three searches, not one per node.  ``ends``
     holds the grid values at each bracket's ends.
     """
-    g = _grid(piece.a, piece.b, nodes)
+    g = _grid(piece.a, piece.b)
     grid = g.d
-    f = discounted_value_grid(x, g)
-    f += piece.on_grid(nodes)
+    f = discounted_value_grid(x, g) + piece.on_grid
     interior = (np.nonzero((f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:]))[0] + 1).tolist()
     first = int(f.argmin())
-    nodes_at = {0, nodes - 1, *interior} if math.isnan(f.item(first)) else [first]
+    nodes_at = {0, _NODES - 1, *interior} if math.isnan(f.item(first)) else [first]
     candidates = [(f.item(i), grid.item(i)) for i in nodes_at]
     runs: list[list[int]] = []
     for i in interior:
@@ -688,7 +661,7 @@ def _scan(x: Stream, piece: _Piece, nodes: int) -> tuple[list, list, list]:
             runs[-1][1] = i + 1
         else:
             runs.append([i - 1, i + 1])
-    brackets = {(0, min(1, nodes - 1)), (max(nodes - 2, 0), nodes - 1), *map(tuple, runs)}
+    brackets = {(0, 1), (_NODES - 2, _NODES - 1), *map(tuple, runs)}
     return (candidates, [(grid.item(lo), grid.item(hi)) for lo, hi in brackets],
             [(f.item(lo), f.item(hi)) for lo, hi in brackets])
 
@@ -747,8 +720,7 @@ def _objective(x: Stream, piece: _Piece) -> Callable[[float], float]:
 _LOCKSTEP_MIN = 96
 
 
-def _minimize_on_interval(xs: list[Stream], piece: _Piece,
-                          nodes: int) -> list[tuple[float, float]]:
+def _minimize_on_interval(xs: list[Stream], piece: _Piece) -> list[tuple[float, float]]:
     """Grid scan plus golden refinement of D_delta(x) + cost on one piece,
     for each stream x of ``xs``.
 
@@ -760,12 +732,12 @@ def _minimize_on_interval(xs: list[Stream], piece: _Piece,
     """
     if piece.b <= piece.a:
         return [(piece.a, _objective(x, piece)(piece.a)) for x in xs]
-    scans = [_scan(x, piece, nodes) for x in xs]
+    scans = [_scan(x, piece) for x in xs]
     kept = [(i, lo, hi) for i, (x, scan) in enumerate(zip(xs, scans))
             for lo, hi in _undercutting(x, piece, *scan)]
     if len(kept) >= _LOCKSTEP_MIN:
         _, lo, hi = np.array(kept).T
-        found = _golden_lockstep(_Lanes([xs[i] for i, _, _ in kept], piece.lanes), lo, hi)
+        found = _golden_lockstep(_lanes([xs[i] for i, _, _ in kept], piece.lanes), lo, hi)
     else:
         found = [_golden(_objective(xs[i], piece), lo, hi) for i, lo, hi in kept]
     for (i, _, _), (d_star, v_star) in zip(kept, found):
@@ -773,7 +745,7 @@ def _minimize_on_interval(xs: list[Stream], piece: _Piece,
     return [min(candidates)[::-1] for candidates, _, _ in scans]
 
 
-def _minimize_many(xs: list[Stream], c: CostFunction, nodes: int) -> list[tuple[float, float]]:
+def _minimize_many(xs: list[Stream], c: CostFunction) -> list[tuple[float, float]]:
     """:func:`minimize_over_delta` for each stream, bit for bit."""
     if not isinstance(c, _Cost):
         raise InvalidCost(f"not a cost function: {c!r}")
@@ -781,21 +753,21 @@ def _minimize_many(xs: list[Stream], c: CostFunction, nodes: int) -> list[tuple[
         raise InfeasibleCost("cost is identically infinite on [0, 1)")
     found = [[(discounted_value(x, d) + k, d) for d, k in c.isolated()] for x in xs]
     for piece in c.pieces:
-        for candidates, (d_star, v_star) in zip(found, _minimize_on_interval(xs, piece, nodes)):
+        for candidates, (d_star, v_star) in zip(found, _minimize_on_interval(xs, piece)):
             candidates.append((v_star, d_star))
     return [min(candidates)[::-1] for candidates in found]
 
 
-def minimize_over_delta(x: Stream, c: CostFunction,
-                        nodes: int = 2001) -> tuple[float, float]:
+def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
     """Global minimum of delta -> D_delta(x) + cost(delta) over [0, 1].
 
     Finite point sets and tabulated knots are enumerated exactly; each
-    continuous piece of the cost gets a dense grid (``nodes`` per piece)
-    followed by golden-section refinement of its two end brackets and of
-    one bracket per run of adjacent grid minima (see :func:`_scan`).  Only
-    the brackets whose lower bound, less a float margin, undercuts the
-    grid's best value are searched (see :func:`_undercutting`): the
+    continuous piece of the cost gets a fixed grid of ``_NODES`` = 2001
+    nodes, followed by golden-section refinement (to 1e-9 in ``delta``)
+    of its two end brackets and of one bracket per run of adjacent grid
+    minima (see :func:`_scan`).  Only the brackets whose lower bound, less
+    a float margin, undercuts the grid's best value are searched (see
+    :func:`_undercutting`): the
     Lipschitz bound ``(f(lo) + f(hi) - L (hi - lo)) / 2`` with ``L = r *
     2 (T + 1) hi^T + L_cost``, ``T = floor(hi / (1 - hi))`` and ``r`` the
     half-range of the stream's values, and for ``lo >= 0.5`` the tail mean
@@ -817,7 +789,7 @@ def minimize_over_delta(x: Stream, c: CostFunction,
     Raises:
         InfeasibleCost: if the cost is infinite everywhere on [0, 1).
     """
-    return _minimize_many([x], c, nodes)[0]
+    return _minimize_many([x], c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -825,15 +797,14 @@ def minimize_over_delta(x: Stream, c: CostFunction,
 # ---------------------------------------------------------------------------
 
 class _Criterion(_Tagged):
-    """An evaluation criterion: ``value(x, nodes)`` is the constant
-    equivalent of the stream ``x``, with ``nodes`` grid points per piece
-    for the criteria that minimize over the discount factor, and
-    ``values(xs, nodes)`` is ``value`` of each stream, bit for bit."""
+    """An evaluation criterion: ``value(x)`` is the constant equivalent of
+    the stream ``x``, and ``values(xs)`` is ``value`` of each stream, bit
+    for bit."""
 
     family = "criterion"
 
-    def values(self, xs: list[Stream], nodes: int = 2001) -> list[float]:
-        return [self.value(x, nodes) for x in xs]
+    def values(self, xs: list[Stream]) -> list[float]:
+        return [self.value(x) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -848,7 +819,7 @@ class Edu(_Criterion, tag="edu"):
             raise InvalidCriterion(f"EDU factor must lie in (0, 1), got {self.delta}")
         object.__setattr__(self, "delta", d)
 
-    def value(self, x: Stream, nodes: int = 2001) -> float:
+    def value(self, x: Stream) -> float:
         return discounted_value(x, self.delta)
 
 
@@ -870,11 +841,11 @@ class Maxmin(_Criterion, tag="maxmin"):
         object.__setattr__(self, "intervals", ind.intervals)
         object.__setattr__(self, "_indicator", ind)
 
-    def value(self, x: Stream, nodes: int = 2001) -> float:
-        return minimize_over_delta(x, self._indicator, nodes)[1]
+    def value(self, x: Stream) -> float:
+        return minimize_over_delta(x, self._indicator)[1]
 
-    def values(self, xs: list[Stream], nodes: int = 2001) -> list[float]:
-        return [v for _, v in _minimize_many(xs, self._indicator, nodes)]
+    def values(self, xs: list[Stream]) -> list[float]:
+        return [v for _, v in _minimize_many(xs, self._indicator)]
 
 
 @dataclass(frozen=True)
@@ -887,11 +858,11 @@ class Variational(_Criterion, tag="variational"):
         if not isinstance(self.cost, _Cost):
             raise InvalidCriterion(f"not a cost function: {self.cost!r}")
 
-    def value(self, x: Stream, nodes: int = 2001) -> float:
-        return minimize_over_delta(x, self.cost, nodes)[1]
+    def value(self, x: Stream) -> float:
+        return minimize_over_delta(x, self.cost)[1]
 
-    def values(self, xs: list[Stream], nodes: int = 2001) -> list[float]:
-        return [v for _, v in _minimize_many(xs, self.cost, nodes)]
+    def values(self, xs: list[Stream]) -> list[float]:
+        return [v for _, v in _minimize_many(xs, self.cost)]
 
     @classmethod
     def from_body(cls, body: dict) -> "Variational":
@@ -905,7 +876,7 @@ class Variational(_Criterion, tag="variational"):
 class Inf(_Criterion, tag="inf"):
     """Worst utility over all periods."""
 
-    def value(self, x: Stream, nodes: int = 2001) -> float:
+    def value(self, x: Stream) -> float:
         return patient.inf_value(x)
 
 
@@ -913,7 +884,7 @@ class Inf(_Criterion, tag="inf"):
 class Liminf(_Criterion, tag="liminf"):
     """Worst recurring utility."""
 
-    def value(self, x: Stream, nodes: int = 2001) -> float:
+    def value(self, x: Stream) -> float:
         return patient.liminf_value(x)
 
 
@@ -921,7 +892,7 @@ class Liminf(_Criterion, tag="liminf"):
 class BanachWindow(_Criterion, tag="banach_window"):
     """Long-run worst window average (shift-invariant patient criterion)."""
 
-    def value(self, x: Stream, nodes: int = 2001) -> float:
+    def value(self, x: Stream) -> float:
         return patient.banach_window_value(x)
 
 
@@ -929,32 +900,33 @@ class BanachWindow(_Criterion, tag="banach_window"):
 class Cesaro(_Criterion, tag="cesaro"):
     """Long-run plain average."""
 
-    def value(self, x: Stream, nodes: int = 2001) -> float:
+    def value(self, x: Stream) -> float:
         return patient.cesaro_value(x)
 
 
 Criterion = Union[Edu, Maxmin, Variational, Inf, Liminf, BanachWindow, Cesaro]
 
 
-def evaluate(k: Criterion, x: Stream, nodes: int = 2001) -> float:
-    """Constant equivalent I(x) of the stream under criterion ``k``."""
+def evaluate(k: Criterion, x: Stream) -> float:
+    """Constant equivalent I(x) of the stream under criterion ``k``; maxmin
+    and variational criteria take it from :func:`minimize_over_delta`."""
     if not isinstance(k, _Criterion):
         raise InvalidCriterion(f"not a criterion: {k!r}")
-    return k.value(x, nodes)
+    return k.value(x)
 
 
-def evaluate_many(k: Criterion, xs: Iterable[Stream], nodes: int = 2001) -> list[float]:
-    """``[evaluate(k, x, nodes) for x in xs]``, bit for bit.
+def evaluate_many(k: Criterion, xs: Iterable[Stream]) -> list[float]:
+    """``[evaluate(k, x) for x in xs]``, bit for bit.
 
-    Maxmin and variational criteria scan each stream's grid as ``evaluate``
-    does, then refine the golden-section brackets kept on a piece, of all
-    the streams together, in one lockstep search once there are
-    ``_LOCKSTEP_MIN`` of them (one search each below that); the other
-    criteria evaluate one stream at a time.
+    Maxmin and variational criteria scan each stream on the piece's fixed
+    grid as ``evaluate`` does, then refine the golden-section brackets
+    kept on a piece, of all the streams together, in one lockstep search
+    once there are ``_LOCKSTEP_MIN`` (96) of them (one search each below
+    that); the other criteria evaluate one stream at a time.
     """
     if not isinstance(k, _Criterion):
         raise InvalidCriterion(f"not a criterion: {k!r}")
-    return k.values(list(xs), nodes)
+    return k.values(list(xs))
 
 
 class _Evaluator:

@@ -32,7 +32,7 @@ import numpy as np
 from .discounting import discounted_value
 from .errors import (InvalidOperator, InvalidPermutation, NoInvariantFound,
                      NonConvergence)
-from .streams import Stream, delay, _as_mapping
+from .streams import Stream, delay, permutation_mapping
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,18 +92,27 @@ def adjoint(m: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(m.entries.T.copy())
 
 
+def _step(m: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(M p, lambda, ||M p - lambda p||_1) with lambda = <1, M p>, without a
+    numpy overflow warning; raises InvalidOperator if lambda overflows."""
+    with np.errstate(over="ignore"):
+        q = m @ p
+        lam = float(q.sum())
+        if not np.isfinite(lam):
+            raise InvalidOperator("<1, M p> overflows: the matrix entries are too large")
+        return q, lam, float(np.abs(q - lam * p).sum())
+
+
 def verify_eigen(mstar: OperatorMatrix, p: DiscountVector) -> tuple[float, float]:
     """Eigenvalue read-off and L1 residual for a candidate vector.
 
     Returns (lambda, residual) with lambda = <1, M p> and
-    residual = ||M p - lambda p||_1.
+    residual = ||M p - lambda p||_1; raises InvalidOperator if the
+    dimensions differ or lambda overflows.
     """
     if p.dim != mstar.dim:
         raise InvalidOperator("dimension mismatch between matrix and vector")
-    q = mstar.entries @ p.weights
-    lam = float(q.sum())
-    residual = float(np.abs(q - lam * p.weights).sum())
-    return lam, residual
+    return _step(mstar.entries, p.weights)[1:]
 
 
 @dataclass(frozen=True)
@@ -152,13 +161,7 @@ def invariant_structure(mstar: OperatorMatrix, *, tol: float = 1e-10,
         if cesaro_averaging:
             candidates.insert(0, running_sum / running_sum.sum())
         for cand in candidates:
-            with np.errstate(over="ignore"):
-                q = mstar.entries @ cand
-                lam = float(q.sum())
-            if not np.isfinite(lam):
-                raise InvalidOperator(f"<1, M p> overflows at iteration {it}: "
-                                      "the matrix entries are too large")
-            residual = float(np.abs(q - lam * cand).sum())
+            q, lam, residual = _step(mstar.entries, cand)
             if residual <= tol:
                 return EigenResult(DiscountVector(cand), lam, residual, it)
         # The last candidate is p itself, so q is the step M p, and
@@ -211,7 +214,7 @@ def builtin_operator(name: str, n: int, *, sigma=None, factor: float | None = No
     elif name == "permutation":
         if sigma is None:
             raise InvalidPermutation("permutation operator needs sigma")
-        mapping = _as_mapping(sigma, bound=n)
+        mapping = permutation_mapping(sigma, bound=n)
         if len(mapping) != n:
             raise InvalidPermutation(
                 f"sigma acts on {len(mapping)} indices, operator has {n}")

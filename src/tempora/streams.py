@@ -236,7 +236,7 @@ def shift_left(x: Stream) -> Stream:
     return Stream(v[1:n], Periodic(v[n:]))
 
 
-def _as_mapping(sigma, bound: int | None = None) -> tuple[int, ...]:
+def permutation_mapping(sigma, bound: int | None = None) -> tuple[int, ...]:
     """Normalize permutation input to an explicit image list on {0..M-1}.
 
     Accepts either an explicit mapping [sigma(0), ..., sigma(M-1)] or a list
@@ -275,14 +275,14 @@ def permute(x: Stream, sigma) -> Stream:
     Raises:
         InvalidPermutation: if sigma is not a bijection on its support.
     """
-    mapping = _as_mapping(sigma)
+    mapping = permutation_mapping(sigma)
     n, (v,) = _window((x,), n=len(mapping))
     vals = [v[s] for s in mapping] + v[len(mapping):]
     return Stream(vals[:n], Periodic(vals[n:]))
 
 
 def inverse_permutation(sigma) -> tuple[int, ...]:
-    mapping = _as_mapping(sigma)
+    mapping = permutation_mapping(sigma)
     inv = [0] * len(mapping)
     for t, s in enumerate(mapping):
         inv[s] = t

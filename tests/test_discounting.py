@@ -13,7 +13,7 @@ from tempora import (BanachWindow, Cesaro, Constant, Edu, IndicatorSet, Inf,
                      discounted_value, evaluate, evaluate_many, make_stream,
                      minimize_over_delta, random_stream, scale_translate,
                      sup_distance, unanimity_probe)
-from tempora.discounting import (_GRID_CACHE, _MEMO_CAP, _grid, _interp,
+from tempora.discounting import (_GRID_CACHE, _MEMO_CAP, _NODES, _grid, _interp,
                                  discounted_value_grid)
 from tempora.errors import (InvalidCost, InvalidCriterion, InvalidDelta)
 from tempora.jsonio import criterion_from_dict
@@ -502,11 +502,11 @@ def test_minimizer_matches_per_node_reference_bit_for_bit(rng):
 def test_grid_matches_reference_bit_for_bit(rng):
     grid = np.linspace(0.0, 1.0, 101)
     # The minimizer's cached grids end below 1.
-    below_one = np.linspace(0.0, 1.0 - 1e-9, 101)
+    below_one = np.linspace(0.0, 1.0 - 1e-9, _NODES)
     for x in ref_streams(rng, 30):
         want = ref_discounted_value_grid(x, grid).tobytes()
         assert discounted_value_grid(x, grid).tobytes() == want
-        assert discounted_value_grid(x, _grid(0.0, 1.0 - 1e-9, 101)).tobytes() == \
+        assert discounted_value_grid(x, _grid(0.0, 1.0 - 1e-9)).tobytes() == \
             ref_discounted_value_grid(x, below_one).tobytes()
         for d in (0.0, 0.37, 1.0):
             assert discounted_value(x, d) == ref_discounted_value(x, d)
@@ -540,8 +540,8 @@ def test_flat_objective_opens_three_searches_per_piece(monkeypatch, k):
 
 
 def test_cached_grid_is_read_only():
-    g = _grid(0.4, 0.6, 2001)
-    assert _grid(0.4, 0.6, 2001) is g
+    g = _grid(0.4, 0.6)
+    assert _grid(0.4, 0.6) is g
     for arr in (g.d, g.power(3), g.denom(2)):
         with pytest.raises(ValueError):
             arr[0] = 0.5
@@ -550,15 +550,15 @@ def test_cached_grid_is_read_only():
 
 def test_grid_cache_and_memos_are_bounded():
     k = Maxmin(intervals=((0.25, 0.75),))
-    g = _grid(0.25, 0.75, 51)
+    g = _grid(0.25, 0.75)
     for i, n in enumerate([*range(40), 1000, 2000, 3000]):
         x = make_stream([0.5] * n, Periodic(tuple(float(j) for j in range(2 + i))))
-        evaluate(k, x, nodes=51)
-        assert _grid(0.25, 0.75, 51) is g
+        evaluate(k, x)
+        assert _grid(0.25, 0.75) is g
         assert 0 < len(g._pow) <= _MEMO_CAP
         assert 0 < len(g._denom) <= _MEMO_CAP
     for i in range(2 * _GRID_CACHE):
-        _grid(0.0, 0.5, 3 + i)
+        _grid(0.0, 0.5 + i / 100)
     assert _grid.cache_info().currsize <= _GRID_CACHE
 
 
@@ -566,7 +566,8 @@ def test_concurrent_grid_evaluations_share_the_cache_safely(monkeypatch):
     # A cap of 2 makes the memos refill on nearly every call, so that two
     # fills racing each other would show as a memo past its cap.
     monkeypatch.setattr(D, "_MEMO_CAP", 2)
-    g = D._grid(0.35, 0.65, 41)
+    # A small grid of the minimizer's kind keeps each refill cheap.
+    g = D._Grid(np.linspace(0.35, 0.65, 41))
     xs = [make_stream([0.25 * (n + 1)] * n, Periodic(tuple(float(i) for i in range(2 + n % 5))))
           for n in range(12)]
     want = [discounted_value_grid(x, g).tobytes() for x in xs]
@@ -610,6 +611,19 @@ def test_tabulated_cost_eval_is_np_interp_bit_for_bit():
     for d in (0.0, 0.39, 0.4):
         assert cost_eval(single, d) == float(np.interp(d, [0.4], [0.0]))
     assert cost_eval(single, 0.41) == math.inf
+
+
+def test_tabulated_cost_eval_reads_one_interpolant_per_cost(monkeypatch):
+    built = []
+    monkeypatch.setattr(D, "_interp", lambda c: built.append(c) or _interp(c))
+    knots = ((0.2, 1.0), (0.45, 0.0), (0.7, 3.3))
+    c = Tabulated(knots=knots)
+    xp, fp = [d for d, _ in knots], [k for _, k in knots]
+    # below the first knot, at knots, between knots, and past the last one
+    for d in [0.0, 0.1, 0.2, 0.3, 0.45, 0.6, 0.7]:
+        assert cost_eval(c, d).hex() == float(np.interp(d, xp, fp)).hex()
+    assert cost_eval(c, 0.7 + 1e-12) == cost_eval(c, 0.99) == math.inf
+    assert built == [c]
 
 
 def test_tabulated_closed_form_matches_np_interp_on_random_tables():
@@ -669,12 +683,11 @@ def test_evaluate_many_is_evaluate_bit_for_bit(rng):
         assert hex_bits(evaluate_many(k, xs[-1:])) == want[-1:]
 
 
-def test_evaluate_many_other_node_counts_and_inputs(rng):
+def test_evaluate_many_takes_any_iterable_and_only_criteria(rng):
     xs = many_streams(rng, 30)
     for k in (Maxmin(intervals=((0.1, 0.9),)), Variational(Quadratic(0.5, 8.0))):
-        for nodes in (3, 101):
-            want = hex_bits(evaluate(k, x, nodes=nodes) for x in xs)
-            assert hex_bits(evaluate_many(k, iter(xs), nodes=nodes)) == want
+        want = hex_bits(evaluate(k, x) for x in xs)
+        assert hex_bits(evaluate_many(k, iter(xs))) == want
     assert evaluate_many(Variational(Quadratic(0.5, 8.0)), []) == []
     with pytest.raises(InvalidCriterion):
         evaluate_many(lambda x: 0.0, xs)
@@ -684,7 +697,7 @@ def test_minimize_many_matches_minimize_over_delta(rng):
     xs = many_streams(rng, 60)
     for c in REF_COSTS:
         want = [minimize_over_delta(x, c) for x in xs]
-        got = D._minimize_many(xs, c, 2001)
+        got = D._minimize_many(xs, c)
         assert [(d.hex(), v.hex()) for d, v in got] == [(d.hex(), v.hex()) for d, v in want]
 
 
@@ -697,13 +710,14 @@ def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
     for piece in pieces:
         owners, brackets = [], []
         for i, x in enumerate(xs):
-            found = D._scan(x, piece, 2001)[1]
-            # plus the whole piece, a wide bracket, and a degenerate one
+            found = D._scan(x, piece)[1]
+            # plus the whole piece, a wide bracket, and a degenerate one,
+            # in the same batch: lanes stop at different steps
             for br in found + [(piece.a, piece.b), (piece.b, piece.b)]:
                 owners.append(i)
                 brackets.append(br)
         lo, hi = np.array(brackets).T
-        got = D._golden_lockstep(D._Lanes(xs, piece.lanes).take(owners), lo, hi)
+        got = D._golden_lockstep(D._lanes([xs[i] for i in owners], piece.lanes), lo, hi)
         for i, (a, b), (d, v) in zip(owners, brackets, got):
             dv = D._dv_scalar(xs[i])
             want_d, want_v = D._golden(lambda t: dv(t) + piece.scalar(t), a, b)
@@ -715,7 +729,7 @@ def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
 def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
     piece = Quadratic(0.8, 3.0).pieces[0]
     xs = many_streams(rng, 2 * D._LOCKSTEP_MIN)
-    kept = np.cumsum([len(D._undercutting(x, piece, *D._scan(x, piece, 2001))) for x in xs])
+    kept = np.cumsum([len(D._undercutting(x, piece, *D._scan(x, piece))) for x in xs])
     # The fewest streams whose brackets reach the threshold; one less falls short.
     j = int(np.searchsorted(kept, D._LOCKSTEP_MIN)) + 1
     assert kept[j - 2] < D._LOCKSTEP_MIN <= kept[j - 1]
@@ -735,10 +749,10 @@ def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
     for batch, want in ((xs[:j - 1], {"golden": kept[j - 2], "lockstep": 0}),
                         (xs[:j], {"golden": 0, "lockstep": 1})):
         calls.update(golden=0, lockstep=0)
-        got = D._minimize_on_interval(batch, piece, 2001)
+        got = D._minimize_on_interval(batch, piece)
         assert calls == want
         assert [(d.hex(), v.hex()) for d, v in got] == \
-            [(d.hex(), v.hex()) for d, v in (D._minimize_on_interval([x], piece, 2001)[0]
+            [(d.hex(), v.hex()) for d, v in (D._minimize_on_interval([x], piece)[0]
                                              for x in batch)]
 
 
@@ -754,14 +768,10 @@ def test_grid_cost_is_cached_read_only_per_piece():
     c = Quadratic(0.8, 3.0)
     assert c.pieces is c.pieces
     piece = c.pieces[0]
-    g = piece.on_grid(2001)
-    assert piece.on_grid(2001) is g
-    assert hex_bits(g) == hex_bits(map(c.value, np.linspace(piece.a, piece.b, 2001).tolist()))
+    g = piece.on_grid
+    assert hex_bits(g) == hex_bits(map(c.value, np.linspace(piece.a, piece.b, _NODES).tolist()))
     with pytest.raises(ValueError):
         g[0] = 1.0
-    for nodes in range(3, 3 + 2 * _MEMO_CAP):
-        piece.on_grid(nodes)
-    assert len(piece._on_grid) <= _MEMO_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -933,13 +943,13 @@ def test_grid_is_the_scalar_form_at_every_element(x, ds):
 
 
 @settings(max_examples=100, deadline=None)
-@given(oracle_streams(), costs, st.sampled_from([2, 3, 101, 2001]))
-def test_grid_objective_is_the_scalar_objective_at_every_node(x, cost, nodes):
+@given(oracle_streams(), costs)
+def test_grid_objective_is_the_scalar_objective_at_every_node(x, cost):
     cost = cost._indicator if isinstance(cost, Maxmin) else cost
     dv = D._dv_scalar(x)
     for piece in cost.pieces:
-        g = _grid(piece.a, piece.b, nodes)
-        got = discounted_value_grid(x, g) + piece.on_grid(nodes)
+        g = _grid(piece.a, piece.b)
+        got = discounted_value_grid(x, g) + piece.on_grid
         assert hex_bits(got) == hex_bits(dv(d) + piece.scalar(d) for d in g.d.tolist())
 
 
@@ -947,15 +957,20 @@ def test_grid_objective_is_the_scalar_objective_at_every_node(x, cost, nodes):
 # certified bracket pruning: a dropped search could never have won
 # ---------------------------------------------------------------------------
 
+#: Wide brackets for the certificate: node pairs k cells apart, at the
+#: start, middle and end of the grid.
+WIDE = [(i, i + k) for k in (1, 20, 500, _NODES - 1)
+        for i in sorted({0, (_NODES - 1 - k) // 2, _NODES - 1 - k})]
+
+
 @settings(max_examples=150, deadline=None)
-@given(oracle_streams(), costs, st.sampled_from([1e-3, 1.0, 1e3]),
-       st.sampled_from([3, 5, 101, 2001]))
+@given(oracle_streams(), costs, st.sampled_from([1e-3, 1.0, 1e3]))
 # The minimum sits in the last bracket, where only the tail bound can
 # drop it; a cost's minimum on a bracket is at a knot inside it.
-@example(make_stream([5.0] * 12, Constant(-5.0)), Quadratic(0.99, 50.0), 1.0, 2001)
+@example(make_stream([5.0] * 12, Constant(-5.0)), Quadratic(0.99, 50.0), 1.0)
 @example(constant_stream(-5.0), Tabulated(((0.2, 2.0), (0.5, 10.0), (0.9, 0.0), (0.95, 10.0))),
-         1.0, 5)
-def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale, nodes):
+         1.0)
+def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale):
     x = make_stream([v * scale for v in x.prefix],
                     Periodic(tuple(v * scale for v in x.tail_cycle)))
     cost = cost._indicator if isinstance(cost, Maxmin) else cost
@@ -963,7 +978,13 @@ def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale,
     for piece in cost.pieces:
         if piece.b <= piece.a:
             continue
-        candidates, brackets, ends = D._scan(x, piece, nodes)
+        candidates, brackets, ends = D._scan(x, piece)
+        # The scan's brackets span two cells at most; the wide ones test
+        # the bound where it spans many cells of the grid.
+        g = _grid(piece.a, piece.b)
+        f = (discounted_value_grid(x, g) + piece.on_grid).tolist()
+        brackets = brackets + [(g.d.item(i), g.d.item(j)) for i, j in WIDE]
+        ends = ends + [(f[i], f[j]) for i, j in WIDE]
         kept = D._undercutting(x, piece, candidates, brackets, ends)
         assert set(kept) <= set(brackets)
         best, cost_at = candidates[0][0], piece.scalar

@@ -154,6 +154,19 @@ def test_verify_eigen_examples():
     assert res <= 1e-15
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_eigen_rejects_an_overflowing_eigenvalue_quietly():
+    # <1, M p> overflows: both the check and the solver raise, with no
+    # numpy overflow warning, where the check used to return (inf, inf).
+    m = OperatorMatrix(np.full((2, 2), 1e308))
+    with pytest.raises(InvalidOperator, match="overflows"):
+        verify_eigen(m, uniform_vector(2))
+    with pytest.raises(InvalidOperator, match="overflows"):
+        invariant_structure(m)
+    # Just below the limit the eigenvalue is finite, and so is the residual.
+    assert verify_eigen(OperatorMatrix(np.full((2, 2), 8e307)), uniform_vector(2)) == (1.6e308, 0.0)
+
+
 def test_uniform_sits_in_every_permutation_eigen_set():
     # for a finite family of permutation operators, the intersection of
     # their invariant-vector sets is witnessed by the uniform vector; no

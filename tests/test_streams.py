@@ -13,7 +13,7 @@ from tempora import (Constant, Periodic, Stream, add, canonicalize_tail,
 from tempora.errors import (InvalidPermutation, InvalidScale, InvalidStream,
                             ParseError)
 from tempora.axioms import MatrixTransform
-from tempora.streams import _as_mapping, _minimal_cycle, inverse_permutation, mixtures
+from tempora.streams import permutation_mapping, _minimal_cycle, inverse_permutation, mixtures
 
 from conftest import streams
 
@@ -477,7 +477,7 @@ def ref_shift_left(x):
 
 
 def ref_permute(x, sigma):
-    mapping = _as_mapping(sigma)
+    mapping = permutation_mapping(sigma)
     m = len(mapping)
     n = max(m, len(x.prefix))
     pre = tuple(ref_value_at(x, mapping[t]) if t < m else ref_value_at(x, t)
