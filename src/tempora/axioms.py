@@ -27,12 +27,12 @@ from __future__ import annotations
 import dataclasses
 import inspect
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, get_args
 
 import numpy as np
 
-from .discounting import (BanachWindow, Inf, Liminf, Maxmin, _Evaluator,
-                          as_evaluator, discounted_value, evaluate)
+from .discounting import (BanachWindow, Criterion, Inf, Liminf, Maxmin, as_evaluator,
+                          discounted_value, evaluate)
 from .errors import InvalidAxiom, InvalidPermutation, RegressionFailure
 from .patient import inf_value
 from .streams import (Constant, Periodic, Stream, add, constant_stream, delay,
@@ -388,8 +388,9 @@ _SCAN_CHUNK = 256
 
 def _each(ev, xs):
     """ev over xs: one batch for a criterion, one by one (lazily) for a
-    plain callable."""
-    return ev.many(xs) if isinstance(ev, _Evaluator) else map(ev, xs)
+    plain callable.  The criterion classes go to ``isinstance`` as a tuple,
+    a form every supported Python takes."""
+    return ev.many(xs) if isinstance(ev, get_args(Criterion)) else map(ev, xs)
 
 
 def _judge_continuity_segment(ev, tol, transform, x, z):

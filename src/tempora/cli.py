@@ -92,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated factors in [0, 1)")
     p.add_argument("--alphas", required=True, metavar="LIST",
                    help="comma-separated probe scales")
-    p.add_argument("--seed", type=int, default=None, metavar="S")
+    p.add_argument("--seed", type=int, default=None, metavar="S",
+                   help="accepted and ignored: the probe family draws no random streams")
 
     p = sub.add_parser("eigen", help="invariant discount vector of an operator")
     p.add_argument("--operator", required=True, metavar="FILE")

@@ -42,21 +42,22 @@ stream are refined in one lockstep golden-section search.
 
 Everything here is a pure function of immutable inputs; independent
 (criterion, stream) evaluations can run concurrently without coordination.
-The only shared state is bounded caches of read-only arrays (the grid and
-its stream-independent factors), filled idempotently: a racing fill
-computes the same bits, and a lock keeps each memo within its cap.
+The only shared state is ``functools.lru_cache`` caches of read-only
+arrays: the grids, and each grid's stream-independent factors d^n and
+1 - d^p, each factor cache within ``_FACTOR_CACHE`` entries of ``_NODES``
+floats (128 x 2001 x 8 bytes, about 2 MB).  ``lru_cache`` is thread-safe,
+and a racing miss computes the same read-only bits twice.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
 from operator import mul
-from typing import Callable, ClassVar, Iterable, Union
+from typing import Callable, ClassVar, Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -132,27 +133,14 @@ def discounted_value(x: Stream, delta: float) -> float:
 #: Grid nodes per continuous cost piece.
 _NODES = 2001
 
-#: Caps of the grid cache and of each grid's per-length memos.
+#: Entries of the grid cache, and of each cache of the grids' factors.
 _GRID_CACHE = 16
-_MEMO_CAP = 32
-_MEMO_LOCK = threading.Lock()
+_FACTOR_CACHE = 128
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _memoised(memo: dict, key: int, make: Callable[[], np.ndarray]) -> np.ndarray:
-    """``memo[key]``, made read-only by ``make()`` on a miss."""
-    out = memo.get(key)
-    if out is None:
-        out = _frozen(make())
-        with _MEMO_LOCK:
-            if len(memo) >= _MEMO_CAP:
-                memo.clear()
-            memo[key] = out
-    return out
 
 
 def _powers(d: list[float], ns: Iterable[int]) -> np.ndarray:
@@ -173,31 +161,31 @@ def _denoms(d: np.ndarray, p: np.ndarray | int) -> np.ndarray:
     return out
 
 
-class _Grid:
-    """The stream-independent factors of D_delta on an array ``d`` of
-    factors in [0, 1): ``power(n)`` (d^n) and ``denom(p)`` (1 - d^p) are
-    memoised read-only per prefix length and per period, at most
-    ``_MEMO_CAP`` of each.
-    """
+class _Grid(NamedTuple):
+    """A piece's grid: its ends and its read-only nodes
+    ``d = np.linspace(a, b, _NODES)``."""
 
-    __slots__ = ("d", "_pow", "_denom")
-
-    def __init__(self, d: np.ndarray):
-        self.d = _frozen(d)
-        self._pow: dict[int, np.ndarray] = {}
-        self._denom: dict[int, np.ndarray] = {}
-
-    def power(self, n: int) -> np.ndarray:
-        return _memoised(self._pow, n, lambda: _powers(self.d.tolist(), repeat(n)))
-
-    def denom(self, p: int) -> np.ndarray:
-        return _memoised(self._denom, p, lambda: _denoms(self.d, p))
+    a: float
+    b: float
+    d: np.ndarray
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE)
 def _grid(a: float, b: float) -> _Grid:
-    """The cached geometry of ``np.linspace(a, b, _NODES)``."""
-    return _Grid(np.linspace(a, b, _NODES))
+    """The cached grid of the piece [a, b]."""
+    return _Grid(a, b, _frozen(np.linspace(a, b, _NODES)))
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE)
+def _grid_power(a: float, b: float, n: int) -> np.ndarray:
+    """d^n on the grid of [a, b], read-only."""
+    return _frozen(_powers(_grid(a, b).d.tolist(), repeat(n)))
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE)
+def _grid_denom(a: float, b: float, p: int) -> np.ndarray:
+    """1 - d^p on the grid of [a, b], read-only."""
+    return _frozen(_denoms(_grid(a, b).d, p))
 
 
 def _horner(coeffs, d: np.ndarray) -> np.ndarray:
@@ -239,23 +227,23 @@ def discounted_value_grid(x: Stream, deltas: np.ndarray | _Grid) -> np.ndarray:
     """:func:`discounted_value` at each factor of an array, bit for bit.
 
     ``deltas`` is an array-like of factors in [0, 1], or a cached grid
-    geometry from the minimizer, whose factors are already known valid.
+    from the minimizer, whose factors are already known valid.
     """
-    at_one = None
+    n, p = len(x.prefix), x.period
+    periodic = p > 1
     if isinstance(deltas, _Grid):
-        g = deltas
-    else:
-        d = np.array(deltas, dtype=float, ndmin=1)
-        if d.size and (d.min() < 0.0 or d.max() > 1.0 or np.isnan(d).any()):
-            raise InvalidDelta("discount factors must lie in [0, 1]")
-        # D_1 is the tail mean: the closed form runs at 0.5 there instead.
-        at_one = d == 1.0
-        g = _Grid(np.where(at_one, 0.5, d))
-    periodic = x.period > 1
-    out = _dv_array(x.prefix, x.tail_cycle, periodic, x.tail_cycle[0], g.d,
-                    g.power(len(x.prefix)), g.denom(x.period) if periodic else None)
-    if at_one is not None:
-        out[at_one] = _tail_mean(x)
+        a, b, d = deltas
+        return _dv_array(x.prefix, x.tail_cycle, periodic, x.tail_cycle[0], d,
+                         _grid_power(a, b, n), _grid_denom(a, b, p) if periodic else None)
+    d = np.array(deltas, dtype=float, ndmin=1)
+    if d.size and (d.min() < 0.0 or d.max() > 1.0 or np.isnan(d).any()):
+        raise InvalidDelta("discount factors must lie in [0, 1]")
+    # D_1 is the tail mean: the closed form runs at 0.5 there instead.
+    at_one = d == 1.0
+    d = np.where(at_one, 0.5, d)
+    out = _dv_array(x.prefix, x.tail_cycle, periodic, x.tail_cycle[0], d,
+                    _powers(d.tolist(), repeat(n)), _denoms(d, p) if periodic else None)
+    out[at_one] = _tail_mean(x)
     return out
 
 
@@ -464,7 +452,8 @@ class Tabulated(_Cost, tag="tabulated"):
 
     Finite on [0, delta_max] with delta_max < 1 (below the first knot the
     cost extends flat), infinite beyond delta_max.  Must contain a
-    zero-cost knot (groundedness).
+    zero-cost knot (groundedness), and each segment's slope must be a
+    finite float.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -481,6 +470,8 @@ class Tabulated(_Cost, tag="tabulated"):
         if min(c for _, c in ks) != 0.0:
             raise InvalidCost("not grounded: no zero-cost knot")
         object.__setattr__(self, "knots", ks)
+        if not all(map(math.isfinite, _slopes(self))):
+            raise InvalidCost("knot slopes must be finite: a segment is too steep for a float")
 
     def value(self, delta: float) -> float:
         return _INF if delta > self.knots[-1][0] else self.pieces[0].scalar(delta)
@@ -799,9 +790,16 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
 class _Criterion(_Tagged):
     """An evaluation criterion: ``value(x)`` is the constant equivalent of
     the stream ``x``, and ``values(xs)`` is ``value`` of each stream, bit
-    for bit."""
+    for bit.  A criterion is its own stream -> value function: a call is
+    :func:`evaluate` and ``many`` is :func:`evaluate_many`."""
 
     family = "criterion"
+
+    def __call__(self, x: Stream) -> float:
+        return evaluate(self, x)
+
+    def many(self, xs: Iterable[Stream]) -> list[float]:
+        return evaluate_many(self, xs)
 
     def values(self, xs: list[Stream]) -> list[float]:
         return [self.value(x) for x in xs]
@@ -929,24 +927,12 @@ def evaluate_many(k: Criterion, xs: Iterable[Stream]) -> list[float]:
     return k.values(list(xs))
 
 
-class _Evaluator:
-    """A criterion as a stream -> value function; ``many`` is its batched
-    form, :func:`evaluate_many`."""
-
-    __slots__ = ("criterion",)
-
-    def __init__(self, criterion: Criterion):
-        self.criterion = criterion
-
-    def __call__(self, x: Stream) -> float:
-        return evaluate(self.criterion, x)
-
-    def many(self, xs: Iterable[Stream]) -> list[float]:
-        return evaluate_many(self.criterion, xs)
-
-
 def as_evaluator(k) -> Callable[[Stream], float]:
-    """Criterion (or plain callable) as a stream -> value function."""
+    """A criterion, or any plain callable, as a stream -> value function.
+
+    Raises:
+        InvalidCriterion: for a class or anything else not callable.
+    """
     if callable(k) and not isinstance(k, type):
         return k
-    return _Evaluator(k)
+    raise InvalidCriterion(f"not a criterion: {k!r}")

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import (InvalidPermutation, InvalidScale, InvalidStream, ParseError,
-                     decoding)
+                     decoding, tagged)
 
 
 @dataclass(frozen=True)
@@ -326,14 +326,7 @@ def stream_to_dict(x: Stream) -> dict:
 def stream_from_dict(data: dict) -> Stream:
     if not isinstance(data, dict) or "tail" not in data:
         raise ParseError("stream object needs a 'tail' entry", field="tail")
-    tail_data = data["tail"]
-    if not isinstance(tail_data, dict):
-        raise ParseError("stream tail must be an object", field="tail")
+    tag, body = tagged(data["tail"], "tail", ("constant", "periodic"))
     with decoding("stream"):
-        if "constant" in tail_data:
-            tail: TailSpec = Constant(tail_data["constant"])
-        elif "periodic" in tail_data:
-            tail = Periodic(tuple(tail_data["periodic"]))
-        else:
-            raise ParseError("tail must carry 'constant' or 'periodic'", field="tail")
+        tail: TailSpec = Constant(body) if tag == "constant" else Periodic(tuple(body))
         return make_stream(data.get("prefix", []), tail)

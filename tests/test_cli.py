@@ -232,6 +232,7 @@ MALFORMED_STREAMS = [
     {"tail": {"constant": None}},
     {"prefix": 5, "tail": {"constant": 0}},
     {"tail": {"periodic": "ab"}},
+    {"prefix": [1.0], "tail": {"constant": 0.5, "periodic": [1, 2]}},   # two tags
 ]
 
 MALFORMED_CRITERIA = [
@@ -240,6 +241,9 @@ MALFORMED_CRITERIA = [
     {"maxmin": 5},
     {"variational": {"cost": {"tabulated": {"knots": [[0.1]]}}}},
     {"variational": {"cost": {"indicator": 3}}},
+    {"edu": {"delta": 0.9}, "inf": {}},                                 # two tags
+    # Finite, grounded knots whose slope (0 - 1e308) / 0.3 overflows to -inf.
+    {"variational": {"cost": {"tabulated": {"knots": [[0.2, 1e308], [0.5, 0.0], [0.8, 2.0]]}}}},
 ]
 
 

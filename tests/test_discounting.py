@@ -1,6 +1,8 @@
+import functools
 import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from tempora import (BanachWindow, Cesaro, Constant, Edu, IndicatorSet, Inf,
                      discounted_value, evaluate, evaluate_many, make_stream,
                      minimize_over_delta, random_stream, scale_translate,
                      sup_distance, unanimity_probe)
-from tempora.discounting import (_GRID_CACHE, _MEMO_CAP, _NODES, _grid, _interp,
-                                 discounted_value_grid)
+from tempora.axioms import check_axiom
+from tempora.discounting import (_FACTOR_CACHE, _GRID_CACHE, _NODES, _grid, _grid_denom,
+                                 _grid_power, _interp, discounted_value_grid)
 from tempora.errors import (InvalidCost, InvalidCriterion, InvalidDelta)
 from tempora.jsonio import criterion_from_dict
 import tempora.discounting as D
@@ -162,6 +165,10 @@ def test_cost_validation():
         Tabulated(knots=((0.4, 1.0), (0.2, 0.0)))         # unsorted
     with pytest.raises(InvalidCost):
         Tabulated(knots=((0.2, 0.5),))                    # not grounded
+    with pytest.raises(InvalidCost):
+        Tabulated(knots=((0.2, 1e308), (0.5, 0.0)))       # slope -inf
+    with pytest.raises(InvalidCost):
+        Tabulated(knots=((0.2, 1e308), (0.5, 1.7e308), (0.8, 0.0)))   # slopes inf, -inf
 
 
 # ---------------------------------------------------------------------------
@@ -542,35 +549,57 @@ def test_flat_objective_opens_three_searches_per_piece(monkeypatch, k):
 def test_cached_grid_is_read_only():
     g = _grid(0.4, 0.6)
     assert _grid(0.4, 0.6) is g
-    for arr in (g.d, g.power(3), g.denom(2)):
+    for arr in (g.d, _grid_power(0.4, 0.6, 3), _grid_denom(0.4, 0.6, 2)):
         with pytest.raises(ValueError):
             arr[0] = 0.5
     assert g.d.tobytes() == np.linspace(0.4, 0.6, 2001).tobytes()
 
 
 def test_grid_cache_and_memos_are_bounded():
-    k = Maxmin(intervals=((0.25, 0.75),))
     g = _grid(0.25, 0.75)
-    for i, n in enumerate([*range(40), 1000, 2000, 3000]):
+    for i, n in enumerate([*range(_FACTOR_CACHE + 8), 1000, 2000, 3000]):
         x = make_stream([0.5] * n, Periodic(tuple(float(j) for j in range(2 + i))))
-        evaluate(k, x)
-        assert _grid(0.25, 0.75) is g
-        assert 0 < len(g._pow) <= _MEMO_CAP
-        assert 0 < len(g._denom) <= _MEMO_CAP
+        discounted_value_grid(x, g)
+        for cache in (_grid_power, _grid_denom):
+            info = cache.cache_info()
+            assert info.maxsize == _FACTOR_CACHE and 0 < info.currsize <= _FACTOR_CACHE
+    assert _grid_power.cache_info().currsize == _FACTOR_CACHE
     for i in range(2 * _GRID_CACHE):
         _grid(0.0, 0.5 + i / 100)
     assert _grid.cache_info().currsize <= _GRID_CACHE
 
 
+def test_proxy_check_fills_each_power_once(monkeypatch):
+    # The monotone continuity proxy evaluates prefixes of up to 412 terms;
+    # while the cache has room, no grid's d^n is computed twice.
+    fills = Counter()
+    powers = D._powers
+
+    def counted(d, ns):
+        out = powers(d, ns)
+        if len(d) == _NODES:
+            fills[d[0], d[-1], out.tobytes()] += 1
+        return out
+
+    monkeypatch.setattr(D, "_powers", counted)
+    _grid_power.cache_clear()
+    check_axiom(Variational(Quadratic(0.8, 3.0)), "monotone_continuity_proxy", trials=20, seed=0)
+    assert 0 < len(fills) == _grid_power.cache_info().currsize < _FACTOR_CACHE
+    assert max(fills.values()) == 1
+
+
 def test_concurrent_grid_evaluations_share_the_cache_safely(monkeypatch):
-    # A cap of 2 makes the memos refill on nearly every call, so that two
-    # fills racing each other would show as a memo past its cap.
-    monkeypatch.setattr(D, "_MEMO_CAP", 2)
-    # A small grid of the minimizer's kind keeps each refill cheap.
-    g = D._Grid(np.linspace(0.35, 0.65, 41))
+    # Factor caches of two entries refill on nearly every call, so the
+    # threads evict each other's arrays; a 41-node grid keeps each refill
+    # cheap, and fresh caches keep it out of the shared ones.
+    monkeypatch.setattr(D, "_NODES", 41)
+    for name, size in (("_grid", 1), ("_grid_power", 2), ("_grid_denom", 2)):
+        monkeypatch.setattr(D, name, functools.lru_cache(maxsize=size)(
+            getattr(D, name).__wrapped__))
+    g = D._grid(0.35, 0.65)
     xs = [make_stream([0.25 * (n + 1)] * n, Periodic(tuple(float(i) for i in range(2 + n % 5))))
           for n in range(12)]
-    want = [discounted_value_grid(x, g).tobytes() for x in xs]
+    want = [discounted_value_grid(x, g.d).tobytes() for x in xs]
     bad, sizes = [], []
 
     def work(t):
@@ -578,7 +607,8 @@ def test_concurrent_grid_evaluations_share_the_cache_safely(monkeypatch):
             for i in range(t % 12, 12):
                 if discounted_value_grid(xs[i], g).tobytes() != want[i]:
                     bad.append(i)
-                sizes.append(max(len(g._pow), len(g._denom)))
+                sizes.append(max(D._grid_power.cache_info().currsize,
+                                 D._grid_denom.cache_info().currsize))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -593,6 +623,7 @@ def test_concurrent_grid_evaluations_share_the_cache_safely(monkeypatch):
     assert not any(th.is_alive() for th in threads)
     assert bad == []
     assert max(sizes) <= 2
+    assert D._grid_power.cache_info().misses > 12
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +722,19 @@ def test_evaluate_many_takes_any_iterable_and_only_criteria(rng):
     assert evaluate_many(Variational(Quadratic(0.5, 8.0)), []) == []
     with pytest.raises(InvalidCriterion):
         evaluate_many(lambda x: 0.0, xs)
+
+
+def test_a_criterion_is_its_own_evaluator(rng):
+    xs = many_streams(rng, 20)
+    for k in CRITERIA:
+        assert D.as_evaluator(k) is k
+        assert hex_bits(map(k, xs)) == hex_bits(evaluate(k, x) for x in xs)
+        assert hex_bits(k.many(iter(xs))) == hex_bits(evaluate_many(k, xs))
+    plain = lambda x: 0.0
+    assert D.as_evaluator(plain) is plain
+    for bad in (Edu, 0.9, None):
+        with pytest.raises(InvalidCriterion):
+            D.as_evaluator(bad)
 
 
 def test_minimize_many_matches_minimize_over_delta(rng):

@@ -376,6 +376,7 @@ def test_json_examples():
     {"tail": {"constant": None}},
     {"prefix": 5, "tail": {"constant": 0}},
     {"tail": {"periodic": "ab"}},
+    {"tail": {"constant": 0.5, "periodic": [1, 2]}},
 ], ids=json.dumps)
 def test_malformed_stream_is_a_parse_error(data):
     with pytest.raises(ParseError):
