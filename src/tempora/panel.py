@@ -25,7 +25,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .axioms import AxiomReport, _at_least, _cert, _run_trials, random_stream
+from .axioms import AxiomReport, _at_least, _cert, _each, _run_trials, random_stream
 from .discounting import (IndicatorSet, Variational, as_evaluator,
                           discounted_value)
 from .errors import InvalidDelta, InvalidPanel
@@ -163,7 +163,8 @@ def recover_cost(evaluator, grid, probe_alphas=(1.0, 10.0, 100.0, 1e3, 1e5),
     grows as the center c moves past d away from the evaluator's preferred
     d*), so the reported bounds clear their analytic values robustly.
     Bounds are monotone nondecreasing in the family, and nothing is claimed
-    about attainment.
+    about attainment.  A criterion evaluates the family in one batch
+    (``evaluate_many``, the same bits as one call per stream).
     """
     ev = as_evaluator(evaluator)
     grid = [float(d) for d in grid]
@@ -175,7 +176,7 @@ def recover_cost(evaluator, grid, probe_alphas=(1.0, 10.0, 100.0, 1e3, 1e5),
     family += [random_stream(rng) for _ in range(random_streams)]
     centers = sorted(set([i / 20 for i in range(20)] + grid))
     family += [unanimity_probe(c, float(a)) for c in centers for a in probe_alphas]
-    evaluated = [(x, ev(x)) for x in family]
+    evaluated = list(zip(family, _each(ev, family)))
     table: list[tuple[float, float]] = []
     for d in grid:
         best = -math.inf

@@ -15,8 +15,11 @@ when they agree at every index.
 
 Every pointwise operation reads its operands' values on one aligned
 window, ``[0, n + lcm(periods))`` with ``n`` the longest prefix, maps
-them to ``vals`` and returns ``Stream(vals[:n], Periodic(vals[n:]))``:
-the constructor does the rest, so no operation has tail branches.
+them to ``vals`` and returns the stream ``vals[:n]`` then ``vals[n:]``
+repeated, so no operation has tail branches.  Such a result is validated
+once (new values are checked finite; values moved from a stream are
+finite already) and canonicalized by the one helper the constructor
+uses, without running the constructor's checks a second time.
 """
 
 from __future__ import annotations
@@ -66,11 +69,38 @@ def _minimal_cycle(cycle: Sequence[float]) -> tuple[float, ...]:
     """Shortest block whose repetition reproduces ``cycle``."""
     cycle = tuple(cycle)
     n = len(cycle)
-    for d in range(1, n + 1):
-        # Period d: every entry equals the one d places before it.
-        if n % d == 0 and cycle[d:] == cycle[:n - d]:
+    for d in range(1, n):
+        # Period d: every entry equals the one d places before it (the
+        # first entry decides most candidates without a slice).
+        if n % d == 0 and cycle[d] == cycle[0] and cycle[d:] == cycle[:n - d]:
             return cycle[:d]
     return cycle
+
+
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass, skipping ``__post_init__``:
+    for fields that are already valid and canonical."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _canonical(pre: Sequence[float], cyc: Sequence[float]) -> tuple[tuple[float, ...], TailSpec]:
+    """Canonical prefix and tail of the finite floats ``pre`` followed by
+    ``cyc`` repeated: the cycle reduced to its minimal period, prefix
+    entries that replay it absorbed, and a length-1 cycle folded into a
+    :class:`Constant`."""
+    cyc = _minimal_cycle(cyc)
+    n, p = len(pre), len(cyc)
+    # Absorb pre[k - 1] while it equals the cycle continued backwards; the
+    # cycle then starts s places on, where the kept prefix ends.
+    k = n
+    while k and pre[k - 1] == cyc[(k - 1 - n) % p]:
+        k -= 1
+    if p == 1:
+        return tuple(pre[:k]), _unchecked(Constant, value=cyc[0])
+    s = (k - n) % p
+    return tuple(pre[:k]), _unchecked(Periodic, cycle=cyc[s:] + cyc[:s])
 
 
 def canonicalize_tail(tail: TailSpec) -> TailSpec:
@@ -81,7 +111,9 @@ def canonicalize_tail(tail: TailSpec) -> TailSpec:
     least rotation (the tie-breaking rule for comparing tails regardless of
     where the prefix ends).
     """
-    tail = Stream((), tail).tail
+    if not isinstance(tail, (Constant, Periodic)):
+        raise InvalidStream(f"not a tail spec: {tail!r}")
+    _, tail = _canonical((), (tail.value,) if isinstance(tail, Constant) else tail.cycle)
     if isinstance(tail, Constant):
         return tail
     cyc = tail.cycle
@@ -101,21 +133,14 @@ class Stream:
     tail: TailSpec = Constant(0.0)
 
     def __post_init__(self):
-        pre = list(map(float, self.prefix))
+        pre = tuple(map(float, self.prefix))
         if not all(map(math.isfinite, pre)):
             raise InvalidStream("non-finite value in stream prefix")
         if not isinstance(self.tail, (Constant, Periodic)):
             raise InvalidStream(f"not a tail spec: {self.tail!r}")
-        cyc = list(_minimal_cycle(self.tail_cycle))
-        # Absorb prefix entries that already follow the cycle; each
-        # absorbed entry rotates the cycle's phase back by one.
-        while pre and pre[-1] == cyc[-1]:
-            pre.pop()
-            cyc.insert(0, cyc.pop())
-        object.__setattr__(self, "prefix", tuple(pre))
-        # A tail given in canonical form is kept as it is.
-        if isinstance(self.tail, Periodic) and (len(cyc) == 1 or tuple(cyc) != self.tail.cycle):
-            object.__setattr__(self, "tail", Constant(cyc[0]) if len(cyc) == 1 else Periodic(tuple(cyc)))
+        prefix, tail = _canonical(pre, self.tail_cycle)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", tail)
 
     # -- accessors ---------------------------------------------------------
 
@@ -183,6 +208,23 @@ def _window(xs: Sequence[Stream], n: int = 0, q: int = 1) -> tuple[int, list[lis
     return n, [x.values(n + q) for x in xs]
 
 
+def _stream(pre: Sequence[float], cyc: Sequence[float]) -> Stream:
+    """The canonical stream ``pre`` then ``cyc`` repeated, for finite
+    floats: no ``__post_init__`` runs."""
+    prefix, tail = _canonical(pre, cyc)
+    return _unchecked(Stream, prefix=prefix, tail=tail)
+
+
+def _checked(vals: list[float], n: int) -> Stream:
+    """``_stream(vals[:n], vals[n:])`` after one finiteness check, with the
+    constructor's message: a bad cycle value is named before a bad prefix
+    value, as the tail is built before the stream."""
+    if not all(map(math.isfinite, vals)):
+        where = "stream prefix" if all(map(math.isfinite, vals[n:])) else "periodic cycle"
+        raise InvalidStream(f"non-finite value in {where}")
+    return _stream(vals[:n], vals[n:])
+
+
 def add(x: Stream, y: Stream) -> Stream:
     """Exact pointwise sum.
 
@@ -190,8 +232,7 @@ def add(x: Stream, y: Stream) -> Stream:
     lcm of the tail periods.
     """
     n, (vx, vy) = _window((x, y))
-    vals = [a + b for a, b in zip(vx, vy)]
-    return Stream(vals[:n], Periodic(vals[n:]))
+    return _checked([a + b for a, b in zip(vx, vy)], n)
 
 
 def scale_translate(x: Stream, a: float, theta: float = 0.0) -> Stream:
@@ -202,9 +243,9 @@ def scale_translate(x: Stream, a: float, theta: float = 0.0) -> Stream:
     """
     if a < 0:
         raise InvalidScale(f"scale factor must be >= 0, got {a}")
+    a, theta = float(a), float(theta)
     n, (v,) = _window((x,))
-    vals = [a * t + theta for t in v]
-    return Stream(vals[:n], Periodic(vals[n:]))
+    return _checked([a * t + theta for t in v], n)
 
 
 def mixtures(x: Stream, z: Stream, lams) -> list[Stream]:
@@ -212,28 +253,35 @@ def mixtures(x: Stream, z: Stream, lams) -> list[Stream]:
 
     Each is ``add(scale_translate(x, lam), scale_translate(z, 1 - lam))``:
     its values ``(lam * x_t + 0.0) + ((1 - lam) * z_t + 0.0)`` are computed
-    on the aligned window for every lam at once with numpy.
+    on the aligned window for every lam at once with numpy and checked
+    finite in one numpy call; each row is then canonicalized by the
+    constructor's helper without a second check.
 
     Raises:
         InvalidScale: if a lam lies outside [0, 1].
+        InvalidStream: if a value overflows, with the message of the first
+            such row's constructor.
     """
     lam = np.array(lams, dtype=float).reshape(-1, 1)
     if not ((lam >= 0.0) & (lam <= 1.0)).all():
         raise InvalidScale("mixing weights must lie in [0, 1]")
     n, (vx, vz) = _window((x, z))
     vals = (lam * np.array(vx) + 0.0) + ((1.0 - lam) * np.array(vz) + 0.0)
-    return [Stream(row[:n], Periodic(row[n:])) for row in vals.tolist()]
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        _checked(vals[finite.argmin()].tolist(), n)  # raises for the first bad row
+    return [_stream(row[:n], row[n:]) for row in vals.tolist()]
 
 
 def delay(x: Stream) -> Stream:
     """Prepend a zero period: (0, x_0, x_1, ...)."""
-    return Stream((0.0,) + x.prefix, x.tail)
+    return _stream((0.0,) + x.prefix, x.tail_cycle)
 
 
 def shift_left(x: Stream) -> Stream:
     """Drop the current period: (x_1, x_2, ...)."""
     n, (v,) = _window((x,), n=1)
-    return Stream(v[1:n], Periodic(v[n:]))
+    return _stream(v[1:n], v[n:])
 
 
 def permutation_mapping(sigma, bound: int | None = None) -> tuple[int, ...]:
@@ -278,7 +326,7 @@ def permute(x: Stream, sigma) -> Stream:
     mapping = permutation_mapping(sigma)
     n, (v,) = _window((x,), n=len(mapping))
     vals = [v[s] for s in mapping] + v[len(mapping):]
-    return Stream(vals[:n], Periodic(vals[n:]))
+    return _stream(vals[:n], vals[n:])
 
 
 def inverse_permutation(sigma) -> tuple[int, ...]:
@@ -298,7 +346,7 @@ def pairwise_swap(x: Stream) -> Stream:
     """
     n, (v,) = _window((x,), n=len(x.prefix) + len(x.prefix) % 2, q=2)
     vals = [v[t ^ 1] for t in range(len(v))]
-    return Stream(vals[:n], Periodic(vals[n:]))
+    return _stream(vals[:n], vals[n:])
 
 
 def sup_distance(x: Stream, y: Stream) -> float:

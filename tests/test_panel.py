@@ -4,11 +4,13 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from tempora import (BanachWindow, Edu, ExpertPanel, Maxmin, Quadratic,
-                     Variational, check_unanimity, discounted_value, evaluate,
+from tempora import (BanachWindow, Cesaro, Edu, ExpertPanel, IndicatorSet, Inf,
+                     Liminf, Maxmin, Quadratic, Tabulated, Variational,
+                     check_unanimity, discounted_value, evaluate,
                      panel_criterion, panel_from_rates, random_stream,
                      rate_to_factor, recover_cost, unanimity_probe,
                      weitzman_panel)
+from tempora import discounting
 from tempora.panel import _RATE_CAP, _SURVEY_MU, _SURVEY_SIGMA
 from tempora.errors import InvalidAxiom, InvalidDelta, InvalidPanel
 
@@ -161,6 +163,52 @@ def test_recover_cost_monotone_in_family():
 def test_recover_cost_never_negative():
     table = recover_cost(Edu(0.5), [0.1, 0.5, 0.9], random_streams=10, seed=1)
     assert all(bound >= 0.0 for _, bound in table)
+
+
+RECOVERED = [Variational(Quadratic(0.8, 3.0)),
+             Variational(Tabulated(knots=((0.2, 0.5), (0.5, 0.0), (0.8, 2.0)))),
+             Variational(IndicatorSet(intervals=((0.4, 0.6),))),
+             Maxmin(points=(0.3,), intervals=((0.5, 0.7),)),
+             Inf(), Liminf(), BanachWindow(), Cesaro()]
+
+
+def hex_table(table):
+    return [(d.hex(), bound.hex()) for d, bound in table]
+
+
+@pytest.mark.parametrize("k", RECOVERED, ids=lambda k: type(k).__name__)
+def test_recover_cost_batch_has_the_bits_of_one_call_per_stream(k):
+    # 110 streams: maxmin and variational refine them in one lockstep search.
+    grid, kw = [0.3, 0.5, 0.7], dict(random_streams=5, seed=2)
+    one_by_one = recover_cost(lambda x: evaluate(k, x), grid, **kw)
+    assert hex_table(recover_cost(k, grid, **kw)) == hex_table(one_by_one)
+
+
+def test_recover_cost_of_a_plain_callable_calls_it_once_per_stream():
+    seen = []
+    def ev(x):
+        seen.append(x)
+        return discounted_value(x, 0.6)
+    table = recover_cost(ev, [0.2, 0.6], random_streams=3, seed=1)
+    assert hex_table(table) == hex_table(recover_cost(Edu(0.6), [0.2, 0.6], random_streams=3, seed=1))
+    assert len(seen) == len(set(map(id, seen))) > 5
+
+
+def test_recover_cost_evaluates_a_criterion_in_one_batch(monkeypatch):
+    calls = {"many": 0, "one": 0}
+    many, one = discounting.evaluate_many, discounting.evaluate
+    def counted_many(k, xs):
+        calls["many"] += 1
+        return many(k, xs)
+    def counted_one(k, x):
+        calls["one"] += 1
+        return one(k, x)
+    monkeypatch.setattr(discounting, "evaluate_many", counted_many)
+    monkeypatch.setattr(discounting, "evaluate", counted_one)
+    for k in RECOVERED:
+        calls.update(many=0, one=0)
+        recover_cost(k, [0.3, 0.7], random_streams=4)
+        assert calls == {"many": 1, "one": 0}, k
 
 
 def test_recover_cost_grid_validation():

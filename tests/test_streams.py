@@ -406,6 +406,12 @@ def test_json_round_trip_extreme_doubles():
 # The ref_* functions are the earlier code of each operation, verbatim but
 # for the names: every tail kind handled in its own branch, the tail's
 # phase rotated by hand, and values read one value_at call at a time.
+# One message differs: the tail branches built the constant tail of a sum
+# or affine map as a Constant, whose overflow message names the value; the
+# window form reports every overflowing tail value as a cycle value (the
+# message the CLI prints).  So ref_add and ref_scale_translate build that
+# tail as a one-value Periodic, which the constructor folds into the same
+# Constant.
 
 def _ref_tail_at(tail, k):
     if isinstance(tail, Constant):
@@ -443,7 +449,7 @@ def ref_add(x, y):
     n, tx, ty = _ref_aligned(x, y)
     pre = tuple(ref_value_at(x, t) + ref_value_at(y, t) for t in range(n))
     if isinstance(tx, Constant) and isinstance(ty, Constant):
-        tail = Constant(tx.value + ty.value)
+        tail = Periodic((tx.value + ty.value,))
     else:
         q = math.lcm(x.period, y.period)
         tail = Periodic(tuple(_ref_tail_at(tx, k) + _ref_tail_at(ty, k) for k in range(q)))
@@ -455,7 +461,7 @@ def ref_scale_translate(x, a, theta=0.0):
         raise InvalidScale(f"scale factor must be >= 0, got {a}")
     pre = tuple(a * v + theta for v in x.prefix)
     if isinstance(x.tail, Constant):
-        tail = Constant(a * x.tail.value + theta)
+        tail = Periodic((a * x.tail.value + theta,))
     else:
         tail = Periodic(tuple(a * v + theta for v in x.tail.cycle))
     return Stream(pre, tail)
@@ -541,12 +547,13 @@ def ref_canonical(prefix, tail):
 
 def outcome(f, *args):
     """What a call gives, down to the bits: a stream by its representation,
-    floats by ``float.hex``, lists element by element, an error by its type."""
+    floats by ``float.hex``, lists element by element, an error by its type
+    and message."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             out = f(*args)
     except (InvalidStream, InvalidScale, InvalidPermutation) as exc:
-        return type(exc).__name__
+        return type(exc).__name__, str(exc)
     if isinstance(out, list):
         return [bits(v) if isinstance(v, Stream) else v.hex() for v in out]
     return bits(out) if isinstance(out, Stream) else out.hex()
@@ -598,6 +605,67 @@ few_values = st.sampled_from([0.0, -0.0, 1.0, 2.0])
                  st.lists(few_values, min_size=1, max_size=6).map(lambda c: Periodic(tuple(c)))))
 def test_constructor_has_the_bits_of_the_tail_branches(prefix, tail):
     assert bits(Stream(tuple(prefix), tail)) == ref_canonical(prefix, tail)
+
+
+M = 1.7976931348623157e308  # the largest double
+
+
+def test_an_overflow_names_the_cycle_before_the_prefix():
+    prefix_only = (make_stream([M], Constant(1.0)), make_stream([M], Constant(M)))
+    cycle_only = (make_stream([1.0], Periodic((M, 1.0))), make_stream([1.0], Periodic((M, 2.0))))
+    both = (make_stream([M], Periodic((M, 1.0))), make_stream([M], Periodic((M, 2.0))))
+    for (x, y), where in [(prefix_only, "stream prefix"), (cycle_only, "periodic cycle"),
+                          (both, "periodic cycle")]:
+        assert outcome(add, x, y) == ("InvalidStream", f"non-finite value in {where}")
+        assert outcome(add, x, y) == outcome(ref_add, x, y)
+    assert outcome(scale_translate, prefix_only[0], 2.0, 0.0) == \
+        ("InvalidStream", "non-finite value in stream prefix")
+    assert outcome(scale_translate, constant_stream(M), 1.0, M) == \
+        ("InvalidStream", "non-finite value in periodic cycle")
+
+
+@pytest.fixture
+def post_inits(monkeypatch):
+    """Counts of ``__post_init__`` runs of Stream, Periodic and Constant."""
+    counts = {}
+    for cls in (Stream, Periodic, Constant):
+        def counted(self, original=cls.__post_init__, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+def test_window_results_are_not_validated_again(rng, post_inits):
+    pairs = SHRINKING_PAIRS + [(random_stream(rng), random_stream(rng)) for _ in range(20)]
+    post_inits.clear()
+    for x, z in pairs:
+        assert len(mixtures(x, z, [i / 255 for i in range(256)])) == 256
+        assert post_inits == {}
+        for op, args in [(add, (x, z)), (scale_translate, (x, 0.5, 1.0)), (shift_left, (x,)),
+                         (permute, (x, [2, 0, 1])), (pairwise_swap, (x,)), (delay, (x,))]:
+            op(*args)
+            assert post_inits == {}, op
+
+
+def test_public_constructors_still_validate(post_inits):
+    nan = float("nan")
+    for build in [lambda: make_stream([nan], Constant(0.0)),
+                  lambda: make_stream([], Periodic((1.0, nan))),
+                  lambda: stream_from_dict({"prefix": [nan], "tail": {"constant": 0}}),
+                  lambda: stream_from_dict({"tail": {"constant": nan}}),
+                  lambda: Stream((nan,), Constant(0.0)),
+                  lambda: Stream((), Constant(nan))]:
+        post_inits.clear()
+        with pytest.raises((InvalidStream, ParseError)) as caught:
+            build()
+        # stream_from_dict reports the constructor's InvalidStream as a ParseError.
+        assert isinstance(caught.value, InvalidStream) or \
+            isinstance(caught.value.__cause__, InvalidStream)
+        assert post_inits
+    post_inits.clear()
+    make_stream([1.0], Periodic((2.0, 3.0)))
+    assert post_inits == {"Periodic": 1, "Stream": 1}
 
 
 def test_values_of_a_nonpositive_count_is_empty():
