@@ -85,22 +85,27 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _canonical(pre: Sequence[float], cyc: Sequence[float]) -> tuple[tuple[float, ...], TailSpec]:
+def _canonical(pre: Sequence[float], cyc: Sequence[float],
+               tail: TailSpec | None = None) -> tuple[tuple[float, ...], TailSpec]:
     """Canonical prefix and tail of the finite floats ``pre`` followed by
     ``cyc`` repeated: the cycle reduced to its minimal period, prefix
     entries that replay it absorbed, and a length-1 cycle folded into a
-    :class:`Constant`."""
-    cyc = _minimal_cycle(cyc)
-    n, p = len(pre), len(cyc)
+    :class:`Constant`.  ``tail``, the tail whose cycle ``cyc`` is, comes
+    back as it is where it is already canonical."""
+    minimal = _minimal_cycle(cyc)
+    n, p = len(pre), len(minimal)
     # Absorb pre[k - 1] while it equals the cycle continued backwards; the
     # cycle then starts s places on, where the kept prefix ends.
     k = n
-    while k and pre[k - 1] == cyc[(k - 1 - n) % p]:
+    while k and pre[k - 1] == minimal[(k - 1 - n) % p]:
         k -= 1
     if p == 1:
-        return tuple(pre[:k]), _unchecked(Constant, value=cyc[0])
+        return tuple(pre[:k]), (tail if isinstance(tail, Constant)
+                                else _unchecked(Constant, value=minimal[0]))
     s = (k - n) % p
-    return tuple(pre[:k]), _unchecked(Periodic, cycle=cyc[s:] + cyc[:s])
+    if s == 0 and minimal is cyc and isinstance(tail, Periodic):
+        return tuple(pre[:k]), tail
+    return tuple(pre[:k]), _unchecked(Periodic, cycle=minimal[s:] + minimal[:s])
 
 
 def canonicalize_tail(tail: TailSpec) -> TailSpec:
@@ -138,7 +143,7 @@ class Stream:
             raise InvalidStream("non-finite value in stream prefix")
         if not isinstance(self.tail, (Constant, Periodic)):
             raise InvalidStream(f"not a tail spec: {self.tail!r}")
-        prefix, tail = _canonical(pre, self.tail_cycle)
+        prefix, tail = _canonical(pre, self.tail_cycle, self.tail)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail", tail)
 

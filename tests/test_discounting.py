@@ -755,16 +755,16 @@ def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
         owners, brackets = [], []
         for i, x in enumerate(xs):
             found = D._scan(x, piece)[1]
+            f = D._objective(x, piece)
             # plus the whole piece, a wide bracket, and a degenerate one,
             # in the same batch: lanes stop at different steps
-            for br in found + [(piece.a, piece.b), (piece.b, piece.b)]:
+            for a, b in [br[:2] for br in found] + [(piece.a, piece.b), (piece.b, piece.b)]:
                 owners.append(i)
-                brackets.append(br)
-        lo, hi = np.array(brackets).T
-        got = D._golden_lockstep(D._lanes([xs[i] for i in owners], piece.lanes), lo, hi)
-        for i, (a, b), (d, v) in zip(owners, brackets, got):
-            dv = D._dv_scalar(xs[i])
-            want_d, want_v = D._golden(lambda t: dv(t) + piece.scalar(t), a, b)
+                brackets.append((a, b, f(a), f(b)))
+        got = D._golden_lockstep(D._lanes([xs[i] for i in owners], piece.lanes),
+                                 *np.array(brackets).T)
+        for i, br, (d, v) in zip(owners, brackets, got):
+            want_d, want_v = D._golden(D._objective(xs[i], piece), *br)
             assert (d.hex(), v.hex()) == (want_d.hex(), want_v.hex())
             periodic += xs[i].period > 1
     assert periodic > 500
@@ -1022,20 +1022,33 @@ def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale)
     for piece in cost.pieces:
         if piece.b <= piece.a:
             continue
-        candidates, brackets, ends = D._scan(x, piece)
+        cost_at = piece.scalar
+        objective = lambda d: dv(d) + cost_at(d)
+        candidates, brackets = D._scan(x, piece)
         # The scan's brackets span two cells at most; the wide ones test
         # the bound where it spans many cells of the grid.
         g = _grid(piece.a, piece.b)
         f = (discounted_value_grid(x, g) + piece.on_grid).tolist()
-        brackets = brackets + [(g.d.item(i), g.d.item(j)) for i, j in WIDE]
-        ends = ends + [(f[i], f[j]) for i, j in WIDE]
-        kept = D._undercutting(x, piece, candidates, brackets, ends)
+        brackets = brackets + [(g.d.item(i), g.d.item(j), f[i], f[j]) for i, j in WIDE]
+        kept = D._undercutting(x, piece, candidates, brackets)
         assert set(kept) <= set(brackets)
-        best, cost_at = candidates[0][0], piece.scalar
-        for lo, hi in set(brackets) - set(kept):
-            objective = lambda d: dv(d) + cost_at(d)
-            assert D._golden(objective, lo, hi)[1] > best
+        best = candidates[0][0]
+        for lo, hi, f_lo, f_hi in set(brackets) - set(kept):
+            assert D._golden(objective, lo, hi, f_lo, f_hi)[1] > best
             assert all(objective(d) > best for d in np.linspace(lo, hi, 101).tolist())
+        # The coarse segments, as arrays: every grid node of a dropped
+        # segment lies strictly above the least coarse value.
+        n, p, norm, two_r, mu = D._terms(x)
+        if not norm < 1e300 / (n + p):
+            continue
+        coarse = f[::D._STRIDE]
+        ends = g.d[::D._STRIDE]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dropped = D._dropped(piece, n, p, norm, two_r, mu, ends[:-1], ends[1:],
+                                 np.array(coarse[:-1]), np.array(coarse[1:]), min(coarse))
+        for s in np.flatnonzero(dropped).tolist():
+            nodes = f[s * D._STRIDE:(s + 1) * D._STRIDE + 1]
+            assert min(nodes) > min(coarse), (s, nodes)
 
 
 def test_most_brackets_are_certified_away_on_a_fixed_battery(monkeypatch):
@@ -1096,3 +1109,87 @@ def test_overflowing_and_constant_streams_keep_the_reference_bits(x, cost):
     assert got_v.hex() == want_v.hex()
     assert got_d.hex() == want_d.hex() or want_v == -math.inf
     assert hex_bits(batched) == [want_v.hex()] * D._LOCKSTEP_MIN
+
+
+# ---------------------------------------------------------------------------
+# the coarse-to-fine scan: the full grid's bits, on a fraction of its nodes
+# ---------------------------------------------------------------------------
+
+#: A batch above one block of the coarse-to-fine scan, so that it runs and
+#: splits the batch.
+ABOVE_BLOCK = D._BLOCK + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(oracle_streams())
+# A flat run above the best: the constant stream is flat below the first
+# knot, where the cost is 1.
+@example(constant_stream(1.0))
+@example(OVERFLOW_STREAMS[0])
+@example(OVERFLOW_STREAMS[1])
+def test_batches_have_the_reference_bits_for_every_cost_shape(x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in REF_COSTS + REF_MAXMIN:
+            k = c if isinstance(c, Maxmin) else Variational(c)
+            want = (ref_maxmin_value(x, k) if isinstance(c, Maxmin)
+                    else ref_minimize_over_delta(x, c)[1])
+            for size in (1, D._LOCKSTEP_MIN, ABOVE_BLOCK):
+                assert hex_bits(evaluate_many(k, [x] * size)) == [want.hex()] * size, (c, size)
+
+
+def test_a_batch_of_constant_streams_under_a_flat_knot_extension_keeps_the_reference_bits():
+    cost = Tabulated(((0.2, 1.0), (0.5, 0.0), (0.8, 2.0)))
+    for v in (1.0, 0.0, -0.0, -2.5):
+        x = constant_stream(v)
+        want_d, want_v = ref_minimize_over_delta(x, cost)
+        for d_star, v_star in D._minimize_many([x] * ABOVE_BLOCK, cost):
+            assert (d_star.hex(), v_star.hex()) == (want_d.hex(), want_v.hex())
+
+
+def counted_grid_nodes(monkeypatch):
+    """Grid nodes evaluated: 2001 per full scan, plus every node of the
+    coarse-to-fine scan's 2-D arrays (the golden-section lanes are 1-D)."""
+    counts = {"nodes": 0, "coarse_steps": 0, "coarse_rows": 0}
+    scan, dv_array, horner = D._scan, D._dv_array, D._horner
+
+    def counted_scan(*args):
+        counts["nodes"] += _NODES
+        return scan(*args)
+
+    def counted_dv_array(prefix, cycle, periodic, const, d, *rest):
+        if d.ndim == 2:
+            counts["nodes"] += d.size
+            if d.shape[1] == D._SEGMENTS + 1:
+                counts["coarse_rows"] += d.shape[0]
+        return dv_array(prefix, cycle, periodic, const, d, *rest)
+
+    def counted_horner(coeffs, d):
+        if d.ndim == 2 and d.shape[1] == D._SEGMENTS + 1:
+            counts["coarse_steps"] += len(coeffs) * d.size
+        return horner(coeffs, d)
+
+    monkeypatch.setattr(D, "_scan", counted_scan)
+    monkeypatch.setattr(D, "_dv_array", counted_dv_array)
+    monkeypatch.setattr(D, "_horner", counted_horner)
+    return counts
+
+
+def test_a_continuity_scan_evaluates_a_fifth_of_the_grid_at_most(monkeypatch):
+    counts = counted_grid_nodes(monkeypatch)
+    report = check_axiom(Variational(Quadratic(0.8, 3.0)), "continuity_segment", 1, 0)
+    assert report.passes == 1
+    assert counts["coarse_rows"] > 9000
+    assert counts["nodes"] <= 10001 * _NODES / 5
+
+
+def test_the_coarse_pass_does_not_pad_a_batch_to_its_longest_prefix(monkeypatch, rng):
+    xs = [random_stream(rng) for _ in range(300)]
+    xs.append(make_stream(rng.uniform(-5.0, 5.0, 2000).tolist(), Constant(1.0)))
+    want = [minimize_over_delta(x, Quadratic(0.8, 3.0)) for x in xs]
+    counts = counted_grid_nodes(monkeypatch)
+    got = D._minimize_many(xs, Quadratic(0.8, 3.0))
+    assert got == want
+    # Many streams share their shape with 15 others or more; every coarse
+    # row takes its own n + p Horner steps on the 126 coarse nodes.
+    assert counts["coarse_rows"] >= 60
+    assert counts["coarse_steps"] <= sum(len(x.prefix) + x.period for x in xs) * (D._SEGMENTS + 1)

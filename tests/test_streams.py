@@ -53,6 +53,16 @@ def test_make_stream_reduces_cycle_to_minimal_period():
     assert x == ALT
 
 
+def test_a_canonical_stream_keeps_its_tail_object(rng):
+    xs = [random_stream(rng) for _ in range(200)]
+    xs += [make_stream([1.0, -0.0], Constant(-0.0)), make_stream([2.0], Periodic((0.0, -0.0, 1.0)))]
+    for x in xs:
+        assert Stream(x.prefix, x.tail).tail is x.tail
+    # A tail that is not canonical is still rebuilt.
+    assert make_stream([1.0], Periodic((5.0, 5.0))).tail == Constant(5.0)
+    assert make_stream([1.0], Periodic((0.0, 1.0))).tail == Periodic((1.0, 0.0))
+
+
 def test_non_finite_values_rejected():
     with pytest.raises(InvalidStream):
         make_stream([float("nan")], Constant(0.0))
