@@ -127,7 +127,7 @@ class MatrixTransform:
         n = max(k, len(d.prefix))
         vals = d.values(n + d.period)
         vals[:k] = (self.matrix @ np.asarray(vals[:k])).tolist()
-        return Stream(vals[:n], Periodic(vals[n:]))
+        return Stream.from_values(vals, n)
 
 
 def parse_transform(text: str):

@@ -582,7 +582,8 @@ def _golden_lockstep(fun: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: 
     ``fun`` is the objective of bracket i on lane i (see :func:`_lanes`).
     Each lane takes ``_golden``'s steps with the same IEEE operations and
     keeps its state from where ``_golden`` would stop, while the others
-    step on, so its (argmin, value) has ``_golden``'s bits.
+    step on, so its (argmin, value) has ``_golden``'s bits.  Until the
+    first lane stops, every lane steps and no state is restored.
     """
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
@@ -600,7 +601,9 @@ def _golden_lockstep(fun: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: 
         x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
         f = fun(new)
         f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
-        a, b, x1, x2, f1, f2 = (np.where(live, v, w) for v, w in zip((a, b, x1, x2, f1, f2), was))
+        if not live.all():
+            a, b, x1, x2, f1, f2 = (np.where(live, v, w)
+                                    for v, w in zip((a, b, x1, x2, f1, f2), was))
     xm = 0.5 * (a + b)
     # min() over the (value, factor) candidates, as tuples compare: the
     # first candidate that no later one undercuts.
@@ -621,14 +624,35 @@ def _stacked(rows: list[tuple[float, ...]]) -> np.ndarray:
 def _lanes(xs: list[Stream], cost: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """The objective d -> D_d(x) + cost(d) on lanes of streams, one factor
     per lane in [0, 1), with the bits of ``_dv_scalar(x)(d) + scalar cost``
-    lane by lane; ``cost`` is a piece's ``lanes``."""
+    lane by lane; ``cost`` is a piece's ``lanes``.
+
+    The terms that do not depend on the stream, d^n, 1 - d^p and the cost,
+    are taken once per run of adjacent lanes with the same factor (the
+    same bits: ``pow(-0.0, 3)`` is -0.0) and the same prefix length and
+    period, and gathered back to the run's lanes.  The lanes of a
+    lockstep search come grouped by shape, and neighbouring brackets of
+    one shape tend to step alike, so runs are long.  The tail kind is
+    checked per lane only where the lanes mix constant and periodic tails.
+    """
     prefixes, cycles = _stacked([x.prefix for x in xs]), _stacked([x.tail_cycle for x in xs])
-    lengths, periods = [len(x.prefix) for x in xs], np.array([x.period for x in xs])
+    lengths, periods = np.array([len(x.prefix) for x in xs]), np.array([x.period for x in xs])
+    # A run of equal factors also ends where the shape changes.
+    reshaped = np.r_[True, (lengths[1:] != lengths[:-1]) | (periods[1:] != periods[:-1])]
+    periodic = periods > 1
+    if periodic.all() or not periodic.any():
+        periodic = bool(periodic[0])
 
     def objective(d: np.ndarray) -> np.ndarray:
-        out = _dv_array(prefixes, cycles, periods > 1, cycles[0], d,
-                        _powers(d.tolist(), lengths), _denoms(d, periods))
-        out += cost(d)
+        bits = d.view(np.int64)
+        starts = reshaped.copy()
+        starts[1:] |= bits[1:] != bits[:-1]
+        first = np.flatnonzero(starts)
+        run = np.cumsum(starts) - 1
+        u = d[first]
+        power = _powers(u.tolist(), lengths[first].tolist())[run]
+        denom = None if periodic is False else _denoms(u, periods[first])[run]
+        out = _dv_array(prefixes, cycles, periodic, cycles[0], d, power, denom)
+        out += cost(u)[run]
         return out
 
     return objective
@@ -767,12 +791,15 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
     a, b, d = _grid(piece.a, piece.b)
     m, p = vals.shape[0], vals.shape[1] - n
     cols = vals.T[:, :, None]           # coefficient j of every row, as a column
-    power, denom, cost = _grid_power(a, b, n), _grid_denom(a, b, p), piece.on_grid
+    power, cost = _grid_power(a, b, n), piece.on_grid
+    # A constant tail divides by nothing: no 1 - d^p is taken or cached.
+    denom = _grid_denom(a, b, p) if p > 1 else None
 
     def f_at(rows, nodes):
         c = cols[:, rows]
         at = np.broadcast_to(d[nodes], (c.shape[1], nodes.shape[-1]))
-        return _dv_array(c[:n], c[n:], p > 1, c[n], at, power[nodes], denom[nodes]) + cost[nodes]
+        return _dv_array(c[:n], c[n:], p > 1, c[n], at, power[nodes],
+                         None if denom is None else denom[nodes]) + cost[nodes]
 
     coarse = np.arange(0, _NODES, _STRIDE)
     f_c = f_at(slice(None), coarse)

@@ -147,6 +147,18 @@ class Stream:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail", tail)
 
+    @staticmethod
+    def from_values(vals: list[float], n: int) -> "Stream":
+        """The stream ``vals[:n]`` then ``vals[n:]`` repeated, for floats,
+        as ``Stream(vals[:n], Periodic(vals[n:]))`` builds it, with one
+        finiteness check and the constructor's message: a bad cycle value
+        is named before a bad prefix value, as the tail is built before
+        the stream."""
+        if not all(map(math.isfinite, vals)):
+            where = "stream prefix" if all(map(math.isfinite, vals[n:])) else "periodic cycle"
+            raise InvalidStream(f"non-finite value in {where}")
+        return _stream(vals[:n], vals[n:])
+
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -220,16 +232,6 @@ def _stream(pre: Sequence[float], cyc: Sequence[float]) -> Stream:
     return _unchecked(Stream, prefix=prefix, tail=tail)
 
 
-def _checked(vals: list[float], n: int) -> Stream:
-    """``_stream(vals[:n], vals[n:])`` after one finiteness check, with the
-    constructor's message: a bad cycle value is named before a bad prefix
-    value, as the tail is built before the stream."""
-    if not all(map(math.isfinite, vals)):
-        where = "stream prefix" if all(map(math.isfinite, vals[n:])) else "periodic cycle"
-        raise InvalidStream(f"non-finite value in {where}")
-    return _stream(vals[:n], vals[n:])
-
-
 def add(x: Stream, y: Stream) -> Stream:
     """Exact pointwise sum.
 
@@ -237,7 +239,7 @@ def add(x: Stream, y: Stream) -> Stream:
     lcm of the tail periods.
     """
     n, (vx, vy) = _window((x, y))
-    return _checked([a + b for a, b in zip(vx, vy)], n)
+    return Stream.from_values([a + b for a, b in zip(vx, vy)], n)
 
 
 def scale_translate(x: Stream, a: float, theta: float = 0.0) -> Stream:
@@ -250,7 +252,7 @@ def scale_translate(x: Stream, a: float, theta: float = 0.0) -> Stream:
         raise InvalidScale(f"scale factor must be >= 0, got {a}")
     a, theta = float(a), float(theta)
     n, (v,) = _window((x,))
-    return _checked([a * t + theta for t in v], n)
+    return Stream.from_values([a * t + theta for t in v], n)
 
 
 def mixtures(x: Stream, z: Stream, lams) -> list[Stream]:
@@ -274,7 +276,7 @@ def mixtures(x: Stream, z: Stream, lams) -> list[Stream]:
     vals = (lam * np.array(vx) + 0.0) + ((1.0 - lam) * np.array(vz) + 0.0)
     finite = np.isfinite(vals).all(axis=1)
     if not finite.all():
-        _checked(vals[finite.argmin()].tolist(), n)  # raises for the first bad row
+        Stream.from_values(vals[finite.argmin()].tolist(), n)  # raises for the first bad row
     return [_stream(row[:n], row[n:]) for row in vals.tolist()]
 
 

@@ -800,6 +800,103 @@ def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
                                              for x in batch)]
 
 
+LANE_PIECES = [Quadratic(0.8, 3.0).pieces[0],
+               Tabulated(knots=((0.2, 1.0), (0.5, 0.0), (0.8, 2.0))).pieces[0],
+               IndicatorSet(intervals=((0.0, 1.0),)).pieces[0],
+               # -0.0 below the first knot: a sum of signed zeros keeps its sign
+               Tabulated(knots=((0.5, -0.0), (0.8, 2.0))).pieces[0]]
+
+
+def test_lanes_that_share_a_factor_keep_the_scalar_bits():
+    # Each bracket is searched by every shape in turn, so neighbouring lanes
+    # step alike but change prefix length, period or tail kind, and then by
+    # a run of one shape; brackets start at -0.0 and 0.0.  Last come the
+    # points 0.0 and -0.0 side by side on a stream of signed zeros, whose
+    # objective is -0.0 at -0.0 (pow(-0.0, 3) is -0.0) and 0.0 at 0.0.
+    shapes = [make_stream([1.0, -2.0], Constant(0.5)),
+              make_stream([1.0, -2.0, 3.0], Constant(0.5)),
+              make_stream([1.0, -2.0], Periodic((0.5, -1.5))),
+              make_stream([-0.0, 1.0, -1.0], Periodic((2.0, 0.0, 1.0))),
+              make_stream([1.0, -2.0], Periodic((0.5, -1.5, 4.0)))]
+    zeros = make_stream([-0.0] * 3, Constant(1.0))
+    batches = {"mixed": (shapes, zeros), "constant": (shapes[:2], zeros),
+               "periodic": (shapes[2:], make_stream([-0.0] * 3, Periodic((1.0, 2.0))))}
+    brackets = [(0.0, 0.3), (0.3, 0.9), (-0.0, 0.2), (-0.0, -0.0), (0.0, 0.0), (0.95, 1 - 1e-9)]
+    for piece in LANE_PIECES:
+        for kind, (batch, signed) in batches.items():
+            lanes = []
+            for a, b in brackets:
+                lanes += [(x, a, b) for x in batch] + [(batch[-1], a, b)] * 3
+            lanes += [(signed, a, a) for a in (0.0, -0.0, -0.0, 0.0)]
+            ends = [(a, b, D._objective(x, piece)(a), D._objective(x, piece)(b))
+                    for x, a, b in lanes]
+            got = D._golden_lockstep(D._lanes([x for x, *_ in lanes], piece.lanes),
+                                     *map(np.array, zip(*ends)))
+            want = [D._golden(D._objective(x, piece), *br) for (x, *_), br in zip(lanes, ends)]
+            assert [(d.hex(), v.hex()) for d, v in got] == \
+                [(d.hex(), v.hex()) for d, v in want], (piece.a, piece.b, kind)
+            if piece is LANE_PIECES[-1]:
+                assert [v.hex() for _, v in want[-4:]] == \
+                    ["0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"]
+
+
+class _Enough(Exception):
+    pass
+
+
+def first_scan_chunk(monkeypatch, k):
+    """The first batch of mixtures that the seed-0 continuity scan of ``k``
+    hands to ``evaluate_many``."""
+    chunks = []
+
+    def first(k, xs):
+        chunks.append(list(xs))
+        raise _Enough
+
+    with monkeypatch.context() as m:
+        m.setattr(D, "evaluate_many", first)
+        with pytest.raises(_Enough):
+            check_axiom(k, "continuity_segment", 1, 0)
+    return chunks[0]
+
+
+def test_lockstep_takes_the_factor_terms_once_per_distinct_factor_and_shape(monkeypatch):
+    k = Variational(Quadratic(0.8, 3.0))
+    chunk = first_scan_chunk(monkeypatch, k)
+    assert len(chunk) == 256
+    want = hex_bits(evaluate(k, x) for x in chunk)
+    counts = {"lanes": 0, "distinct": 0, "powered": 0}
+    inside = []
+    lanes, powers = D._lanes, D._powers
+
+    def counted_powers(d, ns):
+        if inside:
+            counts["powered"] += len(d)
+        return powers(d, ns)
+
+    def counted_lanes(xs, cost):
+        objective, shapes = lanes(xs, cost), [(len(x.prefix), x.period) for x in xs]
+
+        def counted(d):
+            counts["lanes"] += d.size
+            counts["distinct"] += len(set(zip(d.view(np.int64).tolist(), shapes)))
+            inside.append(d)
+            try:
+                return objective(d)
+            finally:
+                inside.pop()
+
+        return counted
+
+    monkeypatch.setattr(D, "_powers", counted_powers)
+    monkeypatch.setattr(D, "_lanes", counted_lanes)
+    assert hex_bits(evaluate_many(k, chunk)) == want
+    # Neighbouring mixtures walk one golden path: d^n is taken once per
+    # factor and shape in a step, not once per lane.
+    assert counts["lanes"] >= 256 * 20
+    assert 0 < counts["powered"] <= counts["distinct"] < counts["lanes"] / 100
+
+
 def test_piece_lanes_cost_has_the_scalar_bits(rng):
     d = np.concatenate([rng.uniform(0.0, 1.0, 2000), [0.0, 0.3, 0.5, 0.8, 1 - 1e-9]])
     for c in (Quadratic(0.8, 3.0), Quadratic(0.123, 7.7), Tabulated(knots=((0.2, 1.0), (0.5, 0.0), (0.8, 2.0))),
@@ -1193,3 +1290,51 @@ def test_the_coarse_pass_does_not_pad_a_batch_to_its_longest_prefix(monkeypatch,
     # row takes its own n + p Horner steps on the 126 coarse nodes.
     assert counts["coarse_rows"] >= 60
     assert counts["coarse_steps"] <= sum(len(x.prefix) + x.period for x in xs) * (D._SEGMENTS + 1)
+
+
+def test_a_batch_of_constant_tails_takes_no_denominator(rng):
+    # An interval no other test scans, so its grid's entries are new.
+    cost = IndicatorSet(intervals=((0.123, 0.877),))
+    xs = [make_stream(rng.uniform(-1.0, 1.0, 3).tolist(), Constant(0.5))
+          for _ in range(2 * D._COARSE_MIN)]
+    want = [minimize_over_delta(x, cost) for x in xs]
+    before = _grid_denom.cache_info()
+    got = D._minimize_many(xs, cost)
+    assert [(d.hex(), v.hex()) for d, v in got] == [(d.hex(), v.hex()) for d, v in want]
+    assert _grid_denom.cache_info() == before
+
+
+def sparse_spike(m):
+    """Zeros, then -e (m + 1) at time m, then zeros: D_delta dips to about
+    -1 at delta = m / (m + 1), a dip narrower than a grid cell for m = 3000,
+    and D_delta underflows to exactly 0 well below it."""
+    prefix = [0.0] * (m + 1)
+    prefix[m] = -math.e * (m + 1)
+    return make_stream(prefix, Constant(0.0))
+
+
+def test_the_refine_loop_follows_a_flat_run_into_dropped_segments():
+    # f = D + cost is exactly 45 up to delta = 0.97, where D is below half
+    # an ulp of the cost's plateau.  Low down the plateau's 16-cell segments
+    # are certified above the dip near 1 and dropped; higher up the bound
+    # is too loose and they are kept.  The run of grid minima along the
+    # plateau starts at node 1, so its bracket is [grid[0], about 0.97] only if
+    # the loop evaluates every dropped segment the run crosses: the kept
+    # segment's first node ties its neighbour (the rule is <=, not <) and
+    # the segments reached are flat, so the run goes on.
+    x = sparse_spike(3000)
+    cost = Tabulated(((0.97, 45.0), (0.99, 0.0), (1.0 - 1e-8, 0.0)))
+    piece = cost.pieces[0]
+    n = len(x.prefix)
+    vals = np.array([x.prefix + x.tail_cycle] * D._COARSE_MIN)
+    terms = np.array(D._terms(x)[2:])[:, None, None] * np.ones((1, D._COARSE_MIN, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        best, factors, (row, *ends) = D._coarse_to_fine(vals, n, piece, terms)
+    full = D._undercutting(x, piece, *D._scan(x, piece))
+    assert any(lo == 0.0 and 0.96 < hi < 0.97 for lo, hi, *_ in full)
+    for r in range(D._COARSE_MIN):
+        assert sorted(zip(*(e[row == r].tolist() for e in ends))) == sorted(full)
+    want_d, want_v = minimize_over_delta(x, cost)
+    assert 0.9995 < want_d < 1.0 and want_v < -1.0
+    for d_star, v_star in D._minimize_many([x] * D._COARSE_MIN, cost):
+        assert (d_star.hex(), v_star.hex()) == (want_d.hex(), want_v.hex())

@@ -632,6 +632,9 @@ def test_an_overflow_names_the_cycle_before_the_prefix():
         ("InvalidStream", "non-finite value in stream prefix")
     assert outcome(scale_translate, constant_stream(M), 1.0, M) == \
         ("InvalidStream", "non-finite value in periodic cycle")
+    with np.errstate(over="ignore"):
+        assert outcome(MatrixTransform(2.0 * np.eye(2)).apply, prefix_only[0]) == \
+            ("InvalidStream", "non-finite value in stream prefix")
 
 
 @pytest.fixture
@@ -653,7 +656,8 @@ def test_window_results_are_not_validated_again(rng, post_inits):
         assert len(mixtures(x, z, [i / 255 for i in range(256)])) == 256
         assert post_inits == {}
         for op, args in [(add, (x, z)), (scale_translate, (x, 0.5, 1.0)), (shift_left, (x,)),
-                         (permute, (x, [2, 0, 1])), (pairwise_swap, (x,)), (delay, (x,))]:
+                         (permute, (x, [2, 0, 1])), (pairwise_swap, (x,)), (delay, (x,)),
+                         (MatrixTransform(np.array([[0.5, 0.5], [0.25, 0.75]])).apply, (x,))]:
             op(*args)
             assert post_inits == {}, op
 
