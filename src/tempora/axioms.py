@@ -126,7 +126,9 @@ class MatrixTransform:
         k = self.matrix.shape[0]
         n = max(k, len(d.prefix))
         vals = d.values(n + d.period)
-        vals[:k] = (self.matrix @ np.asarray(vals[:k])).tolist()
+        # A product that overflows is rejected by the stream's own check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals[:k] = (self.matrix @ np.asarray(vals[:k])).tolist()
         return Stream.from_values(vals, n)
 
 

@@ -33,8 +33,11 @@ by golden-section refinement: one bracket at each end of the grid and one
 per run of adjacent grid minima, so a flat run is searched once, not once
 per node.
 Only brackets whose certified lower bound (Lipschitz, or the tail mean's)
-undercuts the grid's best value are searched; a search skipped could not
-have won, so the bits are those of searching them all.  Finite point sets
+undercuts the grid's best value are searched, and of those only the ones
+that a bound on the objective's curvature does not prove monotone, whose
+search would end at a grid node no lower than the grid's best; a search
+skipped could not have won, so the bits are those of searching them all.
+Finite point sets
 and the knots of a tabulated cost (kinks of the objective) are enumerated
 exactly.  ``evaluate_many`` gives the same bits for many streams at once:
 from ``_COARSE_MIN`` streams of one shape on, the grid is scanned coarse
@@ -340,8 +343,9 @@ class _Piece:
     at each factor of an array, with ``scalar``'s bits.  ``on_grid`` is
     ``lanes`` on the piece's grid ``_grid(a, b)``, read-only and built with
     the piece.  ``bound(lo, hi)`` is (a bound on the cost's slope, a lower
-    bound on the cost) on [lo, hi], for numbers, or for arrays element by
-    element.
+    bound on the cost, a bound on its second derivative) on [lo, hi], for
+    numbers, or for arrays element by element; the last is inf where the
+    cost has a kink inside (lo, hi).
     """
 
     __slots__ = ("a", "b", "scalar", "lanes", "bound", "on_grid")
@@ -413,7 +417,8 @@ class IndicatorSet(_Cost, tag="indicator"):
 
     @functools.cached_property
     def pieces(self) -> list[_Piece]:
-        return [_Piece(a, min(b, _ONE_EDGE), _zero, np.zeros_like, lambda lo, hi: (0.0, 0.0))
+        return [_Piece(a, min(b, _ONE_EDGE), _zero, np.zeros_like,
+                       lambda lo, hi: (0.0, 0.0, 0.0))
                 for a, b in self.intervals]
 
 
@@ -445,7 +450,7 @@ class Quadratic(_Cost, tag="quadratic"):
         # with operators alone, so numbers and arrays take the same code.
         k, u, v = self.stiffness, self.center - lo, hi - self.center
         gap = 0.5 * (abs(u) - u) + 0.5 * (abs(v) - v)
-        return k * (u + v + abs(u - v)), k * gap * gap
+        return k * (u + v + abs(u - v)), k * gap * gap, 2.0 * k
 
     @functools.cached_property
     def pieces(self) -> list[_Piece]:
@@ -491,8 +496,14 @@ class Tabulated(_Cost, tag="tabulated"):
         # _interp has np.interp's bits, so np.interp serves the lanes.
         ds, ks = zip(*self.knots)
         steepest = max(map(abs, _slopes(self)), default=0.0)
-        return [_Piece(0.0, ds[-1], _interp(self), lambda g: np.interp(g, ds, ks),
-                       lambda lo, hi: (steepest, 0.0))]
+
+        def bound(lo, hi):
+            # Linear between knots; a knot strictly inside (lo, hi) is a
+            # kink: inf ** 0 is 1, so the curvature bound is 0 or inf.
+            kinks = sum((lo < k) & (k < hi) for k in ds)
+            return steepest, 0.0, _INF ** kinks - 1.0
+
+        return [_Piece(0.0, ds[-1], _interp(self), lambda g: np.interp(g, ds, ks), bound)]
 
 
 CostFunction = Union[IndicatorSet, Quadratic, Tabulated]
@@ -693,7 +704,7 @@ def _dropped(piece: _Piece, n, p, norm, two_r, mu, lo, hi, f_lo, f_hi, best):
     the caller certifies nothing where (n + p) ||x||_inf >= 1e300, since
     the sums may overflow.
     """
-    slope, least = piece.bound(lo, hi)
+    slope, least, _ = piece.bound(lo, hi)
     t = hi / (1.0 - hi) // 1.0
     bound = 0.5 * (f_lo + f_hi - (two_r * ((t + 1.0) * hi ** t) + slope) * (hi - lo))
     margin = 1e-9 * (n + p) * (1.0 + abs(f_lo) + abs(f_hi) + norm + slope)
@@ -702,6 +713,72 @@ def _dropped(piece: _Piece, n, p, norm, two_r, mu, lo, hi, f_lo, f_hi, best):
     near = (lo >= 0.5) & (p <= 1024)
     tail = norm * (2.0 * (1.0 - lo) * (n + (p - 1) * (1.0 + near * (lo - 1.0)) ** (1 - p)))
     return (bound - margin > best) | near & (mu - tail + least - margin > best)
+
+
+#: The least distance from a bracket's ends of any point that
+#: :func:`_golden` evaluates on a bracket wider than ``_XTOL``, (1 - k) k
+#: ``_XTOL`` with k = ``_INVPHI``, less 1% for its float steps.
+_ETA = 0.99 * (1.0 - _INVPHI) * _INVPHI * _XTOL
+
+
+def _monotone(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi):
+    """Whether f = D_d(x) + cost is certified strictly monotone on [lo, hi]
+    by a margin, its ends' values ``f_lo`` and ``f_hi`` given, with n, p,
+    ||x||_inf and 2 r those of the stream x: then :func:`_golden` and
+    :func:`_golden_lockstep` return the lower end, (hi, f(hi)) where f
+    falls and (lo, f(lo)) where it rises.
+
+    Like :func:`_dropped`, it takes numbers or arrays.  With ``w = hi -
+    lo``, ``E = 2^-44 (n + p + 15) (1 + |f(lo)| + |f(hi)| + ||x||_inf +
+    L_cost)`` and ``M2 = r min(G, U) + C``, where ``G = 4 / (1 - hi)^3``,
+    ``U = sum_{t<n} 2 t^2 + p ((n + p)^2 + (n + p) p^2 + p^4)`` and ``C``
+    bounds the cost's second derivative (``L_cost`` and ``C`` from
+    ``piece.bound``), it holds where ``w > _XTOL`` and ``(|f(hi) - f(lo)|
+    - M2 w^2 - 2 E) _ETA > 2 E w``.
+
+    Proof.  As in :func:`_dropped`, D'' = sum_t w_t'' (x_t - c), so |D''|
+    <= r sum_t |w_t''|.  For w_t = (1 - d) d^t, w_t'' = t (t - 1) d^(t-2) -
+    (t + 1) t d^(t-1), so sum_t |w_t''| <= 2 / (1 - d)^3 + 2 / (1 - d)^3,
+    nondecreasing in d: at most G on [lo, hi].  Gathering the tail, the
+    weights are w_t for t < n, with |w_t''| <= t (t + 1) <= 2 t^2 on [0,
+    1], and W_k = d^(n+k) / S for the cycle's k < p, with S = 1 + d + ...
+    + d^(p-1) >= 1, 0 <= S' <= p^2 / 2 and 0 <= S'' <= p^3 / 3; so
+    |(1/S)'| <= p^2 / 2, |(1/S)''| <= S'' + 2 S'^2 <= p^4 and |W_k''| <=
+    (n + p)^2 + (n + p) p^2 + p^4: at most U on [0, 1].  The cost is twice
+    differentiable on [lo, hi] with |cost''| <= C: 2 k for a quadratic, 0
+    on an interval, and for a tabulated cost 0 (it is linear) unless a knot
+    lies strictly inside (lo, hi), where C is inf.  So |f''| <= M2 on the
+    bracket, and f' lies within M2 w of the secant (f(hi) - f(lo)) / w
+    everywhere on it (the secant is f' somewhere).  The float f at each
+    point is within E / 256 of f: that is :func:`_dropped`'s count of at
+    most 2 (n + p) + 30 roundings of relative size 2^-53 on terms bounded
+    by ||x||_inf, |f(t)| + ||x||_inf or L_cost, where |f(t)| <= max(|f(lo)|,
+    |f(hi)|) + E on a monotone bracket.  So where f(hi) < f(lo), f' <= -m
+    on the bracket, with m = (|f(hi) - f(lo)| - M2 w^2 - 2 E) / w, and at
+    each t <= hi - _ETA the float f(t) exceeds f(hi) by at least m _ETA -
+    2 E > 0; where f(hi) > f(lo), the mirror image.  On a bracket wider
+    than _XTOL, every point _golden evaluates lies at least _ETA inside
+    both ends: its first two lie (1 - k) w in, each later one (1 - k) w'
+    inside a bracket w' = k v wide cut from one v > _XTOL wide, and its
+    midpoint half the last width in; a float step errs by a few 2^-53.
+    So every other candidate of the search lies strictly above the lower
+    end, and the minimum is that end; a lockstep lane takes the same steps
+    and discards the rest.  E's slack of 256 covers the rounding of this
+    test, in any order: where it holds, each of its terms is at most
+    |f(hi) - f(lo)| _ETA and errs by a few 2^-53 of that.  It does not hold
+    where an end is not finite (the terms are NaN or inf); the caller
+    certifies nothing where (n + p) ||x||_inf >= 1e300, and below that no
+    value of f is NaN, and one that overflows is +inf, above both ends.
+    """
+    slope, _, curvature = piece.bound(lo, hi)
+    w = hi - lo
+    g = 1.0 - hi
+    g = 4.0 / (g * g * g)
+    u = (n - 1) * n * (2 * n - 1) / 3 + p * ((n + p) ** 2 + (n + p) * p * p + p ** 4)
+    # min(g, u) with operators alone, exactly: one of the products is by 0.
+    m2 = 0.5 * two_r * (g * (g < u) + u * (g >= u)) + curvature
+    e = 2.0 ** -44 * (n + p + 15) * (1.0 + abs(f_lo) + abs(f_hi) + norm + slope)
+    return (w > _XTOL) & ((abs(f_hi - f_lo) - m2 * w * w - 2.0 * e) * _ETA > 2.0 * e * w)
 
 
 def _terms(x: Stream) -> tuple:
@@ -744,15 +821,22 @@ def _scan(x: Stream, piece: _Piece) -> tuple[list, list]:
 
 
 def _undercutting(x: Stream, piece: _Piece, candidates: list, brackets: list) -> list:
-    """The brackets (lo, hi, f(lo), f(hi)) of a scan of ``x`` that
-    :func:`_dropped` does not certify above the first candidate's value,
-    one at a time with Python floats: on a scan's few brackets, numpy's
-    fixed cost per call would outweigh the searches it saves."""
+    """The brackets (lo, hi, f(lo), f(hi)) of a scan of ``x`` that need a
+    search: those that :func:`_dropped` does not certify above the first
+    candidate's value and :func:`_monotone` does not certify monotone, one
+    at a time with Python floats: on a scan's few brackets, numpy's fixed
+    cost per call would outweigh the searches it saves.
+
+    A monotone bracket's search would return its lower end, a grid node;
+    the first candidate is the grid's first minimum, no larger as (value,
+    factor) tuples compare (and the same node has the same bits), so the
+    search is skipped with nothing to add."""
     n, p, norm, two_r, mu = _terms(x)
     if not norm < 1e300 / (n + p):
         return brackets
     best = candidates[0][0]
-    return [br for br in brackets if not _dropped(piece, n, p, norm, two_r, mu, *br, best)]
+    return [br for br in brackets if not (_dropped(piece, n, p, norm, two_r, mu, *br, best)
+                                          or _monotone(piece, n, p, norm, two_r, *br))]
 
 
 #: The coarse pass evaluates every ``_STRIDE``-th grid node, which cut the
@@ -784,9 +868,11 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
     inside a dropped segment and searches above that minimum.
 
     Returns the candidates' values and factors, one per row, and the
-    brackets that :func:`_dropped` does not certify above their row's
-    candidate, as arrays (row, lo, hi, f(lo), f(hi)).  Run it under
-    ``np.errstate`` that ignores overflow and invalid operations.
+    brackets that need a search, as arrays (row, lo, hi, f(lo), f(hi)):
+    those that :func:`_dropped` does not certify above their row's
+    candidate and :func:`_monotone` does not certify monotone (see
+    :func:`_undercutting`).  Run it under ``np.errstate`` that ignores
+    overflow and invalid operations.
     """
     a, b, d = _grid(piece.a, piece.b)
     m, p = vals.shape[0], vals.shape[1] - n
@@ -847,7 +933,9 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
                          v[at_end, lo], v[at_end, hi]))
     r, lo, hi, f_lo, f_hi = map(np.concatenate, zip(*brackets))
     lo, hi, best = d[lo], d[hi], f[first]
-    keep = ~_dropped(piece, n, p, *terms[:, r, 0], lo, hi, f_lo, f_hi, best[r])
+    norm, two_r, mu = terms[:, r, 0]
+    keep = ~(_dropped(piece, n, p, norm, two_r, mu, lo, hi, f_lo, f_hi, best[r])
+             | _monotone(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi))
     return best, d[node[first]], (r[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep])
 
 
@@ -882,8 +970,9 @@ def _minimize_on_interval(xs: list[Stream], piece: _Piece) -> list[tuple[float, 
     them on, are scanned coarse to fine in blocks (see
     :func:`_coarse_to_fine`); the others, and every stream the certificate
     cannot serve, on the full grid (see :func:`_scan`).  The brackets
-    that :func:`_dropped` does not certify above the stream's candidate
-    get one scalar golden-section search each, or, from
+    that :func:`_dropped` does not certify above the stream's candidate,
+    and :func:`_monotone` does not certify monotone, get one scalar
+    golden-section search each, or, from
     ``_LOCKSTEP_MIN`` of them on, one lockstep search together, with the
     same bits.  Returns (argmin, value) per stream; ties resolve to the
     smallest argmin.
@@ -957,7 +1046,12 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
     half-range of the stream's values, and for ``lo >= 0.5`` the tail mean
     less the bound below at ``lo``, plus a lower bound on the cost over
     the bracket; the margin is ``1e-9 * (n + p) * (1 + |f(lo)| + |f(hi)| +
-    ||x||_inf + L_cost)``, with ``n`` and ``p`` as below.  In a batch
+    ||x||_inf + L_cost)``, with ``n`` and ``p`` as below.  Nor is a
+    bracket searched where ``|f''| <= M2 = r min(4 / (1 - hi)^3, U) +
+    C_cost``, ``U`` a bound uniform on [0, 1] from ``n`` and ``p``, proves
+    f strictly monotone on it by more than a float margin (see
+    :func:`_monotone`): its search would return its lower end, a grid node
+    no lower than the grid's best.  In a batch
     (:func:`evaluate_many`), the same bound drops whole 16-cell segments
     of the grid against its every 16th node first, so only the nodes that
     could hold the minimum, or a bracket's end, are evaluated (see

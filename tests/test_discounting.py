@@ -844,25 +844,29 @@ class _Enough(Exception):
     pass
 
 
-def first_scan_chunk(monkeypatch, k):
-    """The first batch of mixtures that the seed-0 continuity scan of ``k``
-    hands to ``evaluate_many``."""
-    chunks = []
+def scan_chunk(monkeypatch, k, index):
+    """Batch ``index`` (from 0) of the mixtures that the seed-0 continuity
+    scan of ``k`` hands to ``evaluate_many``."""
+    chunks, evaluate_many = [], D.evaluate_many
 
-    def first(k, xs):
+    def upto(k, xs):
         chunks.append(list(xs))
-        raise _Enough
+        if len(chunks) > index:
+            raise _Enough
+        return evaluate_many(k, chunks[-1])
 
     with monkeypatch.context() as m:
-        m.setattr(D, "evaluate_many", first)
+        m.setattr(D, "evaluate_many", upto)
         with pytest.raises(_Enough):
             check_axiom(k, "continuity_segment", 1, 0)
-    return chunks[0]
+    return chunks[index]
 
 
 def test_lockstep_takes_the_factor_terms_once_per_distinct_factor_and_shape(monkeypatch):
-    k = Variational(Quadratic(0.8, 3.0))
-    chunk = first_scan_chunk(monkeypatch, k)
+    # A chunk whose brackets reach the lockstep search: those of the first
+    # chunks, and every one of the quadratic scan, are certified monotone.
+    k = Variational(Tabulated(((0.2, 1.0), (0.5, 0.0), (0.8, 2.0))))
+    chunk = scan_chunk(monkeypatch, k, 20)
     assert len(chunk) == 256
     want = hex_bits(evaluate(k, x) for x in chunk)
     counts = {"lanes": 0, "distinct": 0, "powered": 0}
@@ -1130,12 +1134,20 @@ def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale)
         kept = D._undercutting(x, piece, candidates, brackets)
         assert set(kept) <= set(brackets)
         best = candidates[0][0]
+        n, p, norm, two_r, mu = D._terms(x)
         for lo, hi, f_lo, f_hi in set(brackets) - set(kept):
-            assert D._golden(objective, lo, hi, f_lo, f_hi)[1] > best
-            assert all(objective(d) > best for d in np.linspace(lo, hi, 101).tolist())
+            if D._dropped(piece, n, p, norm, two_r, mu, lo, hi, f_lo, f_hi, best):
+                assert D._golden(objective, lo, hi, f_lo, f_hi)[1] > best
+                assert all(objective(d) > best for d in np.linspace(lo, hi, 101).tolist())
+            else:
+                # Certified monotone: the search returns its lower end, a
+                # grid node no lower than the first candidate.
+                assert D._monotone(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi)
+                end = (hi, f_hi) if f_hi < f_lo else (lo, f_lo)
+                assert hex_bits(D._golden(objective, lo, hi, f_lo, f_hi)) == hex_bits(end)
+                assert end[::-1] >= candidates[0]
         # The coarse segments, as arrays: every grid node of a dropped
         # segment lies strictly above the least coarse value.
-        n, p, norm, two_r, mu = D._terms(x)
         if not norm < 1e300 / (n + p):
             continue
         coarse = f[::D._STRIDE]
@@ -1146,6 +1158,95 @@ def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale)
         for s in np.flatnonzero(dropped).tolist():
             nodes = f[s * D._STRIDE:(s + 1) * D._STRIDE + 1]
             assert min(nodes) > min(coarse), (s, nodes)
+
+
+#: A cost that falls by a few ulps of 1 on [0.3, 0.6]: on a constant
+#: stream, f rounds to its lower end's value short of that end.
+NEARLY_FLAT = Tabulated(((0.3, 1e-15), (0.6, 0.0)))
+
+#: Costs for the monotone certificate beyond ``REF_COSTS``: a stiff
+#: quadratic centred near 1, a last knot just below 1, and a nearly flat one.
+MONOTONE_COSTS = REF_COSTS + [Quadratic(0.999, 50.0),
+                              Tabulated(((0.3, 0.0), (0.6, 1.0), (1.0 - 1e-9, 2.0))),
+                              NEARLY_FLAT]
+
+
+def monotone_brackets(piece, knots):
+    """Brackets on a piece: cells of its grid and wider ones, and ones no
+    wider than ``_XTOL`` or just wider, on each side of its ends, of the
+    knots in it and of 1 - 1e-9; and from -0.0 where the piece starts at 0."""
+    a, b = piece.a, piece.b
+    cell = (b - a) / (_NODES - 1)
+    spots = {a, b, *(k for k in knots if a <= k <= b), *((1.0 - 1e-9,) if b >= 1.0 - 1e-9 else ())}
+    out = set()
+    for s in spots:
+        for w in (0.5 * D._XTOL, D._XTOL, 2.5 * D._XTOL, cell, 2 * cell, 20 * cell, 0.1):
+            out |= {(max(s - w, a), s), (s, min(s + w, b))}
+    if a == 0.0:
+        out |= {(-0.0, cell), (-0.0, 2 * cell), (-0.0, 0.0)}
+    return sorted(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_streams(), st.sampled_from(MONOTONE_COSTS), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=6))
+@example(make_stream([-0.0, 0.0], Periodic((-0.0, 1.0))), Quadratic(0.8, 3.0), 1.0, [])
+@example(constant_stream(2.0), IndicatorSet(intervals=((0.2, 0.4),)), 1.0, [])
+@example(constant_stream(1.0), NEARLY_FLAT, 1.0, [])
+def test_a_certified_monotone_bracket_searches_to_its_lower_end(x, cost, scale, pairs):
+    x = make_stream([v * scale for v in x.prefix],
+                    Periodic(tuple(v * scale for v in x.tail_cycle)))
+    n, p, norm, two_r, _ = D._terms(x)
+    dv = D._dv_scalar(x)
+    knots = [d for d, _ in cost.knots] if isinstance(cost, Tabulated) else []
+    for piece in cost.pieces:
+        cost_at = piece.scalar
+        objective = lambda d: dv(d) + cost_at(d)
+        a, b = piece.a, piece.b
+        brackets = monotone_brackets(piece, knots) + [
+            tuple(sorted((a + (b - a) * u, a + (b - a) * v))) for u, v in pairs]
+        ends = [(lo, hi, objective(lo), objective(hi)) for lo, hi in brackets]
+        sure = [D._monotone(piece, n, p, norm, two_r, *br) for br in ends]
+        # One closed form: the arrays take the numbers' verdicts.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert D._monotone(piece, n, p, norm, two_r,
+                               *map(np.array, zip(*ends))).tolist() == sure
+        lockstep = D._golden_lockstep(D._lanes([x] * len(ends), piece.lanes),
+                                      *map(np.array, zip(*ends)))
+        for (lo, hi, f_lo, f_hi), ok, found in zip(ends, sure, lockstep):
+            if ok:
+                end = (hi, f_hi) if f_hi < f_lo else (lo, f_lo)
+                assert hex_bits(D._golden(objective, lo, hi, f_lo, f_hi)) == hex_bits(end)
+                assert hex_bits(found) == hex_bits(end)
+            # Never a flat objective, a bracket no wider than _XTOL, or a
+            # kink inside; never a non-finite end.
+            assert not ok or (f_lo != f_hi and hi - lo > D._XTOL
+                              and not any(lo < k < hi for k in knots))
+            for bad in (math.inf, -math.inf, math.nan):
+                assert not D._monotone(piece, n, p, norm, two_r, lo, hi, f_lo, bad)
+                assert not D._monotone(piece, n, p, norm, two_r, lo, hi, bad, f_hi)
+            assert not D._monotone(piece, n, p, norm, two_r, lo, hi, f_lo, f_lo)
+
+
+def test_the_quadratic_continuity_scan_runs_no_golden_section_search(monkeypatch):
+    # Each of its mixtures keeps only brackets where the objective is
+    # certified monotone, so no golden-section point is evaluated.
+    calls = {"golden": 0, "lockstep": 0}
+    golden, lockstep = D._golden, D._golden_lockstep
+
+    def counted_golden(*args, **kwargs):
+        calls["golden"] += 1
+        return golden(*args, **kwargs)
+
+    def counted_lockstep(*args, **kwargs):
+        calls["lockstep"] += 1
+        return lockstep(*args, **kwargs)
+
+    monkeypatch.setattr(D, "_golden", counted_golden)
+    monkeypatch.setattr(D, "_golden_lockstep", counted_lockstep)
+    report = check_axiom(Variational(Quadratic(0.8, 3.0)), "continuity_segment", 1, 0)
+    assert report.passes == 1
+    assert calls == {"golden": 0, "lockstep": 0}
 
 
 def test_most_brackets_are_certified_away_on_a_fixed_battery(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -635,6 +636,16 @@ def test_an_overflow_names_the_cycle_before_the_prefix():
     with np.errstate(over="ignore"):
         assert outcome(MatrixTransform(2.0 * np.eye(2)).apply, prefix_only[0]) == \
             ("InvalidStream", "non-finite value in stream prefix")
+
+
+def test_a_matrix_product_that_overflows_raises_without_a_numpy_warning():
+    # 1e309 overflows the product, and 1e309 - 1e309 is NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for matrix, x in [(1e308 * np.eye(2), make_stream([10.0], Constant(1.0))),
+                          (np.array([[1e308, -1e308], [0.0, 1.0]]), constant_stream(10.0))]:
+            with pytest.raises(InvalidStream, match="non-finite value in stream prefix"):
+                MatrixTransform(matrix).apply(x)
 
 
 @pytest.fixture
