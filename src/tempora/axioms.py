@@ -35,10 +35,10 @@ from .discounting import (BanachWindow, Criterion, Inf, Liminf, Maxmin, as_evalu
                           discounted_value, evaluate)
 from .errors import InvalidAxiom, InvalidPermutation, RegressionFailure
 from .patient import inf_value
-from .streams import (Constant, Periodic, Stream, add, constant_stream, delay,
-                      inverse_permutation, make_stream, mixtures, pairwise_swap,
-                      permute, scale_translate, shift_left, stream_from_dict,
-                      stream_to_dict, sup_distance)
+from .streams import (Constant, Periodic, Stream, _mixture_rows, _stream, add,
+                      constant_stream, delay, inverse_permutation, make_stream, mixtures,
+                      pairwise_swap, permute, scale_translate, shift_left,
+                      stream_from_dict, stream_to_dict, sup_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +383,9 @@ def _judge_permuted(ev, tol, transform, x, d, sigma):
 
 
 #: Mixes per batch of the continuity scan: large enough that numpy's fixed
-#: cost per call is spread thin, small enough that one batch of streams and
-#: arrays stays a few hundred kB.
+#: cost per call is spread thin, small enough that one batch's array of
+#: values, one row per mix, and the minimizer's arrays over it stay a few
+#: hundred kB.
 _SCAN_CHUNK = 256
 
 
@@ -392,19 +393,37 @@ def _each(ev, xs):
     """ev over xs: one batch for a criterion, one by one (lazily) for a
     plain callable.  The criterion classes go to ``isinstance`` as a tuple,
     a form every supported Python takes."""
-    return ev.many(xs) if isinstance(ev, get_args(Criterion)) else map(ev, xs)
+    return ev.many(xs) if _is_criterion(ev) else map(ev, xs)
+
+
+def _is_criterion(ev) -> bool:
+    return isinstance(ev, get_args(Criterion))
+
+
+def _mixes(ev, x, z, lams):
+    """ev of each mix lam x + (1 - lam) z: for a criterion, its ``rows``
+    on the mixes' values, with a stream built only for a row that
+    canonicalization could change (those go through ``evaluate_many``);
+    for a plain callable, one mixture stream at a time, lazily."""
+    if not _is_criterion(ev):
+        return map(ev, mixtures(x, z, lams))
+    n, vals, mask = _mixture_rows(x, z, lams)
+    out = np.empty(len(vals))
+    out[~mask] = ev.rows(n, vals[~mask])
+    out[mask] = ev.many([_stream(row[:n], row[n:]) for row in vals[mask].tolist()])
+    return out.tolist()
 
 
 def _judge_continuity_segment(ev, tol, transform, x, z):
     """Falsification proxy: scan alpha -> I(alpha x + (1-alpha) z) on a
     10^4-step grid for jumps beyond the 1-Lipschitz allowance plus a 1e-6
-    slack.  The mixes are built and evaluated ``_SCAN_CHUNK`` at a time."""
+    slack.  The mixes are evaluated ``_SCAN_CHUNK`` at a time."""
     grid = 10001
     slack = sup_distance(x, z) / (grid - 1) + 1e-6
     prev = ev(z)
     for start in range(1, grid, _SCAN_CHUNK):
         lams = [i / (grid - 1) for i in range(start, min(start + _SCAN_CHUNK, grid))]
-        for lam, cur in zip(lams, _each(ev, mixtures(x, z, lams))):
+        for lam, cur in zip(lams, _mixes(ev, x, z, lams)):
             if abs(cur - prev) > slack:
                 return {"alpha": lam, "lhs": cur, "rhs": prev,
                         "gap": abs(cur - prev) - slack}

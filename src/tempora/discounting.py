@@ -40,11 +40,15 @@ skipped could not have won, so the bits are those of searching them all.
 Finite point sets
 and the knots of a tabulated cost (kinks of the objective) are enumerated
 exactly.  ``evaluate_many`` gives the same bits for many streams at once:
-from ``_COARSE_MIN`` streams of one shape on, the grid is scanned coarse
-to fine (every ``_STRIDE``-th node first, then only the segments between
-them that the same certificate cannot rule out), and from
-``_LOCKSTEP_MIN`` kept brackets on, one piece's brackets of every stream
-are refined in one lockstep golden-section search.
+it groups them by shape (prefix length and period) and hands each group
+to the criterion's ``rows`` as one array, one row of values per stream.
+Edu and each isolated point of a cost take the closed form at one
+factor on every row.  From ``_COARSE_MIN`` rows on, the grid is scanned
+coarse to fine (every ``_STRIDE``-th node first, then only the segments
+between them that the same certificate cannot rule out), and from
+``_LOCKSTEP_MIN`` kept brackets on, one piece's brackets of every row
+are refined in one lockstep golden-section search on lanes of those
+rows, all of one shape.
 
 Everything here is a pure function of immutable inputs; independent
 (criterion, stream) evaluations can run concurrently without coordination.
@@ -71,7 +75,7 @@ from . import patient
 from .errors import (InfeasibleCost, InvalidCost, InvalidCriterion, InvalidDelta,
                      ParseError, decoding, tagged)
 from .patient import _tail_mean
-from .streams import Constant, Stream
+from .streams import Constant, Stream, _stream
 
 #: Right edge used for numerically searching half-open pieces [a, 1).
 _ONE_EDGE = 1.0 - 1e-9
@@ -251,6 +255,16 @@ def discounted_value_grid(x: Stream, deltas: np.ndarray | _Grid) -> np.ndarray:
                     _powers(d.tolist(), repeat(n)), _denoms(d, p) if periodic else None)
     out[at_one] = _tail_mean(x)
     return out
+
+
+def _dv_at(n: int, vals: np.ndarray, delta: float) -> np.ndarray:
+    """D_delta of each row of ``vals``, a prefix of ``n`` values then a
+    cycle, at one factor ``delta`` in [0, 1), with :func:`_dv_scalar`'s
+    bits."""
+    cols, d = vals.T, np.full(len(vals), delta)
+    p = len(cols) - n
+    return _dv_array(cols[:n], cols[n:], p > 1, cols[n], d, _powers([delta], [n]),
+                     _denoms(d[:1], p) if p > 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -437,24 +451,33 @@ class Quadratic(_Cost, tag="quadratic"):
         object.__setattr__(self, "stiffness", k)
 
     def value(self, delta: float) -> float:
-        return self.stiffness * (delta - self.center) ** 2
-
-    def _value_each(self, d: np.ndarray) -> np.ndarray:
-        """``value`` of each float in ``d``, bit for bit: numpy's square may
-        differ from the float power in the last bit, so the square is
-        taken by ``pow`` per element."""
-        return self.stiffness * np.array(list(map(pow, (d - self.center).tolist(), repeat(2))))
-
-    def _bound(self, lo, hi):
-        # max(|lo - c|, |hi - c|) and max(lo - c, c - hi, 0) for lo <= hi,
-        # with operators alone, so numbers and arrays take the same code.
-        k, u, v = self.stiffness, self.center - lo, hi - self.center
-        gap = 0.5 * (abs(u) - u) + 0.5 * (abs(v) - v)
-        return k * (u + v + abs(u - v)), k * gap * gap, 2.0 * k
+        return _square_cost(self.stiffness, self.center, delta)
 
     @functools.cached_property
     def pieces(self) -> list[_Piece]:
-        return [_Piece(0.0, _ONE_EDGE, self.value, self._value_each, self._bound)]
+        # Functions of the two numbers, not bound methods: a piece that held
+        # the cost would make the cost and its grid array a reference cycle,
+        # freed only by a full collection.
+        k, c = self.stiffness, self.center
+
+        def lanes(d: np.ndarray) -> np.ndarray:
+            # ``value`` of each float, bit for bit: numpy's square may
+            # differ from the float power in the last bit, so the square is
+            # taken by ``pow`` per element.
+            return k * np.array(list(map(pow, (d - c).tolist(), repeat(2))))
+
+        def bound(lo, hi):
+            # max(|lo - c|, |hi - c|) and max(lo - c, c - hi, 0) for lo <= hi,
+            # with operators alone, so numbers and arrays take the same code.
+            u, v = c - lo, hi - c
+            gap = 0.5 * (abs(u) - u) + 0.5 * (abs(v) - v)
+            return k * (u + v + abs(u - v)), k * gap * gap, 2.0 * k
+
+        return [_Piece(0.0, _ONE_EDGE, functools.partial(_square_cost, k, c), lanes, bound)]
+
+
+def _square_cost(k: float, c: float, delta: float) -> float:
+    return k * (delta - c) ** 2
 
 
 @dataclass(frozen=True)
@@ -625,44 +648,28 @@ def _golden_lockstep(fun: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: 
     return list(zip(best_x.tolist(), best_v.tolist()))
 
 
-def _stacked(rows: list[tuple[float, ...]]) -> np.ndarray:
-    """Row j holds the j-th entry of every lane, zero-padded at the far end."""
-    m = max(map(len, rows))
-    padded = np.array([r + (0.0,) * (m - len(r)) for r in rows]).reshape(len(rows), m)
-    return np.ascontiguousarray(padded.T)
+def _lanes(n: int, vals: np.ndarray, cost: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """The objective d -> D_d(x) + cost(d) on lanes of rows of one shape,
+    row i of ``vals`` (a prefix of ``n`` values, then a cycle) on lane i,
+    one factor per lane in [0, 1), with the bits of ``_dv_scalar(x)(d) +
+    scalar cost`` lane by lane; ``cost`` is a piece's ``lanes``.
 
-
-def _lanes(xs: list[Stream], cost: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """The objective d -> D_d(x) + cost(d) on lanes of streams, one factor
-    per lane in [0, 1), with the bits of ``_dv_scalar(x)(d) + scalar cost``
-    lane by lane; ``cost`` is a piece's ``lanes``.
-
-    The terms that do not depend on the stream, d^n, 1 - d^p and the cost,
+    The terms that do not depend on the row, d^n, 1 - d^p and the cost,
     are taken once per run of adjacent lanes with the same factor (the
-    same bits: ``pow(-0.0, 3)`` is -0.0) and the same prefix length and
-    period, and gathered back to the run's lanes.  The lanes of a
-    lockstep search come grouped by shape, and neighbouring brackets of
-    one shape tend to step alike, so runs are long.  The tail kind is
-    checked per lane only where the lanes mix constant and periodic tails.
+    same bits: ``pow(-0.0, 3)`` is -0.0) and gathered back to the run's
+    lanes.  Neighbouring brackets tend to step alike, so runs are long.
     """
-    prefixes, cycles = _stacked([x.prefix for x in xs]), _stacked([x.tail_cycle for x in xs])
-    lengths, periods = np.array([len(x.prefix) for x in xs]), np.array([x.period for x in xs])
-    # A run of equal factors also ends where the shape changes.
-    reshaped = np.r_[True, (lengths[1:] != lengths[:-1]) | (periods[1:] != periods[:-1])]
-    periodic = periods > 1
-    if periodic.all() or not periodic.any():
-        periodic = bool(periodic[0])
+    cols = np.ascontiguousarray(vals.T)
+    p = len(cols) - n
 
     def objective(d: np.ndarray) -> np.ndarray:
         bits = d.view(np.int64)
-        starts = reshaped.copy()
-        starts[1:] |= bits[1:] != bits[:-1]
-        first = np.flatnonzero(starts)
+        starts = np.r_[True, bits[1:] != bits[:-1]]
         run = np.cumsum(starts) - 1
-        u = d[first]
-        power = _powers(u.tolist(), lengths[first].tolist())[run]
-        denom = None if periodic is False else _denoms(u, periods[first])[run]
-        out = _dv_array(prefixes, cycles, periodic, cycles[0], d, power, denom)
+        u = d[starts]
+        power = _powers(u.tolist(), repeat(n))[run]
+        denom = _denoms(u, p)[run] if p > 1 else None
+        out = _dv_array(cols[:n], cols[n:], p > 1, cols[n], d, power, denom)
         out += cost(u)[run]
         return out
 
@@ -962,73 +969,84 @@ _LOCKSTEP_MIN = 96
 _COARSE_MIN = 16
 
 
-def _minimize_on_interval(xs: list[Stream], piece: _Piece) -> list[tuple[float, float]]:
+def _minimize_on_interval(n: int, vals: np.ndarray, piece: _Piece,
+                          xs: list) -> list[tuple[float, float]]:
     """Grid scan plus golden refinement of D_delta(x) + cost on one piece,
-    for each stream x of ``xs``.
+    for the stream x of each row of ``vals``: rows of one shape, a prefix
+    of ``n`` values then a cycle, each its stream's canonical form.
+    ``xs[i]`` is row i's stream, or None; a row that takes the full grid
+    or a scalar search has it built there, once.
 
-    Streams of one shape (prefix length, period), from ``_COARSE_MIN`` of
-    them on, are scanned coarse to fine in blocks (see
-    :func:`_coarse_to_fine`); the others, and every stream the certificate
-    cannot serve, on the full grid (see :func:`_scan`).  The brackets
-    that :func:`_dropped` does not certify above the stream's candidate,
-    and :func:`_monotone` does not certify monotone, get one scalar
-    golden-section search each, or, from
-    ``_LOCKSTEP_MIN`` of them on, one lockstep search together, with the
-    same bits.  Returns (argmin, value) per stream; ties resolve to the
-    smallest argmin.
+    From ``_COARSE_MIN`` rows on, the rows are scanned coarse to fine in
+    blocks (see :func:`_coarse_to_fine`); the others, and every row the
+    certificate cannot serve, on the full grid (see :func:`_scan`).  The
+    brackets that :func:`_dropped` does not certify above the row's
+    candidate, and :func:`_monotone` does not certify monotone, get one
+    scalar golden-section search each, or, from ``_LOCKSTEP_MIN`` of them
+    on, one lockstep search together on lanes of the rows, with the same
+    bits.  Returns (argmin, value) per row; ties resolve to the smallest
+    argmin.
     """
     if piece.b <= piece.a:
-        return [(piece.a, _objective(x, piece)(piece.a)) for x in xs]
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for i, x in enumerate(xs):
-        shapes.setdefault((len(x.prefix), x.period), []).append(i)
-    candidates: list = [None] * len(xs)
-    kept = []       # (stream, lo, hi, f(lo), f(hi)) of each bracket to search
-    for (n, p), rows in shapes.items():
-        full = rows
-        if len(rows) >= _COARSE_MIN:
-            vals = np.array([xs[i].prefix + xs[i].tail_cycle for i in rows])
-            top, bottom = vals.max(1), vals.min(1)
-            norm = np.maximum(top, -bottom)
-            # No certificate where (n + p) ||x||_inf >= 1e300: sums may overflow.
-            sure = norm < 1e300 / (n + p)
-            full = [i for i, ok in zip(rows, sure.tolist()) if not ok]
-            coarse = np.flatnonzero(sure)
-            for s in range(0, coarse.size, _BLOCK):
-                block = coarse[s:s + _BLOCK]
-                terms = np.stack([norm[block], top[block] - bottom[block],
-                                  vals[block, n:].mean(1)])[:, :, None]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    values, factors, (r, *ends) = _coarse_to_fine(vals[block], n, piece, terms)
-                owners = np.take(rows, block)
-                for i, v, f in zip(owners.tolist(), values.tolist(), factors.tolist()):
-                    candidates[i] = [(v, f)]
-                kept += zip(owners[r].tolist(), *(e.tolist() for e in ends))
-        for i in full:
-            candidates[i], brackets = _scan(xs[i], piece)
-            kept += [(i, *br) for br in _undercutting(xs[i], piece, candidates[i], brackets)]
+        return [(piece.a, v) for v in (_dv_at(n, vals, piece.a) + piece.scalar(piece.a)).tolist()]
+
+    def stream(i: int) -> Stream:
+        if xs[i] is None:
+            xs[i] = _stream(vals[i, :n].tolist(), vals[i, n:].tolist())
+        return xs[i]
+
+    m, p = vals.shape[0], vals.shape[1] - n
+    candidates: list = [None] * m
+    kept = []       # (row, lo, hi, f(lo), f(hi)) of each bracket to search
+    full = range(m)
+    if m >= _COARSE_MIN:
+        top, bottom = vals.max(1), vals.min(1)
+        norm = np.maximum(top, -bottom)
+        # No certificate where (n + p) ||x||_inf >= 1e300: sums may overflow.
+        sure = norm < 1e300 / (n + p)
+        full = np.flatnonzero(~sure).tolist()
+        coarse = np.flatnonzero(sure)
+        for s in range(0, coarse.size, _BLOCK):
+            block = coarse[s:s + _BLOCK]
+            terms = np.stack([norm[block], top[block] - bottom[block],
+                              vals[block, n:].mean(1)])[:, :, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                values, factors, (r, *ends) = _coarse_to_fine(vals[block], n, piece, terms)
+            for i, v, f in zip(block.tolist(), values.tolist(), factors.tolist()):
+                candidates[i] = [(v, f)]
+            kept += zip(block[r].tolist(), *(e.tolist() for e in ends))
+    for i in full:
+        candidates[i], brackets = _scan(stream(i), piece)
+        kept += [(i, *br) for br in _undercutting(stream(i), piece, candidates[i], brackets)]
     if len(kept) >= _LOCKSTEP_MIN:
         owner, *ends = zip(*kept)
-        found = _golden_lockstep(_lanes([xs[i] for i in owner], piece.lanes),
+        found = _golden_lockstep(_lanes(n, vals[list(owner)], piece.lanes),
                                  *map(np.array, ends))
     else:
-        found = [_golden(_objective(xs[i], piece), *ends) for i, *ends in kept]
+        found = [_golden(_objective(stream(i), piece), *ends) for i, *ends in kept]
     for (i, *_), (d_star, v_star) in zip(kept, found):
         candidates[i].append((v_star, d_star))
     return [min(c)[::-1] for c in candidates]
 
 
-def _minimize_many(xs: list[Stream], c: CostFunction) -> list[tuple[float, float]]:
-    """:func:`minimize_over_delta` for each stream, bit for bit."""
+def _checked(c: CostFunction) -> CostFunction:
     if not isinstance(c, _Cost):
         raise InvalidCost(f"not a cost function: {c!r}")
     if not (c.pieces or c.isolated()):
         raise InfeasibleCost("cost is identically infinite on [0, 1)")
-    found = [[(discounted_value(x, d) + k, d) for d, k in c.isolated()] for x in xs]
-    for piece in c.pieces:
-        for candidates, (d_star, v_star) in zip(found, _minimize_on_interval(xs, piece)):
-            candidates.append((v_star, d_star))
-    return [min(candidates)[::-1] for candidates in found]
+    return c
+
+
+def _minimize_rows(n: int, vals: np.ndarray, c: CostFunction) -> list[tuple[float, float]]:
+    """:func:`minimize_over_delta` of each row's stream, bit for bit, for
+    canonical rows of one shape (see :func:`_minimize_on_interval`): each
+    isolated point is taken at once on every row."""
+    found = [list(zip((_dv_at(n, vals, d) + k).tolist(), repeat(d)))
+             for d, k in _checked(c).isolated()]
+    xs = [None] * len(vals)
+    found += [[(v, d) for d, v in _minimize_on_interval(n, vals, piece, xs)]
+              for piece in c.pieces]
+    return [min(candidates)[::-1] for candidates in zip(*found)]
 
 
 def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
@@ -1071,7 +1089,10 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
     Raises:
         InfeasibleCost: if the cost is infinite everywhere on [0, 1).
     """
-    return _minimize_many([x], c)[0]
+    found = [(discounted_value(x, d) + k, d) for d, k in _checked(c).isolated()]
+    n, row = len(x.prefix), np.array([x.prefix + x.tail_cycle])
+    found += [_minimize_on_interval(n, row, piece, [x])[0][::-1] for piece in c.pieces]
+    return min(found)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -1080,9 +1101,11 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
 
 class _Criterion(_Tagged):
     """An evaluation criterion: ``value(x)`` is the constant equivalent of
-    the stream ``x``, and ``values(xs)`` is ``value`` of each stream, bit
-    for bit.  A criterion is its own stream -> value function: a call is
-    :func:`evaluate` and ``many`` is :func:`evaluate_many`."""
+    the stream ``x``, and ``rows(n, vals)`` is ``value`` of each row's
+    stream, bit for bit, for canonical rows of one shape: row i of the
+    array ``vals`` holds a canonical stream's prefix (``n`` values) then
+    its cycle.  A criterion is its own stream -> value function: a call
+    is :func:`evaluate` and ``many`` is :func:`evaluate_many`."""
 
     family = "criterion"
 
@@ -1091,9 +1114,6 @@ class _Criterion(_Tagged):
 
     def many(self, xs: Iterable[Stream]) -> list[float]:
         return evaluate_many(self, xs)
-
-    def values(self, xs: list[Stream]) -> list[float]:
-        return [self.value(x) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -1110,6 +1130,9 @@ class Edu(_Criterion, tag="edu"):
 
     def value(self, x: Stream) -> float:
         return discounted_value(x, self.delta)
+
+    def rows(self, n: int, vals: np.ndarray) -> list[float]:
+        return _dv_at(n, vals, self.delta).tolist()
 
 
 @dataclass(frozen=True)
@@ -1133,8 +1156,8 @@ class Maxmin(_Criterion, tag="maxmin"):
     def value(self, x: Stream) -> float:
         return minimize_over_delta(x, self._indicator)[1]
 
-    def values(self, xs: list[Stream]) -> list[float]:
-        return [v for _, v in _minimize_many(xs, self._indicator)]
+    def rows(self, n: int, vals: np.ndarray) -> list[float]:
+        return [v for _, v in _minimize_rows(n, vals, self._indicator)]
 
 
 @dataclass(frozen=True)
@@ -1150,47 +1173,57 @@ class Variational(_Criterion, tag="variational"):
     def value(self, x: Stream) -> float:
         return minimize_over_delta(x, self.cost)[1]
 
-    def values(self, xs: list[Stream]) -> list[float]:
-        return [v for _, v in _minimize_many(xs, self.cost)]
+    def rows(self, n: int, vals: np.ndarray) -> list[float]:
+        return [v for _, v in _minimize_rows(n, vals, self.cost)]
 
     @classmethod
     def from_body(cls, body: dict) -> "Variational":
         return cls(cost=_Cost.from_dict(body["cost"]))
 
 
-# The patient criteria look their closed forms up in ``patient`` at call
-# time, so a function replaced there (say, by a tracer) is the one called.
+class _Patient(_Criterion):
+    """A patient criterion: ``value`` is the function named ``_value`` in
+    :mod:`tempora.patient` on the stream, and ``rows`` the closed form it
+    wraps, named ``_form``, on each row's prefix and cycle.  Both are
+    looked up at call time, so a function replaced there (say, by a
+    tracer) is the one called."""
+
+    _value: ClassVar[str]
+    _form: ClassVar[str]
+
+    def value(self, x: Stream) -> float:
+        return getattr(patient, self._value)(x)
+
+    def rows(self, n: int, vals: np.ndarray) -> list[float]:
+        return list(map(getattr(patient, self._form), vals[:, :n].tolist(), vals[:, n:].tolist()))
+
 
 @dataclass(frozen=True)
-class Inf(_Criterion, tag="inf"):
+class Inf(_Patient, tag="inf"):
     """Worst utility over all periods."""
 
-    def value(self, x: Stream) -> float:
-        return patient.inf_value(x)
+    _value, _form = "inf_value", "_least"
 
 
 @dataclass(frozen=True)
-class Liminf(_Criterion, tag="liminf"):
+class Liminf(_Patient, tag="liminf"):
     """Worst recurring utility."""
 
-    def value(self, x: Stream) -> float:
-        return patient.liminf_value(x)
+    _value, _form = "liminf_value", "_least_recurring"
 
 
 @dataclass(frozen=True)
-class BanachWindow(_Criterion, tag="banach_window"):
+class BanachWindow(_Patient, tag="banach_window"):
     """Long-run worst window average (shift-invariant patient criterion)."""
 
-    def value(self, x: Stream) -> float:
-        return patient.banach_window_value(x)
+    _value, _form = "banach_window_value", "_long_run_mean"
 
 
 @dataclass(frozen=True)
-class Cesaro(_Criterion, tag="cesaro"):
+class Cesaro(_Patient, tag="cesaro"):
     """Long-run plain average."""
 
-    def value(self, x: Stream) -> float:
-        return patient.cesaro_value(x)
+    _value, _form = "cesaro_value", "_long_run_mean"
 
 
 Criterion = Union[Edu, Maxmin, Variational, Inf, Liminf, BanachWindow, Cesaro]
@@ -1207,17 +1240,30 @@ def evaluate(k: Criterion, x: Stream) -> float:
 def evaluate_many(k: Criterion, xs: Iterable[Stream]) -> list[float]:
     """``[evaluate(k, x) for x in xs]``, bit for bit.
 
-    Maxmin and variational criteria scan the streams on each piece's
-    fixed grid, coarse to fine where ``_COARSE_MIN`` (16) or more share a
-    prefix length and period, and on the full grid as ``evaluate`` does
-    otherwise; then they refine the golden-section brackets kept on a
-    piece, of all the streams together, in one lockstep search once there
-    are ``_LOCKSTEP_MIN`` (96) of them (one search each below that).  The
-    other criteria evaluate one stream at a time.
+    The streams are grouped by shape (prefix length and period), and each
+    group is handed to the criterion's ``rows`` as one array of values.
+    Edu, and each isolated point of a cost, takes the closed form at one
+    factor on every row at once; the patient criteria take theirs row by
+    row.  Maxmin and variational criteria scan the rows on each piece's
+    fixed grid, coarse to fine from ``_COARSE_MIN`` (16) rows on, and on
+    the full grid as ``evaluate`` does below that; then they refine the
+    golden-section brackets kept on a piece, of all the rows of the
+    group, in one lockstep search on lanes of those rows once there are
+    ``_LOCKSTEP_MIN`` (96) of them (one search each below that).  Lanes
+    share their group's shape, so no lane is padded.
     """
     if not isinstance(k, _Criterion):
         raise InvalidCriterion(f"not a criterion: {k!r}")
-    return k.values(list(xs))
+    xs = list(xs)
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, x in enumerate(xs):
+        shapes.setdefault((len(x.prefix), x.period), []).append(i)
+    out = [0.0] * len(xs)
+    for (n, _), at in shapes.items():
+        vals = np.array([xs[i].prefix + xs[i].tail_cycle for i in at])
+        for i, v in zip(at, k.rows(n, vals)):
+            out[i] = v
+    return out
 
 
 def as_evaluator(k) -> Callable[[Stream], float]:

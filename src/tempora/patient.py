@@ -11,17 +11,18 @@ scan used to cross-check the closed forms at finite horizons.
 from __future__ import annotations
 
 import math
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from .streams import Stream
 
 
-def _tail_mean(x: Stream) -> float:
-    """Mean of the tail cycle; ``math.fsum`` keeps it exact under cycle
-    rotations.  A sum past the float range is taken on the cycle scaled
-    down by an exact power of two, which leaves every other mean's bits."""
-    cyc = x.tail_cycle
+def _mean(cyc: Sequence[float]) -> float:
+    """Mean of a cycle; ``math.fsum`` keeps it exact under rotations.  A
+    sum past the float range is taken on the cycle scaled down by an exact
+    power of two, which leaves every other mean's bits."""
     try:
         return math.fsum(cyc) / len(cyc)
     except OverflowError:
@@ -29,15 +30,37 @@ def _tail_mean(x: Stream) -> float:
         return math.ldexp(math.fsum(math.ldexp(v, -k) for v in cyc) / len(cyc), k)
 
 
+def _tail_mean(x: Stream) -> float:
+    """Mean of the tail cycle."""
+    return _mean(x.tail_cycle)
+
+
+# Each closed form below takes a prefix and a cycle, so that a stream
+# (see the public functions) and a row of values (``rows`` of the patient
+# criteria) share it.
+
+def _least(pre: Sequence[float], cyc: Sequence[float]) -> float:
+    """The least value, the first of equals as ``min`` takes it: 0.0 before
+    -0.0 keeps 0.0."""
+    return min(chain(pre, cyc))
+
+
+def _least_recurring(pre: Sequence[float], cyc: Sequence[float]) -> float:
+    return min(cyc)
+
+
+def _long_run_mean(pre: Sequence[float], cyc: Sequence[float]) -> float:
+    return _mean(cyc)
+
+
 def inf_value(x: Stream) -> float:
     """Worst utility over all periods: inf_t x_t (exact min)."""
-    vals = list(x.prefix) + list(x.tail_cycle)
-    return min(vals)
+    return _least(x.prefix, x.tail_cycle)
 
 
 def liminf_value(x: Stream) -> float:
     """Worst recurring utility: liminf_t x_t.  The prefix is irrelevant."""
-    return min(x.tail_cycle)
+    return _least_recurring(x.prefix, x.tail_cycle)
 
 
 def banach_window_value(x: Stream) -> float:
@@ -46,12 +69,12 @@ def banach_window_value(x: Stream) -> float:
     On an eventually periodic stream every shift-invariant normalized
     weighting agrees and equals the mean of the tail cycle.
     """
-    return _tail_mean(x)
+    return _long_run_mean(x.prefix, x.tail_cycle)
 
 
 def cesaro_value(x: Stream) -> float:
     """lim_T (1/T) sum_{t<T} x_t, which is again the tail-cycle mean."""
-    return _tail_mean(x)
+    return _long_run_mean(x.prefix, x.tail_cycle)
 
 
 def window_oracle(x: Stream, horizon: int) -> float:

@@ -194,6 +194,31 @@ def test_continuity_reports_match_the_per_point_scan(k, monkeypatch):
     assert json.dumps(got) == json.dumps(want)
 
 
+def test_a_closed_form_continuity_scan_builds_no_stream_per_mix(monkeypatch):
+    # Edu and Cesaro read the mixes' rows of values: the scan builds no
+    # stream at all, where one per mix would be 10^4.
+    import tempora.streams as S
+    built = []
+    unchecked, post_init = S._unchecked, S.Stream.__post_init__
+    monkeypatch.setattr(S, "_unchecked",
+                        lambda cls, **f: built.append(cls) or unchecked(cls, **f))
+    monkeypatch.setattr(S.Stream, "__post_init__", lambda self: built.append(1) or post_init(self))
+    draw, judge = AX._AXIOMS["continuity_segment"]
+    inside = []
+
+    def counted(*args, **kwargs):
+        built.clear()
+        verdict = judge(*args, **kwargs)
+        inside.append(built.count(S.Stream) + built.count(1))
+        return verdict
+
+    monkeypatch.setitem(AX._AXIOMS, "continuity_segment", (draw, counted))
+    for k in (Edu(0.9), Cesaro()):
+        inside.clear()
+        assert check_axiom(k, "continuity_segment", trials=1, seed=0).passes == 1
+        assert inside == [0], k
+
+
 def planted_jump(seed, calls):
     """I(x) = D_0.5(x), plus 1 past the midpoint of the two ends of the
     segment that the continuity scan draws first under ``seed``."""

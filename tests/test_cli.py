@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -454,3 +455,28 @@ def test_arbitrary_json_never_escapes_main(command, slot_dir, draw):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_an_in_process_call_leaves_no_cycles_for_the_collector(files, capsys):
+    # argparse links each call's parser, groups, actions and help formatters
+    # in reference cycles (about 290 objects per call): main frees them
+    # before the command runs.  A quadratic cost's pieces hold only numbers,
+    # not the cost, so a cost is no cycle either.
+    quad = write(files["tmp"] / "quad.json",
+                 {"variational": {"cost": {"quadratic": {"center": 0.8, "stiffness": 3.0}}}})
+    run(capsys, ["eval", "--stream", files["probe"], "--criterion", quad])
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in (["eval", "--stream", files["probe"], "--criterion", quad],
+                     ["eval", "--stream", files["alt"], "--criterion", files["maxmin"]],
+                     ["counterexamples"]):
+            assert run(capsys, argv)[0] == 0
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = list(gc.garbage)
+            gc.set_debug(0)
+            gc.garbage.clear()
+            assert left == [], (argv, sorted({type(o).__name__ for o in left}))
+    finally:
+        gc.enable()

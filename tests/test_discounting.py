@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import sys
 import threading
@@ -20,6 +21,8 @@ from tempora.discounting import (_FACTOR_CACHE, _GRID_CACHE, _NODES, _grid, _gri
                                  _grid_power, _interp, discounted_value_grid)
 from tempora.errors import (InvalidCost, InvalidCriterion, InvalidDelta)
 from tempora.jsonio import criterion_from_dict
+from tempora.streams import _stream
+import tempora.axioms as A
 import tempora.discounting as D
 
 ALL_DELTAS = [i / 10 for i in range(10)] + [0.99, 1.0]
@@ -704,6 +707,31 @@ def many_streams(rng, n):
     return out
 
 
+def as_rows(xs):
+    """(n, vals) of streams of one shape, as ``evaluate_many`` hands them
+    to ``rows``: row i holds stream i's prefix then its cycle."""
+    n = len(xs[0].prefix)
+    return n, np.array([x.prefix + x.tail_cycle for x in xs]).reshape(len(xs), -1)
+
+
+def by_shape(xs):
+    """Indices of the streams, grouped by (prefix length, period)."""
+    shapes = {}
+    for i, x in enumerate(xs):
+        shapes.setdefault((len(x.prefix), x.period), []).append(i)
+    return list(shapes.values())
+
+
+def minimize_rows(xs, c):
+    """:func:`minimize_over_delta` of each stream through the batch
+    minimizer, one call per shape, in the streams' order."""
+    out = [None] * len(xs)
+    for at in by_shape(xs):
+        for i, found in zip(at, D._minimize_rows(*as_rows([xs[i] for i in at]), c)):
+            out[i] = found
+    return out
+
+
 def test_evaluate_many_is_evaluate_bit_for_bit(rng):
     xs = many_streams(rng, 520)
     for k in MANY_CRITERIA:
@@ -741,8 +769,118 @@ def test_minimize_many_matches_minimize_over_delta(rng):
     xs = many_streams(rng, 60)
     for c in REF_COSTS:
         want = [minimize_over_delta(x, c) for x in xs]
-        got = D._minimize_many(xs, c)
+        got = minimize_rows(xs, c)
         assert [(d.hex(), v.hex()) for d, v in got] == [(d.hex(), v.hex()) for d, v in want]
+
+
+#: One criterion per tag at least, with the isolated points that take the
+#: closed form at one factor on every row: 0.0 among the maxmin points, a
+#: tabulated knot at 0.0, an indicator cost with points.
+ROWS_CRITERIA = [
+    Edu(0.9),
+    Maxmin(points=(0.0, 0.25, 0.9)),
+    Maxmin(intervals=((0.4, 0.6),)),
+    Maxmin(points=(0.0, 0.5), intervals=((0.2, 0.3), (0.5, 0.5))),
+    Variational(Quadratic(0.8, 3.0)),
+    Variational(Tabulated(knots=((0.0, 1.0), (0.5, 0.0), (0.8, 2.0)))),
+    Variational(IndicatorSet(points=(0.0, 0.3, 0.6), point_costs=(0.5, 0.0, 1.0))),
+    Inf(), Liminf(), BanachWindow(), Cesaro(),
+]
+
+
+def test_rows_criteria_cover_every_tag():
+    from tempora.discounting import TAGS, _Criterion
+    assert {type(k).tag for k in ROWS_CRITERIA} == \
+        {tag for tag, cls in TAGS.items() if issubclass(cls, _Criterion)}
+
+
+#: Signed zeros and ties among few values, so prefixes are absorbed,
+#: cycles reduce and ``min`` meets 0.0 and -0.0 side by side.
+row_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def one_shape_batches(draw):
+    """Streams drawn with one prefix length and one period: most keep that
+    shape, and those whose canonical form is shorter make other groups."""
+    n, p = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2 * D._COARSE_MIN))
+    out = []
+    for _ in range(m):
+        prefix = draw(st.lists(row_values, min_size=n, max_size=n))
+        cycle = draw(st.lists(row_values, min_size=p, max_size=p))
+        out.append(make_stream(prefix, Periodic(tuple(cycle))))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(one_shape_batches())
+@example([make_stream([0.0], Periodic((-0.0, 1.0))), make_stream([-0.0], Periodic((0.0, 1.0))),
+          make_stream([1.0], Periodic((-0.0, 0.0, 2.0)))])
+@example([make_stream([], Periodic((-0.0,)))] * 3)
+def test_rows_have_the_bits_of_value_on_each_row_stream(xs):
+    for k in ROWS_CRITERIA:
+        for at in by_shape(xs):
+            group = [xs[i] for i in at]
+            n, vals = as_rows(group)
+            assert hex_bits(k.rows(n, vals)) == hex_bits(k.value(x) for x in group), k
+            # A chunk of a continuity scan may leave no row unmasked.
+            assert k.rows(n, vals[:0]) == []
+        # The batch path groups a batch of mixed shapes itself.
+        assert hex_bits(evaluate_many(k, xs[::-1] + xs)) == \
+            hex_bits(evaluate(k, x) for x in xs[::-1] + xs), k
+
+
+@pytest.mark.parametrize("seed, masked", [(0, 0), (5, 1), (8, 1)])
+def test_a_scan_judges_a_criterion_as_it_judges_its_plain_callable(monkeypatch, seed, masked):
+    # Seeds 5 and 8 draw periodic pairs (lcm 6 and 12); the last mix of
+    # each, at lam 1, is x on a window whose cycle is not minimal, so its
+    # row is masked and goes through evaluate_many as a stream.
+    flagged, seen = [], []
+    mixture_rows, mixes = A._mixture_rows, A._mixes
+
+    def counted_rows(*args):
+        n, vals, mask = mixture_rows(*args)
+        flagged.append(int(mask.sum()))
+        return n, vals, mask
+
+    def recorded(*args):
+        out = list(mixes(*args))
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(A, "_mixture_rows", counted_rows)
+    monkeypatch.setattr(A, "_mixes", recorded)
+    for k in (Edu(0.9), Cesaro(), Inf(), Variational(Quadratic(0.8, 3.0))):
+        flagged.clear(), seen.clear()
+        got = check_axiom(k, "continuity_segment", 1, seed).to_dict()
+        assert sum(flagged) == masked
+        values = hex_bits(seen)
+        seen.clear()
+        plain = check_axiom(lambda x: k(x), "continuity_segment", 1, seed).to_dict()
+        assert hex_bits(seen) == values and len(values) == 10000
+        assert json.dumps(got) == json.dumps(plain)
+
+
+def test_a_batch_takes_horner_work_in_proportion_to_its_own_streams(monkeypatch, rng):
+    # Lanes are rows of one shape, so no lane is padded to a long prefix
+    # elsewhere in the batch: Horner steps times the factors they run on
+    # (the grid nodes of a scan, the lanes of a search) stay within a
+    # fixed multiple of each stream's own n + p.
+    xs = [random_stream(rng) for _ in range(300)]
+    xs.append(make_stream(rng.uniform(-5.0, 5.0, 8000).tolist(), Constant(1.0)))
+    k = Variational(Quadratic(0.8, 3.0))
+    want = hex_bits(evaluate(k, x) for x in xs)
+    steps = {"all": 0}
+    horner = D._horner
+
+    def counted(coeffs, d):
+        steps["all"] += len(coeffs) * d.size
+        return horner(coeffs, d)
+
+    monkeypatch.setattr(D, "_horner", counted)
+    assert hex_bits(evaluate_many(k, xs)) == want
+    assert 0 < steps["all"] <= 2 * _NODES * sum(len(x.prefix) + x.period for x in xs)
 
 
 def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
@@ -761,22 +899,30 @@ def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
             for a, b in [br[:2] for br in found] + [(piece.a, piece.b), (piece.b, piece.b)]:
                 owners.append(i)
                 brackets.append((a, b, f(a), f(b)))
-        got = D._golden_lockstep(D._lanes([xs[i] for i in owners], piece.lanes),
-                                 *np.array(brackets).T)
-        for i, br, (d, v) in zip(owners, brackets, got):
-            want_d, want_v = D._golden(D._objective(xs[i], piece), *br)
-            assert (d.hex(), v.hex()) == (want_d.hex(), want_v.hex())
-            periodic += xs[i].period > 1
+        # Lanes share a shape: one lockstep search per shape.
+        for lanes in by_shape([xs[i] for i in owners]):
+            at = [owners[j] for j in lanes]
+            got = D._golden_lockstep(D._lanes(*as_rows([xs[i] for i in at]), piece.lanes),
+                                     *np.array([brackets[j] for j in lanes]).T)
+            for i, j, (d, v) in zip(at, lanes, got):
+                want_d, want_v = D._golden(D._objective(xs[i], piece), *brackets[j])
+                assert (d.hex(), v.hex()) == (want_d.hex(), want_v.hex())
+                periodic += xs[i].period > 1
     assert periodic > 500
 
 
+def one_shape_streams(rng, count, n=4, p=3):
+    """Random streams with an ``n``-term prefix and a period ``p`` cycle."""
+    return [make_stream(rng.uniform(-5.0, 5.0, n).tolist(),
+                        Periodic(tuple(rng.uniform(-5.0, 5.0, p).tolist())))
+            for _ in range(count)]
+
+
 def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
+    # Lanes are rows of one shape, so the batch is of one shape: from
+    # _COARSE_MIN rows on, each row's kept brackets are its own.
     piece = Quadratic(0.8, 3.0).pieces[0]
-    xs = many_streams(rng, 2 * D._LOCKSTEP_MIN)
-    kept = np.cumsum([len(D._undercutting(x, piece, *D._scan(x, piece))) for x in xs])
-    # The fewest streams whose brackets reach the threshold; one less falls short.
-    j = int(np.searchsorted(kept, D._LOCKSTEP_MIN)) + 1
-    assert kept[j - 2] < D._LOCKSTEP_MIN <= kept[j - 1]
+    n, vals = as_rows(one_shape_streams(rng, 4 * D._LOCKSTEP_MIN))
     calls = {"golden": 0, "lockstep": 0}
     golden, lockstep = D._golden, D._golden_lockstep
 
@@ -790,14 +936,33 @@ def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
 
     monkeypatch.setattr(D, "_golden", counted_golden)
     monkeypatch.setattr(D, "_golden_lockstep", counted_lockstep)
-    for batch, want in ((xs[:j - 1], {"golden": kept[j - 2], "lockstep": 0}),
-                        (xs[:j], {"golden": 0, "lockstep": 1})):
+
+    def run(j):
         calls.update(golden=0, lockstep=0)
-        got = D._minimize_on_interval(batch, piece)
+        return D._minimize_on_interval(n, vals[:j], piece, [None] * j)
+
+    def kept(j):
+        # The first j rows' kept brackets, each searched alone.
+        with monkeypatch.context() as m:
+            m.setattr(D, "_LOCKSTEP_MIN", math.inf)
+            run(j)
+        return calls["golden"]
+
+    # The fewest rows whose brackets reach the threshold; one less falls short.
+    lo, hi = D._COARSE_MIN, len(vals)
+    assert kept(lo) < D._LOCKSTEP_MIN <= kept(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if kept(mid) >= D._LOCKSTEP_MIN else (mid, hi)
+    j, short = hi, kept(hi - 1)
+    for size, want in ((j - 1, {"golden": short, "lockstep": 0}),
+                       (j, {"golden": 0, "lockstep": 1})):
+        got = run(size)
         assert calls == want
         assert [(d.hex(), v.hex()) for d, v in got] == \
-            [(d.hex(), v.hex()) for d, v in (D._minimize_on_interval([x], piece)[0]
-                                             for x in batch)]
+            [(d.hex(), v.hex()) for d, v in (D._minimize_on_interval(n, vals[i:i + 1], piece,
+                                                                     [None])[0]
+                                             for i in range(size))]
 
 
 LANE_PIECES = [Quadratic(0.8, 3.0).pieces[0],
@@ -808,34 +973,37 @@ LANE_PIECES = [Quadratic(0.8, 3.0).pieces[0],
 
 
 def test_lanes_that_share_a_factor_keep_the_scalar_bits():
-    # Each bracket is searched by every shape in turn, so neighbouring lanes
-    # step alike but change prefix length, period or tail kind, and then by
-    # a run of one shape; brackets start at -0.0 and 0.0.  Last come the
-    # points 0.0 and -0.0 side by side on a stream of signed zeros, whose
-    # objective is -0.0 at -0.0 (pow(-0.0, 3) is -0.0) and 0.0 at 0.0.
+    # Lanes are rows of one shape.  Each bracket is searched by every
+    # stream of a batch of one shape in turn, so neighbouring lanes step
+    # alike on different rows, and then by a run of one row; brackets
+    # start at -0.0 and 0.0.  Last come the points 0.0 and -0.0 side by
+    # side on a stream of signed zeros, whose objective is -0.0 at -0.0
+    # (pow(-0.0, 3) is -0.0) and 0.0 at 0.0.
     shapes = [make_stream([1.0, -2.0], Constant(0.5)),
               make_stream([1.0, -2.0, 3.0], Constant(0.5)),
               make_stream([1.0, -2.0], Periodic((0.5, -1.5))),
               make_stream([-0.0, 1.0, -1.0], Periodic((2.0, 0.0, 1.0))),
               make_stream([1.0, -2.0], Periodic((0.5, -1.5, 4.0)))]
-    zeros = make_stream([-0.0] * 3, Constant(1.0))
-    batches = {"mixed": (shapes, zeros), "constant": (shapes[:2], zeros),
-               "periodic": (shapes[2:], make_stream([-0.0] * 3, Periodic((1.0, 2.0))))}
+    batches = [[x] for x in shapes] + [
+        [shapes[0], make_stream([3.0, 0.25], Constant(-1.0))],
+        [shapes[2], make_stream([-1.0, 0.0], Periodic((2.5, 1.0))), shapes[2]]]
+    zeros = [make_stream([-0.0] * 3, Constant(1.0)), make_stream([-0.0] * 3, Periodic((1.0, 2.0)))]
     brackets = [(0.0, 0.3), (0.3, 0.9), (-0.0, 0.2), (-0.0, -0.0), (0.0, 0.0), (0.95, 1 - 1e-9)]
     for piece in LANE_PIECES:
-        for kind, (batch, signed) in batches.items():
+        for batch in batches + [[x] for x in zeros]:
             lanes = []
             for a, b in brackets:
                 lanes += [(x, a, b) for x in batch] + [(batch[-1], a, b)] * 3
-            lanes += [(signed, a, a) for a in (0.0, -0.0, -0.0, 0.0)]
+            if batch[0] in zeros:
+                lanes += [(batch[0], a, a) for a in (0.0, -0.0, -0.0, 0.0)]
             ends = [(a, b, D._objective(x, piece)(a), D._objective(x, piece)(b))
                     for x, a, b in lanes]
-            got = D._golden_lockstep(D._lanes([x for x, *_ in lanes], piece.lanes),
+            got = D._golden_lockstep(D._lanes(*as_rows([x for x, *_ in lanes]), piece.lanes),
                                      *map(np.array, zip(*ends)))
             want = [D._golden(D._objective(x, piece), *br) for (x, *_), br in zip(lanes, ends)]
             assert [(d.hex(), v.hex()) for d, v in got] == \
-                [(d.hex(), v.hex()) for d, v in want], (piece.a, piece.b, kind)
-            if piece is LANE_PIECES[-1]:
+                [(d.hex(), v.hex()) for d, v in want], (piece.a, piece.b, batch)
+            if piece is LANE_PIECES[-1] and batch[0] in zeros:
                 assert [v.hex() for _, v in want[-4:]] == \
                     ["0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"]
 
@@ -845,18 +1013,18 @@ class _Enough(Exception):
 
 
 def scan_chunk(monkeypatch, k, index):
-    """Batch ``index`` (from 0) of the mixtures that the seed-0 continuity
-    scan of ``k`` hands to ``evaluate_many``."""
-    chunks, evaluate_many = [], D.evaluate_many
+    """Batch ``index`` (from 0) of the mixes of the seed-0 continuity scan
+    of ``k``, as ``_mixture_rows`` returns it: (n, vals, mask)."""
+    chunks, mixture_rows = [], A._mixture_rows
 
-    def upto(k, xs):
-        chunks.append(list(xs))
+    def upto(*args):
+        chunks.append(mixture_rows(*args))
         if len(chunks) > index:
             raise _Enough
-        return evaluate_many(k, chunks[-1])
+        return chunks[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(D, "evaluate_many", upto)
+        m.setattr(A, "_mixture_rows", upto)
         with pytest.raises(_Enough):
             check_axiom(k, "continuity_segment", 1, 0)
     return chunks[index]
@@ -865,10 +1033,11 @@ def scan_chunk(monkeypatch, k, index):
 def test_lockstep_takes_the_factor_terms_once_per_distinct_factor_and_shape(monkeypatch):
     # A chunk whose brackets reach the lockstep search: those of the first
     # chunks, and every one of the quadratic scan, are certified monotone.
+    # Its rows share one shape, and so do the lanes.
     k = Variational(Tabulated(((0.2, 1.0), (0.5, 0.0), (0.8, 2.0))))
-    chunk = scan_chunk(monkeypatch, k, 20)
-    assert len(chunk) == 256
-    want = hex_bits(evaluate(k, x) for x in chunk)
+    n, vals, mask = scan_chunk(monkeypatch, k, 20)
+    assert vals.shape[0] == 256 and not mask.any()
+    want = hex_bits(evaluate(k, _stream(row[:n], row[n:])) for row in vals.tolist())
     counts = {"lanes": 0, "distinct": 0, "powered": 0}
     inside = []
     lanes, powers = D._lanes, D._powers
@@ -878,12 +1047,12 @@ def test_lockstep_takes_the_factor_terms_once_per_distinct_factor_and_shape(monk
             counts["powered"] += len(d)
         return powers(d, ns)
 
-    def counted_lanes(xs, cost):
-        objective, shapes = lanes(xs, cost), [(len(x.prefix), x.period) for x in xs]
+    def counted_lanes(n, rows, cost):
+        objective = lanes(n, rows, cost)
 
         def counted(d):
             counts["lanes"] += d.size
-            counts["distinct"] += len(set(zip(d.view(np.int64).tolist(), shapes)))
+            counts["distinct"] += len(set(d.view(np.int64).tolist()))
             inside.append(d)
             try:
                 return objective(d)
@@ -894,9 +1063,9 @@ def test_lockstep_takes_the_factor_terms_once_per_distinct_factor_and_shape(monk
 
     monkeypatch.setattr(D, "_powers", counted_powers)
     monkeypatch.setattr(D, "_lanes", counted_lanes)
-    assert hex_bits(evaluate_many(k, chunk)) == want
+    assert hex_bits(k.rows(n, vals)) == want
     # Neighbouring mixtures walk one golden path: d^n is taken once per
-    # factor and shape in a step, not once per lane.
+    # factor in a step, not once per lane.
     assert counts["lanes"] >= 256 * 20
     assert 0 < counts["powered"] <= counts["distinct"] < counts["lanes"] / 100
 
@@ -1211,7 +1380,7 @@ def test_a_certified_monotone_bracket_searches_to_its_lower_end(x, cost, scale, 
         with np.errstate(over="ignore", invalid="ignore"):
             assert D._monotone(piece, n, p, norm, two_r,
                                *map(np.array, zip(*ends))).tolist() == sure
-        lockstep = D._golden_lockstep(D._lanes([x] * len(ends), piece.lanes),
+        lockstep = D._golden_lockstep(D._lanes(*as_rows([x] * len(ends)), piece.lanes),
                                       *map(np.array, zip(*ends)))
         for (lo, hi, f_lo, f_hi), ok, found in zip(ends, sure, lockstep):
             if ok:
@@ -1340,7 +1509,7 @@ def test_a_batch_of_constant_streams_under_a_flat_knot_extension_keeps_the_refer
     for v in (1.0, 0.0, -0.0, -2.5):
         x = constant_stream(v)
         want_d, want_v = ref_minimize_over_delta(x, cost)
-        for d_star, v_star in D._minimize_many([x] * ABOVE_BLOCK, cost):
+        for d_star, v_star in minimize_rows([x] * ABOVE_BLOCK, cost):
             assert (d_star.hex(), v_star.hex()) == (want_d.hex(), want_v.hex())
 
 
@@ -1385,7 +1554,7 @@ def test_the_coarse_pass_does_not_pad_a_batch_to_its_longest_prefix(monkeypatch,
     xs.append(make_stream(rng.uniform(-5.0, 5.0, 2000).tolist(), Constant(1.0)))
     want = [minimize_over_delta(x, Quadratic(0.8, 3.0)) for x in xs]
     counts = counted_grid_nodes(monkeypatch)
-    got = D._minimize_many(xs, Quadratic(0.8, 3.0))
+    got = minimize_rows(xs, Quadratic(0.8, 3.0))
     assert got == want
     # Many streams share their shape with 15 others or more; every coarse
     # row takes its own n + p Horner steps on the 126 coarse nodes.
@@ -1400,7 +1569,7 @@ def test_a_batch_of_constant_tails_takes_no_denominator(rng):
           for _ in range(2 * D._COARSE_MIN)]
     want = [minimize_over_delta(x, cost) for x in xs]
     before = _grid_denom.cache_info()
-    got = D._minimize_many(xs, cost)
+    got = minimize_rows(xs, cost)
     assert [(d.hex(), v.hex()) for d, v in got] == [(d.hex(), v.hex()) for d, v in want]
     assert _grid_denom.cache_info() == before
 
@@ -1437,5 +1606,5 @@ def test_the_refine_loop_follows_a_flat_run_into_dropped_segments():
         assert sorted(zip(*(e[row == r].tolist() for e in ends))) == sorted(full)
     want_d, want_v = minimize_over_delta(x, cost)
     assert 0.9995 < want_d < 1.0 and want_v < -1.0
-    for d_star, v_star in D._minimize_many([x] * D._COARSE_MIN, cost):
+    for d_star, v_star in minimize_rows([x] * D._COARSE_MIN, cost):
         assert (d_star.hex(), v_star.hex()) == (want_d.hex(), want_v.hex())

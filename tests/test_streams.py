@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempora import (Constant, Periodic, Stream, add, canonicalize_tail,
@@ -14,7 +14,8 @@ from tempora import (Constant, Periodic, Stream, add, canonicalize_tail,
 from tempora.errors import (InvalidPermutation, InvalidScale, InvalidStream,
                             ParseError)
 from tempora.axioms import MatrixTransform
-from tempora.streams import permutation_mapping, _minimal_cycle, inverse_permutation, mixtures
+from tempora.streams import (_canonical, _minimal_cycle, _mixture_rows, inverse_permutation,
+                             mixtures, permutation_mapping)
 
 from conftest import streams
 
@@ -214,6 +215,40 @@ def test_mixtures_reject_weights_outside_the_unit_interval():
     for lam in (-0.1, 1.5, float("nan")):
         with pytest.raises(InvalidScale):
             mixtures(ALT, ALT_NEG, [0.5, lam])
+
+
+#: Few values, signed zeros among them, so that mixes tie often; tails of
+#: periods whose pairwise lcm stays within 12.
+mix_values = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5])
+mix_tails = st.one_of(
+    st.builds(Constant, mix_values),
+    st.sampled_from([1, 2, 3, 4, 6, 12]).flatmap(
+        lambda p: st.lists(mix_values, min_size=p, max_size=p)).map(lambda c: Periodic(tuple(c))))
+mix_streams = st.builds(make_stream, st.lists(mix_values, max_size=4), mix_tails)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mix_streams, mix_streams, st.booleans(),
+       st.lists(st.sampled_from([0.25, 1 / 3, 0.75]) | st.floats(0.0, 1.0), max_size=4))
+# The mix of mirrored cycles is constant at 1/2; periods 2 against 3.
+@example(make_stream([], Periodic((1.0, 2.0))), make_stream([], Periodic((2.0, 1.0))), False, [])
+@example(make_stream([], Periodic((1.0, 2.0))), make_stream([0.5], Periodic((0.0, 1.0, 2.0))),
+         False, [])
+@example(make_stream([-0.0], Constant(0.0)), make_stream([0.0, -0.0], Constant(-0.0)), False, [])
+def test_mixture_rows_mask_every_row_that_canonicalization_changes(x, z, same, lams):
+    # The mask may flag more rows than canonicalization changes, never
+    # fewer: an unflagged row is its stream's canonical prefix and cycle.
+    z = x if same else z
+    lams = [0.0, 1.0, 0.5] + lams
+    n, vals, mask = _mixture_rows(x, z, lams)
+    assert vals.shape == (len(lams), n + math.lcm(x.period, z.period))
+    for row, masked, got in zip(vals.tolist(), mask.tolist(), mixtures(x, z, lams)):
+        prefix, tail = _canonical(row[:n], row[n:])
+        cycle = (tail.value,) if isinstance(tail, Constant) else tail.cycle
+        unchanged = len(prefix) == n and [v.hex() for v in prefix + cycle] == [v.hex() for v in row]
+        assert masked or unchanged
+        assert bits(got) == ([v.hex() for v in prefix], type(tail).__name__,
+                             [v.hex() for v in cycle])
 
 
 def reference_minimal_cycle(cycle):
