@@ -32,8 +32,8 @@ a fixed grid of ``_NODES`` nodes per continuous piece of the cost followed
 by golden-section refinement: one bracket at each end of the grid and one
 per run of adjacent grid minima, so a flat run is searched once, not once
 per node.
-Only brackets whose certified lower bound (Lipschitz, or the tail mean's)
-undercuts the grid's best value are searched, and of those only the ones
+Only brackets whose certified Lipschitz lower bound undercuts the grid's
+best value are searched, and of those only the ones
 that a bound on the objective's curvature does not prove monotone, whose
 search would end at a grid node no lower than the grid's best; a search
 skipped could not have won, so the bits are those of searching them all.
@@ -159,15 +159,14 @@ def _powers(d: list[float], ns: Iterable[int]) -> np.ndarray:
     return np.array(list(map(pow, d, ns)))
 
 
-def _denoms(d: np.ndarray, p: np.ndarray | int) -> np.ndarray:
-    """``1 - d ** p`` (``p`` one period, or one per element) as the scalar
-    form takes it, ``-expm1(p * log(d))`` with Python's ``math``; 1.0 where
-    ``p == 1`` or ``d == 0``, where the scalar form does not divide."""
-    p = np.broadcast_to(p, d.shape)
-    live = (p > 1) & (d != 0.0)
+def _denoms(d: np.ndarray, p: int) -> np.ndarray:
+    """``1 - d ** p`` for a period ``p > 1`` as the scalar form takes it,
+    ``-expm1(p * log(d))`` with Python's ``math``; 1.0 where ``d == 0``,
+    where the scalar form does not divide."""
+    live = d != 0.0
     out = np.ones(d.shape)
     out[live] = np.negative(list(map(math.expm1, map(
-        mul, p[live].tolist(), map(math.log, d[live].tolist())))))
+        mul, repeat(p), map(math.log, d[live].tolist())))))
     return out
 
 
@@ -233,28 +232,14 @@ def _dv_array(prefix, cycle, periodic, const, d: np.ndarray, power: np.ndarray,
     return out
 
 
-def discounted_value_grid(x: Stream, deltas: np.ndarray | _Grid) -> np.ndarray:
-    """:func:`discounted_value` at each factor of an array, bit for bit.
-
-    ``deltas`` is an array-like of factors in [0, 1], or a cached grid
-    from the minimizer, whose factors are already known valid.
-    """
+def discounted_value_grid(x: Stream, g: _Grid) -> np.ndarray:
+    """:func:`discounted_value` at each node of a cached grid ``g`` of the
+    minimizer, bit for bit, with the grid's factors d^n and 1 - d^p from
+    their bounded caches."""
     n, p = len(x.prefix), x.period
-    periodic = p > 1
-    if isinstance(deltas, _Grid):
-        a, b, d = deltas
-        return _dv_array(x.prefix, x.tail_cycle, periodic, x.tail_cycle[0], d,
-                         _grid_power(a, b, n), _grid_denom(a, b, p) if periodic else None)
-    d = np.array(deltas, dtype=float, ndmin=1)
-    if d.size and (d.min() < 0.0 or d.max() > 1.0 or np.isnan(d).any()):
-        raise InvalidDelta("discount factors must lie in [0, 1]")
-    # D_1 is the tail mean: the closed form runs at 0.5 there instead.
-    at_one = d == 1.0
-    d = np.where(at_one, 0.5, d)
-    out = _dv_array(x.prefix, x.tail_cycle, periodic, x.tail_cycle[0], d,
-                    _powers(d.tolist(), repeat(n)), _denoms(d, p) if periodic else None)
-    out[at_one] = _tail_mean(x)
-    return out
+    a, b, d = g
+    return _dv_array(x.prefix, x.tail_cycle, p > 1, x.tail_cycle[0], d,
+                     _grid_power(a, b, n), _grid_denom(a, b, p) if p > 1 else None)
 
 
 def _dv_at(n: int, vals: np.ndarray, delta: float) -> np.ndarray:
@@ -356,10 +341,10 @@ class _Piece:
     ``scalar(delta)`` is the cost at one factor and ``lanes(d)`` the cost
     at each factor of an array, with ``scalar``'s bits.  ``on_grid`` is
     ``lanes`` on the piece's grid ``_grid(a, b)``, read-only and built with
-    the piece.  ``bound(lo, hi)`` is (a bound on the cost's slope, a lower
-    bound on the cost, a bound on its second derivative) on [lo, hi], for
-    numbers, or for arrays element by element; the last is inf where the
-    cost has a kink inside (lo, hi).
+    the piece.  ``bound(lo, hi)`` is (a bound on the cost's slope, a bound
+    on its second derivative) on [lo, hi], for numbers, or for arrays
+    element by element; the second is inf where the cost has a kink
+    inside (lo, hi).
     """
 
     __slots__ = ("a", "b", "scalar", "lanes", "bound", "on_grid")
@@ -432,7 +417,7 @@ class IndicatorSet(_Cost, tag="indicator"):
     @functools.cached_property
     def pieces(self) -> list[_Piece]:
         return [_Piece(a, min(b, _ONE_EDGE), _zero, np.zeros_like,
-                       lambda lo, hi: (0.0, 0.0, 0.0))
+                       lambda lo, hi: (0.0, 0.0))
                 for a, b in self.intervals]
 
 
@@ -467,11 +452,10 @@ class Quadratic(_Cost, tag="quadratic"):
             return k * np.array(list(map(pow, (d - c).tolist(), repeat(2))))
 
         def bound(lo, hi):
-            # max(|lo - c|, |hi - c|) and max(lo - c, c - hi, 0) for lo <= hi,
-            # with operators alone, so numbers and arrays take the same code.
+            # 2 max(|lo - c|, |hi - c|) for lo <= hi, with operators alone,
+            # so numbers and arrays take the same code.
             u, v = c - lo, hi - c
-            gap = 0.5 * (abs(u) - u) + 0.5 * (abs(v) - v)
-            return k * (u + v + abs(u - v)), k * gap * gap, 2.0 * k
+            return k * (u + v + abs(u - v)), 2.0 * k
 
         return [_Piece(0.0, _ONE_EDGE, functools.partial(_square_cost, k, c), lanes, bound)]
 
@@ -524,7 +508,7 @@ class Tabulated(_Cost, tag="tabulated"):
             # Linear between knots; a knot strictly inside (lo, hi) is a
             # kink: inf ** 0 is 1, so the curvature bound is 0 or inf.
             kinks = sum((lo < k) & (k < hi) for k in ds)
-            return steepest, 0.0, _INF ** kinks - 1.0
+            return steepest, _INF ** kinks - 1.0
 
         return [_Piece(0.0, ds[-1], _interp(self), lambda g: np.interp(g, ds, ks), bound)]
 
@@ -676,50 +660,61 @@ def _lanes(n: int, vals: np.ndarray, cost: Callable) -> Callable[[np.ndarray], n
     return objective
 
 
-def _dropped(piece: _Piece, n, p, norm, two_r, mu, lo, hi, f_lo, f_hi, best):
+def _margin(n, p, norm, slope, f_lo, f_hi):
+    """The float margin ``E = 2^-44 (n + p + 15) (1 + |f(lo)| + |f(hi)| +
+    ||x||_inf + L_cost)`` of :func:`_dropped` and :func:`_monotone` on a
+    bracket [lo, hi], for numbers or arrays, with n, p and ||x||_inf those
+    of the stream x and ``L_cost`` from ``piece.bound``.
+
+    The float f = D_d(x) + cost at a factor t takes at most 2 (n + p) + 30
+    roundings of relative size 2^-53, on terms bounded by ||x||_inf (the
+    weights sum to at most 1), |f(t)| + ||x||_inf or L_cost, so it errs by
+    at most 2^-52 (n + p + 15) (|f(t)| + ||x||_inf + L_cost), to first
+    order in 2^-52 (n + p): by E / 256 where |f(t)| <= 1 + |f(lo)| +
+    |f(hi)|, at the ends say, and by E / 128 where |f(t)| <= 1 + |f(lo)| +
+    |f(hi)| + ||x||_inf + L_cost.  The rest of E is each certificate's
+    slack for the rounding of its own test.
+    """
+    return 2.0 ** -44 * (n + p + 15) * (1.0 + abs(f_lo) + abs(f_hi) + norm + slope)
+
+
+def _dropped(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best):
     """Whether f = D_d(x) + cost is certified to lie strictly above ``best``
     on [lo, hi], its ends' values ``f_lo`` and ``f_hi`` given, with n, p,
-    ||x||_inf, 2 r and the tail mean those of the stream x.
+    ||x||_inf and 2 r those of the stream x (see :func:`_terms`).
 
     The closed form takes numbers, or numpy arrays that broadcast together
     (then element by element, under ``np.errstate`` that ignores overflow
     and invalid operations): it is written with operators alone.  It holds
-    where a lower bound on f over [lo, hi], less the float margin ``E =
-    1e-9 (n + p) (1 + |f(lo)| + |f(hi)| + ||x||_inf + L_cost)``, lies above
-    ``best``.  The bounds are the Piyavskii–Shubert bound ``(f(lo) + f(hi)
-    - L (hi - lo)) / 2``, with ``L = 2 r (T + 1) hi^T + L_cost`` and ``T =
-    floor(hi / (1 - hi))``, and, for ``lo >= 0.5`` and ``p <= 1024``, the
-    tail mean less ``2 ||x||_inf (1 - lo) (n + (p - 1) lo^(1 - p))`` plus
-    a lower bound on the cost over [lo, hi] (``L_cost`` and that bound
-    from ``piece.bound``).
+    where the Piyavskii–Shubert bound ``(f(lo) + f(hi) - L (hi - lo)) /
+    2``, with ``L = 2 r (T + 1) hi^T + L_cost``, ``T = floor(hi / (1 -
+    hi))`` and ``L_cost`` from ``piece.bound``, less the margin E of
+    :func:`_margin`, lies above ``best``.
 
     Proof.  The weights w_t = (1 - d) d^t sum to 1, so D' = sum_t w_t' (x_t
     - c) for the midpoint c of the values; w_t' < 0 up to T and > 0 after,
     so sum_t |w_t'| = 2 d/dd d^(T+1) = 2 (T + 1) d^T = max_m 2 (m + 1) d^m,
-    continuous and nondecreasing.  Golden-section steps evaluate f only in
-    the bracket (b - fl(k fl(b - a)) and a + fl(k fl(b - a)), k < 0.62,
-    stay in [a, b]), and a coarse segment's grid nodes lie in it; at each
-    such t, f(t) takes at most 2 (n + p) + 30 roundings of relative size
-    2^-53 on terms bounded by ||x||_inf (the weights sum to at most 1),
-    |f(t)| + ||x||_inf or L_cost, and a float T off by one moves S by
-    2^-52.  Where a bound exceeds ``best``, each of its terms is at most 3
-    (|f(lo)| + |f(hi)| + ||x||_inf).  The bound's rounding, in whatever
-    order it is taken, and that of f(t) wherever f(t) is near the bound,
-    is thus far below E: where this holds, f lies strictly above ``best``
-    at every grid node and every golden-section step in [lo, hi].  It
-    does not hold where an end is not finite (the terms are NaN or -inf);
-    the caller certifies nothing where (n + p) ||x||_inf >= 1e300, since
-    the sums may overflow.
+    continuous and nondecreasing: |f'| <= L on [lo, hi], and f lies above
+    the bound there.  Golden-section steps evaluate f only in the bracket
+    (b - fl(k fl(b - a)) and a + fl(k fl(b - a)), k < 0.62, stay in [a,
+    b]), and a coarse segment's grid nodes lie in it.  By :func:`_margin`,
+    the float ends err by at most E / 256, and a float f(t) that could
+    reach ``best`` by at most E / 128, since there -||x||_inf <= f(t) <=
+    max(f(lo), f(hi)) + E (D >= -||x||_inf and the cost is >= 0).  The
+    bound's own rounding fits in the rest: where it exceeds ``best`` (>=
+    -||x||_inf - E), L (hi - lo) < f(lo) + f(hi) - 2 best, so each of its
+    terms is at most 2 (|f(lo)| + |f(hi)| + ||x||_inf + E), and its few
+    roundings, in any order, and a float T off by one (2^-52 of L) err by
+    a few 2^-53 of that, while E is at least 2^-40 of it.  So where this
+    holds, f lies strictly above ``best`` at every grid node and every
+    golden-section step in [lo, hi].  It does not hold where an end is not
+    finite (the terms are NaN or -inf); the caller certifies nothing where
+    (n + p) ||x||_inf >= 1e300, since the sums may overflow.
     """
-    slope, least, _ = piece.bound(lo, hi)
+    slope, _ = piece.bound(lo, hi)
     t = hi / (1.0 - hi) // 1.0
     bound = 0.5 * (f_lo + f_hi - (two_r * ((t + 1.0) * hi ** t) + slope) * (hi - lo))
-    margin = 1e-9 * (n + p) * (1.0 + abs(f_lo) + abs(f_hi) + norm + slope)
-    # The tail bound where lo >= 0.5 and p <= 1024, so that lo ** (1 - p)
-    # <= 2 ** 1023; elsewhere its base is 1.0 and its verdict unused.
-    near = (lo >= 0.5) & (p <= 1024)
-    tail = norm * (2.0 * (1.0 - lo) * (n + (p - 1) * (1.0 + near * (lo - 1.0)) ** (1 - p)))
-    return (bound - margin > best) | near & (mu - tail + least - margin > best)
+    return bound - _margin(n, p, norm, slope, f_lo, f_hi) > best
 
 
 #: The least distance from a bracket's ends of any point that
@@ -736,12 +731,11 @@ def _monotone(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi):
     falls and (lo, f(lo)) where it rises.
 
     Like :func:`_dropped`, it takes numbers or arrays.  With ``w = hi -
-    lo``, ``E = 2^-44 (n + p + 15) (1 + |f(lo)| + |f(hi)| + ||x||_inf +
-    L_cost)`` and ``M2 = r min(G, U) + C``, where ``G = 4 / (1 - hi)^3``,
-    ``U = sum_{t<n} 2 t^2 + p ((n + p)^2 + (n + p) p^2 + p^4)`` and ``C``
-    bounds the cost's second derivative (``L_cost`` and ``C`` from
-    ``piece.bound``), it holds where ``w > _XTOL`` and ``(|f(hi) - f(lo)|
-    - M2 w^2 - 2 E) _ETA > 2 E w``.
+    lo``, E the margin of :func:`_margin` and ``M2 = r min(G, U) + C``,
+    where ``G = 4 / (1 - hi)^3``, ``U = sum_{t<n} 2 t^2 + p ((n + p)^2 +
+    (n + p) p^2 + p^4)`` and ``C`` bounds the cost's second derivative
+    (from ``piece.bound``), it holds where ``w > _XTOL`` and ``(|f(hi) -
+    f(lo)| - M2 w^2 - 2 E) _ETA > 2 E w``.
 
     Proof.  As in :func:`_dropped`, D'' = sum_t w_t'' (x_t - c), so |D''|
     <= r sum_t |w_t''|.  For w_t = (1 - d) d^t, w_t'' = t (t - 1) d^(t-2) -
@@ -757,43 +751,41 @@ def _monotone(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi):
     lies strictly inside (lo, hi), where C is inf.  So |f''| <= M2 on the
     bracket, and f' lies within M2 w of the secant (f(hi) - f(lo)) / w
     everywhere on it (the secant is f' somewhere).  The float f at each
-    point is within E / 256 of f: that is :func:`_dropped`'s count of at
-    most 2 (n + p) + 30 roundings of relative size 2^-53 on terms bounded
-    by ||x||_inf, |f(t)| + ||x||_inf or L_cost, where |f(t)| <= max(|f(lo)|,
-    |f(hi)|) + E on a monotone bracket.  So where f(hi) < f(lo), f' <= -m
-    on the bracket, with m = (|f(hi) - f(lo)| - M2 w^2 - 2 E) / w, and at
-    each t <= hi - _ETA the float f(t) exceeds f(hi) by at least m _ETA -
-    2 E > 0; where f(hi) > f(lo), the mirror image.  On a bracket wider
-    than _XTOL, every point _golden evaluates lies at least _ETA inside
-    both ends: its first two lie (1 - k) w in, each later one (1 - k) w'
-    inside a bracket w' = k v wide cut from one v > _XTOL wide, and its
-    midpoint half the last width in; a float step errs by a few 2^-53.
+    point is within E / 256 of f, by :func:`_margin`, since |f(t)| <=
+    max(|f(lo)|, |f(hi)|) + E / 256 on a monotone bracket.  So where f(hi) <
+    f(lo), f' <= -m on the bracket, with m = (|f(hi) - f(lo)| - M2 w^2 - 2
+    E) / w, and at each t <= hi - _ETA the float f(t) exceeds f(hi) by at
+    least m _ETA - 2 E > 0; where f(hi) > f(lo), the mirror image.  On a
+    bracket wider than _XTOL, every point _golden evaluates lies at least
+    _ETA inside both ends: its first two lie (1 - k) w in, each later one (1
+    - k) w' inside a bracket w' = k v wide cut from one v > _XTOL wide, and
+    its midpoint half the last width in; a float step errs by a few 2^-53.
     So every other candidate of the search lies strictly above the lower
     end, and the minimum is that end; a lockstep lane takes the same steps
     and discards the rest.  E's slack of 256 covers the rounding of this
-    test, in any order: where it holds, each of its terms is at most
-    |f(hi) - f(lo)| _ETA and errs by a few 2^-53 of that.  It does not hold
-    where an end is not finite (the terms are NaN or inf); the caller
-    certifies nothing where (n + p) ||x||_inf >= 1e300, and below that no
-    value of f is NaN, and one that overflows is +inf, above both ends.
+    test, in any order: where it holds, each of its terms is at most |f(hi)
+    - f(lo)| _ETA and errs by a few 2^-53 of that.  It does not hold where
+    an end is not finite (the terms are NaN or inf); the caller certifies
+    nothing where (n + p) ||x||_inf >= 1e300, and below that no value of f
+    is NaN, and one that overflows is +inf, above both ends.
     """
-    slope, _, curvature = piece.bound(lo, hi)
+    slope, curvature = piece.bound(lo, hi)
     w = hi - lo
     g = 1.0 - hi
     g = 4.0 / (g * g * g)
     u = (n - 1) * n * (2 * n - 1) / 3 + p * ((n + p) ** 2 + (n + p) * p * p + p ** 4)
     # min(g, u) with operators alone, exactly: one of the products is by 0.
     m2 = 0.5 * two_r * (g * (g < u) + u * (g >= u)) + curvature
-    e = 2.0 ** -44 * (n + p + 15) * (1.0 + abs(f_lo) + abs(f_hi) + norm + slope)
+    e = _margin(n, p, norm, slope, f_lo, f_hi)
     return (w > _XTOL) & ((abs(f_hi - f_lo) - m2 * w * w - 2.0 * e) * _ETA > 2.0 * e * w)
 
 
 def _terms(x: Stream) -> tuple:
-    """The stream's terms in :func:`_dropped`: (n, p, ||x||_inf, 2 r, the
-    tail mean)."""
+    """The stream's terms in :func:`_dropped` and :func:`_monotone`: (n,
+    p, ||x||_inf, 2 r)."""
     values = x.prefix + x.tail_cycle
     top, bottom = max(values), min(values)
-    return len(x.prefix), x.period, max(top, -bottom), top - bottom, _tail_mean(x)
+    return len(x.prefix), x.period, max(top, -bottom), top - bottom
 
 
 def _scan(x: Stream, piece: _Piece) -> tuple[list, list]:
@@ -838,12 +830,12 @@ def _undercutting(x: Stream, piece: _Piece, candidates: list, brackets: list) ->
     the first candidate is the grid's first minimum, no larger as (value,
     factor) tuples compare (and the same node has the same bits), so the
     search is skipped with nothing to add."""
-    n, p, norm, two_r, mu = _terms(x)
+    terms = n, p, norm, _ = _terms(x)
     if not norm < 1e300 / (n + p):
         return brackets
     best = candidates[0][0]
-    return [br for br in brackets if not (_dropped(piece, n, p, norm, two_r, mu, *br, best)
-                                          or _monotone(piece, n, p, norm, two_r, *br))]
+    return [br for br in brackets if not (_dropped(piece, *terms, *br, best)
+                                          or _monotone(piece, *terms, *br))]
 
 
 #: The coarse pass evaluates every ``_STRIDE``-th grid node, which cut the
@@ -861,7 +853,7 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
     """:func:`_scan`'s candidate and every bracket that could win, for a
     block of streams of one shape: row i of ``vals`` holds stream i's
     prefix (``n`` values) then its cycle, and ``terms[:, i]`` its
-    ||x||_inf, 2 r and tail mean (see :func:`_dropped`), as columns.
+    ||x||_inf and 2 r (see :func:`_terms`), as columns.
 
     f is taken on the coarse nodes (every ``_STRIDE``-th) of all rows at
     once.  A segment between two coarse nodes whose bound lies above the
@@ -940,8 +932,8 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
                          v[at_end, lo], v[at_end, hi]))
     r, lo, hi, f_lo, f_hi = map(np.concatenate, zip(*brackets))
     lo, hi, best = d[lo], d[hi], f[first]
-    norm, two_r, mu = terms[:, r, 0]
-    keep = ~(_dropped(piece, n, p, norm, two_r, mu, lo, hi, f_lo, f_hi, best[r])
+    norm, two_r = terms[:, r, 0]
+    keep = ~(_dropped(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best[r])
              | _monotone(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi))
     return best, d[node[first]], (r[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep])
 
@@ -1008,8 +1000,7 @@ def _minimize_on_interval(n: int, vals: np.ndarray, piece: _Piece,
         coarse = np.flatnonzero(sure)
         for s in range(0, coarse.size, _BLOCK):
             block = coarse[s:s + _BLOCK]
-            terms = np.stack([norm[block], top[block] - bottom[block],
-                              vals[block, n:].mean(1)])[:, :, None]
+            terms = np.stack([norm[block], top[block] - bottom[block]])[:, :, None]
             with np.errstate(over="ignore", invalid="ignore"):
                 values, factors, (r, *ends) = _coarse_to_fine(vals[block], n, piece, terms)
             for i, v, f in zip(block.tolist(), values.tolist(), factors.tolist()):
@@ -1056,20 +1047,18 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
     continuous piece of the cost gets a fixed grid of ``_NODES`` = 2001
     nodes, followed by golden-section refinement (to 1e-9 in ``delta``)
     of its two end brackets and of one bracket per run of adjacent grid
-    minima (see :func:`_scan`).  Only the brackets whose lower bound, less
-    a float margin, undercuts the grid's best value are searched (see
-    :func:`_dropped`): the
-    Lipschitz bound ``(f(lo) + f(hi) - L (hi - lo)) / 2`` with ``L = r *
-    2 (T + 1) hi^T + L_cost``, ``T = floor(hi / (1 - hi))`` and ``r`` the
-    half-range of the stream's values, and for ``lo >= 0.5`` the tail mean
-    less the bound below at ``lo``, plus a lower bound on the cost over
-    the bracket; the margin is ``1e-9 * (n + p) * (1 + |f(lo)| + |f(hi)| +
-    ||x||_inf + L_cost)``, with ``n`` and ``p`` as below.  Nor is a
-    bracket searched where ``|f''| <= M2 = r min(4 / (1 - hi)^3, U) +
-    C_cost``, ``U`` a bound uniform on [0, 1] from ``n`` and ``p``, proves
-    f strictly monotone on it by more than a float margin (see
+    minima (see :func:`_scan`).  Only the brackets whose Lipschitz lower
+    bound ``(f(lo) + f(hi) - L (hi - lo)) / 2``, less a float margin,
+    undercuts the grid's best value are searched (see :func:`_dropped`),
+    with ``L = r * 2 (T + 1) hi^T + L_cost``, ``T = floor(hi / (1 - hi))``
+    and ``r`` the half-range of the stream's values.  Nor is a bracket
+    searched where ``|f''| <= M2 = r min(4 / (1 - hi)^3, U) + C_cost``,
+    ``U`` a bound uniform on [0, 1] from ``n`` and ``p``, proves f
+    strictly monotone on it by more than the margin (see
     :func:`_monotone`): its search would return its lower end, a grid node
-    no lower than the grid's best.  In a batch
+    no lower than the grid's best.  Both certificates take the one margin
+    ``2^-44 * (n + p + 15) * (1 + |f(lo)| + |f(hi)| + ||x||_inf +
+    L_cost)`` (see :func:`_margin`), with ``n`` and ``p`` as below.  In a batch
     (:func:`evaluate_many`), the same bound drops whole 16-cell segments
     of the grid against its every 16th node first, so only the nodes that
     could hold the minimum, or a bracket's end, are evaluated (see
