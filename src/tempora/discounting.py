@@ -44,11 +44,16 @@ it groups them by shape (prefix length and period) and hands each group
 to the criterion's ``rows`` as one array, one row of values per stream.
 Edu and each isolated point of a cost take the closed form at one
 factor on every row.  From ``_COARSE_MIN`` rows on, the grid is scanned
-coarse to fine (every ``_STRIDE``-th node first, then only the segments
-between them that the same certificate cannot rule out), and from
-``_LOCKSTEP_MIN`` kept brackets on, one piece's brackets of every row
-are refined in one lockstep golden-section search on lanes of those
-rows, all of one shape.
+coarse to fine, ``_BLOCK`` rows at a time (every ``_STRIDE``-th node
+first, then only the segments between them that the same certificate
+cannot rule out).  From ``_GROUPED_MIN`` rows of a block on, that
+certificate first drops segments for each group of ``_GROUP`` rows at
+once, from the group's envelope, its elementwise least and greatest rows,
+since D is monotone in the values; each row then takes its own value only
+at the coarse nodes that end its group's kept segments.  From
+``_LOCKSTEP_MIN`` kept brackets on, one piece's brackets of every row are
+refined in one lockstep golden-section search on lanes of those rows, all
+of one shape.
 
 Everything here is a pure function of immutable inputs; independent
 (criterion, stream) evaluations can run concurrently without coordination.
@@ -214,21 +219,24 @@ def _dv_array(prefix, cycle, periodic, const, d: np.ndarray, power: np.ndarray,
     """D_d at each factor of ``d`` in [0, 1) with :func:`_dv_scalar`'s bits:
     ``(1 - d) * s + power * tail``, ``s`` the prefix's Horner sum.
 
-    The coefficients are numbers (one stream) or arrays shaped like ``d``
-    (one stream per element).  The tail is ``(1 - d) * t / denom``, ``t``
-    the cycle's Horner sum, where ``periodic`` holds and ``const``
-    elsewhere (a bool and a number, or one of each per element).
+    The coefficients are numbers (one stream) or arrays that broadcast to
+    ``d``'s shape (one stream per element, or per row).  The tail is ``(1
+    - d) * t / denom``, ``t`` the cycle's Horner sum, where the bool
+    ``periodic`` holds, and ``const`` elsewhere.  The products are taken in
+    place, which keeps their bits (a float product commutes) and leaves
+    three arrays shaped like ``d`` alive at most.
     """
     one_minus = 1.0 - d
-    out = one_minus * _horner(prefix, d)
-    tail = const
-    if periodic is not False:
+    out = _horner(prefix, d)
+    out *= one_minus
+    if periodic:
         tail = _horner(cycle, d)
         tail *= one_minus
         tail /= denom
-        if periodic is not True:
-            tail = np.where(periodic, tail, const)
-    out += power * tail
+        tail *= power
+    else:
+        tail = power * const
+    out += tail
     return out
 
 
@@ -844,9 +852,89 @@ def _undercutting(x: Stream, piece: _Piece, candidates: list, brackets: list) ->
 _STRIDE = 16
 _SEGMENTS = (_NODES - 1) // _STRIDE
 
-#: Most streams in one block of the coarse-to-fine scan, so that each of a
-#: block's arrays holds at most 64 x 126 floats (64 kB).
-_BLOCK = 64
+#: Most streams in one block of the coarse-to-fine scan.  Measured on the
+#: seed-0 continuity scan under a quadratic cost (256 mixes per batch):
+#: 87 ms at 64 streams, 63 at 128 and 49 at 256, against 83 ms with
+#: 64-stream blocks and no group pass.
+_BLOCK = 256
+
+#: Streams per group of a block's group pass (see :func:`_group_segments`),
+#: and the fewest streams of a block that take the pass: below that it
+#: costs more than it saves.  Measured on the continuity scans under
+#: quadratic, tabulated and maxmin costs at harness seeds 0-3: 1.11 s in
+#: all with groups of 8 streams, 1.08 with 16, 1.08 with 32 and 1.07 with
+#: 64, against 1.52 s with no group pass; smaller groups keep tighter
+#: envelopes where neighbours lie further apart.  The scans alone (one
+#: quadratic piece): 16, 48, 64 and 128 mixes 1e-4 apart took 340, 435,
+#: 469 and 659 us with the pass and 283, 437, 507 and 878 us without it,
+#: and 64 unrelated streams 1028 us with it and 928 without.
+_GROUP = 16
+_GROUPED_MIN = 64
+
+#: The coarse pass takes its evaluations and bound tests a slice of rows
+#: at a time, each array at most ``_SLICE`` floats (64 kB) besides the
+#: rows' own values; the refine loop takes half as many per slice, since
+#: it holds the block's refined values besides.  Measured on the seed-0
+#: continuity scan under a quadratic cost: the scan's traced peak was
+#: 1.03, 0.79, 0.76 and 0.76 MB with refine slices of 8192, 4096, 3072 and
+#: 2048 floats, and its time 48.9, 49.7, 50.1 and 51.6 ms (0.46 MB and
+#: 0.57 MB with blocks of 64 and 128 streams).
+_SLICE = 8192
+
+
+def _f_at(vals: np.ndarray, n: int, piece: _Piece, nodes: np.ndarray) -> np.ndarray:
+    """f = D_d + cost of each row of ``vals`` (a prefix of ``n`` values,
+    then a cycle) at nodes of the piece's grid, the same ones for every row
+    or a row of them per row, with the bits of ``discounted_value_grid``
+    plus ``piece.on_grid``."""
+    a, b, d = _grid(piece.a, piece.b)
+    p = vals.shape[1] - n
+    c = vals.T[:, :, None]              # coefficient j of every row, as a column
+    at = np.broadcast_to(d[nodes], (len(vals), nodes.shape[-1]))
+    # A constant tail divides by nothing: no 1 - d^p is taken or cached.
+    out = _dv_array(c[:n], c[n:], p > 1, c[n], at, _grid_power(a, b, n)[nodes],
+                    _grid_denom(a, b, p)[nodes] if p > 1 else None)
+    out += piece.on_grid[nodes]
+    return out
+
+
+def _group_segments(vals: np.ndarray, n: int, piece: _Piece) -> np.ndarray:
+    """The segments between coarse nodes that each group of ``_GROUP``
+    consecutive rows of ``vals`` keeps, rows of one shape as in
+    :func:`_coarse_to_fine`: (groups, ``_SEGMENTS``) bools, the last group
+    ragged.  A segment not kept holds no grid node, and no point, where f =
+    D + cost of any row of its group is as low as that row's value at some
+    coarse node.
+
+    Proof.  The closed form is ``D_d(x) = sum_t w_t x_t`` with weights
+    ``w_t >= 0``, so at every factor f of each row of a group lies between
+    f of its envelope, the group's elementwise least and greatest rows.
+    Let N be the envelope's ||.||_inf, c the coarse node where f of the
+    greatest row is least, and B that value raised by :func:`_margin`
+    taken with N.  At c, f of every row of the group lies between -N and f
+    of the greatest row, so by :func:`_margin` the floats of the two err
+    by at most 3/256 of that margin together: each row's float f at c lies
+    strictly below B.  A segment is dropped where :func:`_dropped` holds on
+    f of the least row, with N and the least row's own range, against B.
+    By its proof, f of the least row, and so of each row, lies above B by
+    more than 3/4 of its margin E on the whole segment; and a row's float
+    f errs by at most E / 128 at a point where it could reach B, since
+    there it lies between -N and B < (f(lo) + f(hi)) / 2.  So each row's
+    float f lies strictly above B at every grid node and every
+    golden-section step of the segment.  Run it under ``np.errstate`` that
+    ignores overflow and invalid operations; the caller certifies nothing
+    where (n + p) ||x||_inf >= 1e300.
+    """
+    a, b, d = _grid(piece.a, piece.b)
+    p, coarse = vals.shape[1] - n, np.arange(0, _NODES, _STRIDE)
+    starts = np.arange(0, len(vals), _GROUP)
+    low, up = np.minimum.reduceat(vals, starts), np.maximum.reduceat(vals, starts)
+    f_low, f_up = np.split(_f_at(np.concatenate([low, up]), n, piece, coarse), 2)
+    norm = np.maximum(up.max(1), -low.min(1))[:, None]
+    best = f_up.min(1, keepdims=True)
+    best += _margin(n, p, norm, piece.bound(a, b)[0], best, 0.0)
+    return ~_dropped(piece, n, p, norm, (low.max(1) - low.min(1))[:, None], d[coarse[:-1]],
+                     d[coarse[1:]], f_low[:, :-1], f_low[:, 1:], best)
 
 
 def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) -> tuple:
@@ -855,16 +943,23 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
     prefix (``n`` values) then its cycle, and ``terms[:, i]`` its
     ||x||_inf and 2 r (see :func:`_terms`), as columns.
 
-    f is taken on the coarse nodes (every ``_STRIDE``-th) of all rows at
-    once.  A segment between two coarse nodes whose bound lies above the
-    row's least coarse value holds no node, and no point, where f is that
-    low; the others are evaluated node by node, and so is each segment
-    next to one of them that a run of interior minima may reach into: the
-    next segment past an end node no larger than its inner neighbour, as
-    long as the segments reached are flat.  The grid's first minimum lies
-    in an evaluated segment, and so do the ends of every bracket that
-    reaches one, with their exact values; a bracket read elsewhere lies
-    inside a dropped segment and searches above that minimum.
+    From ``_GROUPED_MIN`` rows on, the block's groups of ``_GROUP`` rows
+    first drop segments between coarse nodes (every ``_STRIDE``-th) from
+    their envelopes (see :func:`_group_segments`).  Each row then takes f
+    at the coarse nodes that end its group's kept segments, and drops those
+    segments whose bound (see :func:`_dropped`) lies above the least of
+    those values; where some group of the block needs every coarse node,
+    as unrelated rows do, or the block is smaller, every row takes them
+    all.  A segment dropped either way holds no node, and no point, where
+    f is as low as a node value of the row.  The others are evaluated node
+    by node, and so is each segment next to one of them that a run of
+    interior minima may reach into: the next segment past an end node no
+    larger than its inner neighbour, as long as the segments reached are
+    flat.  The grid's first minimum lies in an evaluated segment, and so do
+    the ends of every bracket that reaches one, with their exact values; a
+    bracket read elsewhere lies inside a dropped segment and searches above
+    that minimum.  The evaluations and bound tests take a slice of rows at
+    a time (see ``_SLICE``).
 
     Returns the candidates' values and factors, one per row, and the
     brackets that need a search, as arrays (row, lo, hi, f(lo), f(hi)):
@@ -873,69 +968,125 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
     :func:`_undercutting`).  Run it under ``np.errstate`` that ignores
     overflow and invalid operations.
     """
-    a, b, d = _grid(piece.a, piece.b)
+    d = _grid(piece.a, piece.b).d
     m, p = vals.shape[0], vals.shape[1] - n
-    cols = vals.T[:, :, None]           # coefficient j of every row, as a column
-    power, cost = _grid_power(a, b, n), piece.on_grid
-    # A constant tail divides by nothing: no 1 - d^p is taken or cached.
-    denom = _grid_denom(a, b, p) if p > 1 else None
 
-    def f_at(rows, nodes):
-        c = cols[:, rows]
-        at = np.broadcast_to(d[nodes], (c.shape[1], nodes.shape[-1]))
-        return _dv_array(c[:n], c[n:], p > 1, c[n], at, power[nodes],
-                         None if denom is None else denom[nodes]) + cost[nodes]
+    def f_rows(r, first, span, out=None):
+        # f of row r[i] at the nodes first[i] + span, a slice at a time.
+        out = np.empty((r.size, span.size)) if out is None else out
+        step = max(1, _SLICE // 2 // span.size)
+        for s in range(0, r.size, step):
+            out[s:s + step] = _f_at(vals[r[s:s + step]], n, piece, first[s:s + step, None] + span)
+        return out
 
-    coarse = np.arange(0, _NODES, _STRIDE)
-    f_c = f_at(slice(None), coarse)
-    keep = ~_dropped(piece, n, p, *terms, d[coarse[:-1]], d[coarse[1:]], f_c[:, :-1],
-                     f_c[:, 1:], f_c.min(1, keepdims=True))
-    done, todo, found = keep.copy(), keep, []
-    while todo.any():
-        r, k = np.nonzero(todo)
-        inner = f_at(r, k[:, None] * _STRIDE + np.arange(1, _STRIDE))
-        v = np.concatenate([f_c[r, k, None], inner, f_c[r, k + 1, None]], axis=1)
-        found.append((r, k, v))
-        # A run that reaches an end of the evaluated nodes may go on past
-        # it: into a neighbour of a kept segment, and through a flat one.
-        go_on = keep[r, k] | (v == v[:, :1]).all(1)
-        todo = np.zeros_like(keep)
-        left, right = go_on & (v[:, 0] <= v[:, 1]) & (k > 0), go_on & (v[:, -1] <= v[:, -2])
-        right &= k < _SEGMENTS - 1
-        todo[r[left], k[left] - 1] = True
-        todo[r[right], k[right] + 1] = True
-        todo &= ~done
-        done |= todo
-    r, k, v = (np.concatenate(c) for c in zip(*found))
-    order = np.lexsort((k, r))
-    r, k, v = r[order], k[order], v[order]
-    # The evaluated nodes in order, each once: a segment's last node is
-    # the next one's first.
-    once = np.ones(v.shape, bool)
-    once[:-1, -1] = (r[1:] != r[:-1]) | (k[1:] != k[:-1] + 1)
-    f, node = v[once], (k[:, None] * _STRIDE + np.arange(_STRIDE + 1))[once]
-    row = np.broadcast_to(r[:, None], v.shape)[once]
-    beside = (row[1:] == row[:-1]) & (node[1:] == node[:-1] + 1)
-    interior = np.zeros(f.size, bool)
-    interior[1:-1] = beside[:-1] & beside[1:] & (f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:])
-    start = np.flatnonzero(interior & ~np.r_[False, interior[:-1]])
-    end = np.flatnonzero(interior & ~np.r_[interior[1:], False])
-    # The grid's first minimum per row: rows are contiguous and in order.
-    row_at = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-    low = np.minimum.reduceat(f, row_at)
-    at = np.flatnonzero(f == np.repeat(low, np.diff(np.r_[row_at, f.size])))
-    first = at[np.r_[True, row[at[1:]] != row[at[:-1]]]]
-    brackets = [(row[start], node[start - 1], node[end + 1], f[start - 1], f[end + 1])]
+    def coarse_pass():
+        # A function of its own, so that its arrays are freed before the
+        # refine loop runs.  seg[g, c]: group g keeps the segment from
+        # coarse node c, with a last column of False for the last node.
+        group = np.arange(m) // _GROUP
+        seg = np.zeros((group[-1] + 1, _SEGMENTS + 1), bool)
+        seg[:, :-1] = _group_segments(vals, n, piece) if m >= _GROUPED_MIN else True
+        # Each row takes its group's list of coarse nodes: those that end
+        # a kept segment, in order, padded to one width with other coarse
+        # nodes; or every coarse node.  Its nodes j and j + 1 end a kept
+        # segment where pair[g, j] holds, and node c is its rank[g, c]-th.
+        ends = seg.copy()
+        ends[:, 1:] |= seg[:, :-1]
+        width = ends.sum(1).max()
+        if width > _SEGMENTS:
+            nodes, pair = np.arange(width), seg[:, :-1]
+            rank = np.broadcast_to(nodes, seg.shape)
+        else:
+            nodes = np.argsort(~ends, 1, kind="stable")[:, :width]
+            pair = (nodes[:, 1:] == nodes[:, :-1] + 1) & np.take_along_axis(seg, nodes[:, :-1], 1)
+            rank = np.zeros(seg.shape, int)
+            np.put_along_axis(rank, nodes, np.arange(width), 1)
+        f_c, keep = np.empty((m, width)), np.zeros((m, _SEGMENTS), bool)
+        step = max(1, _SLICE // width)
+        for s in range(0, m, step):
+            # ... and drops those segments against its least value there.
+            i = slice(s, s + step)
+            c = nodes if nodes.ndim == 1 else nodes[group[i]]
+            at = c * _STRIDE
+            f = f_c[i] = _f_at(vals[i], n, piece, at)
+            on = pair[group[i]] & ~_dropped(piece, n, p, *terms[:, i], d[at[..., :-1]],
+                                              d[at[..., 1:]], f[:, :-1], f[:, 1:],
+                                              f.min(1, keepdims=True))
+            r, j = np.nonzero(on)
+            keep[s + r, np.broadcast_to(c, f.shape)[r, j]] = True
+        # Each kept segment, in order, with its end values.
+        r, k = np.nonzero(keep)
+        v = np.empty((r.size, _STRIDE + 1))
+        at = rank[group[r], k]
+        v[:, 0], v[:, -1] = f_c[r, at], f_c[r, at + 1]
+        return keep, r, k, v
+
+    def refined():
+        # The kept segments, and the segments next to them that a run of
+        # interior minima may reach into, in order, with f at their nodes.
+        keep, r, k, v = coarse_pass()
+        f_rows(r, k * _STRIDE, np.arange(1, _STRIDE), v[:, 1:-1])
+        done, found = keep.copy(), [(r, k, v)]
+        while True:
+            # A run that reaches an end of the evaluated nodes may go on
+            # past it: into a neighbour of a kept segment, and through a
+            # flat one.
+            go_on = keep[r, k] | (v == v[:, :1]).all(1)
+            todo = np.zeros_like(keep)
+            left, right = go_on & (v[:, 0] <= v[:, 1]) & (k > 0), go_on & (v[:, -1] <= v[:, -2])
+            right &= k < _SEGMENTS - 1
+            todo[r[left], k[left] - 1] = True
+            todo[r[right], k[right] + 1] = True
+            todo &= ~done
+            if not todo.any():
+                break
+            done |= todo
+            r, k = np.nonzero(todo)
+            v = f_rows(r, k * _STRIDE, np.arange(_STRIDE + 1))
+            found.append((r, k, v))
+        if len(found) == 1:
+            return found[0]
+        r, k, v = (np.concatenate(c) for c in zip(*found))
+        order = np.lexsort((k, r))
+        return r[order], k[order], v[order]
+
+    r, k, v = refined()
+    # The interior minima of the evaluated nodes.  Where a row's next
+    # segment is evaluated too, a segment's last node is that segment's
+    # first node, and takes its flag; so each run of interior minima is a
+    # run of True in the flags read in order, and the nodes just before and
+    # after it lie in the segments of its ends.
+    joined = (r[1:] == r[:-1]) & (k[1:] == k[:-1] + 1)
+    interior = np.zeros(v.shape, bool)
+    np.less_equal(v[:, 1:-1], v[:, :-2], out=interior[:, 1:-1])
+    interior[:, 1:-1] &= v[:, 1:-1] <= v[:, 2:]
+    interior[1:, 0] = joined & (v[1:, 0] <= v[:-1, -2]) & (v[1:, 0] <= v[1:, 1])
+    interior[:-1, -1] = interior[1:, 0]
+    flags = interior.ravel()
+    before = np.flatnonzero(flags[1:] > flags[:-1])
+    after = np.flatnonzero(flags[:-1] > flags[1:]) + 1
+    (q, i), (q_end, i_end) = divmod(before, _STRIDE + 1), divmod(after, _STRIDE + 1)
+    brackets = [(r[q], k[q] * _STRIDE + i, k[q_end] * _STRIDE + i_end,
+                 v.ravel()[before], v.ravel()[after])]
     for j, (lo, hi) in ((0, (0, 1)), (_SEGMENTS - 1, (_STRIDE - 1, _STRIDE))):
         at_end = k == j
         brackets.append((r[at_end], k[at_end] * _STRIDE + lo, k[at_end] * _STRIDE + hi,
                          v[at_end, lo], v[at_end, hi]))
+    # The grid's first minimum per row: the first node of the row's first
+    # segment that holds the row's least value.
+    least = v.min(1)
+    row_at = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    hit = np.flatnonzero(least == np.repeat(np.minimum.reduceat(least, row_at),
+                                            np.diff(np.r_[row_at, r.size])))
+    first = hit[np.r_[True, r[hit[1:]] != r[hit[:-1]]]]
+    i = v[first].argmin(1)
+    best, node = v[first, i], k[first] * _STRIDE + i
     r, lo, hi, f_lo, f_hi = map(np.concatenate, zip(*brackets))
-    lo, hi, best = d[lo], d[hi], f[first]
+    lo, hi = d[lo], d[hi]
     norm, two_r = terms[:, r, 0]
     keep = ~(_dropped(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best[r])
              | _monotone(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi))
-    return best, d[node[first]], (r[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep])
+    return best, d[node], (r[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep])
 
 
 def _objective(x: Stream, piece: _Piece) -> Callable[[float], float]:
@@ -970,14 +1121,14 @@ def _minimize_on_interval(n: int, vals: np.ndarray, piece: _Piece,
     or a scalar search has it built there, once.
 
     From ``_COARSE_MIN`` rows on, the rows are scanned coarse to fine in
-    blocks (see :func:`_coarse_to_fine`); the others, and every row the
-    certificate cannot serve, on the full grid (see :func:`_scan`).  The
-    brackets that :func:`_dropped` does not certify above the row's
-    candidate, and :func:`_monotone` does not certify monotone, get one
-    scalar golden-section search each, or, from ``_LOCKSTEP_MIN`` of them
-    on, one lockstep search together on lanes of the rows, with the same
-    bits.  Returns (argmin, value) per row; ties resolve to the smallest
-    argmin.
+    blocks of ``_BLOCK`` (see :func:`_coarse_to_fine`); the others, and
+    every row the certificate cannot serve, on the full grid (see
+    :func:`_scan`).  The brackets that :func:`_dropped` does not certify
+    above the row's candidate, and :func:`_monotone` does not certify
+    monotone, get one scalar golden-section search each, or, from
+    ``_LOCKSTEP_MIN`` of them on, one lockstep search together on lanes of
+    the rows, with the same bits.  Returns (argmin, value) per row; ties
+    resolve to the smallest argmin.
     """
     if piece.b <= piece.a:
         return [(piece.a, v) for v in (_dv_at(n, vals, piece.a) + piece.scalar(piece.a)).tolist()]
@@ -1062,9 +1213,11 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
     (:func:`evaluate_many`), the same bound drops whole 16-cell segments
     of the grid against its every 16th node first, so only the nodes that
     could hold the minimum, or a bracket's end, are evaluated (see
-    :func:`_coarse_to_fine`).  Returns (argmin, value); ties resolve to
-    the smallest argmin, with the bits of searching every bracket of the
-    full grid.
+    :func:`_coarse_to_fine`); from 64 rows of one shape on, it first drops
+    them for 16 neighbouring rows at once, from their elementwise least
+    and greatest rows (see :func:`_group_segments`).  Returns (argmin,
+    value); ties resolve to the smallest argmin, with the bits of searching
+    every bracket of the full grid.
 
     A piece [a, 1) (an indicator interval ending at 1.0, or the quadratic
     cost's [0, 1)) is searched on [a, 1 - 1e-9], so the reported minimum
@@ -1234,9 +1387,10 @@ def evaluate_many(k: Criterion, xs: Iterable[Stream]) -> list[float]:
     Edu, and each isolated point of a cost, takes the closed form at one
     factor on every row at once; the patient criteria take theirs row by
     row.  Maxmin and variational criteria scan the rows on each piece's
-    fixed grid, coarse to fine from ``_COARSE_MIN`` (16) rows on, and on
-    the full grid as ``evaluate`` does below that; then they refine the
-    golden-section brackets kept on a piece, of all the rows of the
+    fixed grid, coarse to fine from ``_COARSE_MIN`` (16) rows on, with a
+    first pass per 16 neighbouring rows from ``_GROUPED_MIN`` (64) on, and
+    on the full grid as ``evaluate`` does below 16 rows; then they refine
+    the golden-section brackets kept on a piece, of all the rows of the
     group, in one lockstep search on lanes of those rows once there are
     ``_LOCKSTEP_MIN`` (96) of them (one search each below that).  Lanes
     share their group's shape, so no lane is padded.

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from tempora import Constant, Periodic, Stream
+
+# Every property draws the same examples on every run, so a test result is
+# a function of the commit alone: a failing draw replays from the source,
+# not from a local example database.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False, width=64)

@@ -3,7 +3,9 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from tempora.discounting import (_FACTOR_CACHE, _GRID_CACHE, _NODES, _grid, _gri
                                  _grid_power, _interp, discounted_value_grid)
 from tempora.errors import (InvalidCost, InvalidCriterion, InvalidDelta)
 from tempora.jsonio import criterion_from_dict
-from tempora.streams import _stream
+from tempora.streams import _mixture_rows, _stream
 import tempora.axioms as A
 import tempora.discounting as D
 
@@ -1603,8 +1605,90 @@ def test_a_continuity_scan_evaluates_a_fifth_of_the_grid_at_most(monkeypatch):
     counts = counted_grid_nodes(monkeypatch)
     report = check_axiom(Variational(Quadratic(0.8, 3.0)), "continuity_segment", 1, 0)
     assert report.passes == 1
-    assert counts["coarse_rows"] > 9000
-    assert counts["nodes"] <= 10001 * _NODES / 5
+    # The group pass: every 16 mixes of a block are taken at every coarse
+    # node as their two envelope rows, not one by one; only the last 16
+    # mixes, a block below _GROUPED_MIN, take every coarse node themselves
+    # (39 blocks of 256 give 39 * 32 rows, so 1264 in all).
+    assert counts["coarse_rows"] <= 2 * 10000 // D._GROUP + D._GROUPED_MIN
+    # 884544 nodes, the envelopes' included.
+    assert counts["nodes"] <= 10001 * _NODES / 20
+
+
+def test_the_coarse_stride_divides_the_grid():
+    # Otherwise the last nodes of the grid lie in no segment, unscanned.
+    assert (_NODES - 1) % D._STRIDE == 0
+
+
+def test_a_continuity_scan_traces_under_a_megabyte_at_its_peak():
+    # The scan takes its arrays a slice of rows at a time, so that its
+    # 256-row blocks do not raise the working set: the peak reads 0.78 MB.
+    k = Variational(Quadratic(0.8, 3.0))
+    check_axiom(k, "continuity_segment", 1, 0)          # the grid's caches
+    tracemalloc.start()
+    try:
+        check_axiom(k, "continuity_segment", 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
+@st.composite
+def grouped_batches(draw):
+    """(n, rows) of one shape, 64 to 150 of them, so that the last group of
+    16 is mostly ragged: mixes of two streams at a fixed spacing (rows
+    that canonicalization could change left out), or unrelated rows; with
+    a constant tail or a cycle of up to 4."""
+    size = draw(st.integers(D._GROUPED_MIN, 150))
+    if draw(st.booleans()):
+        x, z = draw(oracle_streams()), draw(oracle_streams())
+        spacing = draw(st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1]))
+        start = draw(st.floats(0.0, 1.0))
+        n, vals, mask = _mixture_rows(x, z, [(start + i * spacing) % 1.0 for i in range(size)])
+        return n, vals[~mask]
+    n, p = draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return n, rng.uniform(-5.0, 5.0, (size, n + p))
+
+
+def spaced_batch(size, spacing):
+    x = make_stream([1.0, -2.0, 0.5], Periodic((3.0, -1.0)))
+    z = make_stream([4.0], Constant(-3.0))
+    n, vals, mask = _mixture_rows(x, z, [0.2 + i * spacing for i in range(size)])
+    return n, vals[~mask]
+
+
+@settings(max_examples=20, deadline=None)
+@given(grouped_batches(), st.sampled_from([64, 96, D._BLOCK]))
+@example(spaced_batch(70, 1e-4), 64)
+@example(spaced_batch(150, 1e-3), 96)
+@example((2, np.tile([1.0, -1.0, 0.5], (80, 1))), 64)
+def test_a_group_drops_only_segments_above_each_rows_grid_minimum(batch, block):
+    n, vals = batch
+    xs = [_stream(row[:n], row[n:]) for row in vals.tolist()]
+    group = np.arange(len(vals)) // D._GROUP
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in REF_COSTS:
+            for piece in c.pieces:
+                if piece.b <= piece.a:
+                    continue
+                g = _grid(piece.a, piece.b)
+                seg = D._group_segments(vals, n, piece)
+                assert seg.shape == (group[-1] + 1, D._SEGMENTS)
+                # Every grid node of a dropped segment, on every row of the
+                # group, lies strictly above that row's grid minimum.
+                dropped = np.zeros((len(seg), _NODES), bool)
+                for s in range(D._STRIDE + 1):
+                    dropped[:, s:_NODES - D._STRIDE + s:D._STRIDE] |= ~seg
+                f = np.array([discounted_value_grid(x, g) for x in xs]) + piece.on_grid
+                above = np.where(dropped[group], f, np.inf).min(1)
+                assert (above > f.min(1)).all(), (c, piece.a, piece.b)
+            # And the batch keeps the bits of each stream on its own, with
+            # blocks and groups that end inside the batch.
+            with mock.patch.object(D, "_BLOCK", block):
+                got = minimize_rows(xs, c)
+            assert [(d.hex(), v.hex()) for d, v in got] == \
+                [tuple(map(float.hex, minimize_over_delta(x, c))) for x in xs], c
 
 
 def test_the_coarse_pass_does_not_pad_a_batch_to_its_longest_prefix(monkeypatch, rng):
@@ -1649,20 +1733,23 @@ def test_the_refine_loop_follows_a_flat_run_into_dropped_segments():
     # plateau starts at node 1, so its bracket is [grid[0], about 0.97] only if
     # the loop evaluates every dropped segment the run crosses: the kept
     # segment's first node ties its neighbour (the rule is <=, not <) and
-    # the segments reached are flat, so the run goes on.
+    # the segments reached are flat, so the run goes on.  From
+    # _GROUPED_MIN rows on, the group pass drops those segments, and the
+    # run goes on into segments whose coarse ends no row took.
     x = sparse_spike(3000)
     cost = Tabulated(((0.97, 45.0), (0.99, 0.0), (1.0 - 1e-8, 0.0)))
     piece = cost.pieces[0]
     n = len(x.prefix)
-    vals = np.array([x.prefix + x.tail_cycle] * D._COARSE_MIN)
-    terms = np.array(D._terms(x)[2:])[:, None, None] * np.ones((1, D._COARSE_MIN, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        best, factors, (row, *ends) = D._coarse_to_fine(vals, n, piece, terms)
     full = D._undercutting(x, piece, *D._scan(x, piece))
     assert any(lo == 0.0 and 0.96 < hi < 0.97 for lo, hi, *_ in full)
-    for r in range(D._COARSE_MIN):
-        assert sorted(zip(*(e[row == r].tolist() for e in ends))) == sorted(full)
     want_d, want_v = minimize_over_delta(x, cost)
     assert 0.9995 < want_d < 1.0 and want_v < -1.0
-    for d_star, v_star in minimize_rows([x] * D._COARSE_MIN, cost):
-        assert (d_star.hex(), v_star.hex()) == (want_d.hex(), want_v.hex())
+    for size in (D._COARSE_MIN, D._GROUPED_MIN):
+        vals = np.array([x.prefix + x.tail_cycle] * size)
+        terms = np.array(D._terms(x)[2:])[:, None, None] * np.ones((1, size, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            best, factors, (row, *ends) = D._coarse_to_fine(vals, n, piece, terms)
+        for r in range(size):
+            assert sorted(zip(*(e[row == r].tolist() for e in ends))) == sorted(full)
+        for d_star, v_star in minimize_rows([x] * size, cost):
+            assert (d_star.hex(), v_star.hex()) == (want_d.hex(), want_v.hex())
