@@ -401,33 +401,44 @@ def _is_criterion(ev) -> bool:
 
 
 def _mixes(ev, x, z, lams):
-    """ev of each mix lam x + (1 - lam) z: for a criterion, its ``rows``
-    on the mixes' values, with a stream built only for a row that
-    canonicalization could change (those go through ``evaluate_many``);
-    for a plain callable, one mixture stream at a time, lazily."""
+    """ev of each mix lam x + (1 - lam) z, in order, as arrays: for a
+    criterion, one array, its ``rows`` on the mixes' values, with a stream
+    built only for a row that canonicalization could change (those go
+    through ``evaluate_many``); for a plain callable, one array per mix,
+    each evaluated only when the one before has been taken, so that a scan
+    calls it no further than its first jump."""
     if not _is_criterion(ev):
-        return map(ev, mixtures(x, z, lams))
+        for y in mixtures(x, z, lams):
+            yield np.array([ev(y)])
+        return
     n, vals, mask = _mixture_rows(x, z, lams)
     out = np.empty(len(vals))
     out[~mask] = ev.rows(n, vals[~mask])
     out[mask] = ev.many([_stream(row[:n], row[n:]) for row in vals[mask].tolist()])
-    return out.tolist()
+    yield out
 
 
 def _judge_continuity_segment(ev, tol, transform, x, z):
     """Falsification proxy: scan alpha -> I(alpha x + (1-alpha) z) on a
     10^4-step grid for jumps beyond the 1-Lipschitz allowance plus a 1e-6
-    slack.  The mixes are evaluated ``_SCAN_CHUNK`` at a time."""
+    slack.  The mixes are built ``_SCAN_CHUNK`` at a time, and one array
+    comparison finds the first jump among the values of each array of
+    :func:`_mixes`."""
     grid = 10001
     slack = sup_distance(x, z) / (grid - 1) + 1e-6
     prev = ev(z)
     for start in range(1, grid, _SCAN_CHUNK):
         lams = [i / (grid - 1) for i in range(start, min(start + _SCAN_CHUNK, grid))]
-        for lam, cur in zip(lams, _mixes(ev, x, z, lams)):
-            if abs(cur - prev) > slack:
-                return {"alpha": lam, "lhs": cur, "rhs": prev,
-                        "gap": abs(cur - prev) - slack}
-            prev = cur
+        at = 0
+        for cur in _mixes(ev, x, z, lams):
+            before = np.concatenate(([prev], cur[:-1]))
+            jumps = np.flatnonzero(np.abs(cur - before) > slack)
+            if jumps.size:
+                j = jumps[0]
+                lhs, rhs = float(cur[j]), float(before[j])
+                return {"alpha": lams[at + j], "lhs": lhs, "rhs": rhs,
+                        "gap": abs(lhs - rhs) - slack}
+            at, prev = at + len(cur), cur[-1]
     return None
 
 

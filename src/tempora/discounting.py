@@ -32,11 +32,12 @@ a fixed grid of ``_NODES`` nodes per continuous piece of the cost followed
 by golden-section refinement: one bracket at each end of the grid and one
 per run of adjacent grid minima, so a flat run is searched once, not once
 per node.
-Only brackets whose certified Lipschitz lower bound undercuts the grid's
-best value are searched, and of those only the ones
-that a bound on the objective's curvature does not prove monotone, whose
-search would end at a grid node no lower than the grid's best; a search
-skipped could not have won, so the bits are those of searching them all.
+Only brackets whose certified lower bounds, one from the objective's
+slope and one from its curvature, both undercut the grid's best value are
+searched, and of those only the ones that the curvature bound does not
+prove monotone, whose search would end at a grid node no lower than the
+grid's best; a search skipped could not have won, so the bits are those
+of searching them all.
 Finite point sets
 and the knots of a tabulated cost (kinks of the objective) are enumerated
 exactly.  ``evaluate_many`` gives the same bits for many streams at once:
@@ -601,9 +602,9 @@ def _golden(fun: Callable[[float], float], a: float, b: float, fa: float,
 
 
 def _golden_lockstep(fun: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
-                     fa: np.ndarray, fb: np.ndarray) -> list[tuple[float, float]]:
+                     fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_golden` on every bracket [a[i], b[i]] at once, its ends'
-    values ``fa[i]`` and ``fb[i]`` given.
+    values ``fa[i]`` and ``fb[i]`` given: (argmins, values), as arrays.
 
     ``fun`` is the objective of bracket i on lane i (see :func:`_lanes`).
     Each lane takes ``_golden``'s steps with the same IEEE operations and
@@ -631,13 +632,26 @@ def _golden_lockstep(fun: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: 
             a, b, x1, x2, f1, f2 = (np.where(live, v, w)
                                     for v, w in zip((a, b, x1, x2, f1, f2), was))
     xm = 0.5 * (a + b)
-    # min() over the (value, factor) candidates, as tuples compare: the
-    # first candidate that no later one undercuts.
     best_v, best_x = fun(xm), xm
     for v, x in ((f1, x1), (f2, x2), (fa, a), (fb, b)):
-        less = (v < best_v) | ((v == best_v) & (x < best_x))
-        best_v, best_x = np.where(less, v, best_v), np.where(less, x, best_x)
-    return list(zip(best_x.tolist(), best_v.tolist()))
+        best_v, best_x = _lesser(v, x, best_v, best_x)
+    return best_x, best_v
+
+
+def _less(v, x, best_v, best_x):
+    """Whether the candidate (value, factor) ``(v, x)`` is less than
+    ``(best_v, best_x)`` as tuples compare, for numbers or arrays (then
+    element by element): the rule by which ``min()`` over such tuples
+    takes a later candidate, so that candidates folded with it in their
+    order keep ``min()``'s bits, NaN values and signed zeros included."""
+    return (v < best_v) | ((v == best_v) & (x < best_x))
+
+
+def _lesser(v, x, best_v, best_x):
+    """The arrays ``(v, x)`` where :func:`_less` holds, and ``(best_v,
+    best_x)`` elsewhere."""
+    less = _less(v, x, best_v, best_x)
+    return np.where(less, v, best_v), np.where(less, x, best_x)
 
 
 def _lanes(n: int, vals: np.ndarray, cost: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -694,35 +708,77 @@ def _dropped(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best):
     The closed form takes numbers, or numpy arrays that broadcast together
     (then element by element, under ``np.errstate`` that ignores overflow
     and invalid operations): it is written with operators alone.  It holds
-    where the Piyavskii–Shubert bound ``(f(lo) + f(hi) - L (hi - lo)) /
-    2``, with ``L = 2 r (T + 1) hi^T + L_cost``, ``T = floor(hi / (1 -
-    hi))`` and ``L_cost`` from ``piece.bound``, less the margin E of
-    :func:`_margin`, lies above ``best``.
+    where either of two lower bounds of f on [lo, hi], less the margin E of
+    :func:`_margin`, lies above ``best``: the Piyavskii–Shubert bound
+    ``(f(lo) + f(hi) - L (hi - lo)) / 2``, with ``L = 2 r (T + 1) hi^T +
+    L_cost``, ``T = floor(hi / (1 - hi))`` and ``L_cost`` from
+    ``piece.bound``; or the interpolation bound ``min(f(lo), f(hi)) - M2
+    (hi - lo)^2 / 8``, with M2 the curvature bound of :func:`_curvature`.
+    The first is the tighter far from the minimum, the second on short
+    segments near it, where ``L (hi - lo) / 2`` far exceeds f's variation.
 
     Proof.  The weights w_t = (1 - d) d^t sum to 1, so D' = sum_t w_t' (x_t
     - c) for the midpoint c of the values; w_t' < 0 up to T and > 0 after,
     so sum_t |w_t'| = 2 d/dd d^(T+1) = 2 (T + 1) d^T = max_m 2 (m + 1) d^m,
     continuous and nondecreasing: |f'| <= L on [lo, hi], and f lies above
-    the bound there.  Golden-section steps evaluate f only in the bracket
-    (b - fl(k fl(b - a)) and a + fl(k fl(b - a)), k < 0.62, stay in [a,
-    b]), and a coarse segment's grid nodes lie in it.  By :func:`_margin`,
-    the float ends err by at most E / 256, and a float f(t) that could
-    reach ``best`` by at most E / 128, since there -||x||_inf <= f(t) <=
-    max(f(lo), f(hi)) + E (D >= -||x||_inf and the cost is >= 0).  The
-    bound's own rounding fits in the rest: where it exceeds ``best`` (>=
-    -||x||_inf - E), L (hi - lo) < f(lo) + f(hi) - 2 best, so each of its
+    the first bound there.  And |f''| <= M2 on [lo, hi] (see
+    :func:`_curvature`), so f lies within M2 (t - lo) (hi - t) / 2 <= M2
+    (hi - lo)^2 / 8 of its chord, which lies above min(f(lo), f(hi)): f
+    lies above the second bound.  Golden-section steps evaluate f only in
+    the bracket (b - fl(k fl(b - a)) and a + fl(k fl(b - a)), k < 0.62,
+    stay in [a, b]), and a coarse segment's grid nodes lie in it.  By
+    :func:`_margin`, the float ends err by at most E / 256, and a float
+    f(t) that could reach ``best`` by at most E / 128, since there
+    -||x||_inf <= f(t) <= max(f(lo), f(hi)) + E (D >= -||x||_inf and the
+    cost is >= 0).  Each bound's own rounding fits in the rest: where it
+    exceeds ``best`` (>= -||x||_inf - E), L (hi - lo) < f(lo) + f(hi) - 2
+    best and M2 (hi - lo)^2 / 8 < min(f(lo), f(hi)) - best, so each of its
     terms is at most 2 (|f(lo)| + |f(hi)| + ||x||_inf + E), and its few
-    roundings, in any order, and a float T off by one (2^-52 of L) err by
-    a few 2^-53 of that, while E is at least 2^-40 of it.  So where this
+    roundings, in any order, those of M2 and of ``hi - lo`` included, and a
+    float T off by one (2^-52 of L) err by a few 2^-53 of that, while E is
+    at least 2^-40 of it; the least end is taken exactly.  So where this
     holds, f lies strictly above ``best`` at every grid node and every
     golden-section step in [lo, hi].  It does not hold where an end is not
     finite (the terms are NaN or -inf); the caller certifies nothing where
     (n + p) ||x||_inf >= 1e300, since the sums may overflow.
     """
-    slope, _ = piece.bound(lo, hi)
+    slope, curvature = piece.bound(lo, hi)
+    w = hi - lo
     t = hi / (1.0 - hi) // 1.0
-    bound = 0.5 * (f_lo + f_hi - (two_r * ((t + 1.0) * hi ** t) + slope) * (hi - lo))
-    return bound - _margin(n, p, norm, slope, f_lo, f_hi) > best
+    e = _margin(n, p, norm, slope, f_lo, f_hi)
+    lipschitz = 0.5 * (f_lo + f_hi - (two_r * ((t + 1.0) * hi ** t) + slope) * w)
+    # min(f(lo), f(hi)) with operators alone, exactly: one product is by 0.
+    least = f_lo * (f_lo <= f_hi) + f_hi * (f_lo > f_hi)
+    chord = least - 0.125 * _curvature(n, p, two_r, hi, curvature) * w * w
+    return (lipschitz - e > best) | (chord - e > best)
+
+
+def _curvature(n, p, two_r, hi, curvature):
+    """The bound ``M2 = r min(G, U) + C`` on |f''| for f = D_d(x) + cost on
+    any bracket [lo, hi], for numbers or arrays, with n, p and 2 r those of
+    the stream x: ``G = 4 / (1 - hi)^3``, ``U = sum_{t<n} 2 t^2 + p ((n +
+    p)^2 + (n + p) p^2 + p^4)`` and ``C`` the bound on the cost's second
+    derivative from ``piece.bound``.
+
+    Proof.  As in :func:`_dropped`, D'' = sum_t w_t'' (x_t - c), so |D''|
+    <= r sum_t |w_t''|.  For w_t = (1 - d) d^t, w_t'' = t (t - 1) d^(t-2) -
+    (t + 1) t d^(t-1), so sum_t |w_t''| <= 2 / (1 - d)^3 + 2 / (1 - d)^3,
+    nondecreasing in d: at most G on [lo, hi].  Gathering the tail, the
+    weights are w_t for t < n, with |w_t''| <= t (t + 1) <= 2 t^2 on [0,
+    1], and W_k = d^(n+k) / S for the cycle's k < p, with S = 1 + d + ...
+    + d^(p-1) >= 1, 0 <= S' <= p^2 / 2 and 0 <= S'' <= p^3 / 3; so
+    |(1/S)'| <= p^2 / 2, |(1/S)''| <= S'' + 2 S'^2 <= p^4 and |W_k''| <=
+    (n + p)^2 + (n + p) p^2 + p^4: at most U on [0, 1].  The cost is twice
+    differentiable on [lo, hi] with |cost''| <= C: 2 k for a quadratic, 0
+    on an interval, and for a tabulated cost 0 (it is linear) unless a knot
+    lies strictly inside (lo, hi), where C is inf.  So |f''| <= M2 on the
+    bracket.  Its few roundings err by a few 2^-53 of M2.
+    """
+    g = 1.0 - hi
+    g = 4.0 / (g * g * g)
+    u = (n - 1) * n * (2 * n - 1) / 3 + p * ((n + p) ** 2 + (n + p) * p * p + p ** 4)
+    # min(g, u) with operators alone, exactly: one of the products is by 0.
+    return 0.5 * two_r * (g * (g < u) + u * (g >= u)) + curvature
 
 
 #: The least distance from a bracket's ends of any point that
@@ -739,31 +795,18 @@ def _monotone(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi):
     falls and (lo, f(lo)) where it rises.
 
     Like :func:`_dropped`, it takes numbers or arrays.  With ``w = hi -
-    lo``, E the margin of :func:`_margin` and ``M2 = r min(G, U) + C``,
-    where ``G = 4 / (1 - hi)^3``, ``U = sum_{t<n} 2 t^2 + p ((n + p)^2 +
-    (n + p) p^2 + p^4)`` and ``C`` bounds the cost's second derivative
-    (from ``piece.bound``), it holds where ``w > _XTOL`` and ``(|f(hi) -
+    lo``, E the margin of :func:`_margin` and M2 the curvature bound of
+    :func:`_curvature`, it holds where ``w > _XTOL`` and ``(|f(hi) -
     f(lo)| - M2 w^2 - 2 E) _ETA > 2 E w``.
 
-    Proof.  As in :func:`_dropped`, D'' = sum_t w_t'' (x_t - c), so |D''|
-    <= r sum_t |w_t''|.  For w_t = (1 - d) d^t, w_t'' = t (t - 1) d^(t-2) -
-    (t + 1) t d^(t-1), so sum_t |w_t''| <= 2 / (1 - d)^3 + 2 / (1 - d)^3,
-    nondecreasing in d: at most G on [lo, hi].  Gathering the tail, the
-    weights are w_t for t < n, with |w_t''| <= t (t + 1) <= 2 t^2 on [0,
-    1], and W_k = d^(n+k) / S for the cycle's k < p, with S = 1 + d + ...
-    + d^(p-1) >= 1, 0 <= S' <= p^2 / 2 and 0 <= S'' <= p^3 / 3; so
-    |(1/S)'| <= p^2 / 2, |(1/S)''| <= S'' + 2 S'^2 <= p^4 and |W_k''| <=
-    (n + p)^2 + (n + p) p^2 + p^4: at most U on [0, 1].  The cost is twice
-    differentiable on [lo, hi] with |cost''| <= C: 2 k for a quadratic, 0
-    on an interval, and for a tabulated cost 0 (it is linear) unless a knot
-    lies strictly inside (lo, hi), where C is inf.  So |f''| <= M2 on the
-    bracket, and f' lies within M2 w of the secant (f(hi) - f(lo)) / w
-    everywhere on it (the secant is f' somewhere).  The float f at each
-    point is within E / 256 of f, by :func:`_margin`, since |f(t)| <=
-    max(|f(lo)|, |f(hi)|) + E / 256 on a monotone bracket.  So where f(hi) <
-    f(lo), f' <= -m on the bracket, with m = (|f(hi) - f(lo)| - M2 w^2 - 2
-    E) / w, and at each t <= hi - _ETA the float f(t) exceeds f(hi) by at
-    least m _ETA - 2 E > 0; where f(hi) > f(lo), the mirror image.  On a
+    Proof.  |f''| <= M2 on the bracket (see :func:`_curvature`), so f' lies
+    within M2 w of the secant (f(hi) - f(lo)) / w everywhere on it (the
+    secant is f' somewhere).  The float f at each point is within E / 256
+    of f, by :func:`_margin`, since |f(t)| <= max(|f(lo)|, |f(hi)|) + E /
+    256 on a monotone bracket.  So where f(hi) < f(lo), f' <= -m on the
+    bracket, with m = (|f(hi) - f(lo)| - M2 w^2 - 2 E) / w, and at each t
+    <= hi - _ETA the float f(t) exceeds f(hi) by at least m _ETA - 2 E >
+    0; where f(hi) > f(lo), the mirror image.  On a
     bracket wider than _XTOL, every point _golden evaluates lies at least
     _ETA inside both ends: its first two lie (1 - k) w in, each later one (1
     - k) w' inside a bracket w' = k v wide cut from one v > _XTOL wide, and
@@ -779,11 +822,7 @@ def _monotone(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi):
     """
     slope, curvature = piece.bound(lo, hi)
     w = hi - lo
-    g = 1.0 - hi
-    g = 4.0 / (g * g * g)
-    u = (n - 1) * n * (2 * n - 1) / 3 + p * ((n + p) ** 2 + (n + p) * p * p + p ** 4)
-    # min(g, u) with operators alone, exactly: one of the products is by 0.
-    m2 = 0.5 * two_r * (g * (g < u) + u * (g >= u)) + curvature
+    m2 = _curvature(n, p, two_r, hi, curvature)
     e = _margin(n, p, norm, slope, f_lo, f_hi)
     return (w > _XTOL) & ((abs(f_hi - f_lo) - m2 * w * w - 2.0 * e) * _ETA > 2.0 * e * w)
 
@@ -947,8 +986,8 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
     first drop segments between coarse nodes (every ``_STRIDE``-th) from
     their envelopes (see :func:`_group_segments`).  Each row then takes f
     at the coarse nodes that end its group's kept segments, and drops those
-    segments whose bound (see :func:`_dropped`) lies above the least of
-    those values; where some group of the block needs every coarse node,
+    segments that :func:`_dropped` certifies above the least of those
+    values; where some group of the block needs every coarse node,
     as unrelated rows do, or the block is smaller, every row takes them
     all.  A segment dropped either way holds no node, and no point, where
     f is as low as a node value of the row.  The others are evaluated node
@@ -1113,7 +1152,7 @@ _COARSE_MIN = 16
 
 
 def _minimize_on_interval(n: int, vals: np.ndarray, piece: _Piece,
-                          xs: list) -> list[tuple[float, float]]:
+                          xs: list) -> tuple[np.ndarray, np.ndarray]:
     """Grid scan plus golden refinement of D_delta(x) + cost on one piece,
     for the stream x of each row of ``vals``: rows of one shape, a prefix
     of ``n`` values then a cycle, each its stream's canonical form.
@@ -1127,11 +1166,13 @@ def _minimize_on_interval(n: int, vals: np.ndarray, piece: _Piece,
     above the row's candidate, and :func:`_monotone` does not certify
     monotone, get one scalar golden-section search each, or, from
     ``_LOCKSTEP_MIN`` of them on, one lockstep search together on lanes of
-    the rows, with the same bits.  Returns (argmin, value) per row; ties
-    resolve to the smallest argmin.
+    the rows, with the same bits.  Returns (argmins, values), one per row,
+    as arrays: each row's candidates, its grid's first minimum and then
+    its searches' results in order, folded by :func:`_lesser` as ``min()``
+    takes them, so ties resolve to the smallest argmin.
     """
     if piece.b <= piece.a:
-        return [(piece.a, v) for v in (_dv_at(n, vals, piece.a) + piece.scalar(piece.a)).tolist()]
+        return np.full(len(vals), piece.a), _dv_at(n, vals, piece.a) + piece.scalar(piece.a)
 
     def stream(i: int) -> Stream:
         if xs[i] is None:
@@ -1139,7 +1180,7 @@ def _minimize_on_interval(n: int, vals: np.ndarray, piece: _Piece,
         return xs[i]
 
     m, p = vals.shape[0], vals.shape[1] - n
-    candidates: list = [None] * m
+    best_v, best_x = np.empty(m), np.empty(m)
     kept = []       # (row, lo, hi, f(lo), f(hi)) of each bracket to search
     full = range(m)
     if m >= _COARSE_MIN:
@@ -1153,22 +1194,29 @@ def _minimize_on_interval(n: int, vals: np.ndarray, piece: _Piece,
             block = coarse[s:s + _BLOCK]
             terms = np.stack([norm[block], top[block] - bottom[block]])[:, :, None]
             with np.errstate(over="ignore", invalid="ignore"):
-                values, factors, (r, *ends) = _coarse_to_fine(vals[block], n, piece, terms)
-            for i, v, f in zip(block.tolist(), values.tolist(), factors.tolist()):
-                candidates[i] = [(v, f)]
+                best_v[block], best_x[block], (r, *ends) = _coarse_to_fine(vals[block], n, piece,
+                                                                           terms)
             kept += zip(block[r].tolist(), *(e.tolist() for e in ends))
     for i in full:
-        candidates[i], brackets = _scan(stream(i), piece)
-        kept += [(i, *br) for br in _undercutting(stream(i), piece, candidates[i], brackets)]
-    if len(kept) >= _LOCKSTEP_MIN:
-        owner, *ends = zip(*kept)
-        found = _golden_lockstep(_lanes(n, vals[list(owner)], piece.lanes),
-                                 *map(np.array, ends))
-    else:
-        found = [_golden(_objective(stream(i), piece), *ends) for i, *ends in kept]
-    for (i, *_), (d_star, v_star) in zip(kept, found):
-        candidates[i].append((v_star, d_star))
-    return [min(c)[::-1] for c in candidates]
+        candidates, brackets = _scan(stream(i), piece)
+        best_v[i], best_x[i] = min(candidates)
+        kept += [(i, *br) for br in _undercutting(stream(i), piece, candidates, brackets)]
+    if len(kept) < _LOCKSTEP_MIN:
+        for i, *ends in kept:
+            d_star, v_star = _golden(_objective(stream(i), piece), *ends)
+            if _less(v_star, d_star, best_v[i], best_x[i]):
+                best_v[i], best_x[i] = v_star, d_star
+        return best_x, best_v
+    owner, *ends = map(np.array, zip(*kept))
+    found_x, found_v = _golden_lockstep(_lanes(n, vals[owner], piece.lanes), *ends)
+    # The k-th search of every row at once, so each row takes its own in order.
+    order = np.argsort(owner, kind="stable")
+    rank = np.arange(order.size) - np.searchsorted(owner[order], owner[order])
+    for k in range(rank.max() + 1):
+        j = order[rank == k]
+        i = owner[j]
+        best_v[i], best_x[i] = _lesser(found_v[j], found_x[j], best_v[i], best_x[i])
+    return best_x, best_v
 
 
 def _checked(c: CostFunction) -> CostFunction:
@@ -1179,16 +1227,19 @@ def _checked(c: CostFunction) -> CostFunction:
     return c
 
 
-def _minimize_rows(n: int, vals: np.ndarray, c: CostFunction) -> list[tuple[float, float]]:
+def _minimize_rows(n: int, vals: np.ndarray, c: CostFunction) -> tuple[np.ndarray, np.ndarray]:
     """:func:`minimize_over_delta` of each row's stream, bit for bit, for
-    canonical rows of one shape (see :func:`_minimize_on_interval`): each
-    isolated point is taken at once on every row."""
-    found = [list(zip((_dv_at(n, vals, d) + k).tolist(), repeat(d)))
-             for d, k in _checked(c).isolated()]
+    canonical rows of one shape (see :func:`_minimize_on_interval`), as
+    (argmins, values) arrays: each isolated point is taken at once on
+    every row, and the candidates, the points and then the pieces in
+    order, are folded by :func:`_lesser`."""
+    found = [(np.full(len(vals), d), _dv_at(n, vals, d) + k) for d, k in _checked(c).isolated()]
     xs = [None] * len(vals)
-    found += [[(v, d) for d, v in _minimize_on_interval(n, vals, piece, xs)]
-              for piece in c.pieces]
-    return [min(candidates)[::-1] for candidates in zip(*found)]
+    found += [_minimize_on_interval(n, vals, piece, xs) for piece in c.pieces]
+    best_x, best_v = found[0]
+    for x, v in found[1:]:
+        best_v, best_x = _lesser(v, x, best_v, best_x)
+    return best_x, best_v
 
 
 def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
@@ -1198,19 +1249,21 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
     continuous piece of the cost gets a fixed grid of ``_NODES`` = 2001
     nodes, followed by golden-section refinement (to 1e-9 in ``delta``)
     of its two end brackets and of one bracket per run of adjacent grid
-    minima (see :func:`_scan`).  Only the brackets whose Lipschitz lower
-    bound ``(f(lo) + f(hi) - L (hi - lo)) / 2``, less a float margin,
-    undercuts the grid's best value are searched (see :func:`_dropped`),
-    with ``L = r * 2 (T + 1) hi^T + L_cost``, ``T = floor(hi / (1 - hi))``
-    and ``r`` the half-range of the stream's values.  Nor is a bracket
-    searched where ``|f''| <= M2 = r min(4 / (1 - hi)^3, U) + C_cost``,
-    ``U`` a bound uniform on [0, 1] from ``n`` and ``p``, proves f
+    minima (see :func:`_scan`).  With ``r`` the half-range of the
+    stream's values, ``|f'| <= L = r * 2 (T + 1) hi^T + L_cost``, ``T =
+    floor(hi / (1 - hi))``, and ``|f''| <= M2 = r min(4 / (1 - hi)^3, U) +
+    C_cost``, ``U`` a bound uniform on [0, 1] from ``n`` and ``p`` (see
+    :func:`_curvature`).  Only the brackets where both the Lipschitz lower
+    bound ``(f(lo) + f(hi) - L (hi - lo)) / 2`` and the interpolation
+    lower bound ``min(f(lo), f(hi)) - M2 (hi - lo)^2 / 8``, less a float
+    margin, undercut the grid's best value are searched (see
+    :func:`_dropped`).  Nor is a bracket searched where M2 proves f
     strictly monotone on it by more than the margin (see
     :func:`_monotone`): its search would return its lower end, a grid node
     no lower than the grid's best.  Both certificates take the one margin
     ``2^-44 * (n + p + 15) * (1 + |f(lo)| + |f(hi)| + ||x||_inf +
     L_cost)`` (see :func:`_margin`), with ``n`` and ``p`` as below.  In a batch
-    (:func:`evaluate_many`), the same bound drops whole 16-cell segments
+    (:func:`evaluate_many`), the same bounds drop whole 16-cell segments
     of the grid against its every 16th node first, so only the nodes that
     could hold the minimum, or a bracket's end, are evaluated (see
     :func:`_coarse_to_fine`); from 64 rows of one shape on, it first drops
@@ -1233,7 +1286,9 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
     """
     found = [(discounted_value(x, d) + k, d) for d, k in _checked(c).isolated()]
     n, row = len(x.prefix), np.array([x.prefix + x.tail_cycle])
-    found += [_minimize_on_interval(n, row, piece, [x])[0][::-1] for piece in c.pieces]
+    for piece in c.pieces:
+        d_star, v_star = _minimize_on_interval(n, row, piece, [x])
+        found.append((v_star.item(), d_star.item()))
     return min(found)[::-1]
 
 
@@ -1244,10 +1299,11 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
 class _Criterion(_Tagged):
     """An evaluation criterion: ``value(x)`` is the constant equivalent of
     the stream ``x``, and ``rows(n, vals)`` is ``value`` of each row's
-    stream, bit for bit, for canonical rows of one shape: row i of the
-    array ``vals`` holds a canonical stream's prefix (``n`` values) then
-    its cycle.  A criterion is its own stream -> value function: a call
-    is :func:`evaluate` and ``many`` is :func:`evaluate_many`."""
+    stream, bit for bit, as an array, for canonical rows of one shape: row
+    i of the array ``vals`` holds a canonical stream's prefix (``n``
+    values) then its cycle.  A criterion is its own stream -> value
+    function: a call is :func:`evaluate` and ``many`` is
+    :func:`evaluate_many`."""
 
     family = "criterion"
 
@@ -1273,8 +1329,8 @@ class Edu(_Criterion, tag="edu"):
     def value(self, x: Stream) -> float:
         return discounted_value(x, self.delta)
 
-    def rows(self, n: int, vals: np.ndarray) -> list[float]:
-        return _dv_at(n, vals, self.delta).tolist()
+    def rows(self, n: int, vals: np.ndarray) -> np.ndarray:
+        return _dv_at(n, vals, self.delta)
 
 
 @dataclass(frozen=True)
@@ -1298,8 +1354,8 @@ class Maxmin(_Criterion, tag="maxmin"):
     def value(self, x: Stream) -> float:
         return minimize_over_delta(x, self._indicator)[1]
 
-    def rows(self, n: int, vals: np.ndarray) -> list[float]:
-        return [v for _, v in _minimize_rows(n, vals, self._indicator)]
+    def rows(self, n: int, vals: np.ndarray) -> np.ndarray:
+        return _minimize_rows(n, vals, self._indicator)[1]
 
 
 @dataclass(frozen=True)
@@ -1315,8 +1371,8 @@ class Variational(_Criterion, tag="variational"):
     def value(self, x: Stream) -> float:
         return minimize_over_delta(x, self.cost)[1]
 
-    def rows(self, n: int, vals: np.ndarray) -> list[float]:
-        return [v for _, v in _minimize_rows(n, vals, self.cost)]
+    def rows(self, n: int, vals: np.ndarray) -> np.ndarray:
+        return _minimize_rows(n, vals, self.cost)[1]
 
     @classmethod
     def from_body(cls, body: dict) -> "Variational":
@@ -1336,8 +1392,9 @@ class _Patient(_Criterion):
     def value(self, x: Stream) -> float:
         return getattr(patient, self._value)(x)
 
-    def rows(self, n: int, vals: np.ndarray) -> list[float]:
-        return list(map(getattr(patient, self._form), vals[:, :n].tolist(), vals[:, n:].tolist()))
+    def rows(self, n: int, vals: np.ndarray) -> np.ndarray:
+        form = getattr(patient, self._form)
+        return np.fromiter(map(form, vals[:, :n].tolist(), vals[:, n:].tolist()), float, len(vals))
 
 
 @dataclass(frozen=True)
@@ -1401,12 +1458,10 @@ def evaluate_many(k: Criterion, xs: Iterable[Stream]) -> list[float]:
     shapes: dict[tuple[int, int], list[int]] = {}
     for i, x in enumerate(xs):
         shapes.setdefault((len(x.prefix), x.period), []).append(i)
-    out = [0.0] * len(xs)
+    out = np.empty(len(xs))
     for (n, _), at in shapes.items():
-        vals = np.array([xs[i].prefix + xs[i].tail_cycle for i in at])
-        for i, v in zip(at, k.rows(n, vals)):
-            out[i] = v
-    return out
+        out[at] = k.rows(n, np.array([xs[i].prefix + xs[i].tail_cycle for i in at]))
+    return out.tolist()
 
 
 def as_evaluator(k) -> Callable[[Stream], float]:
