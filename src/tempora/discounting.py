@@ -54,7 +54,10 @@ since D is monotone in the values; each row then takes its own value only
 at the coarse nodes that end its group's kept segments.  From
 ``_LOCKSTEP_MIN`` kept brackets on, one piece's brackets of every row are
 refined in one lockstep golden-section search on lanes of those rows, all
-of one shape.
+of one shape.  Below ``minimize_over_delta`` and ``_minimize_rows`` the
+minimizer reads canonical rows of values alone, a prefix then a cycle (a
+constant tail is a cycle of one), and builds no stream: a single stream is
+a batch of one row.
 
 Everything here is a pure function of immutable inputs; independent
 (criterion, stream) evaluations can run concurrently without coordination.
@@ -78,10 +81,8 @@ from typing import Callable, ClassVar, Iterable, NamedTuple, Union
 import numpy as np
 
 from . import patient
-from .errors import (InfeasibleCost, InvalidCost, InvalidCriterion, InvalidDelta,
-                     ParseError, decoding, tagged)
-from .patient import _tail_mean
-from .streams import Constant, Stream, _stream
+from .errors import InvalidCost, InvalidCriterion, InvalidDelta, ParseError, decoding, tagged
+from .streams import Stream
 
 #: Right edge used for numerically searching half-open pieces [a, 1).
 _ONE_EDGE = 1.0 - 1e-9
@@ -93,27 +94,25 @@ _INF = math.inf
 # discounted value
 # ---------------------------------------------------------------------------
 
-def _dv_scalar(x: Stream) -> Callable[[float], float]:
-    """delta -> D_delta(x) on [0, 1], unchecked.
+def _dv_scalar(prefix, cycle) -> Callable[[float], float]:
+    """delta -> D_delta on [0, 1], unchecked, of the stream ``prefix`` then
+    ``cycle`` repeated, in canonical form: a cycle of one is a constant
+    tail.
 
     The one scalar closed form, behind :func:`discounted_value` and the
     minimizer's golden-section steps: the prefix and the cycle are reversed
     and the tail kind is checked once per stream, not once per factor.
     """
-    prefix = x.prefix[::-1]
-    n = len(prefix)
-    const = x.tail.value if isinstance(x.tail, Constant) else None
-    cyc = () if const is not None else x.tail.cycle[::-1]
-    p = len(cyc)
+    pre, cyc, n, p = prefix[::-1], cycle[::-1], len(prefix), len(cycle)
 
     def dv(delta: float) -> float:
         if delta == 1.0:
-            return _tail_mean(x)
+            return patient._mean(cycle)
         s = 0.0
-        for v in prefix:
+        for v in pre:
             s = v + delta * s
-        if const is not None:
-            tail_abel = const
+        if p == 1:
+            tail_abel = cycle[0]
         else:
             t = 0.0
             for v in cyc:
@@ -143,7 +142,7 @@ def discounted_value(x: Stream, delta: float) -> float:
     """
     if not 0.0 <= delta <= 1.0:
         raise InvalidDelta(f"discount factor must lie in [0, 1], got {delta}")
-    return _dv_scalar(x)(delta)
+    return _dv_scalar(x.prefix, x.tail_cycle)(delta)
 
 
 #: Grid nodes per continuous cost piece.
@@ -215,40 +214,41 @@ def _horner(coeffs, d: np.ndarray) -> np.ndarray:
     return s
 
 
-def _dv_array(prefix, cycle, periodic, const, d: np.ndarray, power: np.ndarray,
+def _dv_array(prefix, cycle, d: np.ndarray, power: np.ndarray,
               denom: np.ndarray | None) -> np.ndarray:
     """D_d at each factor of ``d`` in [0, 1) with :func:`_dv_scalar`'s bits:
     ``(1 - d) * s + power * tail``, ``s`` the prefix's Horner sum.
 
     The coefficients are numbers (one stream) or arrays that broadcast to
     ``d``'s shape (one stream per element, or per row).  The tail is ``(1
-    - d) * t / denom``, ``t`` the cycle's Horner sum, where the bool
-    ``periodic`` holds, and ``const`` elsewhere.  The products are taken in
+    - d) * t / denom``, ``t`` the cycle's Horner sum, and where ``denom``
+    is None, for a constant tail, ``cycle[0]``.  The products are taken in
     place, which keeps their bits (a float product commutes) and leaves
     three arrays shaped like ``d`` alive at most.
     """
     one_minus = 1.0 - d
     out = _horner(prefix, d)
     out *= one_minus
-    if periodic:
+    if denom is None:
+        tail = power * cycle[0]
+    else:
         tail = _horner(cycle, d)
         tail *= one_minus
         tail /= denom
         tail *= power
-    else:
-        tail = power * const
     out += tail
     return out
 
 
-def discounted_value_grid(x: Stream, g: _Grid) -> np.ndarray:
-    """:func:`discounted_value` at each node of a cached grid ``g`` of the
+def discounted_value_grid(prefix, cycle, g: _Grid) -> np.ndarray:
+    """:func:`discounted_value` of the stream ``prefix`` then ``cycle``
+    repeated, in canonical form, at each node of a cached grid ``g`` of the
     minimizer, bit for bit, with the grid's factors d^n and 1 - d^p from
     their bounded caches."""
-    n, p = len(x.prefix), x.period
+    n, p = len(prefix), len(cycle)
     a, b, d = g
-    return _dv_array(x.prefix, x.tail_cycle, p > 1, x.tail_cycle[0], d,
-                     _grid_power(a, b, n), _grid_denom(a, b, p) if p > 1 else None)
+    return _dv_array(prefix, cycle, d, _grid_power(a, b, n),
+                     _grid_denom(a, b, p) if p > 1 else None)
 
 
 def _dv_at(n: int, vals: np.ndarray, delta: float) -> np.ndarray:
@@ -257,7 +257,7 @@ def _dv_at(n: int, vals: np.ndarray, delta: float) -> np.ndarray:
     bits."""
     cols, d = vals.T, np.full(len(vals), delta)
     p = len(cols) - n
-    return _dv_array(cols[:n], cols[n:], p > 1, cols[n], d, _powers([delta], [n]),
+    return _dv_array(cols[:n], cols[n:], d, _powers([delta], [n]),
                      _denoms(d[:1], p) if p > 1 else None)
 
 
@@ -675,7 +675,7 @@ def _lanes(n: int, vals: np.ndarray, cost: Callable) -> Callable[[np.ndarray], n
         u = d[starts]
         power = _powers(u.tolist(), repeat(n))[run]
         denom = _denoms(u, p)[run] if p > 1 else None
-        out = _dv_array(cols[:n], cols[n:], p > 1, cols[n], d, power, denom)
+        out = _dv_array(cols[:n], cols[n:], d, power, denom)
         out += cost(u)[run]
         return out
 
@@ -703,7 +703,8 @@ def _margin(n, p, norm, slope, f_lo, f_hi):
 def _dropped(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best):
     """Whether f = D_d(x) + cost is certified to lie strictly above ``best``
     on [lo, hi], its ends' values ``f_lo`` and ``f_hi`` given, with n, p,
-    ||x||_inf and 2 r those of the stream x (see :func:`_terms`).
+    ||x||_inf and 2 r those of the stream x: its prefix length and period,
+    and the greatest |x_t| and the spread of its values.
 
     The closed form takes numbers, or numpy arrays that broadcast together
     (then element by element, under ``np.errstate`` that ignores overflow
@@ -740,7 +741,7 @@ def _dropped(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best):
     holds, f lies strictly above ``best`` at every grid node and every
     golden-section step in [lo, hi].  It does not hold where an end is not
     finite (the terms are NaN or -inf); the caller certifies nothing where
-    (n + p) ||x||_inf >= 1e300, since the sums may overflow.
+    :func:`_sure` does not hold.
     """
     slope, curvature = piece.bound(lo, hi)
     w = hi - lo
@@ -817,8 +818,8 @@ def _monotone(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi):
     test, in any order: where it holds, each of its terms is at most |f(hi)
     - f(lo)| _ETA and errs by a few 2^-53 of that.  It does not hold where
     an end is not finite (the terms are NaN or inf); the caller certifies
-    nothing where (n + p) ||x||_inf >= 1e300, and below that no value of f
-    is NaN, and one that overflows is +inf, above both ends.
+    nothing where :func:`_sure` does not hold, and where it holds no value
+    of f is NaN, and one that overflows is +inf, above both ends.
     """
     slope, curvature = piece.bound(lo, hi)
     w = hi - lo
@@ -827,62 +828,58 @@ def _monotone(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi):
     return (w > _XTOL) & ((abs(f_hi - f_lo) - m2 * w * w - 2.0 * e) * _ETA > 2.0 * e * w)
 
 
-def _terms(x: Stream) -> tuple:
-    """The stream's terms in :func:`_dropped` and :func:`_monotone`: (n,
-    p, ||x||_inf, 2 r)."""
-    values = x.prefix + x.tail_cycle
-    top, bottom = max(values), min(values)
-    return len(x.prefix), x.period, max(top, -bottom), top - bottom
-
-
-def _scan(x: Stream, piece: _Piece) -> tuple[list, list]:
-    """The full grid pass over one piece: (candidates, brackets).
+def _scan(prefix, cycle, piece: _Piece, terms: tuple | None) -> tuple[tuple, list]:
+    """The full grid pass over one piece for the stream ``prefix`` then
+    ``cycle`` repeated, in canonical form: (candidate, brackets).
 
     The grid is ``_grid(a, b)``, with its stream-independent factors from
     bounded caches and the cost on it from the piece.  The candidate
     (value, factor) is the grid's first minimum, the least as tuples
-    compare; where a value is NaN, every node no larger than both
-    neighbours is one.  The golden-section brackets are [grid[0],
+    compare; where a value is NaN, it is the least of every node no larger
+    than both neighbours.  The golden-section brackets are [grid[0],
     grid[1]], [grid[-2], grid[-1]] and one [grid[s-1], grid[e+1]] per run
     s..e of adjacent interior minima: such a run is flat on the grid, so a
     constant stream opens three searches, not one per node.  Each bracket
     is (lo, hi, f(lo), f(hi)), with the grid values at its ends.
+
+    Of those, only the brackets that need a search are returned: where
+    ``terms``, the stream's (n, p, ||x||_inf, 2 r), are given, those that
+    :func:`_dropped` does not certify above the candidate's value and
+    :func:`_monotone` does not certify monotone, one at a time with Python
+    floats: on a scan's few brackets, numpy's fixed cost per call would
+    outweigh the searches it saves.  ``terms`` is None where no
+    certificate may act (see :func:`_sure`), and then every bracket is
+    returned.  A monotone bracket's search would return its
+    lower end, a grid node; the candidate is the grid's first minimum, no
+    larger as (value, factor) tuples compare (and the same node has the
+    same bits), so the search is skipped with nothing to add.
     """
     g = _grid(piece.a, piece.b)
     grid = g.d
-    f = discounted_value_grid(x, g) + piece.on_grid
+    f = discounted_value_grid(prefix, cycle, g) + piece.on_grid
     interior = (np.nonzero((f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:]))[0] + 1).tolist()
     first = int(f.argmin())
     nodes_at = {0, _NODES - 1, *interior} if math.isnan(f.item(first)) else [first]
-    candidates = [(f.item(i), grid.item(i)) for i in nodes_at]
+    candidate = min((f.item(i), grid.item(i)) for i in nodes_at)
     runs: list[list[int]] = []
     for i in interior:
         if runs and runs[-1][1] == i:
             runs[-1][1] = i + 1
         else:
             runs.append([i - 1, i + 1])
-    brackets = {(0, 1), (_NODES - 2, _NODES - 1), *map(tuple, runs)}
-    return candidates, [(grid.item(lo), grid.item(hi), f.item(lo), f.item(hi))
-                        for lo, hi in brackets]
+    brackets = [(grid.item(lo), grid.item(hi), f.item(lo), f.item(hi))
+                for lo, hi in {(0, 1), (_NODES - 2, _NODES - 1), *map(tuple, runs)}]
+    if terms is None:
+        return candidate, brackets
+    return candidate, [br for br in brackets if not (_dropped(piece, *terms, *br, candidate[0])
+                                                     or _monotone(piece, *terms, *br))]
 
 
-def _undercutting(x: Stream, piece: _Piece, candidates: list, brackets: list) -> list:
-    """The brackets (lo, hi, f(lo), f(hi)) of a scan of ``x`` that need a
-    search: those that :func:`_dropped` does not certify above the first
-    candidate's value and :func:`_monotone` does not certify monotone, one
-    at a time with Python floats: on a scan's few brackets, numpy's fixed
-    cost per call would outweigh the searches it saves.
-
-    A monotone bracket's search would return its lower end, a grid node;
-    the first candidate is the grid's first minimum, no larger as (value,
-    factor) tuples compare (and the same node has the same bits), so the
-    search is skipped with nothing to add."""
-    terms = n, p, norm, _ = _terms(x)
-    if not norm < 1e300 / (n + p):
-        return brackets
-    best = candidates[0][0]
-    return [br for br in brackets if not (_dropped(piece, *terms, *br, best)
-                                          or _monotone(piece, *terms, *br))]
+def _sure(n, p, norm):
+    """Whether the certificates may act on a stream of n + p values with
+    ||x||_inf ``norm``, for numbers or arrays: not where (n + p) ||x||_inf
+    >= 1e300, since the sums may overflow."""
+    return norm < 1e300 / (n + p)
 
 
 #: The coarse pass evaluates every ``_STRIDE``-th grid node, which cut the
@@ -931,7 +928,7 @@ def _f_at(vals: np.ndarray, n: int, piece: _Piece, nodes: np.ndarray) -> np.ndar
     c = vals.T[:, :, None]              # coefficient j of every row, as a column
     at = np.broadcast_to(d[nodes], (len(vals), nodes.shape[-1]))
     # A constant tail divides by nothing: no 1 - d^p is taken or cached.
-    out = _dv_array(c[:n], c[n:], p > 1, c[n], at, _grid_power(a, b, n)[nodes],
+    out = _dv_array(c[:n], c[n:], at, _grid_power(a, b, n)[nodes],
                     _grid_denom(a, b, p)[nodes] if p > 1 else None)
     out += piece.on_grid[nodes]
     return out
@@ -962,7 +959,7 @@ def _group_segments(vals: np.ndarray, n: int, piece: _Piece) -> np.ndarray:
     float f lies strictly above B at every grid node and every
     golden-section step of the segment.  Run it under ``np.errstate`` that
     ignores overflow and invalid operations; the caller certifies nothing
-    where (n + p) ||x||_inf >= 1e300.
+    where :func:`_sure` does not hold.
     """
     a, b, d = _grid(piece.a, piece.b)
     p, coarse = vals.shape[1] - n, np.arange(0, _NODES, _STRIDE)
@@ -977,10 +974,10 @@ def _group_segments(vals: np.ndarray, n: int, piece: _Piece) -> np.ndarray:
 
 
 def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) -> tuple:
-    """:func:`_scan`'s candidate and every bracket that could win, for a
+    """:func:`_scan`'s candidate and the brackets that need a search, for a
     block of streams of one shape: row i of ``vals`` holds stream i's
     prefix (``n`` values) then its cycle, and ``terms[:, i]`` its
-    ||x||_inf and 2 r (see :func:`_terms`), as columns.
+    ||x||_inf and 2 r (see :func:`_dropped`), as columns.
 
     From ``_GROUPED_MIN`` rows on, the block's groups of ``_GROUP`` rows
     first drop segments between coarse nodes (every ``_STRIDE``-th) from
@@ -1003,9 +1000,9 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
     Returns the candidates' values and factors, one per row, and the
     brackets that need a search, as arrays (row, lo, hi, f(lo), f(hi)):
     those that :func:`_dropped` does not certify above their row's
-    candidate and :func:`_monotone` does not certify monotone (see
-    :func:`_undercutting`).  Run it under ``np.errstate`` that ignores
-    overflow and invalid operations.
+    candidate and :func:`_monotone` does not certify monotone, as in
+    :func:`_scan`.  Run it under ``np.errstate`` that ignores overflow and
+    invalid operations.
     """
     d = _grid(piece.a, piece.b).d
     m, p = vals.shape[0], vals.shape[1] - n
@@ -1128,9 +1125,10 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
     return best, d[node], (r[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep])
 
 
-def _objective(x: Stream, piece: _Piece) -> Callable[[float], float]:
-    """d -> D_d(x) + cost(d) at one factor."""
-    dv, cost = _dv_scalar(x), piece.scalar
+def _objective(prefix, cycle, piece: _Piece) -> Callable[[float], float]:
+    """d -> D_d(x) + cost(d) at one factor, for the stream x ``prefix``
+    then ``cycle`` repeated, in canonical form."""
+    dv, cost = _dv_scalar(prefix, cycle), piece.scalar
     return lambda d: dv(d) + cost(d)
 
 
@@ -1151,34 +1149,28 @@ _LOCKSTEP_MIN = 96
 _COARSE_MIN = 16
 
 
-def _minimize_on_interval(n: int, vals: np.ndarray, piece: _Piece,
-                          xs: list) -> tuple[np.ndarray, np.ndarray]:
+def _minimize_on_interval(n: int, vals: np.ndarray,
+                          piece: _Piece) -> tuple[np.ndarray, np.ndarray]:
     """Grid scan plus golden refinement of D_delta(x) + cost on one piece,
     for the stream x of each row of ``vals``: rows of one shape, a prefix
     of ``n`` values then a cycle, each its stream's canonical form.
-    ``xs[i]`` is row i's stream, or None; a row that takes the full grid
-    or a scalar search has it built there, once.
 
     From ``_COARSE_MIN`` rows on, the rows are scanned coarse to fine in
     blocks of ``_BLOCK`` (see :func:`_coarse_to_fine`); the others, and
-    every row the certificate cannot serve, on the full grid (see
-    :func:`_scan`).  The brackets that :func:`_dropped` does not certify
-    above the row's candidate, and :func:`_monotone` does not certify
-    monotone, get one scalar golden-section search each, or, from
-    ``_LOCKSTEP_MIN`` of them on, one lockstep search together on lanes of
-    the rows, with the same bits.  Returns (argmins, values), one per row,
-    as arrays: each row's candidates, its grid's first minimum and then
-    its searches' results in order, folded by :func:`_lesser` as ``min()``
-    takes them, so ties resolve to the smallest argmin.
+    every row the certificate cannot serve (see :func:`_sure`), on the
+    full grid (see :func:`_scan`), with the row's (n, p, ||x||_inf, 2 r)
+    taken from its values.  The brackets that :func:`_dropped` does not
+    certify above the row's candidate, and :func:`_monotone` does not
+    certify monotone, get one scalar golden-section search each, on the
+    row's values, or, from ``_LOCKSTEP_MIN`` of them on, one lockstep
+    search together on lanes of the rows, with the same bits.  Returns
+    (argmins, values), one per row, as arrays: each row's candidates, its
+    grid's first minimum and then its searches' results in order, folded by
+    :func:`_lesser` as ``min()`` takes them, so ties resolve to the
+    smallest argmin.
     """
     if piece.b <= piece.a:
         return np.full(len(vals), piece.a), _dv_at(n, vals, piece.a) + piece.scalar(piece.a)
-
-    def stream(i: int) -> Stream:
-        if xs[i] is None:
-            xs[i] = _stream(vals[i, :n].tolist(), vals[i, n:].tolist())
-        return xs[i]
-
     m, p = vals.shape[0], vals.shape[1] - n
     best_v, best_x = np.empty(m), np.empty(m)
     kept = []       # (row, lo, hi, f(lo), f(hi)) of each bracket to search
@@ -1186,8 +1178,7 @@ def _minimize_on_interval(n: int, vals: np.ndarray, piece: _Piece,
     if m >= _COARSE_MIN:
         top, bottom = vals.max(1), vals.min(1)
         norm = np.maximum(top, -bottom)
-        # No certificate where (n + p) ||x||_inf >= 1e300: sums may overflow.
-        sure = norm < 1e300 / (n + p)
+        sure = _sure(n, p, norm)
         full = np.flatnonzero(~sure).tolist()
         coarse = np.flatnonzero(sure)
         for s in range(0, coarse.size, _BLOCK):
@@ -1198,12 +1189,18 @@ def _minimize_on_interval(n: int, vals: np.ndarray, piece: _Piece,
                                                                            terms)
             kept += zip(block[r].tolist(), *(e.tolist() for e in ends))
     for i in full:
-        candidates, brackets = _scan(stream(i), piece)
-        best_v[i], best_x[i] = min(candidates)
-        kept += [(i, *br) for br in _undercutting(stream(i), piece, candidates, brackets)]
+        # The row's terms from its list: on a few rows, numpy's fixed cost
+        # per call would show.
+        row = vals[i].tolist()
+        top, bottom = max(row), min(row)
+        norm = max(top, -bottom)
+        (best_v[i], best_x[i]), brackets = _scan(
+            row[:n], row[n:], piece, (n, p, norm, top - bottom) if _sure(n, p, norm) else None)
+        kept += [(i, *br) for br in brackets]
     if len(kept) < _LOCKSTEP_MIN:
         for i, *ends in kept:
-            d_star, v_star = _golden(_objective(stream(i), piece), *ends)
+            row = vals[i].tolist()
+            d_star, v_star = _golden(_objective(row[:n], row[n:], piece), *ends)
             if _less(v_star, d_star, best_v[i], best_x[i]):
                 best_v[i], best_x[i] = v_star, d_star
         return best_x, best_v
@@ -1222,8 +1219,6 @@ def _minimize_on_interval(n: int, vals: np.ndarray, piece: _Piece,
 def _checked(c: CostFunction) -> CostFunction:
     if not isinstance(c, _Cost):
         raise InvalidCost(f"not a cost function: {c!r}")
-    if not (c.pieces or c.isolated()):
-        raise InfeasibleCost("cost is identically infinite on [0, 1)")
     return c
 
 
@@ -1234,8 +1229,7 @@ def _minimize_rows(n: int, vals: np.ndarray, c: CostFunction) -> tuple[np.ndarra
     every row, and the candidates, the points and then the pieces in
     order, are folded by :func:`_lesser`."""
     found = [(np.full(len(vals), d), _dv_at(n, vals, d) + k) for d, k in _checked(c).isolated()]
-    xs = [None] * len(vals)
-    found += [_minimize_on_interval(n, vals, piece, xs) for piece in c.pieces]
+    found += [_minimize_on_interval(n, vals, piece) for piece in c.pieces]
     best_x, best_v = found[0]
     for x, v in found[1:]:
         best_v, best_x = _lesser(v, x, best_v, best_x)
@@ -1270,7 +1264,10 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
     them for 16 neighbouring rows at once, from their elementwise least
     and greatest rows (see :func:`_group_segments`).  Returns (argmin,
     value); ties resolve to the smallest argmin, with the bits of searching
-    every bracket of the full grid.
+    every bracket of the full grid.  Each piece takes the stream as a batch
+    of one row, its canonical prefix then its cycle (see
+    :func:`_minimize_on_interval`).  Every cost has an isolated point or a
+    piece, as its constructor checks, so there is always a candidate.
 
     A piece [a, 1) (an indicator interval ending at 1.0, or the quadratic
     cost's [0, 1)) is searched on [a, 1 - 1e-9], so the reported minimum
@@ -1280,14 +1277,11 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
     * delta^(1 - p))``.  So the gap is at most twice that bound at
     ``delta = 1 - 1e-9``, plus the search tolerance; a quadratic cost whose
     center lies past 1 - 1e-9 adds at most ``stiffness * 1e-18``.
-
-    Raises:
-        InfeasibleCost: if the cost is infinite everywhere on [0, 1).
     """
     found = [(discounted_value(x, d) + k, d) for d, k in _checked(c).isolated()]
     n, row = len(x.prefix), np.array([x.prefix + x.tail_cycle])
     for piece in c.pieces:
-        d_star, v_star = _minimize_on_interval(n, row, piece, [x])
+        d_star, v_star = _minimize_on_interval(n, row, piece)
         found.append((v_star.item(), d_star.item()))
     return min(found)[::-1]
 

@@ -30,11 +30,6 @@ def _mean(cyc: Sequence[float]) -> float:
         return math.ldexp(math.fsum(math.ldexp(v, -k) for v in cyc) / len(cyc), k)
 
 
-def _tail_mean(x: Stream) -> float:
-    """Mean of the tail cycle."""
-    return _mean(x.tail_cycle)
-
-
 # Each closed form below takes a prefix and a cycle, so that a stream
 # (see the public functions) and a row of values (``rows`` of the patient
 # criteria) share it.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tempora.axioms as AX
-from tempora import (AXIOM_IDS, BanachWindow, Cesaro, Edu, Inf, Liminf,
+from tempora import (AXIOM_IDS, BanachWindow, Cesaro, Edu, IndicatorSet, Inf, Liminf,
                      Maxmin, PairwiseSwapTransform, Quadratic, ScaleTransform,
                      Variational, add, check_axiom, constant_stream, delay,
                      discounted_value, evaluate, improving_pair, parse_axiom_id,
@@ -217,6 +217,44 @@ def test_a_closed_form_continuity_scan_builds_no_stream_per_mix(monkeypatch):
         inside.clear()
         assert check_axiom(k, "continuity_segment", trials=1, seed=0).passes == 1
         assert inside == [0], k
+
+
+@pytest.mark.parametrize("k, seed, searches", [
+    (Maxmin(points=(0.0, 0.3), intervals=((0.4, 0.6),)), 2, 54),
+    (Variational(IndicatorSet(points=(0.0, 0.3, 0.9), point_costs=(0.5, 0.0, 0.1),
+                              intervals=((0.5, 0.7),))), 1, 87),
+], ids=["maxmin", "indicator"])
+def test_the_minimizer_builds_no_stream_for_a_batch_row(monkeypatch, k, seed, searches):
+    # These scans run scalar golden-section searches on rows of their
+    # batches; the minimizer reads each row's values, and builds no stream
+    # to search it, or to scan it on the full grid.
+    import tempora.discounting as D
+    import tempora.streams as S
+    built, inside = [], []
+    unchecked, post_init = S._unchecked, S.Stream.__post_init__
+    monkeypatch.setattr(S, "_unchecked",
+                        lambda cls, **f: built.append(cls) or unchecked(cls, **f))
+    monkeypatch.setattr(S.Stream, "__post_init__", lambda self: built.append(1) or post_init(self))
+    minimize, golden = D._minimize_on_interval, D._golden
+    counts = {"streams": 0, "searches": 0}
+
+    def counted(*args):
+        built.clear()
+        inside.append(1)
+        try:
+            return minimize(*args)
+        finally:
+            inside.pop()
+            counts["streams"] += built.count(S.Stream) + built.count(1)
+
+    def counted_golden(*args):
+        counts["searches"] += bool(inside)
+        return golden(*args)
+
+    monkeypatch.setattr(D, "_minimize_on_interval", counted)
+    monkeypatch.setattr(D, "_golden", counted_golden)
+    assert check_axiom(k, "continuity_segment", trials=1, seed=seed).passes == 1
+    assert counts == {"streams": 0, "searches": searches}
 
 
 def planted_jump(seed, calls):

@@ -81,6 +81,10 @@ def test_compare_direction(files, capsys):
                                 "--b", files["alt"], "--criterion", files["inf"]])
     assert code == 0
     assert "a > b" in out
+    code, out, _ = run(capsys, ["compare", "--a", files["alt"],
+                                "--b", files["one"], "--criterion", files["inf"]])
+    assert code == 0
+    assert "b > a" in out and "a > b" not in out
 
 
 def test_sweep_probe_argmin(files, capsys):
@@ -145,6 +149,22 @@ def test_axioms_unknown_axiom_exits_two(files, capsys):
                                 "--trials", "1", "--axiom", "nope"])
     assert code == 2
     assert "error" in err
+
+
+def test_sweep_of_no_grid_nodes_exits_two(files, capsys):
+    code, out, err = run(capsys, ["sweep", "--stream", files["probe"],
+                                  "--cost", files["freecost"], "--grid", "0"])
+    assert code == 2 and out == ""
+    assert "--grid must be >= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, grid, alphas", [("--grid", "0.5,x", "1"),
+                                                ("--alphas", "0.5", "1,y")])
+def test_recover_cost_with_a_word_in_a_list_exits_two(flag, grid, alphas, files, capsys):
+    code, out, err = run(capsys, ["recover-cost", "--criterion", files["maxmin"],
+                                  "--grid", grid, "--alphas", alphas])
+    assert code == 2 and out == ""
+    assert f"{flag} expects comma-separated numbers" in err and "Traceback" not in err
 
 
 def test_recover_cost_csv(files, capsys):

@@ -66,6 +66,20 @@ def dense_discounted_value(x, d):
     return (1.0 - d) * polyval(d, x.prefix or [0.0]) + d ** len(x.prefix) * tail
 
 
+def row_of(x):
+    """A stream's canonical prefix and cycle as lists of floats, as the
+    minimizer reads them from its row (a constant tail is a cycle of one)."""
+    return list(x.prefix), list(x.tail_cycle)
+
+
+def terms_of(x):
+    """(n, p, ||x||_inf, 2 r) of a stream, as the minimizer takes them
+    from a row on the full grid."""
+    values = x.prefix + x.tail_cycle
+    top, bottom = max(values), min(values)
+    return len(x.prefix), x.period, max(top, -bottom), top - bottom
+
+
 # ---------------------------------------------------------------------------
 # discounted_value
 # ---------------------------------------------------------------------------
@@ -529,7 +543,7 @@ def test_grid_matches_reference_bit_for_bit(rng):
     for x in ref_streams(rng, 30):
         want = ref_discounted_value_grid(x, grid).tobytes()
         assert np.array([discounted_value(x, d) for d in grid.tolist()]).tobytes() == want
-        assert discounted_value_grid(x, _grid(0.0, 1.0 - 1e-9)).tobytes() == \
+        assert discounted_value_grid(*row_of(x), _grid(0.0, 1.0 - 1e-9)).tobytes() == \
             ref_discounted_value_grid(x, below_one).tobytes()
         for d in (0.0, 0.37, 1.0):
             assert discounted_value(x, d) == ref_discounted_value(x, d)
@@ -575,7 +589,7 @@ def test_grid_cache_and_memos_are_bounded():
     g = _grid(0.25, 0.75)
     for i, n in enumerate([*range(_FACTOR_CACHE + 8), 1000, 2000, 3000]):
         x = make_stream([0.5] * n, Periodic(tuple(float(j) for j in range(2 + i))))
-        discounted_value_grid(x, g)
+        discounted_value_grid(*row_of(x), g)
         for cache in (_grid_power, _grid_denom):
             info = cache.cache_info()
             assert info.maxsize == _FACTOR_CACHE and 0 < info.currsize <= _FACTOR_CACHE
@@ -616,12 +630,13 @@ def test_concurrent_grid_evaluations_share_the_cache_safely(monkeypatch):
     xs = [make_stream([0.25 * (n + 1)] * n, Periodic(tuple(float(i) for i in range(2 + n % 5))))
           for n in range(12)]
     want = [ref_discounted_value_grid(x, g.d).tobytes() for x in xs]
+    rows = [row_of(x) for x in xs]
     bad, sizes = [], []
 
     def work(t):
         for _ in range(300):
             for i in range(t % 12, 12):
-                if discounted_value_grid(xs[i], g).tobytes() != want[i]:
+                if discounted_value_grid(*rows[i], g).tobytes() != want[i]:
                     bad.append(i)
                 sizes.append(max(D._grid_power.cache_info().currsize,
                                  D._grid_denom.cache_info().currsize))
@@ -906,8 +921,8 @@ def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
     for piece in pieces:
         owners, brackets = [], []
         for i, x in enumerate(xs):
-            found = D._scan(x, piece)[1]
-            f = D._objective(x, piece)
+            found = D._scan(*row_of(x), piece, None)[1]
+            f = D._objective(*row_of(x), piece)
             # plus the whole piece, a wide bracket, and a degenerate one,
             # in the same batch: lanes stop at different steps
             for a, b in [br[:2] for br in found] + [(piece.a, piece.b), (piece.b, piece.b)]:
@@ -919,7 +934,7 @@ def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
             got = D._golden_lockstep(D._lanes(*as_rows([xs[i] for i in at]), piece.lanes),
                                      *np.array([brackets[j] for j in lanes]).T)
             for i, j, d, v in zip(at, lanes, *got):
-                want_d, want_v = D._golden(D._objective(xs[i], piece), *brackets[j])
+                want_d, want_v = D._golden(D._objective(*row_of(xs[i]), piece), *brackets[j])
                 assert (d.hex(), v.hex()) == (want_d.hex(), want_v.hex())
                 periodic += xs[i].period > 1
     assert periodic > 500
@@ -953,7 +968,7 @@ def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
 
     def run(j):
         calls.update(golden=0, lockstep=0)
-        return D._minimize_on_interval(n, vals[:j], piece, [None] * j)
+        return D._minimize_on_interval(n, vals[:j], piece)
 
     def kept(j):
         # The first j rows' kept brackets, each searched alone.
@@ -975,7 +990,7 @@ def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
         assert calls == want
         assert [(d.hex(), v.hex()) for d, v in zip(*got)] == \
             [(d.hex(), v.hex()) for i in range(size)
-             for d, v in zip(*D._minimize_on_interval(n, vals[i:i + 1], piece, [None]))]
+             for d, v in zip(*D._minimize_on_interval(n, vals[i:i + 1], piece))]
 
 
 LANE_PIECES = [Quadratic(0.8, 3.0).pieces[0],
@@ -1009,11 +1024,12 @@ def test_lanes_that_share_a_factor_keep_the_scalar_bits():
                 lanes += [(x, a, b) for x in batch] + [(batch[-1], a, b)] * 3
             if batch[0] in zeros:
                 lanes += [(batch[0], a, a) for a in (0.0, -0.0, -0.0, 0.0)]
-            ends = [(a, b, D._objective(x, piece)(a), D._objective(x, piece)(b))
+            ends = [(a, b, D._objective(*row_of(x), piece)(a), D._objective(*row_of(x), piece)(b))
                     for x, a, b in lanes]
             got = D._golden_lockstep(D._lanes(*as_rows([x for x, *_ in lanes]), piece.lanes),
                                      *map(np.array, zip(*ends)))
-            want = [D._golden(D._objective(x, piece), *br) for (x, *_), br in zip(lanes, ends)]
+            want = [D._golden(D._objective(*row_of(x), piece), *br)
+                    for (x, *_), br in zip(lanes, ends)]
             assert [(d.hex(), v.hex()) for d, v in zip(*got)] == \
                 [(d.hex(), v.hex()) for d, v in want], (piece.a, piece.b, batch)
             if piece is LANE_PIECES[-1] and batch[0] in zeros:
@@ -1275,17 +1291,17 @@ def test_grid_is_the_scalar_form_at_every_element(x, ds):
     # signed zeros side by side, and repeats, make runs of one factor.
     ds = np.array([0.0, -0.0, -0.0, *ds, 0.0, *ds[:3]])
     lanes = D._lanes(*as_rows([x] * len(ds)), lambda u: np.full(u.shape, -0.0))
-    assert hex_bits(lanes(ds)) == hex_bits(map(D._dv_scalar(x), ds.tolist()))
+    assert hex_bits(lanes(ds)) == hex_bits(map(D._dv_scalar(*row_of(x)), ds.tolist()))
 
 
 @settings(max_examples=100, deadline=None)
 @given(oracle_streams(), costs)
 def test_grid_objective_is_the_scalar_objective_at_every_node(x, cost):
     cost = cost._indicator if isinstance(cost, Maxmin) else cost
-    dv = D._dv_scalar(x)
+    dv = D._dv_scalar(*row_of(x))
     for piece in cost.pieces:
         g = _grid(piece.a, piece.b)
-        got = discounted_value_grid(x, g) + piece.on_grid
+        got = discounted_value_grid(*row_of(x), g) + piece.on_grid
         assert hex_bits(got) == hex_bits(dv(d) + piece.scalar(d) for d in g.d.tolist())
 
 
@@ -1345,22 +1361,31 @@ def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale)
     x = make_stream([v * scale for v in x.prefix],
                     Periodic(tuple(v * scale for v in x.tail_cycle)))
     cost = cost._indicator if isinstance(cost, Maxmin) else cost
-    dv = D._dv_scalar(x)
+    pre, cyc = row_of(x)
+    dv = D._dv_scalar(pre, cyc)
+    terms = n, p, norm, two_r = terms_of(x)
     for piece in cost.pieces:
         if piece.b <= piece.a:
             continue
         cost_at = piece.scalar
         objective = lambda d: dv(d) + cost_at(d)
-        candidates, brackets = D._scan(x, piece)
+        candidate, brackets = D._scan(pre, cyc, piece, None)
+        best = candidate[0]
         # The scan's brackets span two cells at most; the wide ones test
         # the bound where it spans many cells of the grid.
         g = _grid(piece.a, piece.b)
-        f = (discounted_value_grid(x, g) + piece.on_grid).tolist()
+        f = (discounted_value_grid(pre, cyc, g) + piece.on_grid).tolist()
+        scanned = len(brackets)
         brackets = brackets + [(g.d.item(i), g.d.item(j), f[i], f[j]) for i, j in WIDE]
-        kept = D._undercutting(x, piece, candidates, brackets)
+        # The float loop's verdicts, as the scan takes them on its own
+        # brackets where the certificates may act.
+        kept = brackets
+        if norm < 1e300 / (n + p):
+            kept = [br for br in brackets if not (D._dropped(piece, *terms, *br, best)
+                                                  or D._monotone(piece, *terms, *br))]
+            assert D._scan(pre, cyc, piece, terms) == \
+                (candidate, [br for br in brackets[:scanned] if br in kept])
         assert set(kept) <= set(brackets)
-        best = candidates[0][0]
-        n, p, norm, two_r = D._terms(x)
         for lo, hi, f_lo, f_hi in set(brackets) - set(kept):
             if D._dropped(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best):
                 assert D._golden(objective, lo, hi, f_lo, f_hi)[1] > best
@@ -1371,7 +1396,7 @@ def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale)
                 assert D._monotone(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi)
                 end = (hi, f_hi) if f_hi < f_lo else (lo, f_lo)
                 assert hex_bits(D._golden(objective, lo, hi, f_lo, f_hi)) == hex_bits(end)
-                assert end[::-1] >= candidates[0]
+                assert end[::-1] >= candidate
         # The coarse segments, as arrays: every grid node of a dropped
         # segment lies strictly above the least coarse value.
         if not norm < 1e300 / (n + p):
@@ -1401,8 +1426,8 @@ def test_the_curvature_bound_holds_on_every_sub_interval(x, scale, pairs):
     # above that value there.
     x = make_stream([v * scale for v in x.prefix],
                     Periodic(tuple(v * scale for v in x.tail_cycle)))
-    n, p, norm, two_r = D._terms(x)
-    dv = D._dv_scalar(x)
+    n, p, norm, two_r = terms_of(x)
+    dv = D._dv_scalar(*row_of(x))
     eps = np.finfo(float).eps
     for cost in REF_COSTS:
         for piece in cost.pieces:
@@ -1434,7 +1459,7 @@ LIMIT_STREAMS = [make_stream([-1e154, -1.7e308, -1e308], Constant(-1.7e308)),
 
 
 def under_the_guard(x):
-    n, p, norm, _ = D._terms(x)
+    n, p, norm, _ = terms_of(x)
     k = math.ceil(math.log2(norm) + math.log2(n + p) - math.log2(1e300))
     return make_stream([math.ldexp(v, -k) for v in x.prefix],
                        Periodic(tuple(math.ldexp(v, -k) for v in x.tail_cycle)))
@@ -1444,26 +1469,43 @@ def under_the_guard(x):
 @pytest.mark.parametrize("cost", [Quadratic(0.9, 5.0), Quadratic(0.1, 50.0),
                                   Tabulated(((0.2, 1.0), (0.5, 0.0), (0.8, 2.0))),
                                   IndicatorSet(intervals=((0.1, 0.9),))])
-def test_the_float_certificate_at_the_float_limits(x, cost):
+def test_the_float_certificate_at_the_float_limits(x, cost, monkeypatch):
     # Python floats: neither bound may raise OverflowError or warn, and
     # neither may drop a bracket that holds the reference's minimum.
-    n, p, norm, two_r = D._terms(x)
+    terms = n, p, norm, two_r = terms_of(x)
+    pre, cyc = row_of(x)
+    handed, scan = [], D._scan
+
+    def spy(*args):
+        handed.append(args[-1])
+        return scan(*args)
+
     with np.errstate(over="ignore", invalid="ignore"):
         want_d, _ = ref_minimize_over_delta(x, cost)
+        with monkeypatch.context() as m:
+            m.setattr(D, "_scan", spy)
+            minimize_over_delta(x, cost)
+    # The minimizer hands the float loop the stream's terms under the
+    # guard, and above it none: there the certificates stand aside.
+    sure = norm < 1e300 / (n + p)
+    assert handed == [terms if sure else None] * len(cost.pieces)
     for piece in cost.pieces:
         g = _grid(piece.a, piece.b)
         with np.errstate(over="ignore", invalid="ignore"):
-            candidates, brackets = D._scan(x, piece)
-            f = (discounted_value_grid(x, g) + piece.on_grid).tolist()
+            candidate, brackets = D._scan(pre, cyc, piece, None)
+            f = (discounted_value_grid(pre, cyc, g) + piece.on_grid).tolist()
+        scanned = len(brackets)
         brackets = brackets + [(g.d.item(i), g.d.item(j), f[i], f[j]) for i, j in WIDE]
+        if not sure:
+            continue
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kept = D._undercutting(x, piece, candidates, brackets)
-            if not norm < 1e300 / (n + p):
-                assert kept == brackets
-                continue
+            kept = [br for br in brackets if not (D._dropped(piece, *terms, *br, candidate[0])
+                                                  or D._monotone(piece, *terms, *br))]
+            assert D._scan(pre, cyc, piece, terms)[1] == \
+                [br for br in brackets[:scanned] if br in kept]
             assert norm > 0.4e300 / (n + p)
-            best = candidates[0][0]
+            best = candidate[0]
             dropped = [D._dropped(piece, n, p, norm, two_r, *br, best) for br in brackets]
         held = [lo <= want_d <= hi for lo, hi, *_ in brackets]
         assert not any(d and h for d, h in zip(dropped, held)), (piece.a, want_d)
@@ -1507,8 +1549,8 @@ def monotone_brackets(piece, knots):
 def test_a_certified_monotone_bracket_searches_to_its_lower_end(x, cost, scale, pairs):
     x = make_stream([v * scale for v in x.prefix],
                     Periodic(tuple(v * scale for v in x.tail_cycle)))
-    n, p, norm, two_r = D._terms(x)
-    dv = D._dv_scalar(x)
+    n, p, norm, two_r = terms_of(x)
+    dv = D._dv_scalar(*row_of(x))
     knots = [d for d, _ in cost.knots] if isinstance(cost, Tabulated) else []
     for piece in cost.pieces:
         cost_at = piece.scalar
@@ -1567,10 +1609,10 @@ def test_most_brackets_are_certified_away_on_a_fixed_battery(monkeypatch):
     counts = {"scanned": 0, "searched": 0}
     scan, golden, lockstep = D._scan, D._golden, D._golden_lockstep
 
-    def counted_scan(*args):
-        out = scan(*args)
-        counts["scanned"] += len(out[1])
-        return out
+    def counted_scan(prefix, cycle, piece, terms):
+        # Every bracket the grid opens, before the certificates act.
+        counts["scanned"] += len(scan(prefix, cycle, piece, None)[1])
+        return scan(prefix, cycle, piece, terms)
 
     def counted_golden(*args, **kwargs):
         counts["searched"] += 1
@@ -1669,12 +1711,12 @@ def counted_grid_nodes(monkeypatch):
         counts["nodes"] += _NODES
         return scan(*args)
 
-    def counted_dv_array(prefix, cycle, periodic, const, d, *rest):
+    def counted_dv_array(prefix, cycle, d, *rest):
         if d.ndim == 2:
             counts["nodes"] += d.size
             if d.shape[1] == D._SEGMENTS + 1:
                 counts["coarse_rows"] += d.shape[0]
-        return dv_array(prefix, cycle, periodic, const, d, *rest)
+        return dv_array(prefix, cycle, d, *rest)
 
     def counted_horner(coeffs, d):
         if d.ndim == 2 and d.shape[1] == D._SEGMENTS + 1:
@@ -1767,7 +1809,7 @@ def test_a_group_drops_only_segments_above_each_rows_grid_minimum(batch, block):
                 dropped = np.zeros((len(seg), _NODES), bool)
                 for s in range(D._STRIDE + 1):
                     dropped[:, s:_NODES - D._STRIDE + s:D._STRIDE] |= ~seg
-                f = np.array([discounted_value_grid(x, g) for x in xs]) + piece.on_grid
+                f = np.array([discounted_value_grid(*row_of(x), g) for x in xs]) + piece.on_grid
                 above = np.where(dropped[group], f, np.inf).min(1)
                 assert (above > f.min(1)).all(), (c, piece.a, piece.b)
             # And the batch keeps the bits of each stream on its own, with
@@ -1827,13 +1869,13 @@ def test_the_refine_loop_follows_a_flat_run_into_dropped_segments():
     cost = Tabulated(((0.97, 45.0), (0.99, 0.0), (1.0 - 1e-8, 0.0)))
     piece = cost.pieces[0]
     n = len(x.prefix)
-    full = D._undercutting(x, piece, *D._scan(x, piece))
+    full = D._scan(*row_of(x), piece, terms_of(x))[1]
     assert any(lo == 0.0 and 0.96 < hi < 0.97 for lo, hi, *_ in full)
     want_d, want_v = minimize_over_delta(x, cost)
     assert 0.9995 < want_d < 1.0 and want_v < -1.0
     for size in (D._COARSE_MIN, D._GROUPED_MIN):
         vals = np.array([x.prefix + x.tail_cycle] * size)
-        terms = np.array(D._terms(x)[2:])[:, None, None] * np.ones((1, size, 1))
+        terms = np.array(terms_of(x)[2:])[:, None, None] * np.ones((1, size, 1))
         with np.errstate(over="ignore", invalid="ignore"):
             best, factors, (row, *ends) = D._coarse_to_fine(vals, n, piece, terms)
         for r in range(size):

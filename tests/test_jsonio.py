@@ -3,13 +3,15 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tempora import (BanachWindow, Cesaro, CostFunction, Criterion, Edu,
                      ExpertPanel, IndicatorSet, Inf, Liminf, Maxmin, Quadratic,
                      Tabulated, Variational)
-from tempora import jsonio
+from tempora import constant_stream, jsonio, minimize_over_delta
 from tempora.discounting import TAGS
-from tempora.errors import ParseError
+from tempora.errors import ParseError, TemporaError
 
 CRITERIA = [
     Edu(0.95),
@@ -156,3 +158,49 @@ def test_load_json_file_reports_location(tmp_path):
     with pytest.raises(ParseError) as err:
         jsonio.load_json_file(str(bad))
     assert err.value.line == 2
+
+
+#: Factors at and beside the ends of [0, 1), and beyond them; costs at 0,
+#: at the float limit and below 0.
+unit = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0 - 1e-9, 1.0 - 1e-10, 1.0, -0.1, 1.5]),
+                 st.floats(0.0, 1.0))
+cost_values = st.one_of(st.sampled_from([0.0, 1.0, 1.7e308, -1.0]), st.floats(0.0, 10.0))
+pairs = st.tuples(unit, unit).map(sorted)
+
+
+@st.composite
+def cost_json(draw):
+    """The JSON of a cost of each shape, valid more often than not."""
+    kind = draw(st.sampled_from(["indicator", "quadratic", "tabulated"]))
+    if kind == "quadratic":
+        return {"quadratic": {"center": draw(unit), "stiffness": draw(cost_values)}}
+    if kind == "tabulated":
+        knots = draw(st.lists(st.tuples(unit, cost_values).map(list), max_size=4,
+                              unique_by=lambda k: k[0]))
+        if knots and draw(st.booleans()):
+            knots[draw(st.integers(0, len(knots) - 1))][1] = 0.0
+        return {"tabulated": {"knots": sorted(knots)}}
+    points = draw(st.lists(unit, max_size=3))
+    body = {"points": points, "intervals": draw(st.lists(pairs, max_size=3))}
+    if draw(st.booleans()):
+        body["point_costs"] = draw(st.lists(cost_values, min_size=len(points),
+                                            max_size=len(points)))
+    return {"indicator": body}
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost_json())
+@example({"indicator": {"intervals": [[1.0 - 1e-10, 1.0]]}})
+@example({"indicator": {"points": [0.0]}})
+@example({"tabulated": {"knots": [[0.0, 0.0]]}})
+@example({"quadratic": {"center": 1.0 - 1e-10, "stiffness": 0.0}})
+def test_every_decoded_cost_has_a_point_or_a_piece(data):
+    # So the minimizer always has a candidate: a cost that is infinite on
+    # all of [0, 1) cannot be decoded.  An interval inside [1 - 1e-9, 1)
+    # makes a piece of one point.
+    try:
+        c = jsonio.cost_from_dict(json.loads(json.dumps(data)))
+    except TemporaError:
+        return
+    assert c.pieces or c.isolated()
+    assert minimize_over_delta(constant_stream(1.0), c)[1] >= 1.0
