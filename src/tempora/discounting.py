@@ -89,6 +89,10 @@ _ONE_EDGE = 1.0 - 1e-9
 
 _INF = math.inf
 
+#: An overflowing D is taken again on the values over ``_UP`` (see
+#: :func:`discounted_value`).
+_UP = 2.0 ** 64
+
 
 # ---------------------------------------------------------------------------
 # discounted value
@@ -123,7 +127,10 @@ def _dv_scalar(prefix, cycle) -> Callable[[float], float]:
                 # (1 - delta^p) via expm1 to avoid cancellation near delta = 1.
                 denom = -math.expm1(p * math.log(delta))
                 tail_abel = (1.0 - delta) * t / denom
-        return (1.0 - delta) * s + delta ** n * tail_abel
+        out = (1.0 - delta) * s + delta ** n * tail_abel
+        if math.isfinite(out):
+            return out
+        return _UP * _dv_scalar([v / _UP for v in prefix], [v / _UP for v in cycle])(delta)
 
     return dv
 
@@ -136,6 +143,12 @@ def discounted_value(x: Stream, delta: float) -> float:
     (1-delta) * sum_{k<p} delta^k q_k / (1 - delta^p)).  At delta = 1 the
     continuous extension equals the tail mean; at delta = 0 the value is
     x_0 by the 0^0 = 1 convention.
+
+    Though |D_delta(x)| <= ||x||_inf, a sum may overflow, which leaves inf
+    or NaN.  Such a value alone, element by element in the array forms, is
+    taken again on the values divided by 2^64, exactly, and multiplied
+    back: (n + p) ||x||_inf / 2^64 cannot overflow, so D is always finite,
+    and every other value keeps its bits, whatever is evaluated beside it.
 
     Raises:
         InvalidDelta: if delta is outside [0, 1] (or NaN).
@@ -224,7 +237,8 @@ def _dv_array(prefix, cycle, d: np.ndarray, power: np.ndarray,
     - d) * t / denom``, ``t`` the cycle's Horner sum, and where ``denom``
     is None, for a constant tail, ``cycle[0]``.  The products are taken in
     place, which keeps their bits (a float product commutes) and leaves
-    three arrays shaped like ``d`` alive at most.
+    three arrays shaped like ``d`` alive at most.  An overflow is retaken
+    as in :func:`discounted_value`, under the caller's ``np.errstate``.
     """
     one_minus = 1.0 - d
     out = _horner(prefix, d)
@@ -237,6 +251,10 @@ def _dv_array(prefix, cycle, d: np.ndarray, power: np.ndarray,
         tail /= denom
         tail *= power
     out += tail
+    # A finite sum has no term that is not finite.
+    if not math.isfinite(out.sum()):
+        np.copyto(out, _UP * _dv_array(np.divide(prefix, _UP), np.divide(cycle, _UP), d, power,
+                                       denom), where=~np.isfinite(out))
     return out
 
 
@@ -257,8 +275,9 @@ def _dv_at(n: int, vals: np.ndarray, delta: float) -> np.ndarray:
     bits."""
     cols, d = vals.T, np.full(len(vals), delta)
     p = len(cols) - n
-    return _dv_array(cols[:n], cols[n:], d, _powers([delta], [n]),
-                     _denoms(d[:1], p) if p > 1 else None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _dv_array(cols[:n], cols[n:], d, _powers([delta], [n]),
+                         _denoms(d[:1], p) if p > 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +713,10 @@ def _margin(n, p, norm, slope, f_lo, f_hi):
     at most 2^-52 (n + p + 15) (|f(t)| + ||x||_inf + L_cost), to first
     order in 2^-52 (n + p): by E / 256 where |f(t)| <= 1 + |f(lo)| +
     |f(hi)|, at the ends say, and by E / 128 where |f(t)| <= 1 + |f(lo)| +
-    |f(hi)| + ||x||_inf + L_cost.  The rest of E is each certificate's
-    slack for the rounding of its own test.
+    |f(hi)| + ||x||_inf + L_cost.  A D taken over 2^64 (see
+    :func:`discounted_value`) errs alike, and by 2^-1000 (n + p) more at
+    most where a quotient or a step is subnormal: the 1 in E covers that.
+    The rest of E is each certificate's slack for the rounding of its test.
     """
     return 2.0 ** -44 * (n + p + 15) * (1.0 + abs(f_lo) + abs(f_hi) + norm + slope)
 
@@ -707,8 +728,7 @@ def _dropped(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best):
     and the greatest |x_t| and the spread of its values.
 
     The closed form takes numbers, or numpy arrays that broadcast together
-    (then element by element, under ``np.errstate`` that ignores overflow
-    and invalid operations): it is written with operators alone.  It holds
+    (then element by element): it is written with operators alone.  It holds
     where either of two lower bounds of f on [lo, hi], less the margin E of
     :func:`_margin`, lies above ``best``: the Piyavskii–Shubert bound
     ``(f(lo) + f(hi) - L (hi - lo)) / 2``, with ``L = 2 r (T + 1) hi^T +
@@ -739,9 +759,8 @@ def _dropped(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best):
     float T off by one (2^-52 of L) err by a few 2^-53 of that, while E is
     at least 2^-40 of it; the least end is taken exactly.  So where this
     holds, f lies strictly above ``best`` at every grid node and every
-    golden-section step in [lo, hi].  It does not hold where an end is not
-    finite (the terms are NaN or -inf); the caller certifies nothing where
-    :func:`_sure` does not hold.
+    golden-section step in [lo, hi].  Near the float limit f, E or a bound
+    may overflow: each bound less E is then -inf or NaN, and fails.
     """
     slope, curvature = piece.bound(lo, hi)
     w = hi - lo
@@ -817,9 +836,8 @@ def _monotone(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi):
     and discards the rest.  E's slack of 256 covers the rounding of this
     test, in any order: where it holds, each of its terms is at most |f(hi)
     - f(lo)| _ETA and errs by a few 2^-53 of that.  It does not hold where
-    an end is not finite (the terms are NaN or inf); the caller certifies
-    nothing where :func:`_sure` does not hold, and where it holds no value
-    of f is NaN, and one that overflows is +inf, above both ends.
+    an end, E or M2 is not finite; where it holds, no value of f is NaN (D
+    is finite), and one that overflows is +inf, above both ends.
     """
     slope, curvature = piece.bound(lo, hi)
     w = hi - lo
@@ -828,39 +846,36 @@ def _monotone(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi):
     return (w > _XTOL) & ((abs(f_hi - f_lo) - m2 * w * w - 2.0 * e) * _ETA > 2.0 * e * w)
 
 
-def _scan(prefix, cycle, piece: _Piece, terms: tuple | None) -> tuple[tuple, list]:
+def _scan(prefix, cycle, piece: _Piece, terms: tuple) -> tuple[tuple, list]:
     """The full grid pass over one piece for the stream ``prefix`` then
     ``cycle`` repeated, in canonical form: (candidate, brackets).
 
     The grid is ``_grid(a, b)``, with its stream-independent factors from
     bounded caches and the cost on it from the piece.  The candidate
     (value, factor) is the grid's first minimum, the least as tuples
-    compare; where a value is NaN, it is the least of every node no larger
-    than both neighbours.  The golden-section brackets are [grid[0],
+    compare (no value is NaN).  The golden-section brackets are [grid[0],
     grid[1]], [grid[-2], grid[-1]] and one [grid[s-1], grid[e+1]] per run
     s..e of adjacent interior minima: such a run is flat on the grid, so a
     constant stream opens three searches, not one per node.  Each bracket
     is (lo, hi, f(lo), f(hi)), with the grid values at its ends.
 
-    Of those, only the brackets that need a search are returned: where
-    ``terms``, the stream's (n, p, ||x||_inf, 2 r), are given, those that
+    Of those, only the brackets that need a search are returned, with
+    ``terms`` the stream's (n, p, ||x||_inf, 2 r): those that
     :func:`_dropped` does not certify above the candidate's value and
     :func:`_monotone` does not certify monotone, one at a time with Python
     floats: on a scan's few brackets, numpy's fixed cost per call would
-    outweigh the searches it saves.  ``terms`` is None where no
-    certificate may act (see :func:`_sure`), and then every bracket is
-    returned.  A monotone bracket's search would return its
-    lower end, a grid node; the candidate is the grid's first minimum, no
-    larger as (value, factor) tuples compare (and the same node has the
-    same bits), so the search is skipped with nothing to add.
+    outweigh the searches it saves.  A monotone bracket's search would
+    return its lower end, a grid node; the candidate is the grid's first
+    minimum, no larger as (value, factor) tuples compare (and the same node
+    has the same bits), so the search is skipped with nothing to add.
     """
     g = _grid(piece.a, piece.b)
     grid = g.d
-    f = discounted_value_grid(prefix, cycle, g) + piece.on_grid
+    f = discounted_value_grid(prefix, cycle, g)
+    f += piece.on_grid
     interior = (np.nonzero((f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:]))[0] + 1).tolist()
     first = int(f.argmin())
-    nodes_at = {0, _NODES - 1, *interior} if math.isnan(f.item(first)) else [first]
-    candidate = min((f.item(i), grid.item(i)) for i in nodes_at)
+    candidate = f.item(first), grid.item(first)
     runs: list[list[int]] = []
     for i in interior:
         if runs and runs[-1][1] == i:
@@ -869,17 +884,8 @@ def _scan(prefix, cycle, piece: _Piece, terms: tuple | None) -> tuple[tuple, lis
             runs.append([i - 1, i + 1])
     brackets = [(grid.item(lo), grid.item(hi), f.item(lo), f.item(hi))
                 for lo, hi in {(0, 1), (_NODES - 2, _NODES - 1), *map(tuple, runs)}]
-    if terms is None:
-        return candidate, brackets
     return candidate, [br for br in brackets if not (_dropped(piece, *terms, *br, candidate[0])
                                                      or _monotone(piece, *terms, *br))]
-
-
-def _sure(n, p, norm):
-    """Whether the certificates may act on a stream of n + p values with
-    ||x||_inf ``norm``, for numbers or arrays: not where (n + p) ||x||_inf
-    >= 1e300, since the sums may overflow."""
-    return norm < 1e300 / (n + p)
 
 
 #: The coarse pass evaluates every ``_STRIDE``-th grid node, which cut the
@@ -957,9 +963,7 @@ def _group_segments(vals: np.ndarray, n: int, piece: _Piece) -> np.ndarray:
     f errs by at most E / 128 at a point where it could reach B, since
     there it lies between -N and B < (f(lo) + f(hi)) / 2.  So each row's
     float f lies strictly above B at every grid node and every
-    golden-section step of the segment.  Run it under ``np.errstate`` that
-    ignores overflow and invalid operations; the caller certifies nothing
-    where :func:`_sure` does not hold.
+    golden-section step of the segment.
     """
     a, b, d = _grid(piece.a, piece.b)
     p, coarse = vals.shape[1] - n, np.arange(0, _NODES, _STRIDE)
@@ -1001,8 +1005,7 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
     brackets that need a search, as arrays (row, lo, hi, f(lo), f(hi)):
     those that :func:`_dropped` does not certify above their row's
     candidate and :func:`_monotone` does not certify monotone, as in
-    :func:`_scan`.  Run it under ``np.errstate`` that ignores overflow and
-    invalid operations.
+    :func:`_scan`.
     """
     d = _grid(piece.a, piece.b).d
     m, p = vals.shape[0], vals.shape[1] - n
@@ -1156,8 +1159,7 @@ def _minimize_on_interval(n: int, vals: np.ndarray,
     of ``n`` values then a cycle, each its stream's canonical form.
 
     From ``_COARSE_MIN`` rows on, the rows are scanned coarse to fine in
-    blocks of ``_BLOCK`` (see :func:`_coarse_to_fine`); the others, and
-    every row the certificate cannot serve (see :func:`_sure`), on the
+    blocks of ``_BLOCK`` (see :func:`_coarse_to_fine`); fewer rows on the
     full grid (see :func:`_scan`), with the row's (n, p, ||x||_inf, 2 r)
     taken from its values.  The brackets that :func:`_dropped` does not
     certify above the row's candidate, and :func:`_monotone` does not
@@ -1167,45 +1169,41 @@ def _minimize_on_interval(n: int, vals: np.ndarray,
     (argmins, values), one per row, as arrays: each row's candidates, its
     grid's first minimum and then its searches' results in order, folded by
     :func:`_lesser` as ``min()`` takes them, so ties resolve to the
-    smallest argmin.
+    smallest argmin.  It ignores overflow, which leaves inf in f, a bound
+    or 2 r near the float limit, and the NaN that may follow.
     """
-    if piece.b <= piece.a:
-        return np.full(len(vals), piece.a), _dv_at(n, vals, piece.a) + piece.scalar(piece.a)
     m, p = vals.shape[0], vals.shape[1] - n
     best_v, best_x = np.empty(m), np.empty(m)
     kept = []       # (row, lo, hi, f(lo), f(hi)) of each bracket to search
-    full = range(m)
-    if m >= _COARSE_MIN:
-        top, bottom = vals.max(1), vals.min(1)
-        norm = np.maximum(top, -bottom)
-        sure = _sure(n, p, norm)
-        full = np.flatnonzero(~sure).tolist()
-        coarse = np.flatnonzero(sure)
-        for s in range(0, coarse.size, _BLOCK):
-            block = coarse[s:s + _BLOCK]
-            terms = np.stack([norm[block], top[block] - bottom[block]])[:, :, None]
-            with np.errstate(over="ignore", invalid="ignore"):
-                best_v[block], best_x[block], (r, *ends) = _coarse_to_fine(vals[block], n, piece,
-                                                                           terms)
-            kept += zip(block[r].tolist(), *(e.tolist() for e in ends))
-    for i in full:
-        # The row's terms from its list: on a few rows, numpy's fixed cost
-        # per call would show.
-        row = vals[i].tolist()
-        top, bottom = max(row), min(row)
-        norm = max(top, -bottom)
-        (best_v[i], best_x[i]), brackets = _scan(
-            row[:n], row[n:], piece, (n, p, norm, top - bottom) if _sure(n, p, norm) else None)
-        kept += [(i, *br) for br in brackets]
-    if len(kept) < _LOCKSTEP_MIN:
-        for i, *ends in kept:
-            row = vals[i].tolist()
-            d_star, v_star = _golden(_objective(row[:n], row[n:], piece), *ends)
-            if _less(v_star, d_star, best_v[i], best_x[i]):
-                best_v[i], best_x[i] = v_star, d_star
-        return best_x, best_v
-    owner, *ends = map(np.array, zip(*kept))
-    found_x, found_v = _golden_lockstep(_lanes(n, vals[owner], piece.lanes), *ends)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if piece.b <= piece.a:
+            return np.full(m, piece.a), _dv_at(n, vals, piece.a) + piece.scalar(piece.a)
+        if m >= _COARSE_MIN:
+            top, bottom = vals.max(1), vals.min(1)
+            norm = np.maximum(top, -bottom)
+            for s in range(0, m, _BLOCK):
+                block = slice(s, s + _BLOCK)
+                terms = np.stack([norm[block], top[block] - bottom[block]])[:, :, None]
+                best_v[block], best_x[block], (r, *ends) = _coarse_to_fine(vals[block], n,
+                                                                           piece, terms)
+                kept += zip((r + s).tolist(), *(e.tolist() for e in ends))
+        else:
+            # Each row's terms from its list: on a few rows, numpy's fixed
+            # cost per call would show.
+            for i, row in enumerate(vals.tolist()):
+                top, bottom = max(row), min(row)
+                (best_v[i], best_x[i]), brackets = _scan(row[:n], row[n:], piece,
+                                                         (n, p, max(top, -bottom), top - bottom))
+                kept += [(i, *br) for br in brackets]
+        if len(kept) < _LOCKSTEP_MIN:
+            for i, *ends in kept:
+                row = vals[i].tolist()
+                d_star, v_star = _golden(_objective(row[:n], row[n:], piece), *ends)
+                if _less(v_star, d_star, best_v[i], best_x[i]):
+                    best_v[i], best_x[i] = v_star, d_star
+            return best_x, best_v
+        owner, *ends = map(np.array, zip(*kept))
+        found_x, found_v = _golden_lockstep(_lanes(n, vals[owner], piece.lanes), *ends)
     # The k-th search of every row at once, so each row takes its own in order.
     order = np.argsort(owner, kind="stable")
     rank = np.arange(order.size) - np.searchsorted(owner[order], owner[order])
@@ -1227,8 +1225,11 @@ def _minimize_rows(n: int, vals: np.ndarray, c: CostFunction) -> tuple[np.ndarra
     canonical rows of one shape (see :func:`_minimize_on_interval`), as
     (argmins, values) arrays: each isolated point is taken at once on
     every row, and the candidates, the points and then the pieces in
-    order, are folded by :func:`_lesser`."""
-    found = [(np.full(len(vals), d), _dv_at(n, vals, d) + k) for d, k in _checked(c).isolated()]
+    order, are folded by :func:`_lesser`.  A point's D + cost may overflow,
+    to +inf, as in :func:`minimize_over_delta`."""
+    with np.errstate(over="ignore"):
+        found = [(np.full(len(vals), d), _dv_at(n, vals, d) + k)
+                 for d, k in _checked(c).isolated()]
     found += [_minimize_on_interval(n, vals, piece) for piece in c.pieces]
     best_x, best_v = found[0]
     for x, v in found[1:]:

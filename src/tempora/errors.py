@@ -28,10 +28,6 @@ class InvalidCost(TemporaError, ValueError):
     """Cost function violates groundedness or domain constraints."""
 
 
-class InfeasibleCost(TemporaError, ValueError):
-    """Cost is identically infinite on [0, 1); nothing to minimize over."""
-
-
 class InvalidCriterion(TemporaError, ValueError):
     """Criterion parameters outside their admissible range."""
 

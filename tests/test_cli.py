@@ -8,7 +8,9 @@ import subprocess
 import sys
 import tracemalloc
 import typing
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -475,6 +477,78 @@ def test_arbitrary_json_never_escapes_main(command, slot_dir, draw):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# property: eval at the float limits
+# ---------------------------------------------------------------------------
+
+#: Values at the float limits, the least subnormal, and ordinary ones.
+LIMITS = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324, 1e-300, 1e154, -1e154]
+limit_values = st.sampled_from(LIMITS) | st.floats(-1.0, 1.0)
+#: Discount factors and cost knots: admissible ones and the values above.
+factors = st.sampled_from([0.1, 0.5, 0.9, 0.999, 1.0 - 1e-9] * 2 + LIMITS) | st.floats(0.0, 1.0)
+
+limit_streams = st.fixed_dictionaries({
+    "prefix": st.lists(limit_values, max_size=4),
+    "tail": st.one_of(st.fixed_dictionaries({"constant": limit_values}),
+                      st.fixed_dictionaries({"periodic": st.lists(limit_values, min_size=1,
+                                                                  max_size=3)}))})
+intervals = st.lists(st.lists(factors, min_size=2, max_size=2).map(sorted), max_size=2)
+limit_costs = st.one_of(
+    st.fixed_dictionaries({"quadratic": st.fixed_dictionaries(
+        {"center": factors, "stiffness": limit_values})}),
+    # knots sorted by factor, the last one at cost 0, as groundedness asks
+    st.lists(st.tuples(factors, limit_values), min_size=1, max_size=3,
+             unique_by=lambda kc: kc[0]).map(
+        lambda ks: {"tabulated": {"knots": sorted([list(kc) for kc in ks[:-1]]
+                                                  + [[ks[-1][0], 0.0]])}}),
+    st.builds(lambda pts, ivs: {"indicator": {"points": [p for p, _ in pts],
+                                              "point_costs": [k for _, k in pts],
+                                              "intervals": ivs}},
+              st.lists(st.tuples(factors, limit_values), max_size=2), intervals))
+limit_criteria = st.one_of(
+    st.fixed_dictionaries({"edu": st.fixed_dictionaries({"delta": factors})}),
+    st.fixed_dictionaries({"maxmin": st.fixed_dictionaries(
+        {"points": st.lists(factors, max_size=3), "intervals": intervals})}),
+    limit_costs.map(lambda c: {"variational": {"cost": c}}),
+    st.sampled_from([{"inf": {}}, {"liminf": {}}, {"banach_window": {}}, {"cesaro": {}}]))
+
+#: The minimizer's grid on [0, 1 - 1e-9], whose nodes bound a quadratic
+#: cost's share of the minimum from above.
+LIMIT_GRID = np.linspace(0.0, 1.0 - 1e-9, 2001)
+
+
+@settings(max_examples=500, deadline=None)
+@given(stream=limit_streams, criterion=limit_criteria)
+def test_eval_at_the_float_limits_stays_within_the_stream(stream, criterion, slot_dir):
+    # Every criterion is normalized and monotone, so inf x <= I(x) <= sup x.
+    # Up to rounding: 1e-12 of ||x||_inf, and a few subnormals.  A
+    # quadratic cost's minimum lies in the stream's range, but the value
+    # found may exceed it by the cost at the grid node next to the centre.
+    argv = ["eval"]
+    for flag, payload in (("--stream", stream), ("--criterion", criterion)):
+        path = slot_dir / f"limit{flag}.json"
+        path.write_text(json.dumps(payload))
+        argv += [flag, str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code != 0:
+        return
+    x = tempora.stream_from_dict(stream)
+    values = x.prefix + x.tail_cycle
+    value = float(out.getvalue())
+    tol = 1e-12 * max(map(abs, values)) + 1e-320
+    cost = criterion.get("variational", {}).get("cost", {}).get("quadratic")
+    if cost is not None:
+        tol += cost["stiffness"] * float(np.min(np.abs(LIMIT_GRID - cost["center"]))) ** 2
+    assert min(values) - tol <= value <= max(values) + tol, (value, values)
 
 
 def test_an_in_process_call_leaves_no_cycles_for_the_collector(files, capsys):
