@@ -717,15 +717,17 @@ def _margin(n, p, norm, slope, f_lo, f_hi):
     :func:`discounted_value`) errs alike, and by 2^-1000 (n + p) more at
     most where a quotient or a step is subnormal: the 1 in E covers that.
     The rest of E is each certificate's slack for the rounding of its test.
+    Its sum is taken in quarters, so that it cannot overflow on finite terms.
     """
-    return 2.0 ** -44 * (n + p + 15) * (1.0 + abs(f_lo) + abs(f_hi) + norm + slope)
+    return 2.0 ** -42 * (n + p + 15) * (0.25 + abs(f_lo) * 0.25 + abs(f_hi) * 0.25
+                                        + norm * 0.25 + slope * 0.25)
 
 
-def _dropped(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best):
+def _dropped(piece: _Piece, n, p, norm, r, lo, hi, f_lo, f_hi, best):
     """Whether f = D_d(x) + cost is certified to lie strictly above ``best``
     on [lo, hi], its ends' values ``f_lo`` and ``f_hi`` given, with n, p,
-    ||x||_inf and 2 r those of the stream x: its prefix length and period,
-    and the greatest |x_t| and the spread of its values.
+    ||x||_inf and r those of the stream x: its prefix length and period,
+    the greatest |x_t| and ``r = max x / 2 - min x / 2``, which cannot overflow.
 
     The closed form takes numbers, or numpy arrays that broadcast together
     (then element by element): it is written with operators alone.  It holds
@@ -755,29 +757,32 @@ def _dropped(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best):
     exceeds ``best`` (>= -||x||_inf - E), L (hi - lo) < f(lo) + f(hi) - 2
     best and M2 (hi - lo)^2 / 8 < min(f(lo), f(hi)) - best, so each of its
     terms is at most 2 (|f(lo)| + |f(hi)| + ||x||_inf + E), and its few
-    roundings, in any order, those of M2 and of ``hi - lo`` included, and a
+    roundings, in any order, those of M2, r and ``hi - lo`` included, and a
     float T off by one (2^-52 of L) err by a few 2^-53 of that, while E is
     at least 2^-40 of it; the least end is taken exactly.  So where this
     holds, f lies strictly above ``best`` at every grid node and every
-    golden-section step in [lo, hi].  Near the float limit f, E or a bound
-    may overflow: each bound less E is then -inf or NaN, and fails.
+    golden-section step in [lo, hi].  Taken in halves, E in quarters and M2
+    over 2^64 (the same bits away from overflow and subnormals, and within
+    2^-1000 of them, which the 1 in E covers), a bound less E overflows only
+    where L (hi - lo) or M2 (hi - lo)^2 does, to -inf or NaN, and fails.
     """
     slope, curvature = piece.bound(lo, hi)
     w = hi - lo
     t = hi / (1.0 - hi) // 1.0
     e = _margin(n, p, norm, slope, f_lo, f_hi)
-    lipschitz = 0.5 * (f_lo + f_hi - (two_r * ((t + 1.0) * hi ** t) + slope) * w)
+    lipschitz = f_lo * 0.5 + f_hi * 0.5 - (r * ((t + 1.0) * hi ** t) + slope * 0.5) * w
     # min(f(lo), f(hi)) with operators alone, exactly: one product is by 0.
     least = f_lo * (f_lo <= f_hi) + f_hi * (f_lo > f_hi)
-    chord = least - 0.125 * _curvature(n, p, two_r, hi, curvature) * w * w
+    chord = least - _curvature(n, p, r, hi, curvature) * w * w * 2.0 ** 61
     return (lipschitz - e > best) | (chord - e > best)
 
 
-def _curvature(n, p, two_r, hi, curvature):
+def _curvature(n, p, r, hi, curvature):
     """The bound ``M2 = r min(G, U) + C`` on |f''| for f = D_d(x) + cost on
-    any bracket [lo, hi], for numbers or arrays, with n, p and 2 r those of
-    the stream x: ``G = 4 / (1 - hi)^3``, ``U = sum_{t<n} 2 t^2 + p ((n +
-    p)^2 + (n + p) p^2 + p^4)`` and ``C`` the bound on the cost's second
+    any bracket [lo, hi], over 2^64 (``_UP``) so that M2 (hi - lo)^2 may
+    be finite where M2 is not, for numbers or arrays, with n, p and r those
+    of the stream x: ``G = 4 / (1 - hi)^3``, ``U = sum_{t<n} 2 t^2 + p ((n
+    + p)^2 + (n + p) p^2 + p^4)`` and ``C`` the bound on the cost's second
     derivative from ``piece.bound``.
 
     Proof.  As in :func:`_dropped`, D'' = sum_t w_t'' (x_t - c), so |D''|
@@ -795,10 +800,10 @@ def _curvature(n, p, two_r, hi, curvature):
     bracket.  Its few roundings err by a few 2^-53 of M2.
     """
     g = 1.0 - hi
-    g = 4.0 / (g * g * g)
-    u = (n - 1) * n * (2 * n - 1) / 3 + p * ((n + p) ** 2 + (n + p) * p * p + p ** 4)
+    g = 2.0 ** -62 / (g * g * g)       # G over 2^64
+    u = ((n - 1) * n * (2 * n - 1) / 3 + p * ((n + p) ** 2 + (n + p) * p * p + p ** 4)) / _UP
     # min(g, u) with operators alone, exactly: one of the products is by 0.
-    return 0.5 * two_r * (g * (g < u) + u * (g >= u)) + curvature
+    return r * (g * (g < u) + u * (g >= u)) + curvature / _UP
 
 
 #: The least distance from a bracket's ends of any point that
@@ -807,10 +812,10 @@ def _curvature(n, p, two_r, hi, curvature):
 _ETA = 0.99 * (1.0 - _INVPHI) * _INVPHI * _XTOL
 
 
-def _monotone(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi):
+def _monotone(piece: _Piece, n, p, norm, r, lo, hi, f_lo, f_hi):
     """Whether f = D_d(x) + cost is certified strictly monotone on [lo, hi]
     by a margin, its ends' values ``f_lo`` and ``f_hi`` given, with n, p,
-    ||x||_inf and 2 r those of the stream x: then :func:`_golden` and
+    ||x||_inf and r those of the stream x: then :func:`_golden` and
     :func:`_golden_lockstep` return the lower end, (hi, f(hi)) where f
     falls and (lo, f(lo)) where it rises.
 
@@ -841,9 +846,9 @@ def _monotone(piece: _Piece, n, p, norm, two_r, lo, hi, f_lo, f_hi):
     """
     slope, curvature = piece.bound(lo, hi)
     w = hi - lo
-    m2 = _curvature(n, p, two_r, hi, curvature)
+    m2 = _curvature(n, p, r, hi, curvature)
     e = _margin(n, p, norm, slope, f_lo, f_hi)
-    return (w > _XTOL) & ((abs(f_hi - f_lo) - m2 * w * w - 2.0 * e) * _ETA > 2.0 * e * w)
+    return (w > _XTOL) & ((abs(f_hi - f_lo) - m2 * w * w * _UP - 2.0 * e) * _ETA > 2.0 * e * w)
 
 
 def _scan(prefix, cycle, piece: _Piece, terms: tuple) -> tuple[tuple, list]:
@@ -860,7 +865,7 @@ def _scan(prefix, cycle, piece: _Piece, terms: tuple) -> tuple[tuple, list]:
     is (lo, hi, f(lo), f(hi)), with the grid values at its ends.
 
     Of those, only the brackets that need a search are returned, with
-    ``terms`` the stream's (n, p, ||x||_inf, 2 r): those that
+    ``terms`` the stream's (n, p, ||x||_inf, r): those that
     :func:`_dropped` does not certify above the candidate's value and
     :func:`_monotone` does not certify monotone, one at a time with Python
     floats: on a scan's few brackets, numpy's fixed cost per call would
@@ -973,15 +978,15 @@ def _group_segments(vals: np.ndarray, n: int, piece: _Piece) -> np.ndarray:
     norm = np.maximum(up.max(1), -low.min(1))[:, None]
     best = f_up.min(1, keepdims=True)
     best += _margin(n, p, norm, piece.bound(a, b)[0], best, 0.0)
-    return ~_dropped(piece, n, p, norm, (low.max(1) - low.min(1))[:, None], d[coarse[:-1]],
-                     d[coarse[1:]], f_low[:, :-1], f_low[:, 1:], best)
+    return ~_dropped(piece, n, p, norm, (low.max(1) / 2 - low.min(1) / 2)[:, None],
+                     d[coarse[:-1]], d[coarse[1:]], f_low[:, :-1], f_low[:, 1:], best)
 
 
 def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) -> tuple:
     """:func:`_scan`'s candidate and the brackets that need a search, for a
     block of streams of one shape: row i of ``vals`` holds stream i's
     prefix (``n`` values) then its cycle, and ``terms[:, i]`` its
-    ||x||_inf and 2 r (see :func:`_dropped`), as columns.
+    ||x||_inf and r (see :func:`_dropped`), as columns.
 
     From ``_GROUPED_MIN`` rows on, the block's groups of ``_GROUP`` rows
     first drop segments between coarse nodes (every ``_STRIDE``-th) from
@@ -1122,9 +1127,9 @@ def _coarse_to_fine(vals: np.ndarray, n: int, piece: _Piece, terms: np.ndarray) 
     best, node = v[first, i], k[first] * _STRIDE + i
     r, lo, hi, f_lo, f_hi = map(np.concatenate, zip(*brackets))
     lo, hi = d[lo], d[hi]
-    norm, two_r = terms[:, r, 0]
-    keep = ~(_dropped(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best[r])
-             | _monotone(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi))
+    norm, half = terms[:, r, 0]
+    keep = ~(_dropped(piece, n, p, norm, half, lo, hi, f_lo, f_hi, best[r])
+             | _monotone(piece, n, p, norm, half, lo, hi, f_lo, f_hi))
     return best, d[node], (r[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep])
 
 
@@ -1160,7 +1165,7 @@ def _minimize_on_interval(n: int, vals: np.ndarray,
 
     From ``_COARSE_MIN`` rows on, the rows are scanned coarse to fine in
     blocks of ``_BLOCK`` (see :func:`_coarse_to_fine`); fewer rows on the
-    full grid (see :func:`_scan`), with the row's (n, p, ||x||_inf, 2 r)
+    full grid (see :func:`_scan`), with the row's (n, p, ||x||_inf, r)
     taken from its values.  The brackets that :func:`_dropped` does not
     certify above the row's candidate, and :func:`_monotone` does not
     certify monotone, get one scalar golden-section search each, on the
@@ -1169,8 +1174,8 @@ def _minimize_on_interval(n: int, vals: np.ndarray,
     (argmins, values), one per row, as arrays: each row's candidates, its
     grid's first minimum and then its searches' results in order, folded by
     :func:`_lesser` as ``min()`` takes them, so ties resolve to the
-    smallest argmin.  It ignores overflow, which leaves inf in f, a bound
-    or 2 r near the float limit, and the NaN that may follow.
+    smallest argmin.  It ignores overflow, which leaves inf in f or a
+    bound near the float limit, and the NaN that may follow.
     """
     m, p = vals.shape[0], vals.shape[1] - n
     best_v, best_x = np.empty(m), np.empty(m)
@@ -1180,10 +1185,10 @@ def _minimize_on_interval(n: int, vals: np.ndarray,
             return np.full(m, piece.a), _dv_at(n, vals, piece.a) + piece.scalar(piece.a)
         if m >= _COARSE_MIN:
             top, bottom = vals.max(1), vals.min(1)
-            norm = np.maximum(top, -bottom)
+            norm, half = np.maximum(top, -bottom), top / 2 - bottom / 2
             for s in range(0, m, _BLOCK):
                 block = slice(s, s + _BLOCK)
-                terms = np.stack([norm[block], top[block] - bottom[block]])[:, :, None]
+                terms = np.stack([norm[block], half[block]])[:, :, None]
                 best_v[block], best_x[block], (r, *ends) = _coarse_to_fine(vals[block], n,
                                                                            piece, terms)
                 kept += zip((r + s).tolist(), *(e.tolist() for e in ends))
@@ -1192,8 +1197,8 @@ def _minimize_on_interval(n: int, vals: np.ndarray,
             # cost per call would show.
             for i, row in enumerate(vals.tolist()):
                 top, bottom = max(row), min(row)
-                (best_v[i], best_x[i]), brackets = _scan(row[:n], row[n:], piece,
-                                                         (n, p, max(top, -bottom), top - bottom))
+                terms = n, p, max(top, -bottom), top / 2 - bottom / 2
+                (best_v[i], best_x[i]), brackets = _scan(row[:n], row[n:], piece, terms)
                 kept += [(i, *br) for br in brackets]
         if len(kept) < _LOCKSTEP_MIN:
             for i, *ends in kept:

@@ -8,14 +8,17 @@ field, or the line/column for malformed JSON files.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .discounting import CostFunction, Criterion, _Cost, _Criterion
-from .eigen import OperatorMatrix, builtin_operator
 from .errors import ParseError, decoding, tagged
-from .panel import ExpertPanel
 from .streams import stream_from_dict, stream_to_dict  # noqa: F401  (re-export)
+
+if TYPE_CHECKING:   # imported where used, so that a stream command loads neither
+    from .eigen import OperatorMatrix
+    from .panel import ExpertPanel
 
 
 def load_json_file(path: str) -> dict:
@@ -58,6 +61,7 @@ def criterion_from_dict(data: dict) -> Criterion:
 # -- operators --------------------------------------------------------------
 
 def operator_from_dict(data: dict) -> OperatorMatrix:
+    from .eigen import OperatorMatrix, builtin_operator
     tag, body = tagged(data, "operator", ("builtin", "matrix"))
     with decoding(tag):
         if tag == "matrix":
@@ -76,6 +80,7 @@ def panel_to_dict(panel: ExpertPanel) -> dict:
 
 
 def panel_from_dict(data: dict) -> ExpertPanel:
+    from .panel import ExpertPanel
     if not isinstance(data, dict) or "factors" not in data:
         raise ParseError("panel object needs a 'factors' entry", field="factors")
     with decoding("factors"):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -216,6 +215,7 @@ def weitzman_panel(n: int, seed: int, conversion: str = "inverse") -> ExpertPane
     generator.  All confidences are zero.  Raises :class:`InvalidPanel`
     for n < 1.
     """
+    from statistics import NormalDist   # here, so that recover-cost does not load it
     if n < 1:
         raise InvalidPanel(f"panel size must be >= 1, got {n}")
     parent = NormalDist(_SURVEY_MU, _SURVEY_SIGMA)

@@ -130,7 +130,7 @@ def test_axioms_unexpected_failure_exits_one(files, capsys, monkeypatch):
         return AxiomReport(axiom=axiom, trials=trials, passes=0,
                            violation={"gap": 1.0}, seed=seed, tol=tol,
                            transform=None)
-    monkeypatch.setattr(cli.ax, "check_axiom", broken)
+    monkeypatch.setattr("tempora.axioms.check_axiom", broken)
     code, out, _ = run(capsys, ["axioms", "--criterion", files["edu"],
                                 "--trials", "1", "--seed", "0",
                                 "--axiom", "monotonicity"])
@@ -355,11 +355,46 @@ def test_malformed_transform_id_exits_two(axiom_id, files, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    code = ("import sys, tempora.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # Nor numpy, nor a module of the package but the CLI and its errors:
+    # each command imports what it runs.
+    code = "import sys, tempora.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    loaded = proc.stdout.split()
+    assert not [m for m in loaded if m.split(".")[0] in ("scipy", "numpy")]
+    assert [m for m in loaded if m.split(".")[0] == "tempora"] == \
+        ["tempora", "tempora.cli", "tempora.errors"]
+
+
+def fresh_run(*argv):
+    """(exit code, stdout, stderr, loaded modules) of ``tempora ARGV`` in a
+    fresh interpreter, run as the console script runs it."""
+    code = ("import sys\nfrom tempora.cli import main\ncode = main()\n"
+            "print('\\n' + ' '.join(sorted(sys.modules)))\nsys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=src_env(),
+                          capture_output=True, text=True)
+    out, loaded = proc.stdout.rstrip("\n").rsplit("\n", 1)
+    return proc.returncode, out, proc.stderr, set(loaded.split())
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2)])
+def test_help_and_a_usage_error_load_no_numpy(argv, code):
+    got, out, err, loaded = fresh_run(*argv)
+    assert got == code
+    assert "usage: tempora" in out + err and "Traceback" not in err
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("command", ["eval", "compare", "sweep"])
+def test_stream_commands_load_no_harness_operators_or_panels(command, files):
+    cost = write(files["tmp"] / "cost.json", {"quadratic": {"center": 0.9, "stiffness": 5}})
+    argv = {"eval": ["--stream", files["probe"], "--criterion", files["maxmin"]],
+            "compare": ["--a", files["probe"], "--b", files["alt"], "--criterion", files["edu"]],
+            "sweep": ["--stream", files["probe"], "--cost", cost, "--grid", "3"]}[command]
+    code, _, err, loaded = fresh_run(command, *argv)
+    assert (code, err) == (0, "")
+    assert "tempora.discounting" in loaded
+    assert not loaded & {"tempora.axioms", "tempora.eigen", "tempora.panel", "statistics"}
 
 
 def test_tail_mean_past_the_float_range_is_printed(tmp_path, capsys):
@@ -519,15 +554,11 @@ limit_criteria = st.one_of(
 LIMIT_GRID = np.linspace(0.0, 1.0 - 1e-9, 2001)
 
 
-@settings(max_examples=500, deadline=None)
-@given(stream=limit_streams, criterion=limit_criteria)
-def test_eval_at_the_float_limits_stays_within_the_stream(stream, criterion, slot_dir):
-    # Every criterion is normalized and monotone, so inf x <= I(x) <= sup x.
-    # Up to rounding: 1e-12 of ||x||_inf, and a few subnormals.  A
-    # quadratic cost's minimum lies in the stream's range, but the value
-    # found may exceed it by the cost at the grid node next to the centre.
-    argv = ["eval"]
-    for flag, payload in (("--stream", stream), ("--criterion", criterion)):
+def run_at_the_limits(command, payloads, slot_dir):
+    """(exit code, stdout) of ``command`` on files holding ``payloads``, one
+    per flag; it leaves no traceback and no numpy warning on stderr."""
+    argv = [command]
+    for flag, payload in payloads.items():
         path = slot_dir / f"limit{flag}.json"
         path.write_text(json.dumps(payload))
         argv += [flag, str(path)]
@@ -539,16 +570,46 @@ def test_eval_at_the_float_limits_stays_within_the_stream(stream, criterion, slo
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    if code != 0:
-        return
+    return code, out.getvalue()
+
+
+def assert_within_the_stream(value, stream, criterion):
+    # Every criterion is normalized and monotone, so inf x <= I(x) <= sup x.
+    # Up to rounding: 1e-12 of ||x||_inf, and a few subnormals.  A
+    # quadratic cost's minimum lies in the stream's range, but the value
+    # found may exceed it by the cost at the grid node next to the centre.
     x = tempora.stream_from_dict(stream)
     values = x.prefix + x.tail_cycle
-    value = float(out.getvalue())
     tol = 1e-12 * max(map(abs, values)) + 1e-320
     cost = criterion.get("variational", {}).get("cost", {}).get("quadratic")
     if cost is not None:
         tol += cost["stiffness"] * float(np.min(np.abs(LIMIT_GRID - cost["center"]))) ** 2
     assert min(values) - tol <= value <= max(values) + tol, (value, values)
+
+
+@settings(max_examples=500, deadline=None)
+@given(stream=limit_streams, criterion=limit_criteria)
+def test_eval_at_the_float_limits_stays_within_the_stream(stream, criterion, slot_dir):
+    code, out = run_at_the_limits("eval", {"--stream": stream, "--criterion": criterion},
+                                  slot_dir)
+    if code == 0:
+        assert_within_the_stream(float(out), stream, criterion)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=limit_streams, b=limit_streams, criterion=limit_criteria)
+def test_compare_at_the_float_limits_ranks_values_within_their_streams(a, b, criterion,
+                                                                      slot_dir):
+    code, out = run_at_the_limits("compare", {"--a": a, "--b": b, "--criterion": criterion},
+                                  slot_dir)
+    if code != 0:
+        return
+    lines = out.splitlines()
+    assert [line[:4] for line in lines[:2]] == ["a = ", "b = "] and len(lines) == 3
+    va, vb = float(lines[0][4:]), float(lines[1][4:])
+    assert_within_the_stream(va, a, criterion)
+    assert_within_the_stream(vb, b, criterion)
+    assert lines[2] == ("a > b" if va > vb else "b > a" if vb > va else "a ~ b")
 
 
 def test_an_in_process_call_leaves_no_cycles_for_the_collector(files, capsys):

@@ -76,15 +76,15 @@ def row_of(x):
 
 
 def terms_of(x):
-    """(n, p, ||x||_inf, 2 r) of a stream, as the minimizer takes them
+    """(n, p, ||x||_inf, r) of a stream, as the minimizer takes them
     from a row on the full grid."""
     values = x.prefix + x.tail_cycle
     top, bottom = max(values), min(values)
-    return len(x.prefix), x.period, max(top, -bottom), top - bottom
+    return len(x.prefix), x.period, max(top, -bottom), top / 2 - bottom / 2
 
 
 def uncertified(terms):
-    """``terms`` with ||x||_inf and 2 r taken as inf, under which no
+    """``terms`` with ||x||_inf and r taken as inf, under which no
     certificate holds: the scan then returns every bracket its grid opens."""
     n, p, _, _ = terms
     return n, p, math.inf, math.inf
@@ -1373,7 +1373,7 @@ def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale)
     cost = cost._indicator if isinstance(cost, Maxmin) else cost
     pre, cyc = row_of(x)
     dv = D._dv_scalar(pre, cyc)
-    terms = n, p, norm, two_r = terms_of(x)
+    terms = n, p, norm, r = terms_of(x)
     for piece in cost.pieces:
         if piece.b <= piece.a:
             continue
@@ -1394,13 +1394,13 @@ def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale)
         assert D._scan(pre, cyc, piece, terms) == \
             (candidate, [br for br in brackets[:scanned] if br in kept])
         for lo, hi, f_lo, f_hi in set(brackets) - set(kept):
-            if D._dropped(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi, best):
+            if D._dropped(piece, n, p, norm, r, lo, hi, f_lo, f_hi, best):
                 assert D._golden(objective, lo, hi, f_lo, f_hi)[1] > best
                 assert all(objective(d) > best for d in np.linspace(lo, hi, 101).tolist())
             else:
                 # Certified monotone: the search returns its lower end, a
                 # grid node no lower than the first candidate.
-                assert D._monotone(piece, n, p, norm, two_r, lo, hi, f_lo, f_hi)
+                assert D._monotone(piece, n, p, norm, r, lo, hi, f_lo, f_hi)
                 end = (hi, f_hi) if f_hi < f_lo else (lo, f_lo)
                 assert hex_bits(D._golden(objective, lo, hi, f_lo, f_hi)) == hex_bits(end)
                 assert end[::-1] >= candidate
@@ -1409,7 +1409,7 @@ def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale)
         coarse = f[::D._STRIDE]
         ends = g.d[::D._STRIDE]
         with np.errstate(over="ignore", invalid="ignore"):
-            dropped = D._dropped(piece, n, p, norm, two_r, ends[:-1], ends[1:],
+            dropped = D._dropped(piece, n, p, norm, r, ends[:-1], ends[1:],
                                  np.array(coarse[:-1]), np.array(coarse[1:]), min(coarse))
         for s in np.flatnonzero(dropped).tolist():
             nodes = f[s * D._STRIDE:(s + 1) * D._STRIDE + 1]
@@ -1431,7 +1431,7 @@ def test_the_curvature_bound_holds_on_every_sub_interval(x, scale, pairs):
     # above that value there.
     x = make_stream([v * scale for v in x.prefix],
                     Periodic(tuple(v * scale for v in x.tail_cycle)))
-    n, p, norm, two_r = terms_of(x)
+    n, p, norm, r = terms_of(x)
     dv = D._dv_scalar(*row_of(x))
     eps = np.finfo(float).eps
     for cost in REF_COSTS:
@@ -1444,13 +1444,13 @@ def test_the_curvature_bound_holds_on_every_sub_interval(x, scale, pairs):
                 t = np.linspace(lo, hi, 201).tolist()
                 f = np.array([dv(d) + piece.scalar(d) for d in t])
                 slope, curvature = piece.bound(lo, hi)
-                m2 = D._curvature(n, p, two_r, hi, curvature)
+                m2 = D._curvature(n, p, r, hi, curvature) * D._UP
                 h = (hi - lo) / 200
                 tol = 16.0 * eps * (n + p + 15) * (np.abs(f).max() + norm + slope + 1.0)
                 assert (np.abs(np.diff(f, 2)) <= m2 * h * h + tol).all(), (cost, lo, hi)
                 chord = min(f[0], f[-1]) - m2 * (hi - lo) ** 2 / 8.0
                 assert chord <= f.min() + tol, (cost, lo, hi)
-                assert not D._dropped(piece, n, p, norm, two_r, lo, hi, f[0], f[-1], f.min())
+                assert not D._dropped(piece, n, p, norm, r, lo, hi, f[0], f[-1], f.min())
 
 
 # ---------------------------------------------------------------------------
@@ -1599,7 +1599,7 @@ def scaled_under(x, bound):
 def test_the_float_certificate_at_the_float_limits(x, cost, monkeypatch):
     # Python floats: neither bound may raise OverflowError or warn, and
     # neither may drop a bracket that holds the exact minimum's factor.
-    terms = n, p, norm, two_r = terms_of(x)
+    terms = n, p, norm, r = terms_of(x)
     pre, cyc = row_of(x)
     handed, scan = [], D._scan
 
@@ -1631,7 +1631,7 @@ def test_the_float_certificate_at_the_float_limits(x, cost, monkeypatch):
                                                   or D._monotone(piece, *terms, *br))]
             assert found == [br for br in brackets[:scanned] if br in kept]
             best = candidate[0]
-            dropped = [D._dropped(piece, n, p, norm, two_r, *br, best) for br in brackets]
+            dropped = [D._dropped(piece, n, p, norm, r, *br, best) for br in brackets]
         held = [lo <= want_d <= hi for lo, hi, *_ in brackets]
         assert not any(d and h for d, h in zip(dropped, held)), (piece.a, want_d)
         if piece.a <= want_d <= piece.b:
@@ -1738,7 +1738,7 @@ def monotone_brackets(piece, knots):
 def test_a_certified_monotone_bracket_searches_to_its_lower_end(x, cost, scale, pairs):
     x = make_stream([v * scale for v in x.prefix],
                     Periodic(tuple(v * scale for v in x.tail_cycle)))
-    n, p, norm, two_r = terms_of(x)
+    n, p, norm, r = terms_of(x)
     dv = D._dv_scalar(*row_of(x))
     knots = [d for d, _ in cost.knots] if isinstance(cost, Tabulated) else []
     for piece in cost.pieces:
@@ -1748,10 +1748,10 @@ def test_a_certified_monotone_bracket_searches_to_its_lower_end(x, cost, scale, 
         brackets = monotone_brackets(piece, knots) + [
             tuple(sorted((a + (b - a) * u, a + (b - a) * v))) for u, v in pairs]
         ends = [(lo, hi, objective(lo), objective(hi)) for lo, hi in brackets]
-        sure = [D._monotone(piece, n, p, norm, two_r, *br) for br in ends]
+        sure = [D._monotone(piece, n, p, norm, r, *br) for br in ends]
         # One closed form: the arrays take the numbers' verdicts.
         with np.errstate(over="ignore", invalid="ignore"):
-            assert D._monotone(piece, n, p, norm, two_r,
+            assert D._monotone(piece, n, p, norm, r,
                                *map(np.array, zip(*ends))).tolist() == sure
         lockstep = D._golden_lockstep(D._lanes(*as_rows([x] * len(ends)), piece.lanes),
                                       *map(np.array, zip(*ends)))
@@ -1765,9 +1765,9 @@ def test_a_certified_monotone_bracket_searches_to_its_lower_end(x, cost, scale, 
             assert not ok or (f_lo != f_hi and hi - lo > D._XTOL
                               and not any(lo < k < hi for k in knots))
             for bad in (math.inf, -math.inf, math.nan):
-                assert not D._monotone(piece, n, p, norm, two_r, lo, hi, f_lo, bad)
-                assert not D._monotone(piece, n, p, norm, two_r, lo, hi, bad, f_hi)
-            assert not D._monotone(piece, n, p, norm, two_r, lo, hi, f_lo, f_lo)
+                assert not D._monotone(piece, n, p, norm, r, lo, hi, f_lo, bad)
+                assert not D._monotone(piece, n, p, norm, r, lo, hi, bad, f_hi)
+            assert not D._monotone(piece, n, p, norm, r, lo, hi, f_lo, f_lo)
 
 
 def test_the_quadratic_continuity_scan_runs_no_golden_section_search(monkeypatch):
@@ -1851,6 +1851,33 @@ def test_overflowing_and_constant_streams_keep_the_reference_bits(x, cost):
         want_d, want_v = ref_minimize_over_delta(x, cost)
         assert (got_d.hex(), got_v.hex()) == (want_d.hex(), want_v.hex())
     assert hex_bits(batched) == [got_v.hex()] * D._LOCKSTEP_MIN
+
+
+def test_a_batch_at_the_float_limit_runs_no_search(monkeypatch):
+    # Values of both signs near the limit: max x - min x overflows, and so
+    # would the margin's sum, f(lo) + f(hi) and M2, were they not taken in
+    # halves, quarters and over 2^64.  Every bracket is then dropped or
+    # certified monotone, as on the same stream scaled down, where before
+    # each of the 256 rows ran two lockstep lanes.
+    x, cost = OVERFLOW_STREAMS[1], Quadratic(0.9, 5.0)
+    calls = {"golden": 0, "lanes": 0}
+    golden, lockstep = D._golden, D._golden_lockstep
+
+    def counted_golden(*args, **kwargs):
+        calls["golden"] += 1
+        return golden(*args, **kwargs)
+
+    def counted_lockstep(fun, a, b, *args, **kwargs):
+        calls["lanes"] += a.size
+        return lockstep(fun, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(D, "_golden", counted_golden)
+    monkeypatch.setattr(D, "_golden_lockstep", counted_lockstep)
+    for size in (1, D._BLOCK):
+        values = evaluate_many(Variational(cost), [x] * size)
+        assert hex_bits(values) == ["-0x1.640306605227bp+1023"] * size
+    assert calls == {"golden": 0, "lanes": 0}
+    assert_near_exact_minimum(values[0], x, cost)
 
 
 # ---------------------------------------------------------------------------
