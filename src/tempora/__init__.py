@@ -24,10 +24,11 @@ _API = {
     "eigen": """DiscountVector EigenResult OperatorMatrix adjoint builtin_operator
                 geometric_invariance_check invariant_structure uniform_vector verify_eigen""",
     "axioms": """AXIOM_IDS AxiomReport DelayTransform MatrixTransform PairwiseSwapTransform
-                 PermuteTransform ScaleTransform check_axiom improving_pair parse_axiom_id
-                 parse_transform random_stream replay_violation run_counterexamples""",
-    "panel": """ExpertPanel check_unanimity panel_criterion panel_from_rates rate_to_factor
-                recover_cost unanimity_probe weitzman_panel""",
+                 PermuteTransform ScaleTransform check_axiom check_unanimity improving_pair
+                 parse_axiom_id parse_transform random_stream replay_violation
+                 run_counterexamples""",
+    "panel": """ExpertPanel panel_criterion panel_from_rates rate_to_factor recover_cost
+                unanimity_probe weitzman_panel""",
 }
 _HOME = {name: module for module, names in _API.items() for name in names.split()}
 __all__ = [*_HOME, "errors"]

@@ -18,7 +18,9 @@ Conditional axioms about improving sequences (``idis``, ``itis``,
 :func:`improving_pair` manufactures exactly indifferent pairs, so the
 premise holds by construction.  Completeness and transitivity of the
 induced ranking hold by construction for a real-valued functional, and
-are not tested.  ``run_counterexamples`` replays a fixed regression
+are not tested.  :func:`check_unanimity` tests an expert panel's Pareto
+property with the same seeded trials and certificates; the harness alone
+writes that format.  ``run_counterexamples`` replays a fixed regression
 registry of four documented cases with hard-coded expected values.
 """
 
@@ -27,11 +29,11 @@ from __future__ import annotations
 import dataclasses
 import inspect
 from dataclasses import dataclass
-from typing import Callable, get_args
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .discounting import (BanachWindow, Criterion, Inf, Liminf, Maxmin, as_evaluator,
+from .discounting import (BanachWindow, Inf, Liminf, Maxmin, _Criterion, as_evaluator,
                           discounted_value, evaluate)
 from .errors import InvalidAxiom, InvalidPermutation, RegressionFailure
 from .patient import inf_value
@@ -39,6 +41,9 @@ from .streams import (Constant, Periodic, Stream, _mixture_rows, _stream, add,
                       constant_stream, delay, inverse_permutation, make_stream, mixtures,
                       pairwise_swap, permute, scale_translate, shift_left,
                       stream_from_dict, stream_to_dict, sup_distance)
+
+if TYPE_CHECKING:   # imported where used, so that the panels load only with a panel check
+    from .panel import ExpertPanel
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +394,6 @@ def _judge_permuted(ev, tol, transform, x, d, sigma):
 _SCAN_CHUNK = 256
 
 
-def _each(ev, xs):
-    """ev over xs: one batch for a criterion, one by one (lazily) for a
-    plain callable.  The criterion classes go to ``isinstance`` as a tuple,
-    a form every supported Python takes."""
-    return ev.many(xs) if _is_criterion(ev) else map(ev, xs)
-
-
-def _is_criterion(ev) -> bool:
-    return isinstance(ev, get_args(Criterion))
-
-
 def _mixes(ev, x, z, lams):
     """ev of each mix lam x + (1 - lam) z, in order, as arrays: for a
     criterion, one array, its ``rows`` on the mixes' values, with a stream
@@ -407,7 +401,7 @@ def _mixes(ev, x, z, lams):
     through ``evaluate_many``); for a plain callable, one array per mix,
     each evaluated only when the one before has been taken, so that a scan
     calls it no further than its first jump."""
-    if not _is_criterion(ev):
+    if not isinstance(ev, _Criterion):
         for y in mixtures(x, z, lams):
             yield np.array([ev(y)])
         return
@@ -542,6 +536,62 @@ def replay_violation(criterion, report: AxiomReport) -> float:
     if verdict is None:
         raise InvalidAxiom(f"the {report.key} certificate no longer violates")
     return verdict["gap"]
+
+
+# ---------------------------------------------------------------------------
+# unanimity of an expert panel
+# ---------------------------------------------------------------------------
+
+_PROBE_HUNT_ALPHAS = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5)
+
+
+def check_unanimity(panel: ExpertPanel, criterion, trials: int, seed: int,
+                    tol: float = 1e-9) -> AxiomReport:
+    """Test the Pareto property of ``criterion`` against the panel.
+
+    Each trial builds a pair (x, y) that every expert weakly ranks x >= y
+    (y plus a probe and an optional nonnegative stream, both with
+    everywhere-nonnegative discounted value) and requires
+    I(x) >= I(y) - tol.  Each trial additionally fires a probe at an
+    off-panel center with escalating scales: unanimity forces the probe's
+    value to reach the best constant all experts accept, which any finite
+    off-panel cost eventually fails.  Raises :class:`InvalidAxiom` for
+    trials < 1.
+    """
+    from .panel import unanimity_probe
+    ev = as_evaluator(criterion)
+
+    def trial(rng, i):
+        y = random_stream(rng)
+        bump = unanimity_probe(float(rng.uniform(0.0, 1.0)),
+                               float(rng.uniform(0.1, 3.0)))
+        if rng.random() < 0.5:
+            u = random_stream(rng)
+            bump = add(bump, scale_translate(u, 1.0, -inf_value(u)))
+        x = add(y, bump)
+        verdict = _at_least(ev(x), ev(y), tol)
+        if verdict is not None:
+            return {**_cert(x=x, y=y), **verdict}
+        center = _off_panel_center(panel, rng)
+        if center is None:
+            return None
+        theta = min((f - center) ** 2 for f in panel.factors)
+        for alpha in _PROBE_HUNT_ALPHAS:
+            verdict = _at_least(ev(unanimity_probe(center, alpha)), alpha * theta, tol)
+            if verdict is not None:
+                return {"probe_center": center, "alpha": alpha, **verdict}
+        return None
+
+    return _run_trials("unanimity", 977, trials, seed, tol, trial)
+
+
+def _off_panel_center(panel: ExpertPanel, rng: np.random.Generator,
+                      margin: float = 0.05) -> float | None:
+    for _ in range(64):
+        c = float(rng.uniform(0.0, 0.95))
+        if min(abs(c - f) for f in panel.factors) > margin:
+            return c
+    return None
 
 
 # ---------------------------------------------------------------------------

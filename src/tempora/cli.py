@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 
@@ -104,7 +103,7 @@ def _print_json(payload: dict) -> None:
 
 
 def _fmt(v: float) -> str:
-    return "inf" if math.isinf(v) else repr(float(v))
+    return repr(float(v))
 
 
 def _cmd_eval(args) -> int:

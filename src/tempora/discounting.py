@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
@@ -90,8 +91,9 @@ _ONE_EDGE = 1.0 - 1e-9
 _INF = math.inf
 
 #: An overflowing D is taken again on the values over ``_UP`` (see
-#: :func:`discounted_value`).
+#: :func:`discounted_value`), and scaled back saturates at ``_MAX``.
 _UP = 2.0 ** 64
+_MAX = sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,8 @@ def _dv_scalar(prefix, cycle) -> Callable[[float], float]:
         out = (1.0 - delta) * s + delta ** n * tail_abel
         if math.isfinite(out):
             return out
-        return _UP * _dv_scalar([v / _UP for v in prefix], [v / _UP for v in cycle])(delta)
+        out = _UP * _dv_scalar([v / _UP for v in prefix], [v / _UP for v in cycle])(delta)
+        return min(max(out, -_MAX), _MAX)
 
     return dv
 
@@ -147,8 +150,9 @@ def discounted_value(x: Stream, delta: float) -> float:
     Though |D_delta(x)| <= ||x||_inf, a sum may overflow, which leaves inf
     or NaN.  Such a value alone, element by element in the array forms, is
     taken again on the values divided by 2^64, exactly, and multiplied
-    back: (n + p) ||x||_inf / 2^64 cannot overflow, so D is always finite,
-    and every other value keeps its bits, whatever is evaluated beside it.
+    back, saturating at the largest float: (n + p) ||x||_inf / 2^64 cannot
+    overflow, so D is always finite, and every other value keeps its bits,
+    whatever is evaluated beside it.
 
     Raises:
         InvalidDelta: if delta is outside [0, 1] (or NaN).
@@ -253,8 +257,8 @@ def _dv_array(prefix, cycle, d: np.ndarray, power: np.ndarray,
     out += tail
     # A finite sum has no term that is not finite.
     if not math.isfinite(out.sum()):
-        np.copyto(out, _UP * _dv_array(np.divide(prefix, _UP), np.divide(cycle, _UP), d, power,
-                                       denom), where=~np.isfinite(out))
+        retaken = _UP * _dv_array(np.divide(prefix, _UP), np.divide(cycle, _UP), d, power, denom)
+        np.copyto(out, np.clip(retaken, -_MAX, _MAX), where=~np.isfinite(out))
     return out
 
 
@@ -1219,12 +1223,6 @@ def _minimize_on_interval(n: int, vals: np.ndarray,
     return best_x, best_v
 
 
-def _checked(c: CostFunction) -> CostFunction:
-    if not isinstance(c, _Cost):
-        raise InvalidCost(f"not a cost function: {c!r}")
-    return c
-
-
 def _minimize_rows(n: int, vals: np.ndarray, c: CostFunction) -> tuple[np.ndarray, np.ndarray]:
     """:func:`minimize_over_delta` of each row's stream, bit for bit, for
     canonical rows of one shape (see :func:`_minimize_on_interval`), as
@@ -1234,7 +1232,7 @@ def _minimize_rows(n: int, vals: np.ndarray, c: CostFunction) -> tuple[np.ndarra
     to +inf, as in :func:`minimize_over_delta`."""
     with np.errstate(over="ignore"):
         found = [(np.full(len(vals), d), _dv_at(n, vals, d) + k)
-                 for d, k in _checked(c).isolated()]
+                 for d, k in c.isolated()]
     found += [_minimize_on_interval(n, vals, piece) for piece in c.pieces]
     best_x, best_v = found[0]
     for x, v in found[1:]:
@@ -1284,7 +1282,9 @@ def minimize_over_delta(x: Stream, c: CostFunction) -> tuple[float, float]:
     ``delta = 1 - 1e-9``, plus the search tolerance; a quadratic cost whose
     center lies past 1 - 1e-9 adds at most ``stiffness * 1e-18``.
     """
-    found = [(discounted_value(x, d) + k, d) for d, k in _checked(c).isolated()]
+    if not isinstance(c, _Cost):
+        raise InvalidCost(f"not a cost function: {c!r}")
+    found = [(discounted_value(x, d) + k, d) for d, k in c.isolated()]
     n, row = len(x.prefix), np.array([x.prefix + x.tail_cycle])
     for piece in c.pieces:
         d_star, v_star = _minimize_on_interval(n, row, piece)
@@ -1462,6 +1462,12 @@ def evaluate_many(k: Criterion, xs: Iterable[Stream]) -> list[float]:
     for (n, _), at in shapes.items():
         out[at] = k.rows(n, np.array([xs[i].prefix + xs[i].tail_cycle for i in at]))
     return out.tolist()
+
+
+def evaluate_each(ev: Callable[[Stream], float], xs: Iterable[Stream]) -> Iterable[float]:
+    """``ev`` over ``xs``: one batch (:func:`evaluate_many`) for a
+    criterion, one by one (lazily) for a plain callable."""
+    return ev.many(xs) if isinstance(ev, _Criterion) else map(ev, xs)
 
 
 def as_evaluator(k) -> Callable[[Stream], float]:

@@ -3,12 +3,12 @@
 A finite panel of exponential-discounting experts induces a variational
 criterion whose cost is finite exactly on the recommended factors: the
 confidence `kappa_i` is the penalty for trusting expert i, and every factor
-off the panel is maximally penalized.  ``check_unanimity`` tests the Pareto
-property that ties the two together: whenever every expert weakly prefers x
-to y, the aggregate criterion must as well.  The probe stream of
-:func:`unanimity_probe` is the sharp instrument for hunting violations: its
-discounted value at factor delta' is exactly alpha * (delta' - center)^2,
-so it is worthless to one expert and strictly valuable to all others.
+off the panel is maximally penalized.  The probe stream of
+:func:`unanimity_probe` is the sharp instrument for hunting violations of
+the Pareto property that ties the two together, which the axiom harness
+checks (:func:`tempora.axioms.check_unanimity`): its discounted value at
+factor delta' is exactly alpha * (delta' - center)^2, so it is worthless to
+one expert and strictly valuable to all others.
 
 ``recover_cost`` inverts an evaluator into a cost table through the
 conjugate bound c(delta) >= I(x) - D_delta(x): the reported values are
@@ -24,13 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import AxiomReport, _at_least, _cert, _each, _run_trials, random_stream
-from .discounting import (IndicatorSet, Variational, as_evaluator,
-                          discounted_value)
+from .discounting import (IndicatorSet, Variational, as_evaluator, discounted_value,
+                          evaluate_each)
 from .errors import InvalidDelta, InvalidPanel
-from .patient import inf_value
-from .streams import (Constant, Stream, add, constant_stream, make_stream,
-                      scale_translate)
+from .streams import Constant, Stream, constant_stream, make_stream
 
 _RATE_CAP = 0.20
 #: Parent (mu, sigma) of the normal whose truncation to (0, _RATE_CAP] has
@@ -97,57 +94,6 @@ def unanimity_probe(center: float, alpha: float) -> Stream:
                        Constant(a * (1.0 - c) ** 2))
 
 
-_PROBE_HUNT_ALPHAS = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5)
-
-
-def check_unanimity(panel: ExpertPanel, criterion, trials: int, seed: int,
-                    tol: float = 1e-9) -> AxiomReport:
-    """Test the Pareto property of ``criterion`` against the panel.
-
-    Each trial builds a pair (x, y) that every expert weakly ranks x >= y
-    (y plus a probe and an optional nonnegative stream, both with
-    everywhere-nonnegative discounted value) and requires
-    I(x) >= I(y) - tol.  Each trial additionally fires a probe at an
-    off-panel center with escalating scales: unanimity forces the probe's
-    value to reach the best constant all experts accept, which any finite
-    off-panel cost eventually fails.  Raises :class:`InvalidAxiom` for
-    trials < 1.
-    """
-    ev = as_evaluator(criterion)
-
-    def trial(rng, i):
-        y = random_stream(rng)
-        bump = unanimity_probe(float(rng.uniform(0.0, 1.0)),
-                               float(rng.uniform(0.1, 3.0)))
-        if rng.random() < 0.5:
-            u = random_stream(rng)
-            bump = add(bump, scale_translate(u, 1.0, -inf_value(u)))
-        x = add(y, bump)
-        verdict = _at_least(ev(x), ev(y), tol)
-        if verdict is not None:
-            return {**_cert(x=x, y=y), **verdict}
-        center = _off_panel_center(panel, rng)
-        if center is None:
-            return None
-        theta = min((f - center) ** 2 for f in panel.factors)
-        for alpha in _PROBE_HUNT_ALPHAS:
-            verdict = _at_least(ev(unanimity_probe(center, alpha)), alpha * theta, tol)
-            if verdict is not None:
-                return {"probe_center": center, "alpha": alpha, **verdict}
-        return None
-
-    return _run_trials("unanimity", 977, trials, seed, tol, trial)
-
-
-def _off_panel_center(panel: ExpertPanel, rng: np.random.Generator,
-                      margin: float = 0.05) -> float | None:
-    for _ in range(64):
-        c = float(rng.uniform(0.0, 0.95))
-        if min(abs(c - f) for f in panel.factors) > margin:
-            return c
-    return None
-
-
 def recover_cost(evaluator, grid, probe_alphas=(1.0, 10.0, 100.0, 1e3, 1e5),
                  random_streams: int = 0, seed: int = 0,
                  spike_ns=(1, 10, 100)) -> list[tuple[float, float]]:
@@ -171,11 +117,13 @@ def recover_cost(evaluator, grid, probe_alphas=(1.0, 10.0, 100.0, 1e3, 1e5),
         raise InvalidDelta("recovery grid must lie inside [0, 1)")
     family: list[Stream] = [constant_stream(0.0), constant_stream(1.0)]
     family += [make_stream([-float(n)], Constant(0.0)) for n in spike_ns]
-    rng = np.random.default_rng(int(seed) % (2 ** 63))
-    family += [random_stream(rng) for _ in range(random_streams)]
+    if random_streams:
+        from .axioms import random_stream   # here, so that recover-cost loads no harness
+        rng = np.random.default_rng(int(seed) % (2 ** 63))
+        family += [random_stream(rng) for _ in range(random_streams)]
     centers = sorted(set([i / 20 for i in range(20)] + grid))
     family += [unanimity_probe(c, float(a)) for c in centers for a in probe_alphas]
-    evaluated = list(zip(family, _each(ev, family)))
+    evaluated = list(zip(family, evaluate_each(ev, family)))
     table: list[tuple[float, float]] = []
     for d in grid:
         best = -math.inf

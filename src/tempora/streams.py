@@ -1,15 +1,16 @@
 """Exact arithmetic on eventually periodic bounded utility streams.
 
-A stream is a bounded real sequence stored as a finite prefix followed by a
-tail that is either constant or periodic.  This class is closed under every
-operation the package applies (pointwise sums, nonnegative affine maps,
-delay, left shift, finite permutations), and it admits closed-form
+A stream is a bounded real sequence stored as its canonical prefix and
+cycle, the cycle repeated forever; :class:`Constant` (a cycle of one) and
+:class:`Periodic` are how its tail is written.  This class is closed under
+every operation the package applies (pointwise sums, nonnegative affine
+maps, delay, left shift, finite permutations), and it admits closed-form
 discounted sums and long-run averages, so identities can be verified
 exactly instead of through truncation.
 
-Construction always canonicalizes: a length-1 periodic cycle becomes a
-constant tail, cycles are reduced to their minimal period, and prefix
-entries that merely replay the tail are absorbed into it.  Canonicalization
+Construction always canonicalizes: cycles are reduced to their minimal
+period, and prefix entries that merely replay the tail are absorbed into
+it, so a repeated value is a constant tail.  Canonicalization
 never changes pointwise values, so two streams are equal (``==``) exactly
 when they agree at every index.
 
@@ -51,6 +52,10 @@ class Constant:
             raise InvalidStream(f"non-finite tail value {self.value!r}")
         object.__setattr__(self, "value", v)
 
+    @property
+    def cycle(self) -> tuple[float, ...]:
+        return (self.value,)
+
 
 @dataclass(frozen=True)
 class Periodic:
@@ -83,20 +88,19 @@ def _minimal_cycle(cycle: Sequence[float]) -> tuple[float, ...]:
 
 
 def _unchecked(cls, **fields):
-    """``cls(**fields)`` for a frozen dataclass, skipping ``__post_init__``:
+    """An instance of ``cls`` with ``fields`` set and no constructor run:
     for fields that are already valid and canonical."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
-def _canonical(pre: Sequence[float], cyc: Sequence[float],
-               tail: TailSpec | None = None) -> tuple[tuple[float, ...], TailSpec]:
-    """Canonical prefix and tail of the finite floats ``pre`` followed by
-    ``cyc`` repeated: the cycle reduced to its minimal period, prefix
-    entries that replay it absorbed, and a length-1 cycle folded into a
-    :class:`Constant`.  ``tail``, the tail whose cycle ``cyc`` is, comes
-    back as it is where it is already canonical."""
+def _canonical(pre: Sequence[float],
+               cyc: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Canonical prefix and cycle of the finite floats ``pre`` followed by
+    ``cyc`` repeated: the cycle reduced to its minimal period and prefix
+    entries that replay it absorbed.  A tuple ``cyc`` that is canonical
+    already comes back as the same object."""
     minimal = _minimal_cycle(cyc)
     n, p = len(pre), len(minimal)
     # Absorb pre[k - 1] while it equals the cycle continued backwards; the
@@ -104,13 +108,8 @@ def _canonical(pre: Sequence[float], cyc: Sequence[float],
     k = n
     while k and pre[k - 1] == minimal[(k - 1 - n) % p]:
         k -= 1
-    if p == 1:
-        return tuple(pre[:k]), (tail if isinstance(tail, Constant)
-                                else _unchecked(Constant, value=minimal[0]))
     s = (k - n) % p
-    if s == 0 and minimal is cyc and isinstance(tail, Periodic):
-        return tuple(pre[:k]), tail
-    return tuple(pre[:k]), _unchecked(Periodic, cycle=minimal[s:] + minimal[:s])
+    return tuple(pre[:k]), minimal[s:] + minimal[:s]
 
 
 def canonicalize_tail(tail: TailSpec) -> TailSpec:
@@ -121,36 +120,31 @@ def canonicalize_tail(tail: TailSpec) -> TailSpec:
     least rotation (the tie-breaking rule for comparing tails regardless of
     where the prefix ends).
     """
-    if not isinstance(tail, (Constant, Periodic)):
-        raise InvalidStream(f"not a tail spec: {tail!r}")
-    _, tail = _canonical((), (tail.value,) if isinstance(tail, Constant) else tail.cycle)
-    if isinstance(tail, Constant):
-        return tail
-    cyc = tail.cycle
-    return Periodic(min(cyc[k:] + cyc[:k] for k in range(len(cyc))))
+    cyc = Stream((), tail).tail_cycle
+    return Stream((), Periodic(min(cyc[k:] + cyc[:k] for k in range(len(cyc))))).tail
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Stream:
-    """Eventually periodic bounded sequence.
-
-    ``value_at(t)`` is ``prefix[t]`` for ``t < len(prefix)`` and the tail
-    value at offset ``t - len(prefix)`` afterwards.  Instances are immutable
-    and all operations are pure, so unrestricted concurrent use is safe.
+    """Eventually periodic bounded sequence, stored as its canonical
+    ``prefix`` and ``tail_cycle``.  ``value_at(t)`` is ``prefix[t]`` for
+    ``t < len(prefix)`` and the cycle's value at offset ``t - len(prefix)``
+    afterwards.  Instances are immutable and all operations are pure, so
+    unrestricted concurrent use is safe.
     """
 
-    prefix: tuple[float, ...] = ()
-    tail: TailSpec = Constant(0.0)
+    prefix: tuple[float, ...]
+    tail_cycle: tuple[float, ...]
 
-    def __post_init__(self):
-        pre = tuple(map(float, self.prefix))
+    def __init__(self, prefix: Iterable[float] = (), tail: TailSpec = Constant(0.0)):
+        pre = tuple(map(float, prefix))
         if not all(map(math.isfinite, pre)):
             raise InvalidStream("non-finite value in stream prefix")
-        if not isinstance(self.tail, (Constant, Periodic)):
-            raise InvalidStream(f"not a tail spec: {self.tail!r}")
-        prefix, tail = _canonical(pre, self.tail_cycle, self.tail)
+        if not isinstance(tail, (Constant, Periodic)):
+            raise InvalidStream(f"not a tail spec: {tail!r}")
+        prefix, cycle = _canonical(pre, tail.cycle)
         object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "tail_cycle", cycle)
 
     @staticmethod
     def from_values(vals: list[float], n: int) -> "Stream":
@@ -167,15 +161,16 @@ class Stream:
     # -- accessors ---------------------------------------------------------
 
     @property
-    def period(self) -> int:
-        """Length of the tail cycle (1 for a constant tail)."""
-        return 1 if isinstance(self.tail, Constant) else len(self.tail.cycle)
+    def tail(self) -> TailSpec:
+        """The tail spec of the cycle: :class:`Constant` for a cycle of one."""
+        cyc = self.tail_cycle
+        return (_unchecked(Constant, value=cyc[0]) if len(cyc) == 1
+                else _unchecked(Periodic, cycle=cyc))
 
     @property
-    def tail_cycle(self) -> tuple[float, ...]:
-        if isinstance(self.tail, Constant):
-            return (self.tail.value,)
-        return self.tail.cycle
+    def period(self) -> int:
+        """Length of the tail cycle (1 for a constant tail)."""
+        return len(self.tail_cycle)
 
     def value_at(self, t: int) -> float:
         return value_at(self, t)
@@ -232,9 +227,9 @@ def _window(xs: Sequence[Stream], n: int = 0, q: int = 1) -> tuple[int, list[lis
 
 def _stream(pre: Sequence[float], cyc: Sequence[float]) -> Stream:
     """The canonical stream ``pre`` then ``cyc`` repeated, for finite
-    floats: no ``__post_init__`` runs."""
-    prefix, tail = _canonical(pre, cyc)
-    return _unchecked(Stream, prefix=prefix, tail=tail)
+    floats: no constructor runs."""
+    prefix, cycle = _canonical(pre, cyc)
+    return _unchecked(Stream, prefix=prefix, tail_cycle=cycle)
 
 
 def add(x: Stream, y: Stream) -> Stream:
@@ -413,10 +408,8 @@ def sup_distance(x: Stream, y: Stream) -> float:
 # {"prefix": [...], "tail": {"periodic": [...]}}; "prefix" may be omitted.
 
 def stream_to_dict(x: Stream) -> dict:
-    if isinstance(x.tail, Constant):
-        tail = {"constant": x.tail.value}
-    else:
-        tail = {"periodic": list(x.tail.cycle)}
+    cyc = x.tail_cycle
+    tail = {"constant": cyc[0]} if len(cyc) == 1 else {"periodic": list(cyc)}
     return {"prefix": list(x.prefix), "tail": tail}
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,6 +12,15 @@ from tempora import Constant, Periodic, Stream
 # not from a local example database.
 settings.register_profile("derandomized", derandomize=True, deadline=None)
 settings.load_profile("derandomized")
+
+#: A stream whose D at ``SATURATING_AT``, retaken on the values over 2^64,
+#: is finite but rounds past the float range when multiplied back: it
+#: saturates at minus the largest float, the exact value.  Before it did,
+#: ``eval`` printed -inf, and the argmin row of a ``sweep`` under a
+#: tabulated cost read ``inf,nan,inf``.
+SATURATING = {"prefix": [-sys.float_info.max, -sys.float_info.max, 1e308],
+              "tail": {"constant": -1.0}}
+SATURATING_AT = 2.0364732356610535e-09
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False, width=64)

@@ -199,10 +199,10 @@ def test_a_closed_form_continuity_scan_builds_no_stream_per_mix(monkeypatch):
     # stream at all, where one per mix would be 10^4.
     import tempora.streams as S
     built = []
-    unchecked, post_init = S._unchecked, S.Stream.__post_init__
+    unchecked, init = S._unchecked, S.Stream.__init__
     monkeypatch.setattr(S, "_unchecked",
                         lambda cls, **f: built.append(cls) or unchecked(cls, **f))
-    monkeypatch.setattr(S.Stream, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(S.Stream, "__init__", lambda self, *a: built.append(1) or init(self, *a))
     draw, judge = AX._AXIOMS["continuity_segment"]
     inside = []
 
@@ -231,10 +231,10 @@ def test_the_minimizer_builds_no_stream_for_a_batch_row(monkeypatch, k, seed, se
     import tempora.discounting as D
     import tempora.streams as S
     built, inside = [], []
-    unchecked, post_init = S._unchecked, S.Stream.__post_init__
+    unchecked, init = S._unchecked, S.Stream.__init__
     monkeypatch.setattr(S, "_unchecked",
                         lambda cls, **f: built.append(cls) or unchecked(cls, **f))
-    monkeypatch.setattr(S.Stream, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(S.Stream, "__init__", lambda self, *a: built.append(1) or init(self, *a))
     minimize, golden = D._minimize_on_interval, D._golden
     counts = {"streams": 0, "searches": 0}
 
@@ -359,6 +359,13 @@ def test_reports_without_an_axiom_id_do_not_replay():
     for report in (rep, registry):
         with pytest.raises(InvalidAxiom):
             replay_violation(Inf(), report)
+
+
+def test_a_passing_report_has_nothing_to_replay():
+    rep = check_axiom(Edu(0.9), "monotonicity", trials=2, seed=0)
+    assert rep.passed
+    with pytest.raises(InvalidAxiom, match="no violation"):
+        replay_violation(Edu(0.9), rep)
 
 
 @pytest.mark.parametrize("text", ["itis:scale:abc", "itis:permute:a,b", "itis:permute:",

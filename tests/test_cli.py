@@ -12,13 +12,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tempora
 from tempora import Criterion, Edu, cli
 from tempora.axioms import AxiomReport, check_axiom, parse_axiom_id
 from tempora.eigen import MAX_BUILTIN_DIM
+
+from conftest import SATURATING
 
 
 def write(path, payload):
@@ -397,6 +399,20 @@ def test_stream_commands_load_no_harness_operators_or_panels(command, files):
     assert not loaded & {"tempora.axioms", "tempora.eigen", "tempora.panel", "statistics"}
 
 
+def test_recover_cost_loads_the_panels_and_no_harness_or_operators(files):
+    code, out, err, loaded = fresh_run("recover-cost", "--criterion", files["maxmin"],
+                                       "--grid", "0.3,0.5", "--alphas", "1,10")
+    assert (code, err) == (0, "") and out.startswith("delta,cost_lower_bound\n")
+    assert "tempora.panel" in loaded
+    assert not loaded & {"tempora.axioms", "tempora.eigen", "statistics"}
+
+
+def test_a_printed_number_is_its_float_repr():
+    inf = float("inf")
+    assert [cli._fmt(v) for v in (-inf, inf, float("nan"), 0.1, -0.0, 1e308, 5e-324)] == \
+        ["-inf", "inf", "nan", "0.1", "-0.0", "1e+308", "5e-324"]
+
+
 def test_tail_mean_past_the_float_range_is_printed(tmp_path, capsys):
     # fsum of the cycle overflows; the mean itself is a float.
     big = write(tmp_path / "big.json", {"prefix": [], "tail": {"periodic": [1e308, 1.5e308]}})
@@ -554,20 +570,23 @@ limit_criteria = st.one_of(
 LIMIT_GRID = np.linspace(0.0, 1.0 - 1e-9, 2001)
 
 
-def run_at_the_limits(command, payloads, slot_dir):
+def run_at_the_limits(command, payloads, slot_dir, *extra):
     """(exit code, stdout) of ``command`` on files holding ``payloads``, one
-    per flag; it leaves no traceback and no numpy warning on stderr."""
+    per flag, then the arguments ``extra``; it leaves no traceback and no
+    numpy warning on stderr, and nothing at all there when it exits 0."""
     argv = [command]
     for flag, payload in payloads.items():
         path = slot_dir / f"limit{flag}.json"
         path.write_text(json.dumps(payload))
         argv += [flag, str(path)]
+    argv += extra
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = cli.main(argv)
     assert code in (0, 1, 2)
+    assert code != 0 or err.getvalue() == ""
     assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     return code, out.getvalue()
@@ -610,6 +629,25 @@ def test_compare_at_the_float_limits_ranks_values_within_their_streams(a, b, cri
     assert_within_the_stream(va, a, criterion)
     assert_within_the_stream(vb, b, criterion)
     assert lines[2] == ("a > b" if va > vb else "b > a" if vb > va else "a ~ b")
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=limit_streams, cost=limit_costs, grid=st.integers(1, 4))
+@example(stream=SATURATING, cost={"tabulated": {"knots": [[0.2, 1.0], [0.5, 0.0], [0.8, 2.0]]}},
+         grid=2)
+def test_sweep_at_the_float_limits_prints_discounted_values_within_the_stream(stream, cost, grid,
+                                                                             slot_dir):
+    code, out = run_at_the_limits("sweep", {"--stream": stream, "--cost": cost}, slot_dir,
+                                  "--grid", str(grid))
+    assert code in (0, 2)
+    if code != 0:
+        return
+    header, *rows = out.splitlines()
+    assert header == "delta,discounted,cost,total,is_argmin" and len(rows) == grid + 1
+    for row in rows:
+        fields = row.split(",")
+        assert "nan" not in fields, row
+        assert_within_the_stream(float(fields[1]), stream, {})
 
 
 def test_an_in_process_call_leaves_no_cycles_for_the_collector(files, capsys):

@@ -31,6 +31,8 @@ from tempora.streams import _mixture_rows, _stream
 import tempora.axioms as A
 import tempora.discounting as D
 
+from conftest import SATURATING, SATURATING_AT
+
 ALL_DELTAS = [i / 10 for i in range(10)] + [0.99, 1.0]
 
 CRITERIA = [
@@ -195,6 +197,8 @@ def test_cost_validation():
         IndicatorSet(points=(1.0,))                       # point at 1
     with pytest.raises(InvalidCost):
         IndicatorSet(points=(0.5,), point_costs=(1.0,))   # not grounded
+    with pytest.raises(InvalidCost, match="length"):
+        IndicatorSet(points=(0.1, 0.2), point_costs=(0.0,))
     with pytest.raises(InvalidCost):
         IndicatorSet(intervals=((1.0, 1.0),))             # collapses onto 1
     with pytest.raises(InvalidCost):
@@ -209,6 +213,21 @@ def test_cost_validation():
         Tabulated(knots=((0.2, 1e308), (0.5, 0.0)))       # slope -inf
     with pytest.raises(InvalidCost):
         Tabulated(knots=((0.2, 1e308), (0.5, 1.7e308), (0.8, 0.0)))   # slopes inf, -inf
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: minimize_over_delta(constant_stream(1.0), Edu(0.5)), InvalidCost, "not a cost"),
+    (lambda: cost_eval(Edu(0.5), 0.5), InvalidCost, "not a cost"),
+    (lambda: cost_eval(Quadratic(0.5, 1.0), 1.5), InvalidDelta, "must lie in"),
+    (lambda: cost_eval(Quadratic(0.5, 1.0), float("nan")), InvalidDelta, "must lie in"),
+    (lambda: evaluate(Quadratic(0.5, 1.0), constant_stream(1.0)), InvalidCriterion,
+     "not a criterion"),
+    (lambda: Variational(Edu(0.5)), InvalidCriterion, "not a cost"),
+], ids=["minimize-criterion", "cost_eval-criterion", "cost_eval-above-1", "cost_eval-nan",
+        "evaluate-cost", "variational-criterion"])
+def test_a_public_entry_rejects_an_argument_of_the_wrong_kind(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -1638,12 +1657,14 @@ def test_the_float_certificate_at_the_float_limits(x, cost, monkeypatch):
             assert any(held)
 
 
+_MAX_FLOAT = sys.float_info.max
+
 #: The float-limit repros through the CLI: each stream, criterion and the
 #: value ``eval`` prints, where one is pinned.  Before D was rescaled, the
 #: first two printed -inf, the third 9.800000000000001e+307 (D_0.9
 #: overflowed to +inf, so the minimum took D_0.1) and the fourth
 #: -2.726e307, and the quadratic costs left numpy's overflow warning on
-#: stderr.
+#: stderr.  Before the rescaled value saturated, the last two printed -inf.
 LIMIT_EVALS = [
     ({"prefix": [-1e154, -1.7e308, -1e308], "tail": {"constant": -1.7e308}},
      {"edu": {"delta": 0.999}}, -1.6976013993e308),
@@ -1653,6 +1674,9 @@ LIMIT_EVALS = [
      {"maxmin": {"points": [0.1, 0.9]}}, -6.2e307),
     ({"prefix": [1e308, 1e308], "tail": {"constant": -1e308}},
      {"variational": {"cost": {"quadratic": {"center": 0.9, "stiffness": 5}}}}, None),
+    (SATURATING, {"edu": {"delta": SATURATING_AT}}, -_MAX_FLOAT),
+    (SATURATING, {"variational": {"cost": {"tabulated": {
+        "knots": [[0.2, 1.0], [0.5, 0.0], [0.8, 2.0]]}}}}, -_MAX_FLOAT),
 ]
 
 
@@ -1677,6 +1701,16 @@ def test_eval_at_the_float_limits_prints_the_exact_value(stream, criterion, prin
         assert_near_exact_minimum(v, x, k if isinstance(k, Maxmin) else k.cost)
     if printed is not None:
         assert v == pytest.approx(printed, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_value_scaled_back_past_the_float_range_saturates():
+    x, d = stream_from_dict(SATURATING), SATURATING_AT
+    want = exact_dv(x, d)
+    assert float(want) == -_MAX_FLOAT
+    got = [discounted_value(x, d), *evaluate_many(Edu(d), [x] * 3),
+           *evaluate_many(Maxmin(points=(d,)), [x] * 3)]
+    assert all(abs(v - want) <= math.ulp(_MAX_FLOAT) for v in got), got
 
 
 #: Each cost shape, maxmin and edu at the float limits, with a knot and a

@@ -22,6 +22,15 @@ def test_operator_validation():
         DiscountVector(np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("call", [
+    verify_eigen,
+    lambda m, p: invariant_structure(m, start=p),
+], ids=["verify_eigen", "invariant_structure-start"])
+def test_a_vector_of_another_dimension_is_rejected(call):
+    with pytest.raises(InvalidOperator, match="dimension mismatch"):
+        call(OperatorMatrix(np.eye(3)), uniform_vector(2))
+
+
 # ---------------------------------------------------------------------------
 # adjoint
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ def test_panel_validation():
         ExpertPanel(factors=(0.5,), confidences=(1.0,))   # not grounded
     with pytest.raises(InvalidPanel):
         ExpertPanel(factors=(0.5, 0.6), confidences=(0.0,))
+    for confidence in (math.nan, math.inf):
+        with pytest.raises(InvalidPanel, match="finite"):
+            ExpertPanel(factors=(0.5, 0.6), confidences=(0.0, confidence))
     panel = ExpertPanel(factors=(0.5, 0.6))
     assert panel.confidences == (0.0, 0.0)
 

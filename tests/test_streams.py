@@ -58,8 +58,12 @@ def test_make_stream_reduces_cycle_to_minimal_period():
 def test_a_canonical_stream_keeps_its_tail_object(rng):
     xs = [random_stream(rng) for _ in range(200)]
     xs += [make_stream([1.0, -0.0], Constant(-0.0)), make_stream([2.0], Periodic((0.0, -0.0, 1.0)))]
+    # The tail is stored as its cycle, and a canonical cycle is not rebuilt.
     for x in xs:
-        assert Stream(x.prefix, x.tail).tail is x.tail
+        y = Stream(x.prefix, x.tail)
+        assert bits(y) == bits(x)
+        # A cycle of one comes back as a new tuple around the same float.
+        assert y.tail_cycle is x.tail_cycle if x.period > 1 else y.tail_cycle[0] is x.tail_cycle[0]
     # A tail that is not canonical is still rebuilt.
     assert make_stream([1.0], Periodic((5.0, 5.0))).tail == Constant(5.0)
     assert make_stream([1.0], Periodic((0.0, 1.0))).tail == Periodic((1.0, 0.0))
@@ -72,6 +76,22 @@ def test_non_finite_values_rejected():
         make_stream([0.0], Constant(float("inf")))
     with pytest.raises(InvalidStream):
         make_stream([], Periodic(()))
+
+
+@pytest.mark.parametrize("build", [lambda tail: Stream((), tail), canonicalize_tail],
+                         ids=["Stream", "canonicalize_tail"])
+@pytest.mark.parametrize("tail", [0.5, None, (1.0, 2.0), {"constant": 0.5}])
+def test_a_tail_that_is_no_tail_spec_is_rejected(build, tail):
+    with pytest.raises(InvalidStream, match="not a tail spec"):
+        build(tail)
+
+
+def test_the_operators_are_add_and_scale():
+    x, y = make_stream([3.0, -2.0], Periodic((1.0, 4.0, 2.0))), ALT_NEG
+    assert x + y == add(x, y)
+    assert bits(2.5 * x) == bits(scale_translate(x, 2.5))
+    with pytest.raises(InvalidScale):
+        -1.0 * x
 
 
 def test_equality_is_pointwise_not_representational():
@@ -243,12 +263,11 @@ def test_mixture_rows_mask_every_row_that_canonicalization_changes(x, z, same, l
     n, vals, mask = _mixture_rows(x, z, lams)
     assert vals.shape == (len(lams), n + math.lcm(x.period, z.period))
     for row, masked, got in zip(vals.tolist(), mask.tolist(), mixtures(x, z, lams)):
-        prefix, tail = _canonical(row[:n], row[n:])
-        cycle = (tail.value,) if isinstance(tail, Constant) else tail.cycle
+        prefix, cycle = _canonical(row[:n], row[n:])
         unchanged = len(prefix) == n and [v.hex() for v in prefix + cycle] == [v.hex() for v in row]
         assert masked or unchanged
-        assert bits(got) == ([v.hex() for v in prefix], type(tail).__name__,
-                             [v.hex() for v in cycle])
+        kind = "Constant" if len(cycle) == 1 else "Periodic"
+        assert bits(got) == ([v.hex() for v in prefix], kind, [v.hex() for v in cycle])
 
 
 def reference_minimal_cycle(cycle):
@@ -685,13 +704,15 @@ def test_a_matrix_product_that_overflows_raises_without_a_numpy_warning():
 
 @pytest.fixture
 def post_inits(monkeypatch):
-    """Counts of ``__post_init__`` runs of Stream, Periodic and Constant."""
+    """Counts of the validating runs of Stream (its ``__init__``), Periodic
+    and Constant (their ``__post_init__``)."""
     counts = {}
-    for cls in (Stream, Periodic, Constant):
-        def counted(self, original=cls.__post_init__, name=cls.__name__):
+    for cls, method in ((Stream, "__init__"), (Periodic, "__post_init__"),
+                        (Constant, "__post_init__")):
+        def counted(self, *args, original=getattr(cls, method), name=cls.__name__):
             counts[name] = counts.get(name, 0) + 1
-            original(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+            original(self, *args)
+        monkeypatch.setattr(cls, method, counted)
     return counts
 
 
