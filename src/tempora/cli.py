@@ -48,10 +48,6 @@ EXPECTED_PASS: dict[str, frozenset[str]] = {
 }
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("TEMPORA_SEED", "0"))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tempora",
@@ -59,42 +55,52 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="constant equivalent of a stream")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--stream", required=True, metavar="FILE")
     p.add_argument("--criterion", required=True, metavar="FILE")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("compare", help="rank two streams under a criterion")
+    p.set_defaults(run=_cmd_compare)
     p.add_argument("--a", required=True, metavar="FILE")
     p.add_argument("--b", required=True, metavar="FILE")
     p.add_argument("--criterion", required=True, metavar="FILE")
 
     p = sub.add_parser("sweep", help="CSV of discounted value and cost over a factor grid")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--stream", required=True, metavar="FILE")
     p.add_argument("--cost", required=True, metavar="FILE")
     p.add_argument("--grid", required=True, type=int, metavar="N")
 
     p = sub.add_parser("axioms", help="run the axiom battery, JSON report")
+    p.set_defaults(run=_cmd_axioms)
     p.add_argument("--criterion", required=True, metavar="FILE")
     p.add_argument("--trials", required=True, type=int, metavar="N")
-    p.add_argument("--seed", type=int, default=None, metavar="S")
+    # argparse converts a string default as it converts the flag, so a
+    # malformed TEMPORA_SEED is a usage error too.
+    p.add_argument("--seed", type=int, default=os.environ.get("TEMPORA_SEED", "0"),
+                   metavar="S")
     p.add_argument("--axiom", default=None, metavar="ID",
                    help="single axiom id, e.g. monotonicity or itis:scale:2")
 
     p = sub.add_parser("recover-cost", help="conjugate cost lower bounds, CSV")
+    p.set_defaults(run=_cmd_recover_cost)
     p.add_argument("--criterion", required=True, metavar="FILE")
     p.add_argument("--grid", required=True, metavar="LIST",
                    help="comma-separated factors in [0, 1)")
     p.add_argument("--alphas", required=True, metavar="LIST",
                    help="comma-separated probe scales")
-    p.add_argument("--seed", type=int, default=None, metavar="S",
+    p.add_argument("--seed", type=int, metavar="S",
                    help="accepted and ignored: the probe family draws no random streams")
 
     p = sub.add_parser("eigen", help="invariant discount vector of an operator")
+    p.set_defaults(run=_cmd_eigen)
     p.add_argument("--operator", required=True, metavar="FILE")
     p.add_argument("--cesaro", action="store_true",
                    help="average iterates (for periodic operators)")
 
-    sub.add_parser("counterexamples", help="replay the regression registry")
+    p = sub.add_parser("counterexamples", help="replay the regression registry")
+    p.set_defaults(run=_cmd_counterexamples)
     return parser
 
 
@@ -158,9 +164,8 @@ def _cmd_axioms(args) -> int:
     from . import axioms, jsonio
     data = jsonio.load_json_file(args.criterion)
     criterion = jsonio.criterion_from_dict(data)
-    seed = args.seed if args.seed is not None else _default_seed()
     plan = [axioms.parse_axiom_id(i) for i in (BATTERY if args.axiom is None else [args.axiom])]
-    reports = [axioms.check_axiom(criterion, name, trials=args.trials, seed=seed,
+    reports = [axioms.check_axiom(criterion, name, trials=args.trials, seed=args.seed,
                                   transform=transform)
                for name, transform in plan]
     expected = EXPECTED_PASS[criterion.tag]
@@ -169,7 +174,7 @@ def _cmd_axioms(args) -> int:
     _print_json({
         "criterion": data,
         "trials": args.trials,
-        "seed": seed,
+        "seed": args.seed,
         "reports": [rep.to_dict() for rep in reports],
         "unexpected_failures": unexpected,
     })
@@ -188,8 +193,7 @@ def _cmd_recover_cost(args) -> int:
     criterion = jsonio.criterion_from_dict(jsonio.load_json_file(args.criterion))
     grid = _parse_float_list(args.grid, "--grid")
     alphas = _parse_float_list(args.alphas, "--alphas")
-    seed = args.seed if args.seed is not None else _default_seed()
-    table = panel.recover_cost(criterion, grid, probe_alphas=tuple(alphas), seed=seed)
+    table = panel.recover_cost(criterion, grid, probe_alphas=tuple(alphas))
     print("delta,cost_lower_bound")
     for d, bound in table:
         print(f"{_fmt(d)},{_fmt(bound)}")
@@ -219,17 +223,6 @@ def _cmd_counterexamples(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "compare": _cmd_compare,
-    "sweep": _cmd_sweep,
-    "axioms": _cmd_axioms,
-    "recover-cost": _cmd_recover_cost,
-    "eigen": _cmd_eigen,
-    "counterexamples": _cmd_counterexamples,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -244,7 +237,7 @@ def main(argv=None) -> int:
         gc.collect(1)
     try:
         try:
-            return _HANDLERS[args.command](args)
+            return args.run(args)
         finally:
             sys.stdout.flush()
     except BrokenPipeError:

@@ -595,21 +595,22 @@ def cost_eval(c: CostFunction, delta: float) -> float:
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Golden-section search stops at a bracket ``_XTOL`` wide, or after ``_MAXITER`` steps.
+#: Golden-section search stops at a bracket ``_XTOL`` wide.  Every bracket
+#: lies in [0, 1), and a bracket 1 wide shrinks below 1e-9 in 44 steps
+#: (0.618^44 < 1e-9 < 0.618^43), so no search takes more.
 _XTOL = 1e-9
-_MAXITER = 80
 
 
 def _golden(fun: Callable[[float], float], a: float, b: float, fa: float,
             fb: float) -> tuple[float, float]:
     """Golden-section minimum of ``fun`` on [a, b], whose ends' values
-    ``fa = fun(a)`` and ``fb = fun(b)`` are given; returns (argmin, value)."""
+    ``fa = fun(a)`` and ``fb = fun(b)`` are given; returns (argmin, value).
+    It steps until the bracket is at most ``_XTOL`` wide: at most 44 steps
+    on a bracket inside [0, 1)."""
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(_MAXITER):
-        if b - a <= _XTOL:
-            break
+    while b - a > _XTOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
@@ -633,15 +634,13 @@ def _golden_lockstep(fun: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: 
     Each lane takes ``_golden``'s steps with the same IEEE operations and
     keeps its state from where ``_golden`` would stop, while the others
     step on, so its (argmin, value) has ``_golden``'s bits.  Until the
-    first lane stops, every lane steps and no state is restored.
+    first lane stops, every lane steps and no state is restored; the loop
+    ends when no lane is live, so it takes the steps of the widest lane.
     """
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(_MAXITER):
-        live = ~(b - a <= _XTOL)
-        if not live.any():
-            break
+    while (live := b - a > _XTOL).any():
         was = a, b, x1, x2, f1, f2
         # f1 <= f2: b, x2, f2 = x2, x1, f1 and a new x1; else the mirror.
         left = f1 <= f2
@@ -1333,11 +1332,24 @@ class Edu(_Criterion, tag="edu"):
         return _dv_at(n, vals, self.delta)
 
 
+class _Minimizing(_Criterion):
+    """A criterion that is the minimum over delta of the discounted value
+    plus its cost function ``cost``."""
+
+    def value(self, x: Stream) -> float:
+        return minimize_over_delta(x, self.cost)[1]
+
+    def rows(self, n: int, vals: np.ndarray) -> np.ndarray:
+        return _minimize_rows(n, vals, self.cost)[1]
+
+
 @dataclass(frozen=True)
-class Maxmin(_Criterion, tag="maxmin"):
+class Maxmin(_Minimizing, tag="maxmin"):
     """Worst-case discounting over a closed set of factors in [0, 1).
 
-    This is the variational criterion of the set's zero-cost indicator.
+    ``cost`` is the set's zero-cost :class:`IndicatorSet`, so the criterion
+    evaluates as :class:`Variational` over it.  It is not a field: equality,
+    the repr and the JSON body hold ``points`` and ``intervals`` alone.
     delta = 0 is admissible here (mass on the present, via 0^0 = 1), unlike
     in :class:`Edu`.
     """
@@ -1349,17 +1361,11 @@ class Maxmin(_Criterion, tag="maxmin"):
         ind = IndicatorSet(points=self.points, intervals=self.intervals)
         object.__setattr__(self, "points", ind.points)
         object.__setattr__(self, "intervals", ind.intervals)
-        object.__setattr__(self, "_indicator", ind)
-
-    def value(self, x: Stream) -> float:
-        return minimize_over_delta(x, self._indicator)[1]
-
-    def rows(self, n: int, vals: np.ndarray) -> np.ndarray:
-        return _minimize_rows(n, vals, self._indicator)[1]
+        object.__setattr__(self, "cost", ind)
 
 
 @dataclass(frozen=True)
-class Variational(_Criterion, tag="variational"):
+class Variational(_Minimizing, tag="variational"):
     """min over delta of discounted value plus a grounded cost."""
 
     cost: CostFunction
@@ -1367,12 +1373,6 @@ class Variational(_Criterion, tag="variational"):
     def __post_init__(self):
         if not isinstance(self.cost, _Cost):
             raise InvalidCriterion(f"not a cost function: {self.cost!r}")
-
-    def value(self, x: Stream) -> float:
-        return minimize_over_delta(x, self.cost)[1]
-
-    def rows(self, n: int, vals: np.ndarray) -> np.ndarray:
-        return _minimize_rows(n, vals, self.cost)[1]
 
     @classmethod
     def from_body(cls, body: dict) -> "Variational":

@@ -87,9 +87,10 @@ def uniform_vector(n: int) -> DiscountVector:
 def adjoint(m: OperatorMatrix) -> OperatorMatrix:
     """The unique adjoint: <M x, p> = <x, adjoint(M) p> for all x, p.
 
-    At finite dimension this is the transpose.
+    At finite dimension this is the transpose.  It passes the transposed
+    view, which :class:`OperatorMatrix` copies once into a matrix of its own.
     """
-    return OperatorMatrix(m.entries.T.copy())
+    return OperatorMatrix(m.entries.T)
 
 
 def _step(m: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -200,17 +201,18 @@ def builtin_operator(name: str, n: int, *, sigma=None, factor: float | None = No
     ``permutation``      x -> (x_{sigma(0)}, .., x_{sigma(N-1)})
     ``scaling``          x -> factor * x
 
-    The matrix is dense, so ``n`` is capped at :data:`MAX_BUILTIN_DIM`.
+    The matrix is dense, so ``n`` is capped at :data:`MAX_BUILTIN_DIM`.  It
+    is built in one n x n array, which :class:`OperatorMatrix` copies: two
+    at the peak.
     """
     if not 1 <= n <= MAX_BUILTIN_DIM:
         raise InvalidOperator(f"dimension must lie in [1, {MAX_BUILTIN_DIM}], got {n}")
     m = np.zeros((n, n))
+    rows = np.arange(n)
     if name == "cyclic_delay":
-        for i in range(n):
-            m[i, (i - 1) % n] = 1.0
+        m[rows, rows - 1] = 1.0
     elif name == "absorbing_delay":
-        for i in range(1, n):
-            m[i, i - 1] = 1.0
+        m[rows[1:], rows[:-1]] = 1.0
     elif name == "permutation":
         if sigma is None:
             raise InvalidPermutation("permutation operator needs sigma")
@@ -218,12 +220,11 @@ def builtin_operator(name: str, n: int, *, sigma=None, factor: float | None = No
         if len(mapping) != n:
             raise InvalidPermutation(
                 f"sigma acts on {len(mapping)} indices, operator has {n}")
-        for i in range(n):
-            m[i, mapping[i]] = 1.0
+        m[rows, mapping] = 1.0
     elif name == "scaling":
         if factor is None or not 0 <= factor < np.inf:
             raise InvalidOperator(f"scaling operator needs a finite factor >= 0, got {factor!r}")
-        m = float(factor) * np.eye(n)
+        np.fill_diagonal(m, float(factor))
     else:
         raise InvalidOperator(f"unknown builtin operator {name!r}")
     return OperatorMatrix(m)

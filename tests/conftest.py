@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,16 @@ settings.load_profile("derandomized")
 SATURATING = {"prefix": [-sys.float_info.max, -sys.float_info.max, 1e308],
               "tail": {"constant": -1.0}}
 SATURATING_AT = 2.0364732356610535e-09
+
+
+def exact_dv(x, d):
+    """D_d(x) of the stream ``x`` in rationals: the prefix's (1 - d) sum_t
+    x_t d^t, plus d^n times the cycle's sum_j c_j d^j over 1 + d + ... +
+    d^(p - 1), for a prefix of n terms and a cycle of p."""
+    d = Fraction(d)
+    head = sum(Fraction(v) * d ** t for t, v in enumerate(x.prefix))
+    cycle = sum(Fraction(v) * d ** j for j, v in enumerate(x.tail_cycle))
+    return (1 - d) * head + d ** len(x.prefix) * cycle / sum(d ** j for j in range(x.period))
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False, width=64)

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import typing
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tempora import Criterion, Edu, cli
 from tempora.axioms import AxiomReport, check_axiom, parse_axiom_id
 from tempora.eigen import MAX_BUILTIN_DIM
 
-from conftest import SATURATING
+from conftest import SATURATING, exact_dv
 
 
 def write(path, payload):
@@ -146,6 +147,27 @@ def test_axioms_seed_env_fallback(files, capsys, monkeypatch):
                                 "--trials", "2", "--axiom", "normalization"])
     assert code == 0
     assert json.loads(out)["seed"] == 7
+
+
+def test_axioms_under_a_malformed_seed_variable_is_a_usage_error(files, capsys, monkeypatch):
+    # The variable once reached int() in the handler: a ValueError traceback
+    # and exit 1.
+    monkeypatch.setenv("TEMPORA_SEED", "abc")
+    code, out, err = run(capsys, ["axioms", "--criterion", files["edu"],
+                                  "--trials", "1", "--axiom", "monotonicity"])
+    assert code == 2 and out == ""
+    assert "usage:" in err and "invalid int value: 'abc'" in err and "Traceback" not in err
+
+
+def test_recover_cost_reads_no_seed_variable(files, capsys, monkeypatch):
+    argv = ["recover-cost", "--criterion", files["maxmin"], "--grid", "0.3,0.5",
+            "--alphas", "1,10"]
+    monkeypatch.delenv("TEMPORA_SEED", raising=False)
+    want = run(capsys, argv)
+    assert want[0] == 0
+    monkeypatch.setenv("TEMPORA_SEED", "abc")
+    assert run(capsys, argv) == want
+    assert run(capsys, [*argv, "--seed", "5"]) == want
 
 
 def test_axioms_unknown_axiom_exits_two(files, capsys):
@@ -592,14 +614,20 @@ def run_at_the_limits(command, payloads, slot_dir, *extra):
     return code, out.getvalue()
 
 
+def rounding_tol(x):
+    """The rounding a value of the stream ``x`` may carry: 1e-12 of
+    ||x||_inf, and a few subnormals."""
+    return 1e-12 * max(map(abs, x.prefix + x.tail_cycle)) + 1e-320
+
+
 def assert_within_the_stream(value, stream, criterion):
-    # Every criterion is normalized and monotone, so inf x <= I(x) <= sup x.
-    # Up to rounding: 1e-12 of ||x||_inf, and a few subnormals.  A
-    # quadratic cost's minimum lies in the stream's range, but the value
-    # found may exceed it by the cost at the grid node next to the centre.
+    # Every criterion is normalized and monotone, so inf x <= I(x) <= sup x,
+    # up to rounding.  A quadratic cost's minimum lies in the stream's range,
+    # but the value found may exceed it by the cost at the grid node next to
+    # the centre.
     x = tempora.stream_from_dict(stream)
     values = x.prefix + x.tail_cycle
-    tol = 1e-12 * max(map(abs, values)) + 1e-320
+    tol = rounding_tol(x)
     cost = criterion.get("variational", {}).get("cost", {}).get("quadratic")
     if cost is not None:
         tol += cost["stiffness"] * float(np.min(np.abs(LIMIT_GRID - cost["center"]))) ** 2
@@ -611,8 +639,21 @@ def assert_within_the_stream(value, stream, criterion):
 def test_eval_at_the_float_limits_stays_within_the_stream(stream, criterion, slot_dir):
     code, out = run_at_the_limits("eval", {"--stream": stream, "--criterion": criterion},
                                   slot_dir)
-    if code == 0:
-        assert_within_the_stream(float(out), stream, criterion)
+    if code != 0:
+        return
+    value = float(out)
+    assert_within_the_stream(value, stream, criterion)
+    # Over factors given as points, the value is the least D at any of them,
+    # which the oracle takes in rationals.
+    if "edu" in criterion:
+        factors = [criterion["edu"]["delta"]]
+    elif "maxmin" in criterion and not criterion["maxmin"]["intervals"]:
+        factors = criterion["maxmin"]["points"]
+    else:
+        return
+    x = tempora.stream_from_dict(stream)
+    want = min(exact_dv(x, d) for d in factors)
+    assert abs(Fraction(value) - want) <= rounding_tol(x), (value, float(want))
 
 
 @settings(max_examples=150, deadline=None)

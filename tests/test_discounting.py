@@ -31,7 +31,7 @@ from tempora.streams import _mixture_rows, _stream
 import tempora.axioms as A
 import tempora.discounting as D
 
-from conftest import SATURATING, SATURATING_AT
+from conftest import SATURATING, SATURATING_AT, exact_dv
 
 ALL_DELTAS = [i / 10 for i in range(10)] + [0.99, 1.0]
 
@@ -969,6 +969,57 @@ def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
     assert periodic > 500
 
 
+#: The widest bracket a search is handed: the minimizer's whole domain.
+WIDEST = (0.0, 1.0 - 1e-9)
+
+#: Objectives on WIDEST with their minimum at the low end, at the high end
+#: and inside the bracket, and a flat one; each takes floats and arrays.
+GOLDEN_SHAPES = {"low end": lambda d: d, "high end": lambda d: -d,
+                 "inside": lambda d: (d - 0.3) ** 2, "flat": lambda d: 0.0 * d}
+
+
+def with_calls(f):
+    """``f``, and the list of the points it was called at."""
+    calls = []
+
+    def fun(d):
+        calls.append(d)
+        return f(d)
+    return fun, calls
+
+
+@pytest.mark.parametrize("shape", GOLDEN_SHAPES)
+def test_golden_stops_on_its_tolerance_within_44_steps(shape):
+    # A search evaluates its two first points, one per step and the
+    # midpoint of its last bracket: steps = calls - 3.  0.618^44 < 1e-9.
+    f = GOLDEN_SHAPES[shape]
+    a, b = WIDEST
+    fun, calls = with_calls(f)
+    d, v = D._golden(fun, a, b, f(a), f(b))
+    assert len(calls) - 3 == 44
+    want = {"low end": a, "high end": b, "inside": 0.3, "flat": a}[shape]
+    assert abs(d - want) <= 1e-8 and v == f(d)
+    fun, calls = with_calls(f)
+    lanes = np.array([WIDEST, (0.2, 0.7), (0.5, 0.5), (0.0, 1e-9)]).T
+    got = D._golden_lockstep(fun, *lanes, f(lanes[0]), f(lanes[1]))
+    assert len(calls) - 3 == 44
+    want = [D._golden(f, lo, hi, f(lo), f(hi)) for lo, hi in lanes.T]
+    assert [(u.hex(), w.hex()) for u, w in zip(*got)] == [(u.hex(), w.hex()) for u, w in want]
+
+
+def test_golden_on_random_quadratics_takes_at_most_44_steps(rng):
+    centres = rng.uniform(-0.5, 1.5, 500)
+    a, b = WIDEST
+    for c in centres.tolist():
+        fun, calls = with_calls(lambda d: (d - c) ** 2)
+        D._golden(fun, a, b, (a - c) ** 2, (b - c) ** 2)
+        assert len(calls) - 3 <= 44
+    fun, calls = with_calls(lambda d: (d - centres) ** 2)
+    lo, hi = np.full(centres.size, a), np.full(centres.size, b)
+    D._golden_lockstep(fun, lo, hi, (lo - centres) ** 2, (hi - centres) ** 2)
+    assert len(calls) - 3 <= 44
+
+
 def one_shape_streams(rng, count, n=4, p=3):
     """Random streams with an ``n``-term prefix and a period ``p`` cycle."""
     return [make_stream(rng.uniform(-5.0, 5.0, n).tolist(),
@@ -1326,7 +1377,7 @@ def test_grid_is_the_scalar_form_at_every_element(x, ds):
 @settings(max_examples=100, deadline=None)
 @given(oracle_streams(), costs)
 def test_grid_objective_is_the_scalar_objective_at_every_node(x, cost):
-    cost = cost._indicator if isinstance(cost, Maxmin) else cost
+    cost = cost.cost if isinstance(cost, Maxmin) else cost
     dv = D._dv_scalar(*row_of(x))
     for piece in cost.pieces:
         g = _grid(piece.a, piece.b)
@@ -1389,7 +1440,7 @@ WIDE = [(i, i + k) for k in (1, 20, 500, _NODES - 1)
 def test_every_dropped_bracket_searches_above_the_kept_candidate(x, cost, scale):
     x = make_stream([v * scale for v in x.prefix],
                     Periodic(tuple(v * scale for v in x.tail_cycle)))
-    cost = cost._indicator if isinstance(cost, Maxmin) else cost
+    cost = cost.cost if isinstance(cost, Maxmin) else cost
     pre, cyc = row_of(x)
     dv = D._dv_scalar(pre, cyc)
     terms = n, p, norm, r = terms_of(x)
@@ -1538,16 +1589,11 @@ def exact_ratio(x):
     return r, s
 
 
-def exact_dv(x, d):
-    r, s = exact_ratio(x)
-    return exact_at(r, Fraction(d)) / exact_at(s, Fraction(d))
-
-
 def exact_pieces(cost):
     """(lo, hi, cost polynomial) of each continuous piece on the domain the
     minimizer searches, and the isolated (delta, cost) points, in
     rationals."""
-    cost = cost._indicator if isinstance(cost, Maxmin) else cost
+    cost = cost.cost if isinstance(cost, Maxmin) else cost
     edge = Fraction(ORACLE_EDGE)
     if isinstance(cost, Quadratic):
         k, c = Fraction(cost.stiffness), Fraction(cost.center)

@@ -80,6 +80,66 @@ def test_scaling_matrix():
     assert np.array_equal(m.entries, 2.0 * np.eye(2))
 
 
+#: sigma at n = 1, 2 and 5: an explicit mapping, and transposition pairs.
+SIGMAS = {1: ([0], [[0, 0]]), 2: ([1, 0], [[0, 1]]),
+          5: ([2, 0, 4, 1, 3], [[0, 4], [1, 2], [4, 3]])}
+
+
+def loop_built(name, n, sigma=None, factor=None):
+    """A builtin's matrix, set entry by entry as its docstring defines it;
+    transposition pairs in ``sigma`` compose left to right."""
+    mapping = sigma
+    if sigma and isinstance(sigma[0], list):
+        mapping = list(range(n))
+        for i, j in sigma:
+            mapping[i], mapping[j] = mapping[j], mapping[i]
+    m = np.zeros((n, n))
+    for i in range(n):
+        if name == "cyclic_delay":
+            m[i, (i - 1) % n] = 1.0
+        elif name == "absorbing_delay" and i > 0:
+            m[i, i - 1] = 1.0
+        elif name == "permutation":
+            m[i, mapping[i]] = 1.0
+        elif name == "scaling":
+            m[i, i] = factor
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_builtin_entries_equal_a_loop_built_matrix_bit_for_bit(n):
+    mapping, pairs = SIGMAS[n]
+    for name, kwargs in [("cyclic_delay", {}), ("absorbing_delay", {}),
+                         ("scaling", {"factor": 2.5}), ("scaling", {"factor": 0.0}),
+                         ("permutation", {"sigma": mapping}), ("permutation", {"sigma": pairs})]:
+        got = builtin_operator(name, n, **kwargs).entries
+        want = loop_built(name, n, **kwargs)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                         want.tobytes()), (name, kwargs)
+
+
+def traced_peak(call):
+    """Peak bytes traced while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("cyclic_delay", {}), ("absorbing_delay", {}),
+    ("permutation", {"sigma": list(range(1024))[::-1]}), ("scaling", {"factor": 2.5})])
+def test_adjoint_allocates_one_matrix_and_a_builtin_two(name, kwargs):
+    # adjoint once copied the transpose, and OperatorMatrix copied the copy.
+    n = 1024
+    array = n * n * 8
+    m = builtin_operator(name, n, **kwargs)
+    assert traced_peak(lambda: adjoint(m)) <= 1.1 * array
+    assert traced_peak(lambda: builtin_operator(name, n, **kwargs)) <= 2.1 * array
+
+
 def test_permutation_matrix_and_validation():
     m = builtin_operator("permutation", 3, sigma=[1, 2, 0])
     x = np.array([10.0, 20.0, 30.0])
