@@ -48,6 +48,15 @@ EXPECTED_PASS: dict[str, frozenset[str]] = {
 }
 
 
+def _seed(text: str) -> int:
+    """``axioms --seed``, or its fallback ``TEMPORA_SEED``, as an integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r} (read from --seed, else from TEMPORA_SEED)") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tempora",
@@ -78,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", required=True, type=int, metavar="N")
     # argparse converts a string default as it converts the flag, so a
     # malformed TEMPORA_SEED is a usage error too.
-    p.add_argument("--seed", type=int, default=os.environ.get("TEMPORA_SEED", "0"),
+    p.add_argument("--seed", type=_seed, default=os.environ.get("TEMPORA_SEED", "0"),
                    metavar="S")
     p.add_argument("--axiom", default=None, metavar="ID",
                    help="single axiom id, e.g. monotonicity or itis:scale:2")

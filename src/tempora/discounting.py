@@ -82,7 +82,8 @@ from typing import Callable, ClassVar, Iterable, NamedTuple, Union
 import numpy as np
 
 from . import patient
-from .errors import InvalidCost, InvalidCriterion, InvalidDelta, ParseError, decoding, tagged
+from .errors import (InvalidCost, InvalidCriterion, InvalidDelta, ParseError, decoding, numeric,
+                     tagged)
 from .streams import Stream
 
 #: Right edge used for numerically searching half-open pieces [a, 1).
@@ -316,7 +317,7 @@ class _Tagged:
 
     @classmethod
     def from_body(cls, body: dict) -> "_Tagged":
-        return cls(**{f.name: _from_json(body[f.name]) for f in fields(cls)
+        return cls(**{f.name: _from_json(body[f.name], f.name) for f in fields(cls)
                       if f.name in body or f.default is MISSING})
 
     @classmethod
@@ -337,10 +338,11 @@ def _to_json(v):
     return [_to_json(e) for e in v] if isinstance(v, tuple) else v
 
 
-def _from_json(v):
+def _from_json(v, field: str):
     """JSON arrays as tuples, two levels deep: a body holds at most a list
-    of pairs, and anything deeper fails validation as it stands."""
-    if not isinstance(v, list):
+    of pairs, and anything deeper fails validation as it stands.  Every
+    body field holds numbers, so a string or a boolean is rejected."""
+    if not isinstance(numeric(v, field), list):
         return v
     return tuple(tuple(e) if isinstance(e, list) else e for e in v)
 

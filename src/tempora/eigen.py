@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discounting import discounted_value
-from .errors import (InvalidOperator, InvalidPermutation, NoInvariantFound,
+from .errors import (InvalidDelta, InvalidOperator, InvalidPermutation, NoInvariantFound,
                      NonConvergence)
 from .streams import Stream, delay, permutation_mapping
 
@@ -238,5 +238,5 @@ def geometric_invariance_check(x: Stream, delta: float) -> float:
     it, which is why the absorbing truncation above is eigen-degenerate.
     """
     if not 0.0 <= delta < 1.0:
-        raise InvalidOperator(f"delta must lie in [0, 1), got {delta}")
+        raise InvalidDelta(f"delta must lie in [0, 1), got {delta}")
     return abs(discounted_value(delay(x), delta) - delta * discounted_value(x, delta))

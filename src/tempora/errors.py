@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the decoding boundary
-(:func:`decoding`) that every JSON body is built behind."""
+(:func:`decoding`) that every JSON body is built behind, with the one
+check (:func:`numeric`) that a JSON number is not a string or a boolean."""
 
 from contextlib import contextmanager
 
@@ -84,6 +85,18 @@ def tagged(data, what: str, tags) -> tuple[str, object]:
     if tag not in tags:
         raise ParseError(f"unknown {what} tag {tag!r}", field=tag)
     return tag, body
+
+
+def numeric(value, field: str):
+    """``value`` as it stands, once no JSON string or boolean sits where a
+    number belongs: at ``value`` itself or anywhere inside its lists.
+    ``float()`` would read ``"0.9"`` as 0.9 and ``true`` as 1.0."""
+    if isinstance(value, list):
+        for v in value:
+            numeric(v, field)
+    elif isinstance(value, (str, bool)):
+        raise ParseError(f"expected a number, got {value!r}", field=field)
+    return value
 
 
 @contextmanager

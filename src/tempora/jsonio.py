@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .discounting import CostFunction, Criterion, _Cost, _Criterion
-from .errors import ParseError, decoding, tagged
+from .errors import ParseError, decoding, numeric, tagged
 from .streams import stream_from_dict, stream_to_dict  # noqa: F401  (re-export)
 
 if TYPE_CHECKING:   # imported where used, so that a stream command loads neither
@@ -65,12 +65,12 @@ def operator_from_dict(data: dict) -> OperatorMatrix:
     tag, body = tagged(data, "operator", ("builtin", "matrix"))
     with decoding(tag):
         if tag == "matrix":
-            return OperatorMatrix(np.asarray(body, dtype=float))
+            return OperatorMatrix(np.asarray(numeric(body, tag), dtype=float))
         n = body["n"]
         if type(n) is not int:
             raise ParseError(f"operator dimension must be an integer, got {n!r}", field="n")
-        return builtin_operator(body["name"], n, sigma=body.get("sigma"),
-                                factor=body.get("factor"))
+        return builtin_operator(body["name"], n, sigma=numeric(body.get("sigma"), "sigma"),
+                                factor=numeric(body.get("factor"), "factor"))
 
 
 # -- panels -----------------------------------------------------------------
@@ -84,5 +84,5 @@ def panel_from_dict(data: dict) -> ExpertPanel:
     if not isinstance(data, dict) or "factors" not in data:
         raise ParseError("panel object needs a 'factors' entry", field="factors")
     with decoding("factors"):
-        return ExpertPanel(factors=tuple(data["factors"]),
-                           confidences=tuple(data.get("confidences", [])))
+        return ExpertPanel(factors=tuple(numeric(data["factors"], "factors")),
+                           confidences=tuple(numeric(data.get("confidences", []), "confidences")))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .discounting import (IndicatorSet, Variational, as_evaluator, discounted_value,
                           evaluate_each)
-from .errors import InvalidDelta, InvalidPanel
+from .errors import InvalidCost, InvalidDelta, InvalidPanel
 from .streams import Constant, Stream, constant_stream, make_stream
 
 _RATE_CAP = 0.20
@@ -41,30 +41,31 @@ _SURVEY_SIGMA = 0.04727146642801978
 class ExpertPanel:
     """Finite set of recommended discount factors with confidence costs.
 
-    Factors lie strictly inside (0, 1); confidences are nonnegative with at
-    least one zero (the induced cost must be grounded).
+    A panel checks as its cost, the :class:`IndicatorSet` of its factors
+    with the confidences as point costs (all zero when none are given),
+    stored as ``cost``: confidences finite, nonnegative, one per factor and
+    grounded (some confidence 0).  ``cost`` is not a field, so equality,
+    hashing and the repr hold the factors and confidences alone.  The panel
+    adds its own two rules: at least one expert, and no factor at 0, so
+    every factor lies strictly inside (0, 1).
     """
 
     factors: tuple[float, ...]
     confidences: tuple[float, ...] = ()
 
     def __post_init__(self):
-        fs = tuple(float(f) for f in self.factors)
+        fs = tuple(self.factors)
         if not fs:
             raise InvalidPanel("panel needs at least one expert")
-        if any(not 0.0 < f < 1.0 for f in fs):
-            raise InvalidPanel(f"factors must lie strictly inside (0, 1): {fs}")
-        ks = tuple(float(k) for k in self.confidences)
-        if not ks:
-            ks = (0.0,) * len(fs)
-        if len(ks) != len(fs):
-            raise InvalidPanel("confidences length must match factors")
-        if any(k < 0 or not math.isfinite(k) for k in ks):
-            raise InvalidPanel("confidences must be finite and >= 0")
-        if min(ks) != 0.0:
-            raise InvalidPanel("not grounded: some confidence must be 0")
-        object.__setattr__(self, "factors", fs)
-        object.__setattr__(self, "confidences", ks)
+        try:
+            cost = IndicatorSet(points=fs, point_costs=self.confidences)
+        except InvalidCost as exc:
+            raise InvalidPanel(f"panel as a cost: {exc}") from exc
+        if 0.0 in cost.points:
+            raise InvalidPanel(f"factors must lie strictly inside (0, 1): {cost.points}")
+        object.__setattr__(self, "factors", cost.points)
+        object.__setattr__(self, "confidences", cost.point_costs)
+        object.__setattr__(self, "cost", cost)
 
     @property
     def size(self) -> int:
@@ -73,8 +74,7 @@ class ExpertPanel:
 
 def panel_criterion(panel: ExpertPanel) -> Variational:
     """Aggregate criterion: min over experts of D_delta_i(x) + kappa_i."""
-    cost = IndicatorSet(points=panel.factors, point_costs=panel.confidences)
-    return Variational(cost)
+    return Variational(panel.cost)
 
 
 def unanimity_probe(center: float, alpha: float) -> Stream:
@@ -118,8 +118,8 @@ def recover_cost(evaluator, grid, probe_alphas=(1.0, 10.0, 100.0, 1e3, 1e5),
     family: list[Stream] = [constant_stream(0.0), constant_stream(1.0)]
     family += [make_stream([-float(n)], Constant(0.0)) for n in spike_ns]
     if random_streams:
-        from .axioms import random_stream   # here, so that recover-cost loads no harness
-        rng = np.random.default_rng(int(seed) % (2 ** 63))
+        from .axioms import _rng, random_stream   # here, so that recover-cost loads no harness
+        rng = _rng(seed)
         family += [random_stream(rng) for _ in range(random_streams)]
     centers = sorted(set([i / 20 for i in range(20)] + grid))
     family += [unanimity_probe(c, float(a)) for c in centers for a in probe_alphas]
@@ -163,12 +163,13 @@ def weitzman_panel(n: int, seed: int, conversion: str = "inverse") -> ExpertPane
     generator.  All confidences are zero.  Raises :class:`InvalidPanel`
     for n < 1.
     """
-    from statistics import NormalDist   # here, so that recover-cost does not load it
+    from statistics import NormalDist   # here, so that recover-cost loads neither
+    from .axioms import _rng
     if n < 1:
         raise InvalidPanel(f"panel size must be >= 1, got {n}")
     parent = NormalDist(_SURVEY_MU, _SURVEY_SIGMA)
     lo, hi = parent.cdf(0.0), parent.cdf(_RATE_CAP)
-    rng = np.random.default_rng(int(seed) % (2 ** 63))
+    rng = _rng(seed)
     rates = [parent.inv_cdf(lo + u * (hi - lo)) for u in rng.uniform(size=n).tolist()]
     rates = np.clip(rates, np.nextafter(0.0, 1.0), _RATE_CAP)
     return panel_from_rates(rates.tolist(), conversion)

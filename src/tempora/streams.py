@@ -37,7 +37,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import (InvalidPermutation, InvalidScale, InvalidStream, ParseError,
-                     decoding, tagged)
+                     decoding, numeric, tagged)
 
 
 @dataclass(frozen=True)
@@ -328,19 +328,31 @@ def shift_left(x: Stream) -> Stream:
     return _stream(v[1:n], v[n:])
 
 
+def _index(e) -> int:
+    """A permutation index: an integral number, as an int."""
+    try:
+        i = int(e)
+        if i == e:
+            return i
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidPermutation(f"permutation index {e!r} is not an integer")
+
+
 def permutation_mapping(sigma, bound: int | None = None) -> tuple[int, ...]:
     """Normalize permutation input to an explicit image list on {0..M-1}.
 
     Accepts either an explicit mapping [sigma(0), ..., sigma(M-1)] or a list
     of index pairs interpreted as transpositions composed left to right.
-    With ``bound``, a transposition index outside [0, bound) is rejected
-    before the image list (of length max index + 1) is built.
+    Every index is an integral number.  With ``bound``, a transposition
+    index outside [0, bound) is rejected before the image list (of length
+    max index + 1) is built.
     """
     sigma = list(sigma)
     if not sigma:
         return ()
     if all(isinstance(e, (tuple, list)) and len(e) == 2 for e in sigma):
-        pairs = [(int(i), int(j)) for i, j in sigma]
+        pairs = [(_index(i), _index(j)) for i, j in sigma]
         if any(i < 0 or j < 0 for i, j in pairs):
             raise InvalidPermutation("negative index in transposition")
         m = max(max(pair) for pair in pairs) + 1
@@ -350,10 +362,7 @@ def permutation_mapping(sigma, bound: int | None = None) -> tuple[int, ...]:
         for i, j in pairs:
             mapping[i], mapping[j] = mapping[j], mapping[i]
     else:
-        try:
-            mapping = [int(e) for e in sigma]
-        except (TypeError, ValueError) as exc:
-            raise InvalidPermutation(f"cannot interpret permutation: {sigma!r}") from exc
+        mapping = [_index(e) for e in sigma]
     if sorted(mapping) != list(range(len(mapping))):
         raise InvalidPermutation(f"not a bijection on 0..{len(mapping) - 1}: {mapping}")
     return tuple(mapping)
@@ -418,5 +427,6 @@ def stream_from_dict(data: dict) -> Stream:
         raise ParseError("stream object needs a 'tail' entry", field="tail")
     tag, body = tagged(data["tail"], "tail", ("constant", "periodic"))
     with decoding("stream"):
+        numeric(body, tag)
         tail: TailSpec = Constant(body) if tag == "constant" else Periodic(tuple(body))
-        return make_stream(data.get("prefix", []), tail)
+        return make_stream(numeric(data.get("prefix", []), "prefix"), tail)

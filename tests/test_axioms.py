@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,7 +13,7 @@ from tempora import (AXIOM_IDS, BanachWindow, Cesaro, Edu, IndicatorSet, Inf, Li
                      parse_transform, random_stream, replay_violation,
                      run_counterexamples, scale_translate, stream_from_dict,
                      sup_distance)
-from tempora.axioms import DelayTransform, MatrixTransform, PermuteTransform
+from tempora.axioms import AxiomReport, DelayTransform, MatrixTransform, PermuteTransform
 from tempora.errors import InvalidAxiom
 
 
@@ -25,6 +26,24 @@ def test_improving_pair_is_exactly_indifferent():
         for seed in range(100):
             x, d = improving_pair(k, seed)
             assert abs(evaluate(k, add(x, d)) - evaluate(k, x)) <= 1e-12
+
+
+def test_improving_pair_takes_any_integer_seed_modulo_two_to_the_63():
+    # A negative seed once reached numpy as is: a bare ValueError.
+    k = Edu(0.9)
+    assert improving_pair(k, -1) == improving_pair(k, 2 ** 63 - 1)
+    assert improving_pair(k, 2 ** 63) == improving_pair(k, 0)
+    # The draws of seeds below 2^63 are the ones they always were.
+    pinned = {
+        0: ((11, 3, "-0x1.26ac4a2571befp+1", "-0x1.25c6e5d8bafd4p+2"),
+            (1, 1, "0x1.11a7c155de8f2p+0", "-0x1.e67f9098a81a0p-4")),
+        2 ** 40: ((11, 2, "0x1.484b875fcbc90p+0", "0x1.3cf260c37bdacp+2"),
+                  (7, 2, "-0x1.4ba05fdaacccep-2", "-0x1.d5596ea5eae4ap+0")),
+    }
+    for seed, want in pinned.items():
+        got = tuple((len(s.prefix), s.period, *(v.hex() for v in s.values(2)))
+                    for s in improving_pair(k, seed))
+        assert got == want, seed
 
 
 def test_zero_candidate_yields_zero_improvement():
@@ -62,9 +81,24 @@ def test_matrix_transform_fixes_everything_past_its_window():
     assert out.values(6) == [2.0, 4.0, 3.0, 4.0, 3.0, 4.0]
 
 
+@pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(2)], ids=["2x3", "1-D"])
+def test_matrix_transform_needs_a_square_matrix(matrix):
+    with pytest.raises(InvalidAxiom, match="square matrix"):
+        MatrixTransform(matrix)
+
+
 # ---------------------------------------------------------------------------
 # check_axiom mechanics
 # ---------------------------------------------------------------------------
+
+def test_a_report_prints_its_fields():
+    rep = check_axiom(Inf(), "itis", trials=1, seed=0, transform=ScaleTransform(2.0))
+    out = rep.to_dict()
+    assert list(out) == [f.name for f in dataclasses.fields(AxiomReport)]
+    assert out == {f.name: getattr(rep, f.name) for f in dataclasses.fields(AxiomReport)}
+    assert out["violation"] is rep.violation
+
+
 
 def test_unknown_axiom_and_bad_arguments():
     with pytest.raises(InvalidAxiom):
@@ -361,6 +395,15 @@ def test_reports_without_an_axiom_id_do_not_replay():
             replay_violation(Inf(), report)
 
 
+def test_an_edited_certificate_that_no_longer_violates_does_not_replay():
+    rep = check_axiom(Inf(), "itis", trials=1, seed=0, transform=ScaleTransform(2.0))
+    assert replay_violation(Inf(), rep) == rep.violation["gap"]
+    zero = {"prefix": [], "tail": {"constant": 0.0}}
+    edited = dataclasses.replace(rep, violation={**rep.violation, "d": zero})
+    with pytest.raises(InvalidAxiom, match="no longer violates"):
+        replay_violation(Inf(), edited)
+
+
 def test_a_passing_report_has_nothing_to_replay():
     rep = check_axiom(Edu(0.9), "monotonicity", trials=2, seed=0)
     assert rep.passed
@@ -430,6 +473,17 @@ def test_registry_negative_entries_carry_documented_certificates():
     assert x.values(4) == [0.0, 1.0, 0.0, 1.0]
     assert d.values(4) == [1.0, -1.0, 1.0, -1.0]
     assert swapped.violation["gap"] == 1.0
+
+
+def test_the_registry_moves_are_the_transforms_bit_for_bit():
+    # Entries 1 and 2 move the improvement by ScaleTransform(2.0) and
+    # PairwiseSwapTransform(), in place of the stream functions they wrap.
+    from tempora import pairwise_swap
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        d = random_stream(rng)
+        assert ScaleTransform(2.0).apply(d) == scale_translate(d, 2.0)
+        assert PairwiseSwapTransform().apply(d) == pairwise_swap(d)
 
 
 def test_registry_negatives_still_satisfy_basic_axioms():

@@ -159,6 +159,20 @@ def test_axioms_under_a_malformed_seed_variable_is_a_usage_error(files, capsys, 
     assert "usage:" in err and "invalid int value: 'abc'" in err and "Traceback" not in err
 
 
+def test_a_malformed_seed_names_the_flag_and_the_variable(files, capsys, monkeypatch):
+    # The usage error once named only --seed, though the bad value came from
+    # the variable.
+    argv = ["axioms", "--criterion", files["edu"], "--trials", "1", "--axiom", "monotonicity"]
+    monkeypatch.setenv("TEMPORA_SEED", "abc")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "TEMPORA_SEED" in err and "--seed" in err and "Traceback" not in err
+    monkeypatch.delenv("TEMPORA_SEED")
+    code, out, err = run(capsys, [*argv, "--seed", "abc"])
+    assert (code, out) == (2, "")
+    assert "invalid int value: 'abc'" in err and "Traceback" not in err
+
+
 def test_recover_cost_reads_no_seed_variable(files, capsys, monkeypatch):
     argv = ["recover-cost", "--criterion", files["maxmin"], "--grid", "0.3,0.5",
             "--alphas", "1,10"]
@@ -346,6 +360,49 @@ def test_permutation_index_over_the_size_exits_two(files, capsys):
         tracemalloc.stop()
     assert_parse_error(*result)
     assert peak < 2 ** 20
+
+
+# Bodies that float() or int() once read as numbers, so each exited 0: a
+# string, a boolean, a fractional permutation index.
+_STRING_STREAM = {"prefix": ["1.5"], "tail": {"constant": "2"}}
+_BOOLEAN_STREAM = {"prefix": [True], "tail": {"constant": False}}
+_STRING_QUADRATIC = {"variational": {"cost": {"quadratic": {"center": "0.5",
+                                                             "stiffness": "3"}}}}
+
+
+@pytest.mark.parametrize("stream, criterion, reason", [
+    (_STRING_STREAM, {"edu": {"delta": "0.9"}}, "got '2'"),
+    (_STRING_STREAM, {"edu": {"delta": 0.9}}, "got '2'"),
+    ({"prefix": ["1.5"], "tail": {"constant": 2}}, {"edu": {"delta": 0.9}}, "got '1.5'"),
+    ({"prefix": [1.5], "tail": {"constant": 2}}, {"edu": {"delta": "0.9"}}, "got '0.9'"),
+    (_BOOLEAN_STREAM, _STRING_QUADRATIC, "got False"),
+    ({"prefix": [1.0], "tail": {"periodic": [0.5, True]}}, {"edu": {"delta": 0.9}}, "got True"),
+    ({"prefix": [1.0], "tail": {"constant": 0.0}}, _STRING_QUADRATIC, "got '0.5'"),
+    ({"prefix": [1.0], "tail": {"constant": 0.0}},
+     {"maxmin": {"points": [0.3], "intervals": [[0.4, True]]}}, "got True"),
+], ids=str)
+def test_a_string_or_boolean_where_a_number_belongs_exits_two(stream, criterion, reason,
+                                                               files, capsys):
+    argv = ["eval", "--stream", write(files["tmp"] / "s.json", stream),
+            "--criterion", write(files["tmp"] / "k.json", criterion)]
+    code, out, err = run(capsys, argv)
+    assert_parse_error(code, out, err)
+    assert f"expected a number, {reason}" in err
+
+
+@pytest.mark.parametrize("operator, reason", [
+    ({"builtin": {"name": "permutation", "n": 2, "sigma": [1.5, 0.2]}}, "1.5 is not an integer"),
+    ({"builtin": {"name": "permutation", "n": 2, "sigma": [[0.5, 1]]}}, "0.5 is not an integer"),
+    ({"builtin": {"name": "permutation", "n": 2, "sigma": ["1", "0"]}}, "got '1'"),
+    ({"builtin": {"name": "scaling", "n": 2, "factor": True}}, "got True"),
+    ({"matrix": [["1", 0], [0, 1]]}, "got '1'"),
+], ids=str)
+def test_an_operator_body_takes_numbers_and_integral_indices_only(operator, reason,
+                                                                  files, capsys):
+    op = write(files["tmp"] / "op.json", operator)
+    code, out, err = run(capsys, ["eigen", "--operator", op])
+    assert_parse_error(code, out, err)
+    assert reason in err
 
 
 def test_expected_pass_has_one_entry_per_criterion_tag():

@@ -7,7 +7,7 @@ from tempora import (DiscountVector, OperatorMatrix, adjoint,
                      builtin_operator, geometric_invariance_check,
                      invariant_structure, random_stream, uniform_vector,
                      verify_eigen)
-from tempora.errors import (InvalidOperator, InvalidPermutation,
+from tempora.errors import (InvalidDelta, InvalidOperator, InvalidPermutation,
                             NoInvariantFound, NonConvergence)
 
 
@@ -20,6 +20,8 @@ def test_operator_validation():
         DiscountVector(np.array([0.5, 0.6]))
     with pytest.raises(InvalidOperator):
         DiscountVector(np.array([1.5, -0.5]))
+    with pytest.raises(InvalidOperator, match="weight vector"):
+        DiscountVector(np.full((2, 2), 0.25))
 
 
 @pytest.mark.parametrize("call", [
@@ -148,6 +150,8 @@ def test_permutation_matrix_and_validation():
         builtin_operator("permutation", 3, sigma=[0, 0, 1])
     with pytest.raises(InvalidPermutation):
         builtin_operator("permutation", 3, sigma=None)
+    with pytest.raises(InvalidPermutation, match="acts on 2 indices, operator has 3"):
+        builtin_operator("permutation", 3, sigma=[1, 0])
     with pytest.raises(InvalidOperator):
         builtin_operator("unknown_thing", 3)
 
@@ -338,3 +342,10 @@ def test_geometric_invariance_examples(rng):
         d = float(rng.uniform(0.0, 1.0 - 1e-12))
         worst = max(worst, geometric_invariance_check(y, d))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [1.0, -0.1, float("nan")])
+def test_geometric_invariance_check_rejects_a_factor_outside_the_unit_interval(delta):
+    # A factor out of range once raised InvalidOperator.
+    with pytest.raises(InvalidDelta, match="delta must lie in"):
+        geometric_invariance_check(random_stream(np.random.default_rng(0)), delta)

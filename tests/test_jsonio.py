@@ -143,6 +143,13 @@ def test_panel_round_trip():
         jsonio.panel_from_dict({"factors": []})
 
 
+@pytest.mark.parametrize("data", [{"factors": ["0.5"]},
+                                  {"factors": [0.5], "confidences": [False]}], ids=str)
+def test_a_panel_body_takes_numbers_only(data):
+    with pytest.raises(ParseError, match="expected a number"):
+        jsonio.panel_from_dict(data)
+
+
 def test_load_json_file_rejects_undecodable_files(tmp_path):
     for name, content in (("bytes.json", b"\xff\xfe{}"),
                           ("deep.json", b"[" * 100000 + b"]" * 100000)):

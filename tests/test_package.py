@@ -52,3 +52,8 @@ def test_the_package_loads_each_submodule_on_first_use():
     src = os.path.dirname(tempora.__path__[0])
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)
 
+
+def test_dir_lists_every_public_name_in_order():
+    names = dir(tempora)
+    assert names == sorted(names)
+    assert {*tempora.__all__, "__version__"} <= set(names)

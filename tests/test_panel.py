@@ -37,6 +37,35 @@ def test_panel_validation():
     assert panel.confidences == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("factors, confidences, match", [
+    ((), (), "at least one expert"),
+    ((0.0,), (), "strictly inside"),
+    ((-0.0, 0.5), (), "strictly inside"),
+    ((1.0,), (), r"panel as a cost: indicator point must lie in \[0, 1\)"),
+    ((math.nan,), (), "panel as a cost: indicator point"),
+    ((0.5,), (1.0,), "panel as a cost: not grounded"),
+    ((0.5, 0.6), (0.0,), "panel as a cost: point_costs length must match points"),
+    ((0.5,), (0.0, 0.0), "panel as a cost: point_costs length must match points"),
+    ((0.5, 0.6), (0.0, -1.0), "panel as a cost: point costs must be finite and >= 0"),
+], ids=str)
+def test_each_bad_panel_raises_invalid_panel(factors, confidences, match):
+    with pytest.raises(InvalidPanel, match=match):
+        ExpertPanel(factors=factors, confidences=confidences)
+
+
+def test_a_panel_is_its_indicator_cost():
+    panel = ExpertPanel(factors=[0.3, np.float64(0.6)], confidences=[0, 1.5])
+    assert panel.factors == (0.3, 0.6) and panel.confidences == (0.0, 1.5)
+    assert panel.cost == IndicatorSet(points=(0.3, 0.6), point_costs=(0.0, 1.5))
+    assert panel_criterion(panel).cost is panel.cost
+    assert ExpertPanel(factors=(0.5, 0.6)).cost == IndicatorSet(points=(0.5, 0.6))
+    # cost is no field: equality, hashing and the repr are the factors' and
+    # confidences' alone.
+    same = ExpertPanel(factors=(0.3, 0.6), confidences=(0.0, 1.5))
+    assert panel == same and hash(panel) == hash(same)
+    assert repr(panel) == "ExpertPanel(factors=(0.3, 0.6), confidences=(0.0, 1.5))"
+
+
 # ---------------------------------------------------------------------------
 # panel criterion
 # ---------------------------------------------------------------------------

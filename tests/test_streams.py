@@ -341,6 +341,21 @@ def test_permute_transposition_pairs_input():
     assert permute(x, [(0, 2)]) == make_stream([3.0, 2.0, 1.0], Constant(0.0))
 
 
+def test_permutation_mapping_rejects_what_it_cannot_read_as_indices():
+    with pytest.raises(InvalidPermutation, match="negative index"):
+        permutation_mapping([(0, -1)])
+    # A fractional index was once truncated ([1.5, 0.2] read as [1, 0]), and
+    # a transposition of a word or an infinite index raised a bare ValueError
+    # or OverflowError.
+    for sigma, bad in (([1.5, 0.2], "1.5"), ([[0.5, 1]], "0.5"), (["a", "b"], "'a'"),
+                       ([None, 0], "None"), ([[0, "1"]], "'1'"), ([("a", 1)], "'a'"),
+                       ([math.inf], "inf"), ([(math.nan, 1)], "nan")):
+        with pytest.raises(InvalidPermutation, match=f"index {bad} is not an integer"):
+            permutation_mapping(sigma)
+    assert permutation_mapping([1.0, np.int64(0)]) == (1, 0)
+    assert permutation_mapping([(0.0, 2)]) == (2, 1, 0)
+
+
 def test_permute_rejects_non_bijection():
     with pytest.raises(InvalidPermutation):
         permute(ALT, [0, 0, 1])
