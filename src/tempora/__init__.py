@@ -18,8 +18,8 @@ _API = {
                   make_stream mixtures pairwise_swap permute scale_translate shift_left
                   stream_from_dict stream_to_dict sup_distance value_at""",
     "discounting": """BanachWindow Cesaro CostFunction Criterion Edu IndicatorSet Inf Liminf
-                      Maxmin Quadratic Tabulated Variational cost_eval discounted_value evaluate
-                      evaluate_many minimize_over_delta""",
+                      Maxmin Quadratic Tabulated Variational cost_eval discounted_value
+                      discounted_values evaluate evaluate_many minimize_over_delta""",
     "patient": "banach_window_value cesaro_value inf_value liminf_value window_oracle",
     "eigen": """DiscountVector EigenResult OperatorMatrix adjoint builtin_operator
                 geometric_invariance_check invariant_structure uniform_vector verify_eigen""",

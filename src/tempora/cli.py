@@ -48,6 +48,11 @@ EXPECTED_PASS: dict[str, frozenset[str]] = {
 }
 
 
+#: Grid rows that ``sweep`` computes and writes at a time, so its memory
+#: stays bounded by one block whatever ``--grid`` is.
+_SWEEP_BLOCK = 4096
+
+
 def _seed(text: str) -> int:
     """``axioms --seed``, or its fallback ``TEMPORA_SEED``, as an integer."""
     try:
@@ -158,11 +163,12 @@ def _cmd_sweep(args) -> int:
     if n < 1:
         raise ParseError(f"--grid must be >= 1, got {n}")
     print("delta,discounted,cost,total,is_argmin")
-    for i in range(n):
-        d = i / n
-        dv = discounting.discounted_value(stream, d)
-        cv = discounting.cost_eval(cost, d)
-        print(f"{_fmt(d)},{_fmt(dv)},{_fmt(cv)},{_fmt(dv + cv)},0")
+    for lo in range(0, n, _SWEEP_BLOCK):
+        ds = [i / n for i in range(lo, min(lo + _SWEEP_BLOCK, n))]
+        dvs = discounting.discounted_values(stream, ds).tolist()
+        cvs = [discounting.cost_eval(cost, d) for d in ds]
+        sys.stdout.write("".join([f"{d!r},{dv!r},{cv!r},{dv + cv!r},0\n"
+                                  for d, dv, cv in zip(ds, dvs, cvs)]))
     d_star, v_star = discounting.minimize_over_delta(stream, cost)
     dv = discounting.discounted_value(stream, d_star)
     print(f"{_fmt(d_star)},{_fmt(dv)},{_fmt(v_star - dv)},{_fmt(v_star)},1")

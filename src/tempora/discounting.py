@@ -274,6 +274,29 @@ def discounted_value_grid(prefix, cycle, g: _Grid) -> np.ndarray:
                      _grid_denom(a, b, p) if p > 1 else None)
 
 
+def discounted_values(x: Stream, deltas) -> np.ndarray:
+    """:func:`discounted_value` of ``x`` at each factor of ``deltas``, bit
+    for bit, as one array: one pass of the array form over the factors
+    below 1, with the scalar form's d^n and 1 - d^p, and the tail mean at 1.
+
+    Raises:
+        InvalidDelta: if a factor is outside [0, 1] (or NaN).
+    """
+    d = np.array(deltas, dtype=float)
+    inside = (0.0 <= d) & (d <= 1.0)
+    if not inside.all():
+        raise InvalidDelta(f"discount factor must lie in [0, 1], got {d[~inside][0]}")
+    prefix, cycle = x.prefix, x.tail_cycle
+    n, p = len(prefix), len(cycle)
+    out = np.full(d.shape, patient._mean(cycle))
+    below = d < 1.0
+    live = d[below]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[below] = _dv_array(prefix, cycle, live, _powers(live.tolist(), repeat(n)),
+                               _denoms(live, p) if p > 1 else None)
+    return out
+
+
 def _dv_at(n: int, vals: np.ndarray, delta: float) -> np.ndarray:
     """D_delta of each row of ``vals``, a prefix of ``n`` values then a
     cycle, at one factor ``delta`` in [0, 1), with :func:`_dv_scalar`'s

@@ -518,6 +518,78 @@ def test_stdout_closed_early_exits_one_without_traceback(files):
 
 
 # ---------------------------------------------------------------------------
+# sweep, a block of rows at a time
+# ---------------------------------------------------------------------------
+
+#: The probe stream and the float-limit streams of the workflow's `eval`
+#: repros: low, cycle and high.
+SWEEP_STREAMS = {
+    "probe": {"prefix": [0.36, -0.84], "tail": {"constant": 0.16}},
+    "low": {"prefix": [-1e154, -1.7e308, -1e308], "tail": {"constant": -1.7e308}},
+    "cycle": {"prefix": [], "tail": {"periodic": [-1e308, -1e308, -0.6147]}},
+    "high": {"prefix": [1e308, 1e308], "tail": {"constant": -1e308}},
+}
+SWEEP_COSTS = {
+    "quadratic": {"quadratic": {"center": 0.9, "stiffness": 5}},
+    "tabulated": {"tabulated": {"knots": [[0.2, 1.0], [0.5, 0.0], [0.8, 2.0]]}},
+    "indicator": {"indicator": {"points": [0.0, 0.3, 0.9], "point_costs": [0.5, 0.0, 0.1],
+                                "intervals": [[0.5, 0.7]]}},
+}
+B = cli._SWEEP_BLOCK
+
+
+def sweep_rows(stream, cost, n):
+    """The header and the grid rows of ``sweep --grid n``, one row at a time
+    from ``discounted_value`` and ``cost_eval``."""
+    x, c = tempora.stream_from_dict(stream), tempora.jsonio.cost_from_dict(cost)
+    rows = ["delta,discounted,cost,total,is_argmin"]
+    for i in range(n):
+        d = i / n
+        dv, cv = tempora.discounted_value(x, d), tempora.cost_eval(c, d)
+        rows.append(f"{d!r},{dv!r},{cv!r},{dv + cv!r},0")
+    return rows
+
+
+@pytest.mark.parametrize("stream", sorted(SWEEP_STREAMS))
+def test_sweep_rows_are_the_per_row_values_across_block_edges(stream, tmp_path, capsys):
+    # Every grid row, and no row twice: at one row, either side of one
+    # block's end, and one row into a third block.
+    path = write(tmp_path / "stream.json", SWEEP_STREAMS[stream])
+    for name, cost in SWEEP_COSTS.items():
+        cost_path = write(tmp_path / f"{name}.json", cost)
+        for n in (1, B - 1, B, B + 1, 2 * B + 1):
+            code, out, err = run(capsys, ["sweep", "--stream", path, "--cost", cost_path,
+                                          "--grid", str(n)])
+            assert (code, err) == (0, "")
+            *rows, argmin = out.splitlines()
+            assert rows == sweep_rows(SWEEP_STREAMS[stream], cost, n), (name, n)
+            assert argmin.endswith(",1"), (name, n)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_sweep_memory_does_not_grow_with_the_grid(files):
+    # One block of rows is alive at a time: 300 times the rows add at most
+    # 8 MB to the peak resident set (the whole grid as one block adds 96).
+    cost = write(files["tmp"] / "cost.json", {"quadratic": {"center": 0.9, "stiffness": 5}})
+    code = ("import runpy, sys\ntry:\n"
+            "    runpy.run_module('tempora', run_name='__main__', alter_sys=True)\nfinally:\n"
+            "    sys.stderr.write(next(line for line in open('/proc/self/status')\n"
+            "                          if line.startswith('VmHWM:')))\n")
+
+    def peak_mb(n):
+        proc = subprocess.run([sys.executable, "-c", code, "sweep", "--stream", files["probe"],
+                               "--cost", cost, "--grid", str(n)], env=src_env(),
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0, proc.stderr
+        kb, unit = proc.stderr.split()[1:]
+        assert unit == "kB"
+        return int(kb) / 1024
+
+    small, large = peak_mb(10 ** 3), peak_mb(3 * 10 ** 5)
+    assert large - small <= 8.0, (small, large)
+
+
+# ---------------------------------------------------------------------------
 # property: arbitrary JSON through every file-reading subcommand
 # ---------------------------------------------------------------------------
 

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from tempora import (BanachWindow, Cesaro, Constant, Edu, IndicatorSet, Inf,
                      Liminf, Maxmin, Periodic, Quadratic, Stream, Tabulated,
                      Variational, add, constant_stream, cost_eval, delay,
-                     discounted_value, evaluate, evaluate_many, make_stream,
-                     minimize_over_delta, random_stream, scale_translate,
+                     discounted_value, discounted_values, evaluate, evaluate_many,
+                     make_stream, minimize_over_delta, random_stream, scale_translate,
                      stream_from_dict, sup_distance, unanimity_probe)
 from tempora import cli
 from tempora.axioms import check_axiom
@@ -133,6 +133,42 @@ def test_grid_agrees_with_scalar(rng):
         vec = ref_discounted_value_grid(x, grid)
         for d, v in zip(grid, vec):
             assert v == pytest.approx(discounted_value(x, float(d)), abs=1e-13)
+
+
+#: Values at the float limits (whose sums in D overflow, so D is retaken
+#: over 2^64), signed zeros, subnormals, and ordinary ones.
+limit_values = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308,
+                                 1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max])
+                | st.floats(-5.0, 5.0))
+#: Factors in [0, 1]: both ends, a subnormal, and factors within 1e-9 of 1.
+unit_factors = (st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0 - 1e-9, 1.0 - 2.0 ** -53])
+                | st.floats(1.0 - 1e-9, 1.0) | st.floats(0.0, 1.0))
+
+
+@st.composite
+def limit_streams(draw):
+    prefix = draw(st.lists(limit_values, max_size=5))
+    cycle = draw(st.lists(limit_values, min_size=1, max_size=4))
+    return make_stream(prefix, Periodic(tuple(cycle)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=limit_streams(), ds=st.lists(unit_factors, max_size=12))
+@example(x=stream_from_dict(SATURATING), ds=[SATURATING_AT, 0.0, 1.0])
+def test_discounted_values_are_discounted_value_bit_for_bit(x, ds):
+    got = discounted_values(x, ds)
+    assert got.shape == (len(ds),)
+    assert [v.hex() for v in got.tolist()] == [discounted_value(x, d).hex() for d in ds]
+
+
+@pytest.mark.parametrize("bad", [-5e-324, -0.1, 1.0 + 2.0 ** -52, 1.1, math.inf, -math.inf,
+                                 math.nan])
+def test_discounted_values_rejects_a_factor_outside_the_unit_interval(bad):
+    x = make_stream([9.0, -3.0], Periodic((1.0, 2.0, 6.0)))
+    with pytest.raises(InvalidDelta, match="must lie in"):
+        discounted_value(x, bad)
+    with pytest.raises(InvalidDelta, match="must lie in"):
+        discounted_values(x, [0.5, bad, 0.25])
 
 
 def test_delay_identity_closed_form(rng):
