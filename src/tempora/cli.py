@@ -207,6 +207,8 @@ def _cmd_recover_cost(args) -> int:
     from . import jsonio, panel
     criterion = jsonio.criterion_from_dict(jsonio.load_json_file(args.criterion))
     grid = _parse_float_list(args.grid, "--grid")
+    if not grid:
+        raise ParseError("--grid expects at least one factor")
     alphas = _parse_float_list(args.alphas, "--alphas")
     table = panel.recover_cost(criterion, grid, probe_alphas=tuple(alphas))
     print("delta,cost_lower_bound")

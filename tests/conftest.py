@@ -1,4 +1,7 @@
+import contextlib
+import io
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from tempora import Constant, Periodic, Stream
+from tempora import Constant, Periodic, Stream, cli
 
 # Every property draws the same examples on every run, so a test result is
 # a function of the commit alone: a failing draw replays from the source,
@@ -32,6 +35,25 @@ def exact_dv(x, d):
     head = sum(Fraction(v) * d ** t for t, v in enumerate(x.prefix))
     cycle = sum(Fraction(v) * d ** j for j, v in enumerate(x.tail_cycle))
     return (1 - d) * head + d ** len(x.prefix) * cycle / sum(d ** j for j in range(x.period))
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of ``tempora ARGV``, run in process through
+    ``cli.main`` and held to the CLI's contract: it exits 0, 1 or 2, with no
+    traceback and no warning; exit 0 leaves stderr empty, exit 2 stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert code != 0 or err == "", (argv, err)
+    assert code != 2 or out == "", (argv, out)
+    assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
+    assert caught == [], (argv, [str(w.message) for w in caught])
+    return code, out, err
+
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False, width=64)

@@ -1,14 +1,12 @@
-import contextlib
 import gc
-import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
 import typing
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,40 +19,46 @@ from tempora import Criterion, Edu, cli
 from tempora.axioms import AxiomReport, check_axiom, parse_axiom_id
 from tempora.eigen import MAX_BUILTIN_DIM
 
-from conftest import SATURATING, exact_dv
+from conftest import SATURATING, exact_dv, run_cli
 
 
 def write(path, payload):
-    path.write_text(json.dumps(payload))
+    """Write ``payload`` to ``path``: text as it is, anything else as JSON."""
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
+
+
+#: The input files every test can name: streams, criteria, costs and
+#: operators, among them the criteria of the continuity scans (k, q, t, m, i
+#: and the four patient ones).
+FILES = {
+    "one": {"prefix": [], "tail": {"constant": 1.0}},
+    "alt": {"prefix": [], "tail": {"periodic": [0.0, 1.0]}},
+    "probe": {"prefix": [0.36, -0.84], "tail": {"constant": 0.16}},
+    "edu": {"edu": {"delta": 0.95}},
+    "maxmin": {"maxmin": {"points": [0.3, 0.7]}},
+    "freecost": {"indicator": {"intervals": [[0.0, 0.99]]}},
+    "cyclic": {"builtin": {"name": "cyclic_delay", "n": 8}},
+    "perm": {"builtin": {"name": "permutation", "n": 5, "sigma": [1, 2, 0, 4, 3]}},
+    "k": {"edu": {"delta": 0.9}},
+    "q": {"variational": {"cost": {"quadratic": {"center": 0.8, "stiffness": 3.0}}}},
+    "t": {"variational": {"cost": {"tabulated": {"knots": [[0.2, 1.0], [0.5, 0.0],
+                                                           [0.8, 2.0]]}}}},
+    "m": {"maxmin": {"points": [0.0, 0.3], "intervals": [[0.4, 0.6]]}},
+    "i": {"variational": {"cost": {"indicator": {"points": [0.0, 0.3, 0.9],
+                                                 "point_costs": [0.5, 0.0, 0.1],
+                                                 "intervals": [[0.5, 0.7]]}}}},
+    "inf": {"inf": {}},
+    "liminf": {"liminf": {}},
+    "banachwindow": {"banach_window": {}},
+    "cesaro": {"cesaro": {}},
+}
 
 
 @pytest.fixture
 def files(tmp_path):
-    return {
-        "one": write(tmp_path / "one.json", {"prefix": [], "tail": {"constant": 1.0}}),
-        "alt": write(tmp_path / "alt.json", {"prefix": [], "tail": {"periodic": [0.0, 1.0]}}),
-        "probe": write(tmp_path / "probe.json",
-                       {"prefix": [0.36, -0.84], "tail": {"constant": 0.16}}),
-        "edu": write(tmp_path / "edu.json", {"edu": {"delta": 0.95}}),
-        "inf": write(tmp_path / "inf.json", {"inf": {}}),
-        "liminf": write(tmp_path / "liminf.json", {"liminf": {}}),
-        "maxmin": write(tmp_path / "maxmin.json", {"maxmin": {"points": [0.3, 0.7]}}),
-        "freecost": write(tmp_path / "freecost.json",
-                          {"indicator": {"intervals": [[0.0, 0.99]]}}),
-        "cyclic": write(tmp_path / "cyclic.json",
-                        {"builtin": {"name": "cyclic_delay", "n": 8}}),
-        "perm": write(tmp_path / "perm.json",
-                      {"builtin": {"name": "permutation", "n": 5,
-                                   "sigma": [1, 2, 0, 4, 3]}}),
-        "tmp": tmp_path,
-    }
-
-
-def run(capsys, argv):
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    return {name: write(tmp_path / f"{name}.json", payload)
+            for name, payload in FILES.items()} | {"tmp": tmp_path}
 
 
 def src_env():
@@ -66,35 +70,34 @@ def src_env():
 
 # ---------------------------------------------------------------------------
 
-def test_eval_constant_one_is_normalized(files, capsys):
+def test_eval_constant_one_is_normalized(files):
     for crit in ("edu", "inf", "liminf", "maxmin"):
-        code, out, _ = run(capsys, ["eval", "--stream", files["one"],
-                                    "--criterion", files[crit]])
+        code, out, _ = run_cli(["eval", "--stream", files["one"], "--criterion", files[crit]])
         assert code == 0
         assert float(out.strip()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_eval_json_mode(files, capsys):
-    code, out, _ = run(capsys, ["eval", "--stream", files["alt"],
-                                "--criterion", files["liminf"], "--json"])
+def test_eval_json_mode(files):
+    code, out, _ = run_cli(["eval", "--stream", files["alt"],
+                            "--criterion", files["liminf"], "--json"])
     assert code == 0
     assert json.loads(out) == {"value": 0.0}
 
 
-def test_compare_direction(files, capsys):
-    code, out, _ = run(capsys, ["compare", "--a", files["one"],
-                                "--b", files["alt"], "--criterion", files["inf"]])
+def test_compare_direction(files):
+    code, out, _ = run_cli(["compare", "--a", files["one"],
+                            "--b", files["alt"], "--criterion", files["inf"]])
     assert code == 0
     assert "a > b" in out
-    code, out, _ = run(capsys, ["compare", "--a", files["alt"],
-                                "--b", files["one"], "--criterion", files["inf"]])
+    code, out, _ = run_cli(["compare", "--a", files["alt"],
+                            "--b", files["one"], "--criterion", files["inf"]])
     assert code == 0
     assert "b > a" in out and "a > b" not in out
 
 
-def test_sweep_probe_argmin(files, capsys):
-    code, out, _ = run(capsys, ["sweep", "--stream", files["probe"],
-                                "--cost", files["freecost"], "--grid", "100"])
+def test_sweep_probe_argmin(files):
+    code, out, _ = run_cli(["sweep", "--stream", files["probe"],
+                            "--cost", files["freecost"], "--grid", "100"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "delta,discounted,cost,total,is_argmin"
@@ -105,10 +108,10 @@ def test_sweep_probe_argmin(files, capsys):
     assert float(final[3]) <= 1e-6
 
 
-def test_axioms_json_deterministic_and_parseable(files, capsys):
+def test_axioms_json_deterministic_and_parseable(files):
     argv = ["axioms", "--criterion", files["edu"], "--trials", "40", "--seed", "42"]
-    code1, out1, _ = run(capsys, argv)
-    code2, out2, _ = run(capsys, argv)
+    code1, out1, _ = run_cli(argv)
+    code2, out2, _ = run_cli(argv)
     assert code1 == code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
@@ -118,99 +121,52 @@ def test_axioms_json_deterministic_and_parseable(files, capsys):
     assert payload["seed"] == 42
 
 
-def test_axioms_expected_failures_do_not_flip_exit_code(files, capsys):
+def test_axioms_expected_failures_do_not_flip_exit_code(files):
     # the worst-period criterion is documented to break under doubling
-    code, out, _ = run(capsys, ["axioms", "--criterion", files["inf"],
-                                "--trials", "5", "--seed", "0",
-                                "--axiom", "itis:scale:2"])
+    code, out, _ = run_cli(["axioms", "--criterion", files["inf"],
+                            "--trials", "5", "--seed", "0",
+                            "--axiom", "itis:scale:2"])
     assert code == 0
     payload = json.loads(out)
     assert payload["reports"][0]["violation"] is not None
 
 
-def test_axioms_unexpected_failure_exits_one(files, capsys, monkeypatch):
+def test_axioms_unexpected_failure_exits_one(files, monkeypatch):
     def broken(criterion, axiom, trials, seed, tol=1e-9, transform=None):
         return AxiomReport(axiom=axiom, trials=trials, passes=0,
                            violation={"gap": 1.0}, seed=seed, tol=tol,
                            transform=None)
     monkeypatch.setattr("tempora.axioms.check_axiom", broken)
-    code, out, _ = run(capsys, ["axioms", "--criterion", files["edu"],
-                                "--trials", "1", "--seed", "0",
-                                "--axiom", "monotonicity"])
+    code, out, _ = run_cli(["axioms", "--criterion", files["edu"],
+                            "--trials", "1", "--seed", "0",
+                            "--axiom", "monotonicity"])
     assert code == 1
     assert json.loads(out)["unexpected_failures"] == ["monotonicity"]
 
 
-def test_axioms_seed_env_fallback(files, capsys, monkeypatch):
+def test_axioms_seed_env_fallback(files, monkeypatch):
     monkeypatch.setenv("TEMPORA_SEED", "7")
-    code, out, _ = run(capsys, ["axioms", "--criterion", files["edu"],
-                                "--trials", "2", "--axiom", "normalization"])
+    code, out, _ = run_cli(["axioms", "--criterion", files["edu"],
+                            "--trials", "2", "--axiom", "normalization"])
     assert code == 0
     assert json.loads(out)["seed"] == 7
 
 
-def test_axioms_under_a_malformed_seed_variable_is_a_usage_error(files, capsys, monkeypatch):
-    # The variable once reached int() in the handler: a ValueError traceback
-    # and exit 1.
-    monkeypatch.setenv("TEMPORA_SEED", "abc")
-    code, out, err = run(capsys, ["axioms", "--criterion", files["edu"],
-                                  "--trials", "1", "--axiom", "monotonicity"])
-    assert code == 2 and out == ""
-    assert "usage:" in err and "invalid int value: 'abc'" in err and "Traceback" not in err
-
-
-def test_a_malformed_seed_names_the_flag_and_the_variable(files, capsys, monkeypatch):
-    # The usage error once named only --seed, though the bad value came from
-    # the variable.
-    argv = ["axioms", "--criterion", files["edu"], "--trials", "1", "--axiom", "monotonicity"]
-    monkeypatch.setenv("TEMPORA_SEED", "abc")
-    code, out, err = run(capsys, argv)
-    assert (code, out) == (2, "")
-    assert "TEMPORA_SEED" in err and "--seed" in err and "Traceback" not in err
-    monkeypatch.delenv("TEMPORA_SEED")
-    code, out, err = run(capsys, [*argv, "--seed", "abc"])
-    assert (code, out) == (2, "")
-    assert "invalid int value: 'abc'" in err and "Traceback" not in err
-
-
-def test_recover_cost_reads_no_seed_variable(files, capsys, monkeypatch):
+def test_recover_cost_reads_no_seed_variable(files, monkeypatch):
     argv = ["recover-cost", "--criterion", files["maxmin"], "--grid", "0.3,0.5",
             "--alphas", "1,10"]
     monkeypatch.delenv("TEMPORA_SEED", raising=False)
-    want = run(capsys, argv)
+    want = run_cli(argv)
     assert want[0] == 0
     monkeypatch.setenv("TEMPORA_SEED", "abc")
-    assert run(capsys, argv) == want
-    assert run(capsys, [*argv, "--seed", "5"]) == want
+    assert run_cli(argv) == want
+    assert run_cli([*argv, "--seed", "5"]) == want
 
 
-def test_axioms_unknown_axiom_exits_two(files, capsys):
-    code, _, err = run(capsys, ["axioms", "--criterion", files["edu"],
-                                "--trials", "1", "--axiom", "nope"])
-    assert code == 2
-    assert "error" in err
-
-
-def test_sweep_of_no_grid_nodes_exits_two(files, capsys):
-    code, out, err = run(capsys, ["sweep", "--stream", files["probe"],
-                                  "--cost", files["freecost"], "--grid", "0"])
-    assert code == 2 and out == ""
-    assert "--grid must be >= 1" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("flag, grid, alphas", [("--grid", "0.5,x", "1"),
-                                                ("--alphas", "0.5", "1,y")])
-def test_recover_cost_with_a_word_in_a_list_exits_two(flag, grid, alphas, files, capsys):
-    code, out, err = run(capsys, ["recover-cost", "--criterion", files["maxmin"],
-                                  "--grid", grid, "--alphas", alphas])
-    assert code == 2 and out == ""
-    assert f"{flag} expects comma-separated numbers" in err and "Traceback" not in err
-
-
-def test_recover_cost_csv(files, capsys):
-    code, out, _ = run(capsys, ["recover-cost", "--criterion", files["maxmin"],
-                                "--grid", "0.3,0.5", "--alphas", "1,10",
-                                "--seed", "0"])
+def test_recover_cost_csv(files):
+    code, out, _ = run_cli(["recover-cost", "--criterion", files["maxmin"],
+                            "--grid", "0.3,0.5", "--alphas", "1,10",
+                            "--seed", "0"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "delta,cost_lower_bound"
@@ -221,8 +177,8 @@ def test_recover_cost_csv(files, capsys):
         assert float(bound) >= 0.0
 
 
-def test_eigen_cyclic(files, capsys):
-    code, out, _ = run(capsys, ["eigen", "--operator", files["cyclic"]])
+def test_eigen_cyclic(files):
+    code, out, _ = run_cli(["eigen", "--operator", files["cyclic"]])
     assert code == 0
     payload = json.loads(out)
     assert payload["lambda"] == pytest.approx(1.0, abs=1e-12)
@@ -230,63 +186,65 @@ def test_eigen_cyclic(files, capsys):
     assert all(abs(w - 0.125) <= 1e-12 for w in payload["p"])
 
 
-def test_eigen_absorbing_delay_weights_the_present(files, tmp_path, capsys):
+def test_eigen_absorbing_delay_weights_the_present(files, tmp_path):
     # the file names the stream transformation; the solver reports the
     # invariant weighting of its adjoint
     op = write(tmp_path / "absorbing.json",
                {"builtin": {"name": "absorbing_delay", "n": 8}})
-    code, out, _ = run(capsys, ["eigen", "--operator", op])
+    code, out, _ = run_cli(["eigen", "--operator", op])
     assert code == 0
     payload = json.loads(out)
     assert payload["p"] == [1.0] + [0.0] * 7
     assert payload["lambda"] == 0.0
 
 
-def test_eigen_permutation_with_cesaro(files, capsys):
-    code, out, _ = run(capsys, ["eigen", "--operator", files["perm"], "--cesaro"])
+def test_eigen_permutation_with_cesaro(files):
+    code, out, _ = run_cli(["eigen", "--operator", files["perm"], "--cesaro"])
     assert code == 0
     payload = json.loads(out)
     assert payload["residual"] <= 1e-10
 
 
-def test_counterexamples_ok(files, capsys):
-    code, out, _ = run(capsys, ["counterexamples"])
+def test_counterexamples_ok(files):
+    code, out, _ = run_cli(["counterexamples"])
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 4
     assert all(line.endswith(": ok") for line in lines)
 
 
-def test_malformed_json_exits_two(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{ not json")
-    code, _, err = run(capsys, ["eval", "--stream", str(bad),
-                                "--criterion", str(bad)])
-    assert code == 2
-    assert "line" in err
-
-
-def test_unknown_field_exits_two(tmp_path, files, capsys):
-    weird = write(tmp_path / "weird.json", {"no_such_criterion": {}})
-    code, _, err = run(capsys, ["eval", "--stream", files["one"],
-                                "--criterion", weird])
-    assert code == 2
-    assert "no_such_criterion" in err
-
-
-def test_unknown_subcommand_exits_two(capsys):
-    assert cli.main(["frobnicate"]) == 2
-
-
-def test_missing_file_exits_two(files, capsys):
-    code, _, err = run(capsys, ["eval", "--stream", "/nonexistent.json",
-                                "--criterion", files["edu"]])
-    assert code == 2
+def test_permutation_index_over_the_size_exits_two(files):
+    op = write(files["tmp"] / "perm.json",
+               {"builtin": {"name": "permutation", "n": 2, "sigma": [[0, 1000000000]]}})
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(["eigen", "--operator", op])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and err.startswith("error: ")
+    assert peak < 2 ** 20
 
 
 # ---------------------------------------------------------------------------
-# malformed input: exit code 2 and an error line, never a traceback
+# the CLI contract: each case's exit code and stderr, never a traceback
 # ---------------------------------------------------------------------------
+
+class Row(typing.NamedTuple):
+    argv: list[str]
+    code: int
+    err: tuple[str, ...]
+    files: dict
+    env: dict
+
+
+def row(argv, code, *err, files=None, env=None):
+    """``tempora ARGV``, split as a shell splits it, exits ``code``; its
+    stderr starts with ``err[0]`` and holds the rest of ``err``.  A word
+    ``NAME.json`` is the file ``NAME`` of ``files`` or of ``FILES``, and
+    ``env`` is set, with ``TEMPORA_SEED`` unset unless it names it."""
+    return Row(shlex.split(argv), code, err, files or {}, env or {})
+
 
 MALFORMED_STREAMS = [
     {"prefix": ["a"], "tail": {"constant": 0}},
@@ -307,60 +265,13 @@ MALFORMED_CRITERIA = [
     {"variational": {"cost": {"tabulated": {"knots": [[0.2, 1e308], [0.5, 0.0], [0.8, 2.0]]}}}},
 ]
 
-
-def assert_parse_error(code, out, err):
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "Traceback" not in err
-
-
-@pytest.mark.parametrize("data", MALFORMED_STREAMS, ids=json.dumps)
-def test_malformed_stream_exits_two(data, files, capsys):
-    bad = write(files["tmp"] / "bad.json", data)
-    assert_parse_error(*run(capsys, ["eval", "--stream", bad, "--criterion", files["edu"]]))
-
-
-@pytest.mark.parametrize("data", MALFORMED_CRITERIA, ids=json.dumps)
-def test_malformed_criterion_exits_two(data, files, capsys):
-    bad = write(files["tmp"] / "bad.json", data)
-    for argv in (["eval", "--stream", files["one"], "--criterion", bad],
-                 ["axioms", "--criterion", bad, "--trials", "1"],
-                 ["recover-cost", "--criterion", bad, "--grid", "0.5", "--alphas", "1"]):
-        assert_parse_error(*run(capsys, argv))
-
-
-def test_builtin_operator_over_the_bound_exits_two(files, capsys):
-    op = write(files["tmp"] / "big.json",
-               {"builtin": {"name": "cyclic_delay", "n": MAX_BUILTIN_DIM + 1}})
-    assert_parse_error(*run(capsys, ["eigen", "--operator", op]))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("text, reason", [
+#: Operator files at the float limits, as text: JSON cannot write 1e400.
+LIMIT_OPERATORS = [
     ('{"builtin": {"name": "scaling", "n": 3, "factor": 1e400}}', "finite factor >= 0, got inf"),
     ('{"builtin": {"name": "scaling", "n": 2.5, "factor": 1.0}}', "integer, got 2.5"),
     ('{"builtin": {"name": "cyclic_delay", "n": true}}', "integer, got True"),
     ('{"matrix": [[1e308, 1e308], [1e308, 1e308]]}', "<1, M p> overflows"),
-])
-def test_operator_at_the_float_limit_exits_two(text, reason, files, capsys):
-    op = files["tmp"] / "op.json"
-    op.write_text(text)
-    code, out, err = run(capsys, ["eigen", "--operator", str(op)])
-    assert_parse_error(code, out, err)
-    assert reason in err
-
-
-def test_permutation_index_over_the_size_exits_two(files, capsys):
-    op = write(files["tmp"] / "perm.json",
-               {"builtin": {"name": "permutation", "n": 2, "sigma": [[0, 1000000000]]}})
-    tracemalloc.start()
-    try:
-        result = run(capsys, ["eigen", "--operator", op])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert_parse_error(*result)
-    assert peak < 2 ** 20
-
+]
 
 # Bodies that float() or int() once read as numbers, so each exited 0: a
 # string, a boolean, a fractional permutation index.
@@ -368,9 +279,7 @@ _STRING_STREAM = {"prefix": ["1.5"], "tail": {"constant": "2"}}
 _BOOLEAN_STREAM = {"prefix": [True], "tail": {"constant": False}}
 _STRING_QUADRATIC = {"variational": {"cost": {"quadratic": {"center": "0.5",
                                                              "stiffness": "3"}}}}
-
-
-@pytest.mark.parametrize("stream, criterion, reason", [
+NOT_NUMBERS = [
     (_STRING_STREAM, {"edu": {"delta": "0.9"}}, "got '2'"),
     (_STRING_STREAM, {"edu": {"delta": 0.9}}, "got '2'"),
     ({"prefix": ["1.5"], "tail": {"constant": 2}}, {"edu": {"delta": 0.9}}, "got '1.5'"),
@@ -380,29 +289,138 @@ _STRING_QUADRATIC = {"variational": {"cost": {"quadratic": {"center": "0.5",
     ({"prefix": [1.0], "tail": {"constant": 0.0}}, _STRING_QUADRATIC, "got '0.5'"),
     ({"prefix": [1.0], "tail": {"constant": 0.0}},
      {"maxmin": {"points": [0.3], "intervals": [[0.4, True]]}}, "got True"),
-], ids=str)
-def test_a_string_or_boolean_where_a_number_belongs_exits_two(stream, criterion, reason,
-                                                               files, capsys):
-    argv = ["eval", "--stream", write(files["tmp"] / "s.json", stream),
-            "--criterion", write(files["tmp"] / "k.json", criterion)]
-    code, out, err = run(capsys, argv)
-    assert_parse_error(code, out, err)
-    assert f"expected a number, {reason}" in err
-
-
-@pytest.mark.parametrize("operator, reason", [
+]
+NOT_NUMBER_OPERATORS = [
     ({"builtin": {"name": "permutation", "n": 2, "sigma": [1.5, 0.2]}}, "1.5 is not an integer"),
     ({"builtin": {"name": "permutation", "n": 2, "sigma": [[0.5, 1]]}}, "0.5 is not an integer"),
     ({"builtin": {"name": "permutation", "n": 2, "sigma": ["1", "0"]}}, "got '1'"),
     ({"builtin": {"name": "scaling", "n": 2, "factor": True}}, "got True"),
     ({"matrix": [["1", 0], [0, 1]]}, "got '1'"),
-], ids=str)
-def test_an_operator_body_takes_numbers_and_integral_indices_only(operator, reason,
-                                                                  files, capsys):
-    op = write(files["tmp"] / "op.json", operator)
-    code, out, err = run(capsys, ["eigen", "--operator", op])
-    assert_parse_error(code, out, err)
-    assert reason in err
+]
+
+#: The continuity scans, as criterion file and harness seed.  Each scan
+#: evaluates its 10^4 mixes as rows of values, and together they reach the
+#: batch paths: at seed 0 every criterion family; at seeds 5 and 8 (edu and
+#: quadratic) one masked row per periodic pair; at seed 1 (quadratic and
+#: tabulated) the group pass and the lockstep lanes; at seeds 3 (quadratic)
+#: and 2 (indicator) the most segments the curvature bound drops; and at
+#: seeds 2 (maxmin) and 1 (indicator) scalar golden-section searches on rows.
+SCANS = ("k:0 q:0 t:0 m:0 i:0 inf:0 liminf:0 banachwindow:0 cesaro:0 "
+         "k:5 k:8 q:5 q:8 q:1 t:1 q:3 i:2 m:2 i:1").split()
+
+_AXIOMS = "axioms --criterion edu.json --trials 1 --axiom"
+
+#: The CLI contract: per test, its rows by parameter id (``None`` for a test
+#: with no parameters).  Every row runs in process through ``run_cli``.
+CONTRACT = {
+    "test_malformed_stream_exits_two": {
+        json.dumps(s): [row("eval --stream bad.json --criterion edu.json", 2, "error: ",
+                            files={"bad": s})]
+        for s in MALFORMED_STREAMS},
+    "test_malformed_criterion_exits_two": {
+        json.dumps(k): [row(argv, 2, "error: ", files={"bad": k}) for argv in (
+            "eval --stream one.json --criterion bad.json",
+            "axioms --criterion bad.json --trials 1",
+            "recover-cost --criterion bad.json --grid 0.5 --alphas 1")]
+        for k in MALFORMED_CRITERIA},
+    # The variable once reached int() in the handler: a ValueError traceback
+    # and exit 1.
+    "test_axioms_under_a_malformed_seed_variable_is_a_usage_error": {None: [
+        row(f"{_AXIOMS} monotonicity", 2, "usage: ", "invalid int value: 'abc'",
+            env={"TEMPORA_SEED": "abc"})]},
+    # The usage error once named only --seed, though the bad value came from
+    # the variable.
+    "test_a_malformed_seed_names_the_flag_and_the_variable": {None: [
+        row(f"{_AXIOMS} monotonicity", 2, "usage: ", "TEMPORA_SEED", "--seed",
+            env={"TEMPORA_SEED": "abc"}),
+        row(f"{_AXIOMS} monotonicity --seed abc", 2, "usage: ", "invalid int value: 'abc'")]},
+    "test_axioms_unknown_axiom_exits_two": {None: [
+        row(f"{_AXIOMS} nope", 2, "error: unknown axiom 'nope'")]},
+    "test_malformed_transform_id_exits_two": {
+        axiom_id: [row(f"{_AXIOMS} {axiom_id}", 2,
+                       f"error: malformed transform id {axiom_id.removeprefix('itis:')!r}")]
+        for axiom_id in ["itis:scale:abc", "itis:permute:a,b", "itis:permute:",
+                         "itis:scale:inf", "itis:scale:nan", "itis:scale:1e400",
+                         "itis:scale:-1", "itis:permute:0,0"]},
+    "test_sweep_of_no_grid_nodes_exits_two": {None: [
+        row("sweep --stream probe.json --cost freecost.json --grid 0", 2, "error: ",
+            "--grid must be >= 1")]},
+    "test_recover_cost_with_a_word_in_a_list_exits_two": {
+        f"{flag}-{grid}-{alphas}": [
+            row(f"recover-cost --criterion maxmin.json --grid {grid} --alphas {alphas}", 2,
+                "error: ", f"{flag} expects comma-separated numbers")]
+        for flag, grid, alphas in [("--grid", "0.5,x", "1"), ("--alphas", "0.5", "1,y")]},
+    # Before it exited 2, an empty grid printed the header alone and exited 0.
+    "test_recover_cost_of_no_grid_factors_exits_two": {
+        repr(grid): [row(f"recover-cost --criterion maxmin.json --grid '{grid}' --alphas 1", 2,
+                         "error: --grid expects at least one factor")]
+        for grid in ["", ",", " "]},
+    "test_malformed_json_exits_two": {None: [
+        row("eval --stream bad.json --criterion bad.json", 2, "error: ", "(line 1, column 3)",
+            files={"bad": "{ not json"})]},
+    "test_unknown_field_exits_two": {None: [
+        row("eval --stream one.json --criterion weird.json", 2, "error: ", "no_such_criterion",
+            files={"weird": {"no_such_criterion": {}}})]},
+    "test_unknown_subcommand_exits_two": {None: [
+        row("frobnicate", 2, "usage: ", "invalid choice: 'frobnicate'")]},
+    "test_missing_file_exits_two": {None: [
+        row("eval --stream /nonexistent.json --criterion edu.json", 2,
+            "error: cannot read /nonexistent.json")]},
+    "test_builtin_operator_over_the_bound_exits_two": {None: [
+        row("eigen --operator big.json", 2, "error: ",
+            files={"big": {"builtin": {"name": "cyclic_delay", "n": MAX_BUILTIN_DIM + 1}}})]},
+    "test_operator_at_the_float_limit_exits_two": {
+        f"{text}-{reason}": [row("eigen --operator op.json", 2, "error: ", reason,
+                                 files={"op": text})]
+        for text, reason in LIMIT_OPERATORS},
+    "test_a_string_or_boolean_where_a_number_belongs_exits_two": {
+        f"{stream}-{criterion}-{reason}": [
+            row("eval --stream s.json --criterion k.json", 2, "error: ",
+                f"expected a number, {reason}", files={"s": stream, "k": criterion})]
+        for stream, criterion, reason in NOT_NUMBERS},
+    "test_an_operator_body_takes_numbers_and_integral_indices_only": {
+        f"{operator}-{reason}": [row("eigen --operator op.json", 2, "error: ", reason,
+                                     files={"op": operator})]
+        for operator, reason in NOT_NUMBER_OPERATORS},
+    "test_a_continuity_scan_keeps_stderr_quiet": {
+        scan: [row(f"axioms --criterion {scan.split(':')[0]}.json --trials 1 "
+                   f"--seed {scan.split(':')[1]} --axiom continuity_segment", 0)]
+        for scan in SCANS},
+}
+
+
+def check_rows(rows, files, monkeypatch):
+    for r in rows:
+        paths = {f"{name}.json": path for name, path in files.items()} | {
+            f"{name}.json": write(files["tmp"] / f"{name}.json", payload)
+            for name, payload in r.files.items()}
+        argv = [paths.get(a, a) for a in r.argv]
+        with monkeypatch.context() as m:
+            m.delenv("TEMPORA_SEED", raising=False)
+            for name, value in r.env.items():
+                m.setenv(name, value)
+            code, _, err = run_cli(argv)
+        assert code == r.code, (argv, err)
+        if r.err:
+            assert err.startswith(r.err[0]) and all(s in err for s in r.err[1:]), (argv, err)
+
+
+def contract_test(cases):
+    """A test of ``cases``: one parameter per id, whose rows it checks."""
+    if list(cases) == [None]:
+        def test(files, monkeypatch):
+            check_rows(cases[None], files, monkeypatch)
+        return test
+
+    @pytest.mark.parametrize("key", list(cases))
+    def test(key, files, monkeypatch):
+        check_rows(cases[key], files, monkeypatch)
+    return test
+
+
+# Each entry is a test of its own name, so every case keeps its test id.
+for _name, _cases in CONTRACT.items():
+    globals()[_name] = contract_test(_cases)
 
 
 def test_expected_pass_has_one_entry_per_criterion_tag():
@@ -425,24 +443,17 @@ def test_battery_report_keys_parse_back():
         assert (axiom, transform and transform.label) == (rep.axiom, rep.transform)
 
 
-@pytest.mark.parametrize("axiom_id", ["itis:scale:abc", "itis:permute:a,b", "itis:permute:",
-                                      "itis:scale:inf", "itis:scale:nan", "itis:scale:1e400",
-                                      "itis:scale:-1", "itis:permute:0,0"])
-def test_malformed_transform_id_exits_two(axiom_id, files, capsys):
-    code, out, err = run(capsys, ["axioms", "--criterion", files["edu"], "--trials", "1",
-                                  "--axiom", axiom_id])
-    assert_parse_error(code, out, err)
-    assert repr(axiom_id.removeprefix("itis:")) in err.splitlines()[0]
-
 
 def test_cli_import_loads_no_scipy():
     # Nor numpy, nor a module of the package but the CLI and its errors:
-    # each command imports what it runs.
+    # each command imports what it runs.  Nor a test-only module, which the
+    # tests' own imports would hide.
     code = "import sys, tempora.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, check=True)
     loaded = proc.stdout.split()
-    assert not [m for m in loaded if m.split(".")[0] in ("scipy", "numpy")]
+    assert not [m for m in loaded
+                if m.split(".")[0] in ("scipy", "numpy", "hypothesis", "pytest")]
     assert [m for m in loaded if m.split(".")[0] == "tempora"] == \
         ["tempora", "tempora.cli", "tempora.errors"]
 
@@ -492,12 +503,12 @@ def test_a_printed_number_is_its_float_repr():
         ["-inf", "inf", "nan", "0.1", "-0.0", "1e+308", "5e-324"]
 
 
-def test_tail_mean_past_the_float_range_is_printed(tmp_path, capsys):
+def test_tail_mean_past_the_float_range_is_printed(tmp_path):
     # fsum of the cycle overflows; the mean itself is a float.
     big = write(tmp_path / "big.json", {"prefix": [], "tail": {"periodic": [1e308, 1.5e308]}})
     for criterion in ({"cesaro": {}}, {"banach_window": {}}):
         crit = write(tmp_path / "crit.json", criterion)
-        code, out, err = run(capsys, ["eval", "--stream", big, "--criterion", crit])
+        code, out, err = run_cli(["eval", "--stream", big, "--criterion", crit])
         assert (code, out.strip(), err) == (0, "1.25e+308", "")
     x = tempora.make_stream([], tempora.Periodic((1e308, 1.5e308)))
     assert tempora.discounted_value(x, 1.0) == 1.25e308
@@ -551,15 +562,15 @@ def sweep_rows(stream, cost, n):
 
 
 @pytest.mark.parametrize("stream", sorted(SWEEP_STREAMS))
-def test_sweep_rows_are_the_per_row_values_across_block_edges(stream, tmp_path, capsys):
+def test_sweep_rows_are_the_per_row_values_across_block_edges(stream, tmp_path):
     # Every grid row, and no row twice: at one row, either side of one
     # block's end, and one row into a third block.
     path = write(tmp_path / "stream.json", SWEEP_STREAMS[stream])
     for name, cost in SWEEP_COSTS.items():
         cost_path = write(tmp_path / f"{name}.json", cost)
         for n in (1, B - 1, B, B + 1, 2 * B + 1):
-            code, out, err = run(capsys, ["sweep", "--stream", path, "--cost", cost_path,
-                                          "--grid", str(n)])
+            code, out, err = run_cli(["sweep", "--stream", path, "--cost", cost_path,
+                                      "--grid", str(n)])
             assert (code, err) == (0, "")
             *rows, argmin = out.splitlines()
             assert rows == sweep_rows(SWEEP_STREAMS[stream], cost, n), (name, n)
@@ -674,11 +685,7 @@ def test_arbitrary_json_never_escapes_main(command, slot_dir, draw):
         path = slot_dir / f"{command}-{i}.json"
         path.write_text(json.dumps(payload))
         argv[i] = str(path)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    run_cli(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -723,24 +730,14 @@ LIMIT_GRID = np.linspace(0.0, 1.0 - 1e-9, 2001)
 
 def run_at_the_limits(command, payloads, slot_dir, *extra):
     """(exit code, stdout) of ``command`` on files holding ``payloads``, one
-    per flag, then the arguments ``extra``; it leaves no traceback and no
-    numpy warning on stderr, and nothing at all there when it exits 0."""
+    per flag, then the arguments ``extra``, held to the CLI contract."""
     argv = [command]
     for flag, payload in payloads.items():
         path = slot_dir / f"limit{flag}.json"
         path.write_text(json.dumps(payload))
         argv += [flag, str(path)]
     argv += extra
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = cli.main(argv)
-    assert code in (0, 1, 2)
-    assert code != 0 or err.getvalue() == ""
-    assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    return code, out.getvalue()
+    return run_cli(argv)[:2]
 
 
 def rounding_tol(x):
@@ -820,21 +817,21 @@ def test_sweep_at_the_float_limits_prints_discounted_values_within_the_stream(st
         assert_within_the_stream(float(fields[1]), stream, {})
 
 
-def test_an_in_process_call_leaves_no_cycles_for_the_collector(files, capsys):
+def test_an_in_process_call_leaves_no_cycles_for_the_collector(files):
     # argparse links each call's parser, groups, actions and help formatters
     # in reference cycles (about 290 objects per call): main frees them
     # before the command runs.  A quadratic cost's pieces hold only numbers,
     # not the cost, so a cost is no cycle either.
     quad = write(files["tmp"] / "quad.json",
                  {"variational": {"cost": {"quadratic": {"center": 0.8, "stiffness": 3.0}}}})
-    run(capsys, ["eval", "--stream", files["probe"], "--criterion", quad])
+    run_cli(["eval", "--stream", files["probe"], "--criterion", quad])
     gc.collect()
     gc.disable()
     try:
         for argv in (["eval", "--stream", files["probe"], "--criterion", quad],
                      ["eval", "--stream", files["alt"], "--criterion", files["maxmin"]],
                      ["counterexamples"]):
-            assert run(capsys, argv)[0] == 0
+            assert run_cli(argv)[0] == 0
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
             left = list(gc.garbage)

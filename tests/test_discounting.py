@@ -21,7 +21,6 @@ from tempora import (BanachWindow, Cesaro, Constant, Edu, IndicatorSet, Inf,
                      discounted_value, discounted_values, evaluate, evaluate_many,
                      make_stream, minimize_over_delta, random_stream, scale_translate,
                      stream_from_dict, sup_distance, unanimity_probe)
-from tempora import cli
 from tempora.axioms import check_axiom
 from tempora.discounting import (_FACTOR_CACHE, _GRID_CACHE, _NODES, _grid, _grid_denom,
                                  _grid_power, _interp, discounted_value_grid)
@@ -31,7 +30,7 @@ from tempora.streams import _mixture_rows, _stream
 import tempora.axioms as A
 import tempora.discounting as D
 
-from conftest import SATURATING, SATURATING_AT, exact_dv
+from conftest import SATURATING, SATURATING_AT, exact_dv, run_cli
 
 ALL_DELTAS = [i / 10 for i in range(10)] + [0.99, 1.0]
 
@@ -1763,18 +1762,14 @@ LIMIT_EVALS = [
 
 
 @pytest.mark.parametrize("stream, criterion, printed", LIMIT_EVALS)
-def test_eval_at_the_float_limits_prints_the_exact_value(stream, criterion, printed, tmp_path,
-                                                         capsys):
+def test_eval_at_the_float_limits_prints_the_exact_value(stream, criterion, printed, tmp_path):
     argv = ["eval"]
     for flag, payload in (("--stream", stream), ("--criterion", criterion)):
         path = tmp_path / f"{flag[2:]}.json"
         path.write_text(json.dumps(payload))
         argv += [flag, str(path)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = cli.main(argv)
-    out, err = capsys.readouterr()
-    assert (code, err, caught) == (0, "", [])
+    code, out, _ = run_cli(argv)
+    assert code == 0
     v = float(out)
     x, k = stream_from_dict(stream), criterion_from_dict(criterion)
     if isinstance(k, Edu):

