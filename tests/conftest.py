@@ -10,6 +10,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from tempora import Constant, Periodic, Stream, cli
+import tempora.discounting as D
+import tempora.streams as S
 
 # Every property draws the same examples on every run, so a test result is
 # a function of the commit alone: a failing draw replays from the source,
@@ -53,6 +55,60 @@ def run_cli(argv):
     assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
     assert caught == [], (argv, [str(w.message) for w in caught])
     return code, out, err
+
+
+def counted(fn, weight=None, into=None):
+    """``fn`` wrapped to append each call's weight, ``weight(result, *args,
+    **kwargs)`` or else 1 (a call that raises has the result None), to the
+    list ``into`` (a new one by default), and that list."""
+    into = [] if into is None else into
+
+    def wrapper(*args, **kwargs):
+        out = None
+        try:
+            out = fn(*args, **kwargs)
+            return out
+        finally:
+            into.append(1 if weight is None else weight(out, *args, **kwargs))
+
+    return wrapper, into
+
+
+def spy(monkeypatch, owner, name, weight=None, into=None):
+    """Replace ``owner.name`` by :func:`counted` of it; the list of weights."""
+    wrapper, into = counted(getattr(owner, name), weight, into)
+    monkeypatch.setattr(owner, name, wrapper)
+    return into
+
+
+#: The work the tests count: per count, the functions whose calls it counts
+#: and a call's weight (1 if None); a function renamed or moved changes a row.
+WORK = {
+    "golden": [(D, "_golden", None)],               # golden-section searches
+    "lockstep": [(D, "_golden_lockstep", lambda out, fun, a, *rest: a.size)],  # and lanes
+    "scans": [(D, "_scan", None)],                  # full-grid scans
+    "pieces": [(D, "_minimize_on_interval", None)],  # piece searches
+    "horner": [(D, "_horner", lambda out, coeffs, d: len(coeffs) * d.size)],  # Horner steps
+    "powers": [(D, "_powers", None)],               # factor powers
+    # grid nodes of the coarse-to-fine scan (a full scan counts under "scans")
+    "nodes": [(D, "_dv_array", lambda out, prefix, cycle, d, *rest: d.size if d.ndim == 2 else 0)],
+    "streams": [(S, "_unchecked", lambda out, cls, **fields: cls is S.Stream),  # streams built
+                (S.Stream, "__init__", None)],
+    "batches": [(D, "evaluate_many", None)],        # batch evaluations
+    "singles": [(D, "evaluate", None)],             # single evaluations
+}
+
+
+def work(monkeypatch, *names, **weights):
+    """Count the rows ``names`` of ``WORK`` from now on, and the rows named
+    in ``weights`` with the weight given there in place of the row's: a
+    list of weights per row, by name."""
+    counts = {}
+    for name in names + tuple(weights):
+        counts[name] = []
+        for owner, attr, weight in WORK[name]:
+            spy(monkeypatch, owner, attr, weights.get(name, weight), counts[name])
+    return counts
 
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,

@@ -16,6 +16,8 @@ from tempora import (AXIOM_IDS, BanachWindow, Cesaro, Edu, IndicatorSet, Inf, Li
 from tempora.axioms import AxiomReport, DelayTransform, MatrixTransform, PermuteTransform
 from tempora.errors import InvalidAxiom
 
+from conftest import counted, work
+
 
 # ---------------------------------------------------------------------------
 # improving pairs
@@ -231,22 +233,17 @@ def test_continuity_reports_match_the_per_point_scan(k, monkeypatch):
 def test_a_closed_form_continuity_scan_builds_no_stream_per_mix(monkeypatch):
     # Edu and Cesaro read the mixes' rows of values: the scan builds no
     # stream at all, where one per mix would be 10^4.
-    import tempora.streams as S
-    built = []
-    unchecked, init = S._unchecked, S.Stream.__init__
-    monkeypatch.setattr(S, "_unchecked",
-                        lambda cls, **f: built.append(cls) or unchecked(cls, **f))
-    monkeypatch.setattr(S.Stream, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    built = work(monkeypatch, "streams")["streams"]
     draw, judge = AX._AXIOMS["continuity_segment"]
     inside = []
 
-    def counted(*args, **kwargs):
+    def judged(*args, **kwargs):
         built.clear()
         verdict = judge(*args, **kwargs)
-        inside.append(built.count(S.Stream) + built.count(1))
+        inside.append(sum(built))
         return verdict
 
-    monkeypatch.setitem(AX._AXIOMS, "continuity_segment", (draw, counted))
+    monkeypatch.setitem(AX._AXIOMS, "continuity_segment", (draw, judged))
     for k in (Edu(0.9), Cesaro()):
         inside.clear()
         assert check_axiom(k, "continuity_segment", trials=1, seed=0).passes == 1
@@ -263,32 +260,21 @@ def test_the_minimizer_builds_no_stream_for_a_batch_row(monkeypatch, k, seed, se
     # batches; the minimizer reads each row's values, and builds no stream
     # to search it, or to scan it on the full grid.
     import tempora.discounting as D
-    import tempora.streams as S
-    built, inside = [], []
-    unchecked, init = S._unchecked, S.Stream.__init__
-    monkeypatch.setattr(S, "_unchecked",
-                        lambda cls, **f: built.append(cls) or unchecked(cls, **f))
-    monkeypatch.setattr(S.Stream, "__init__", lambda self, *a: built.append(1) or init(self, *a))
-    minimize, golden = D._minimize_on_interval, D._golden
-    counts = {"streams": 0, "searches": 0}
+    counted, streams = work(monkeypatch, "streams", "golden"), []
+    minimize = D._minimize_on_interval
 
-    def counted(*args):
-        built.clear()
-        inside.append(1)
-        try:
-            return minimize(*args)
-        finally:
-            inside.pop()
-            counts["streams"] += built.count(S.Stream) + built.count(1)
+    def within(*args):
+        # The streams built inside one piece search; the minimizer alone
+        # runs golden-section searches.
+        built = sum(counted["streams"])
+        out = minimize(*args)
+        streams.append(sum(counted["streams"]) - built)
+        return out
 
-    def counted_golden(*args):
-        counts["searches"] += bool(inside)
-        return golden(*args)
-
-    monkeypatch.setattr(D, "_minimize_on_interval", counted)
-    monkeypatch.setattr(D, "_golden", counted_golden)
+    monkeypatch.setattr(D, "_minimize_on_interval", within)
     assert check_axiom(k, "continuity_segment", trials=1, seed=seed).passes == 1
-    assert counts == {"streams": 0, "searches": searches}
+    assert {"streams": sum(streams), "searches": len(counted["golden"])} == \
+        {"streams": 0, "searches": searches}
 
 
 def planted_jump(seed, calls):
@@ -300,11 +286,10 @@ def planted_jump(seed, calls):
     up = discounted_value(x, 0.5) > mid
 
     def ev(y):
-        calls.append(1)
         v = discounted_value(y, 0.5)
         return v + (1.0 if (v > mid) == up else 0.0)
 
-    return ev
+    return counted(ev, into=calls)[0]
 
 
 def test_continuity_scan_of_a_plain_callable_finds_the_same_jump(monkeypatch):
@@ -325,12 +310,7 @@ def test_continuity_scan_of_a_plain_callable_finds_the_same_jump(monkeypatch):
 
 
 def test_conditional_check_evaluates_x_once():
-    calls = []
-
-    def ev(y):
-        calls.append(y)
-        return evaluate(Cesaro(), y)
-
+    ev, calls = counted(lambda y: evaluate(Cesaro(), y))
     x = random_stream(np.random.default_rng(2))
     for d, expected in ((constant_stream(1.0), 3), (constant_stream(-1.0), 2)):
         calls.clear()

@@ -30,7 +30,7 @@ from tempora.streams import _mixture_rows, _stream
 import tempora.axioms as A
 import tempora.discounting as D
 
-from conftest import SATURATING, SATURATING_AT, exact_dv, run_cli
+from conftest import SATURATING, SATURATING_AT, exact_dv, counted, run_cli, spy, work
 
 ALL_DELTAS = [i / 10 for i in range(10)] + [0.99, 1.0]
 
@@ -624,20 +624,10 @@ def test_grid_matches_reference_bit_for_bit(rng):
     Variational(IndicatorSet(intervals=((0.1, 0.2), (0.5, 1.0)))),
 ])
 def test_flat_objective_opens_three_searches_per_piece(monkeypatch, k):
-    calls = {"golden": 0, "piece": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(D, "_golden", counted("golden", D._golden))
-    monkeypatch.setattr(D, "_minimize_on_interval",
-                        counted("piece", D._minimize_on_interval))
+    calls = work(monkeypatch, "golden", "pieces")
     assert evaluate(k, constant_stream(1.0)) == 1.0
-    assert calls["piece"] >= 1
-    assert calls["golden"] <= 3 * calls["piece"]
+    assert len(calls["pieces"]) >= 1
+    assert len(calls["golden"]) <= 3 * len(calls["pieces"])
 
 
 def test_cached_grid_is_read_only():
@@ -666,18 +656,11 @@ def test_grid_cache_and_memos_are_bounded():
 def test_proxy_check_fills_each_power_once(monkeypatch):
     # The monotone continuity proxy evaluates prefixes of up to 412 terms;
     # while the cache has room, no grid's d^n is computed twice.
-    fills = Counter()
-    powers = D._powers
-
-    def counted(d, ns):
-        out = powers(d, ns)
-        if len(d) == _NODES:
-            fills[d[0], d[-1], out.tobytes()] += 1
-        return out
-
-    monkeypatch.setattr(D, "_powers", counted)
+    filled = work(monkeypatch, powers=lambda out, d, ns: len(d) == _NODES and
+                  (d[0], d[-1], out.tobytes()))["powers"]
     _grid_power.cache_clear()
     check_axiom(Variational(Quadratic(0.8, 3.0)), "monotone_continuity_proxy", trials=20, seed=0)
+    fills = Counter(filter(None, filled))
     assert 0 < len(fills) == _grid_power.cache_info().currsize < _FACTOR_CACHE
     assert max(fills.values()) == 1
 
@@ -740,8 +723,7 @@ def test_tabulated_cost_eval_is_np_interp_bit_for_bit():
 
 
 def test_tabulated_cost_eval_reads_one_interpolant_per_cost(monkeypatch):
-    built = []
-    monkeypatch.setattr(D, "_interp", lambda c: built.append(c) or _interp(c))
+    built = spy(monkeypatch, D, "_interp", lambda out, c: c)
     knots = ((0.2, 1.0), (0.45, 0.0), (0.7, 3.3))
     c = Tabulated(knots=knots)
     xp, fp = [d for d, _ in knots], [k for _, k in knots]
@@ -929,20 +911,15 @@ def test_a_scan_judges_a_criterion_as_it_judges_its_plain_callable(monkeypatch, 
     # Seeds 5 and 8 draw periodic pairs (lcm 6 and 12); the last mix of
     # each, at lam 1, is x on a window whose cycle is not minimal, so its
     # row is masked and goes through evaluate_many as a stream.
-    flagged, seen = [], []
-    mixture_rows, mixes = A._mixture_rows, A._mixes
-
-    def counted_rows(*args):
-        n, vals, mask = mixture_rows(*args)
-        flagged.append(int(mask.sum()))
-        return n, vals, mask
+    flagged = spy(monkeypatch, A, "_mixture_rows", lambda out, *args: int(out[2].sum()))
+    seen, mixes = [], A._mixes
 
     def recorded(*args):
+        # A list of the generator's arrays, so that their values can be read.
         out = list(mixes(*args))
         seen.extend(np.concatenate(out).tolist())
         return out
 
-    monkeypatch.setattr(A, "_mixture_rows", counted_rows)
     monkeypatch.setattr(A, "_mixes", recorded)
     for k in (Edu(0.9), Cesaro(), Inf(), Variational(Quadratic(0.8, 3.0))):
         flagged.clear(), seen.clear()
@@ -964,16 +941,9 @@ def test_a_batch_takes_horner_work_in_proportion_to_its_own_streams(monkeypatch,
     xs.append(make_stream(rng.uniform(-5.0, 5.0, 8000).tolist(), Constant(1.0)))
     k = Variational(Quadratic(0.8, 3.0))
     want = hex_bits(evaluate(k, x) for x in xs)
-    steps = {"all": 0}
-    horner = D._horner
-
-    def counted(coeffs, d):
-        steps["all"] += len(coeffs) * d.size
-        return horner(coeffs, d)
-
-    monkeypatch.setattr(D, "_horner", counted)
+    steps = work(monkeypatch, "horner")["horner"]
     assert hex_bits(evaluate_many(k, xs)) == want
-    assert 0 < steps["all"] <= 2 * _NODES * sum(len(x.prefix) + x.period for x in xs)
+    assert 0 < sum(steps) <= 2 * _NODES * sum(len(x.prefix) + x.period for x in xs)
 
 
 def test_lockstep_golden_matches_golden_on_the_same_brackets(rng):
@@ -1013,28 +983,18 @@ GOLDEN_SHAPES = {"low end": lambda d: d, "high end": lambda d: -d,
                  "inside": lambda d: (d - 0.3) ** 2, "flat": lambda d: 0.0 * d}
 
 
-def with_calls(f):
-    """``f``, and the list of the points it was called at."""
-    calls = []
-
-    def fun(d):
-        calls.append(d)
-        return f(d)
-    return fun, calls
-
-
 @pytest.mark.parametrize("shape", GOLDEN_SHAPES)
 def test_golden_stops_on_its_tolerance_within_44_steps(shape):
     # A search evaluates its two first points, one per step and the
     # midpoint of its last bracket: steps = calls - 3.  0.618^44 < 1e-9.
     f = GOLDEN_SHAPES[shape]
     a, b = WIDEST
-    fun, calls = with_calls(f)
+    fun, calls = counted(f)
     d, v = D._golden(fun, a, b, f(a), f(b))
     assert len(calls) - 3 == 44
     want = {"low end": a, "high end": b, "inside": 0.3, "flat": a}[shape]
     assert abs(d - want) <= 1e-8 and v == f(d)
-    fun, calls = with_calls(f)
+    fun, calls = counted(f)
     lanes = np.array([WIDEST, (0.2, 0.7), (0.5, 0.5), (0.0, 1e-9)]).T
     got = D._golden_lockstep(fun, *lanes, f(lanes[0]), f(lanes[1]))
     assert len(calls) - 3 == 44
@@ -1046,10 +1006,10 @@ def test_golden_on_random_quadratics_takes_at_most_44_steps(rng):
     centres = rng.uniform(-0.5, 1.5, 500)
     a, b = WIDEST
     for c in centres.tolist():
-        fun, calls = with_calls(lambda d: (d - c) ** 2)
+        fun, calls = counted(lambda d: (d - c) ** 2)
         D._golden(fun, a, b, (a - c) ** 2, (b - c) ** 2)
         assert len(calls) - 3 <= 44
-    fun, calls = with_calls(lambda d: (d - centres) ** 2)
+    fun, calls = counted(lambda d: (d - centres) ** 2)
     lo, hi = np.full(centres.size, a), np.full(centres.size, b)
     D._golden_lockstep(fun, lo, hi, (lo - centres) ** 2, (hi - centres) ** 2)
     assert len(calls) - 3 <= 44
@@ -1067,22 +1027,11 @@ def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
     # _COARSE_MIN rows on, each row's kept brackets are its own.
     piece = Quadratic(0.8, 3.0).pieces[0]
     n, vals = as_rows(one_shape_streams(rng, 4 * D._LOCKSTEP_MIN))
-    calls = {"golden": 0, "lockstep": 0}
-    golden, lockstep = D._golden, D._golden_lockstep
-
-    def counted_golden(*args, **kwargs):
-        calls["golden"] += 1
-        return golden(*args, **kwargs)
-
-    def counted_lockstep(*args, **kwargs):
-        calls["lockstep"] += 1
-        return lockstep(*args, **kwargs)
-
-    monkeypatch.setattr(D, "_golden", counted_golden)
-    monkeypatch.setattr(D, "_golden_lockstep", counted_lockstep)
+    counted = work(monkeypatch, "golden", "lockstep")
 
     def run(j):
-        calls.update(golden=0, lockstep=0)
+        for w in counted.values():
+            w.clear()
         return D._minimize_on_interval(n, vals[:j], piece)
 
     def kept(j):
@@ -1090,7 +1039,7 @@ def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
         with monkeypatch.context() as m:
             m.setattr(D, "_LOCKSTEP_MIN", math.inf)
             run(j)
-        return calls["golden"]
+        return len(counted["golden"])
 
     # The fewest rows whose brackets reach the threshold; one less falls short.
     lo, hi = D._COARSE_MIN, len(vals)
@@ -1102,7 +1051,7 @@ def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
     for size, want in ((j - 1, {"golden": short, "lockstep": 0}),
                        (j, {"golden": 0, "lockstep": 1})):
         got = run(size)
-        assert calls == want
+        assert {name: len(w) for name, w in counted.items()} == want
         assert [(d.hex(), v.hex()) for d, v in zip(*got)] == \
             [(d.hex(), v.hex()) for i in range(size)
              for d, v in zip(*D._minimize_on_interval(n, vals[i:i + 1], piece))]
@@ -1152,25 +1101,12 @@ def test_lanes_that_share_a_factor_keep_the_scalar_bits():
                     ["0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"]
 
 
-class _Enough(Exception):
-    pass
-
-
 def scan_chunk(monkeypatch, k, index):
     """Batch ``index`` (from 0) of the mixes of the seed-0 continuity scan
     of ``k``, as ``_mixture_rows`` returns it: (n, vals, mask)."""
-    chunks, mixture_rows = [], A._mixture_rows
-
-    def upto(*args):
-        chunks.append(mixture_rows(*args))
-        if len(chunks) > index:
-            raise _Enough
-        return chunks[-1]
-
     with monkeypatch.context() as m:
-        m.setattr(A, "_mixture_rows", upto)
-        with pytest.raises(_Enough):
-            check_axiom(k, "continuity_segment", 1, 0)
+        chunks = spy(m, A, "_mixture_rows", lambda out, *args: out)
+        check_axiom(k, "continuity_segment", 1, 0)
     return chunks[index]
 
 
@@ -1182,36 +1118,30 @@ def test_lockstep_takes_the_factor_terms_once_per_distinct_factor_and_shape(monk
     n, vals, mask = scan_chunk(monkeypatch, k, 20)
     assert vals.shape[0] == 256 and not mask.any()
     want = hex_bits(evaluate(k, _stream(row[:n], row[n:])) for row in vals.tolist())
-    counts = {"lanes": 0, "distinct": 0, "powered": 0}
+    counts = {"lanes": 0, "distinct": 0}
     inside = []
-    lanes, powers = D._lanes, D._powers
-
-    def counted_powers(d, ns):
-        if inside:
-            counts["powered"] += len(d)
-        return powers(d, ns)
+    powered = work(monkeypatch, powers=lambda out, d, ns: len(d) if inside else 0)["powers"]
+    lanes = D._lanes
 
     def counted_lanes(n, rows, cost):
         objective = lanes(n, rows, cost)
 
-        def counted(d):
+        def lanes_objective(d):
             counts["lanes"] += d.size
             counts["distinct"] += len(set(d.view(np.int64).tolist()))
             inside.append(d)
-            try:
-                return objective(d)
-            finally:
-                inside.pop()
+            out = objective(d)
+            inside.pop()
+            return out
 
-        return counted
+        return lanes_objective
 
-    monkeypatch.setattr(D, "_powers", counted_powers)
     monkeypatch.setattr(D, "_lanes", counted_lanes)
     assert hex_bits(k.rows(n, vals)) == want
     # Neighbouring mixtures walk one golden path: d^n is taken once per
     # factor in a step, not once per lane.
     assert counts["lanes"] >= 256 * 20
-    assert 0 < counts["powered"] <= counts["distinct"] < counts["lanes"] / 100
+    assert 0 < sum(powered) <= counts["distinct"] < counts["lanes"] / 100
 
 
 def test_piece_lanes_cost_has_the_scalar_bits(rng):
@@ -1701,16 +1631,10 @@ def test_the_float_certificate_at_the_float_limits(x, cost, monkeypatch):
     # neither may drop a bracket that holds the exact minimum's factor.
     terms = n, p, norm, r = terms_of(x)
     pre, cyc = row_of(x)
-    handed, scan = [], D._scan
-
-    def spy(*args):
-        handed.append(args[-1])
-        return scan(*args)
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with monkeypatch.context() as m:
-            m.setattr(D, "_scan", spy)
+            handed = work(m, scans=lambda out, *args: args[-1])["scans"]
             got_v = minimize_over_delta(x, cost)[1]
     # The minimizer hands the float loop the stream's terms, at the float
     # limits as anywhere else.
@@ -1884,59 +1808,34 @@ def test_a_certified_monotone_bracket_searches_to_its_lower_end(x, cost, scale, 
 def test_the_quadratic_continuity_scan_runs_no_golden_section_search(monkeypatch):
     # Each of its mixtures keeps only brackets where the objective is
     # certified monotone, so no golden-section point is evaluated.
-    calls = {"golden": 0, "lockstep": 0}
-    golden, lockstep = D._golden, D._golden_lockstep
-
-    def counted_golden(*args, **kwargs):
-        calls["golden"] += 1
-        return golden(*args, **kwargs)
-
-    def counted_lockstep(*args, **kwargs):
-        calls["lockstep"] += 1
-        return lockstep(*args, **kwargs)
-
-    monkeypatch.setattr(D, "_golden", counted_golden)
-    monkeypatch.setattr(D, "_golden_lockstep", counted_lockstep)
+    calls = work(monkeypatch, "golden", "lockstep")
     report = check_axiom(Variational(Quadratic(0.8, 3.0)), "continuity_segment", 1, 0)
     assert report.passes == 1
-    assert calls == {"golden": 0, "lockstep": 0}
+    assert calls == {"golden": [], "lockstep": []}
 
 
 def test_most_brackets_are_certified_away_on_a_fixed_battery(monkeypatch):
     from tempora.axioms import check_axiom, parse_axiom_id
     from tempora.cli import BATTERY
 
-    counts = {"scanned": 0, "searched": 0}
-    scan, golden, lockstep = D._scan, D._golden, D._golden_lockstep
-
-    def counted_scan(prefix, cycle, piece, terms):
-        # Every bracket the grid opens, before the certificates act.
-        counts["scanned"] += len(scan(prefix, cycle, piece, uncertified(terms))[1])
-        return scan(prefix, cycle, piece, terms)
-
-    def counted_golden(*args, **kwargs):
-        counts["searched"] += 1
-        return golden(*args, **kwargs)
-
-    def counted_lockstep(fun, a, b, *args, **kwargs):
-        counts["searched"] += a.size
-        return lockstep(fun, a, b, *args, **kwargs)
-
-    monkeypatch.setattr(D, "_scan", counted_scan)
-    monkeypatch.setattr(D, "_golden", counted_golden)
-    monkeypatch.setattr(D, "_golden_lockstep", counted_lockstep)
+    scan = D._scan
+    # Every bracket the grid opens, before the certificates act.
+    counted = work(monkeypatch, "golden", "lockstep", scans=lambda out, prefix, cycle, piece, terms:
+                   len(scan(prefix, cycle, piece, uncertified(terms))[1]))
     k = Variational(Quadratic(0.8, 3.0))
     rng = np.random.default_rng(7)
     lanes = [random_stream(rng) for _ in range(D._LOCKSTEP_MIN)]
     runs = []
     for _ in range(2):
-        counts.update(scanned=0, searched=0)
+        for w in counted.values():
+            w.clear()
         for seed in range(4):
             for axiom_id in BATTERY:
                 axiom, t = parse_axiom_id(axiom_id)
                 check_axiom(k, axiom, 2, seed, transform=t)
         evaluate_many(k, lanes)
-        runs.append(dict(counts))
+        runs.append({"scanned": sum(counted["scans"]),
+                     "searched": len(counted["golden"]) + sum(counted["lockstep"])})
     assert runs[0] == runs[1]
     assert runs[0]["searched"] <= 0.6 * runs[0]["scanned"]
 
@@ -1971,23 +1870,11 @@ def test_a_batch_at_the_float_limit_runs_no_search(monkeypatch):
     # certified monotone, as on the same stream scaled down, where before
     # each of the 256 rows ran two lockstep lanes.
     x, cost = OVERFLOW_STREAMS[1], Quadratic(0.9, 5.0)
-    calls = {"golden": 0, "lanes": 0}
-    golden, lockstep = D._golden, D._golden_lockstep
-
-    def counted_golden(*args, **kwargs):
-        calls["golden"] += 1
-        return golden(*args, **kwargs)
-
-    def counted_lockstep(fun, a, b, *args, **kwargs):
-        calls["lanes"] += a.size
-        return lockstep(fun, a, b, *args, **kwargs)
-
-    monkeypatch.setattr(D, "_golden", counted_golden)
-    monkeypatch.setattr(D, "_golden_lockstep", counted_lockstep)
+    calls = work(monkeypatch, "golden", "lockstep")
     for size in (1, D._BLOCK):
         values = evaluate_many(Variational(cost), [x] * size)
         assert hex_bits(values) == ["-0x1.640306605227bp+1023"] * size
-    assert calls == {"golden": 0, "lanes": 0}
+    assert calls == {"golden": [], "lockstep": []}
     assert_near_exact_minimum(values[0], x, cost)
 
 
@@ -2036,37 +1923,25 @@ def test_a_batch_of_constant_streams_under_a_flat_knot_extension_keeps_the_refer
 
 
 def counted_grid_nodes(monkeypatch):
-    """Grid nodes evaluated: 2001 per full scan, plus every node of the
-    coarse-to-fine scan's 2-D arrays (the golden-section lanes are 1-D)."""
-    counts = {"nodes": 0, "coarse_steps": 0, "coarse_rows": 0}
-    scan, dv_array, horner = D._scan, D._dv_array, D._horner
+    """The counts so far, as a function: grid nodes evaluated (2001 per full
+    scan, plus every node of the coarse-to-fine scan's 2-D arrays), and the
+    rows and Horner steps on the coarse nodes."""
+    def coarse(d):
+        return d.ndim == 2 and d.shape[1] == D._SEGMENTS + 1
 
-    def counted_scan(*args):
-        counts["nodes"] += _NODES
-        return scan(*args)
-
-    def counted_dv_array(prefix, cycle, d, *rest):
-        if d.ndim == 2:
-            counts["nodes"] += d.size
-            if d.shape[1] == D._SEGMENTS + 1:
-                counts["coarse_rows"] += d.shape[0]
-        return dv_array(prefix, cycle, d, *rest)
-
-    def counted_horner(coeffs, d):
-        if d.ndim == 2 and d.shape[1] == D._SEGMENTS + 1:
-            counts["coarse_steps"] += len(coeffs) * d.size
-        return horner(coeffs, d)
-
-    monkeypatch.setattr(D, "_scan", counted_scan)
-    monkeypatch.setattr(D, "_dv_array", counted_dv_array)
-    monkeypatch.setattr(D, "_horner", counted_horner)
-    return counts
+    counted = work(monkeypatch, "scans", "nodes",
+                   horner=lambda out, coeffs, d: coarse(d) and len(coeffs) * d.size)
+    rows = work(monkeypatch, nodes=lambda out, prefix, cycle, d, *rest:
+                coarse(d) and d.shape[0])["nodes"]
+    return lambda: {"nodes": _NODES * len(counted["scans"]) + sum(counted["nodes"]),
+                    "coarse_steps": sum(counted["horner"]), "coarse_rows": sum(rows)}
 
 
 def test_a_continuity_scan_evaluates_a_fiftieth_of_the_grid_at_most(monkeypatch):
-    counts = counted_grid_nodes(monkeypatch)
+    counted = counted_grid_nodes(monkeypatch)
     report = check_axiom(Variational(Quadratic(0.8, 3.0)), "continuity_segment", 1, 0)
     assert report.passes == 1
+    counts = counted()
     # The group pass: every 16 mixes of a block are taken at every coarse
     # node as their two envelope rows, not one by one; only the last 16
     # mixes, a block below _GROUPED_MIN, take every coarse node themselves
@@ -2158,9 +2033,10 @@ def test_the_coarse_pass_does_not_pad_a_batch_to_its_longest_prefix(monkeypatch,
     xs = [random_stream(rng) for _ in range(300)]
     xs.append(make_stream(rng.uniform(-5.0, 5.0, 2000).tolist(), Constant(1.0)))
     want = [minimize_over_delta(x, Quadratic(0.8, 3.0)) for x in xs]
-    counts = counted_grid_nodes(monkeypatch)
+    counted = counted_grid_nodes(monkeypatch)
     got = minimize_rows(xs, Quadratic(0.8, 3.0))
     assert got == want
+    counts = counted()
     # Many streams share their shape with 15 others or more; every coarse
     # row takes its own n + p Horner steps on the 126 coarse nodes.
     assert counts["coarse_rows"] >= 60

@@ -14,6 +14,8 @@ from tempora import discounting
 from tempora.panel import _RATE_CAP, _SURVEY_MU, _SURVEY_SIGMA
 from tempora.errors import InvalidAxiom, InvalidDelta, InvalidPanel
 
+from conftest import counted, work
+
 
 # ---------------------------------------------------------------------------
 # panel construction
@@ -217,30 +219,18 @@ def test_recover_cost_batch_has_the_bits_of_one_call_per_stream(k):
 
 
 def test_recover_cost_of_a_plain_callable_calls_it_once_per_stream():
-    seen = []
-    def ev(x):
-        seen.append(x)
-        return discounted_value(x, 0.6)
+    ev, seen = counted(lambda x: discounted_value(x, 0.6), lambda out, x: x)
     table = recover_cost(ev, [0.2, 0.6], random_streams=3, seed=1)
     assert hex_table(table) == hex_table(recover_cost(Edu(0.6), [0.2, 0.6], random_streams=3, seed=1))
     assert len(seen) == len(set(map(id, seen))) > 5
 
 
 def test_recover_cost_evaluates_a_criterion_in_one_batch(monkeypatch):
-    calls = {"many": 0, "one": 0}
-    many, one = discounting.evaluate_many, discounting.evaluate
-    def counted_many(k, xs):
-        calls["many"] += 1
-        return many(k, xs)
-    def counted_one(k, x):
-        calls["one"] += 1
-        return one(k, x)
-    monkeypatch.setattr(discounting, "evaluate_many", counted_many)
-    monkeypatch.setattr(discounting, "evaluate", counted_one)
     for k in RECOVERED:
-        calls.update(many=0, one=0)
-        recover_cost(k, [0.3, 0.7], random_streams=4)
-        assert calls == {"many": 1, "one": 0}, k
+        with monkeypatch.context() as m:
+            calls = work(m, "batches", "singles")
+            recover_cost(k, [0.3, 0.7], random_streams=4)
+        assert calls == {"batches": [1], "singles": []}, k
 
 
 def test_recover_cost_grid_validation():

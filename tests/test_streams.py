@@ -17,7 +17,7 @@ from tempora.axioms import MatrixTransform
 from tempora.streams import (_canonical, _minimal_cycle, _mixture_rows, inverse_permutation,
                              mixtures, permutation_mapping)
 
-from conftest import streams
+from conftest import spy, streams
 
 ALT = make_stream([], Periodic((0.0, 1.0)))          # 0,1,0,1,...
 ALT_NEG = make_stream([], Periodic((1.0, -1.0)))     # 1,-1,1,-1,...
@@ -719,16 +719,13 @@ def test_a_matrix_product_that_overflows_raises_without_a_numpy_warning():
 
 @pytest.fixture
 def post_inits(monkeypatch):
-    """Counts of the validating runs of Stream (its ``__init__``), Periodic
-    and Constant (their ``__post_init__``)."""
-    counts = {}
+    """The class of each validating run of Stream (its ``__init__``),
+    Periodic and Constant (their ``__post_init__``), by name."""
+    runs = []
     for cls, method in ((Stream, "__init__"), (Periodic, "__post_init__"),
                         (Constant, "__post_init__")):
-        def counted(self, *args, original=getattr(cls, method), name=cls.__name__):
-            counts[name] = counts.get(name, 0) + 1
-            original(self, *args)
-        monkeypatch.setattr(cls, method, counted)
-    return counts
+        spy(monkeypatch, cls, method, lambda out, self, *args, **kwargs: type(self).__name__, runs)
+    return runs
 
 
 def test_window_results_are_not_validated_again(rng, post_inits):
@@ -736,12 +733,12 @@ def test_window_results_are_not_validated_again(rng, post_inits):
     post_inits.clear()
     for x, z in pairs:
         assert len(mixtures(x, z, [i / 255 for i in range(256)])) == 256
-        assert post_inits == {}
+        assert post_inits == []
         for op, args in [(add, (x, z)), (scale_translate, (x, 0.5, 1.0)), (shift_left, (x,)),
                          (permute, (x, [2, 0, 1])), (pairwise_swap, (x,)), (delay, (x,)),
                          (MatrixTransform(np.array([[0.5, 0.5], [0.25, 0.75]])).apply, (x,))]:
             op(*args)
-            assert post_inits == {}, op
+            assert post_inits == [], op
 
 
 def test_public_constructors_still_validate(post_inits):
@@ -761,7 +758,7 @@ def test_public_constructors_still_validate(post_inits):
         assert post_inits
     post_inits.clear()
     make_stream([1.0], Periodic((2.0, 3.0)))
-    assert post_inits == {"Periodic": 1, "Stream": 1}
+    assert sorted(post_inits) == ["Periodic", "Stream"]
 
 
 def test_values_of_a_nonpositive_count_is_empty():
