@@ -196,21 +196,22 @@ def _cmd_axioms(args) -> int:
     return 1 if unexpected else 0
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_float_list(text: str, flag: str, item: str) -> list[float]:
+    """At least one number, comma-separated: an empty list is a usage error."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ParseError(f"{flag} expects comma-separated numbers: {exc}") from exc
+    if not values:
+        raise ParseError(f"{flag} expects at least one {item}")
+    return values
 
 
 def _cmd_recover_cost(args) -> int:
     from . import jsonio, panel
     criterion = jsonio.criterion_from_dict(jsonio.load_json_file(args.criterion))
-    grid = _parse_float_list(args.grid, "--grid")
-    if not grid:
-        raise ParseError("--grid expects at least one factor")
-    alphas = _parse_float_list(args.alphas, "--alphas")
-    table = panel.recover_cost(criterion, grid, probe_alphas=tuple(alphas))
+    table = panel.recover_cost(criterion, _parse_float_list(args.grid, "--grid", "factor"),
+                               _parse_float_list(args.alphas, "--alphas", "probe scale"))
     print("delta,cost_lower_bound")
     for d, bound in table:
         print(f"{_fmt(d)},{_fmt(bound)}")

@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .discounting import CostFunction, Criterion, _Cost, _Criterion
 from .errors import ParseError, decoding, numeric, tagged
 from .streams import stream_from_dict, stream_to_dict  # noqa: F401  (re-export)
@@ -65,7 +63,7 @@ def operator_from_dict(data: dict) -> OperatorMatrix:
     tag, body = tagged(data, "operator", ("builtin", "matrix"))
     with decoding(tag):
         if tag == "matrix":
-            return OperatorMatrix(np.asarray(numeric(body, tag), dtype=float))
+            return OperatorMatrix(numeric(body, tag))
         n = body["n"]
         if type(n) is not int:
             raise ParseError(f"operator dimension must be an integer, got {n!r}", field="n")

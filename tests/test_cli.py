@@ -355,6 +355,11 @@ CONTRACT = {
         repr(grid): [row(f"recover-cost --criterion maxmin.json --grid '{grid}' --alphas 1", 2,
                          "error: --grid expects at least one factor")]
         for grid in ["", ",", " "]},
+    # Before it exited 2, an empty --alphas printed a bound of 0.0 at every factor.
+    "test_recover_cost_of_no_probe_scales_exits_two": {
+        repr(alphas): [row(f"recover-cost --criterion maxmin.json --grid 0.5 --alphas '{alphas}'",
+                           2, "error: --alphas expects at least one probe scale")]
+        for alphas in ["", ",", " "]},
     "test_malformed_json_exits_two": {None: [
         row("eval --stream bad.json --criterion bad.json", 2, "error: ", "(line 1, column 3)",
             files={"bad": "{ not json"})]},
