@@ -260,20 +260,20 @@ def test_the_minimizer_builds_no_stream_for_a_batch_row(monkeypatch, k, seed, se
     # batches; the minimizer reads each row's values, and builds no stream
     # to search it, or to scan it on the full grid.
     import tempora.discounting as D
-    counted, streams = work(monkeypatch, "streams", "golden"), []
+    calls, streams = work(monkeypatch, "streams", "golden"), []
     minimize = D._minimize_on_interval
 
     def within(*args):
         # The streams built inside one piece search; the minimizer alone
         # runs golden-section searches.
-        built = sum(counted["streams"])
+        built = sum(calls["streams"])
         out = minimize(*args)
-        streams.append(sum(counted["streams"]) - built)
+        streams.append(sum(calls["streams"]) - built)
         return out
 
     monkeypatch.setattr(D, "_minimize_on_interval", within)
     assert check_axiom(k, "continuity_segment", trials=1, seed=seed).passes == 1
-    assert {"streams": sum(streams), "searches": len(counted["golden"])} == \
+    assert {"streams": sum(streams), "searches": len(calls["golden"])} == \
         {"streams": 0, "searches": searches}
 
 

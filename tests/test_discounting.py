@@ -1027,10 +1027,10 @@ def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
     # _COARSE_MIN rows on, each row's kept brackets are its own.
     piece = Quadratic(0.8, 3.0).pieces[0]
     n, vals = as_rows(one_shape_streams(rng, 4 * D._LOCKSTEP_MIN))
-    counted = work(monkeypatch, "golden", "lockstep")
+    calls = work(monkeypatch, "golden", "lockstep")
 
     def run(j):
-        for w in counted.values():
+        for w in calls.values():
             w.clear()
         return D._minimize_on_interval(n, vals[:j], piece)
 
@@ -1039,7 +1039,7 @@ def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
         with monkeypatch.context() as m:
             m.setattr(D, "_LOCKSTEP_MIN", math.inf)
             run(j)
-        return len(counted["golden"])
+        return len(calls["golden"])
 
     # The fewest rows whose brackets reach the threshold; one less falls short.
     lo, hi = D._COARSE_MIN, len(vals)
@@ -1051,7 +1051,7 @@ def test_lockstep_search_starts_at_the_kept_bracket_threshold(monkeypatch, rng):
     for size, want in ((j - 1, {"golden": short, "lockstep": 0}),
                        (j, {"golden": 0, "lockstep": 1})):
         got = run(size)
-        assert {name: len(w) for name, w in counted.items()} == want
+        assert {name: len(w) for name, w in calls.items()} == want
         assert [(d.hex(), v.hex()) for d, v in zip(*got)] == \
             [(d.hex(), v.hex()) for i in range(size)
              for d, v in zip(*D._minimize_on_interval(n, vals[i:i + 1], piece))]
@@ -1820,22 +1820,22 @@ def test_most_brackets_are_certified_away_on_a_fixed_battery(monkeypatch):
 
     scan = D._scan
     # Every bracket the grid opens, before the certificates act.
-    counted = work(monkeypatch, "golden", "lockstep", scans=lambda out, prefix, cycle, piece, terms:
+    calls = work(monkeypatch, "golden", "lockstep", scans=lambda out, prefix, cycle, piece, terms:
                    len(scan(prefix, cycle, piece, uncertified(terms))[1]))
     k = Variational(Quadratic(0.8, 3.0))
     rng = np.random.default_rng(7)
     lanes = [random_stream(rng) for _ in range(D._LOCKSTEP_MIN)]
     runs = []
     for _ in range(2):
-        for w in counted.values():
+        for w in calls.values():
             w.clear()
         for seed in range(4):
             for axiom_id in BATTERY:
                 axiom, t = parse_axiom_id(axiom_id)
                 check_axiom(k, axiom, 2, seed, transform=t)
         evaluate_many(k, lanes)
-        runs.append({"scanned": sum(counted["scans"]),
-                     "searched": len(counted["golden"]) + sum(counted["lockstep"])})
+        runs.append({"scanned": sum(calls["scans"]),
+                     "searched": len(calls["golden"]) + sum(calls["lockstep"])})
     assert runs[0] == runs[1]
     assert runs[0]["searched"] <= 0.6 * runs[0]["scanned"]
 
@@ -1929,19 +1929,19 @@ def counted_grid_nodes(monkeypatch):
     def coarse(d):
         return d.ndim == 2 and d.shape[1] == D._SEGMENTS + 1
 
-    counted = work(monkeypatch, "scans", "nodes",
+    calls = work(monkeypatch, "scans", "nodes",
                    horner=lambda out, coeffs, d: coarse(d) and len(coeffs) * d.size)
     rows = work(monkeypatch, nodes=lambda out, prefix, cycle, d, *rest:
                 coarse(d) and d.shape[0])["nodes"]
-    return lambda: {"nodes": _NODES * len(counted["scans"]) + sum(counted["nodes"]),
-                    "coarse_steps": sum(counted["horner"]), "coarse_rows": sum(rows)}
+    return lambda: {"nodes": _NODES * len(calls["scans"]) + sum(calls["nodes"]),
+                    "coarse_steps": sum(calls["horner"]), "coarse_rows": sum(rows)}
 
 
 def test_a_continuity_scan_evaluates_a_fiftieth_of_the_grid_at_most(monkeypatch):
-    counted = counted_grid_nodes(monkeypatch)
+    counts_so_far = counted_grid_nodes(monkeypatch)
     report = check_axiom(Variational(Quadratic(0.8, 3.0)), "continuity_segment", 1, 0)
     assert report.passes == 1
-    counts = counted()
+    counts = counts_so_far()
     # The group pass: every 16 mixes of a block are taken at every coarse
     # node as their two envelope rows, not one by one; only the last 16
     # mixes, a block below _GROUPED_MIN, take every coarse node themselves
@@ -2033,10 +2033,10 @@ def test_the_coarse_pass_does_not_pad_a_batch_to_its_longest_prefix(monkeypatch,
     xs = [random_stream(rng) for _ in range(300)]
     xs.append(make_stream(rng.uniform(-5.0, 5.0, 2000).tolist(), Constant(1.0)))
     want = [minimize_over_delta(x, Quadratic(0.8, 3.0)) for x in xs]
-    counted = counted_grid_nodes(monkeypatch)
+    counts_so_far = counted_grid_nodes(monkeypatch)
     got = minimize_rows(xs, Quadratic(0.8, 3.0))
     assert got == want
-    counts = counted()
+    counts = counts_so_far()
     # Many streams share their shape with 15 others or more; every coarse
     # row takes its own n + p Horner steps on the 126 coarse nodes.
     assert counts["coarse_rows"] >= 60

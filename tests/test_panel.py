@@ -12,7 +12,6 @@ from tempora import (BanachWindow, Cesaro, Edu, ExpertPanel, IndicatorSet, Inf,
                      panel_criterion, panel_from_rates, random_stream,
                      rate_to_factor, recover_cost, unanimity_probe,
                      weitzman_panel)
-from tempora import discounting
 from tempora.panel import _RATE_CAP, _SURVEY_MU, _SURVEY_SIGMA
 from tempora.errors import InvalidAxiom, InvalidDelta, InvalidPanel
 
