@@ -85,7 +85,7 @@ def spy(monkeypatch, owner, name, weight=None, into=None):
 #: and a call's weight (1 if None); a function renamed or moved changes a row.
 WORK = {
     "golden": [(D, "_golden", None)],               # golden-section searches
-    "lockstep": [(D, "_golden_lockstep", lambda out, fun, a, *rest: a.size)],  # and lanes
+    "lockstep": [(D, "_golden_lockstep", lambda out, fun, a, *rest: a.size)],  # lockstep lanes
     "scans": [(D, "_scan", None)],                  # full-grid scans
     "pieces": [(D, "_minimize_on_interval", None)],  # piece searches
     "horner": [(D, "_horner", lambda out, coeffs, d: len(coeffs) * d.size)],  # Horner steps
