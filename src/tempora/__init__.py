@@ -15,17 +15,18 @@ __version__ = "0.1.0"
 #: Each public name, listed under the submodule that defines it.
 _API = {
     "streams": """Constant Periodic Stream TailSpec add canonicalize_tail constant_stream delay
-                  make_stream mixtures pairwise_swap permute scale_translate shift_left
+                  make_stream pairwise_swap permute scale_translate shift_left
                   stream_from_dict stream_to_dict sup_distance value_at""",
     "discounting": """BanachWindow Cesaro CostFunction Criterion Edu IndicatorSet Inf Liminf
                       Maxmin Quadratic Tabulated Variational cost_eval discounted_value
-                      discounted_values evaluate evaluate_many minimize_over_delta""",
+                      evaluate evaluate_many""",
+    "minimizer": "discounted_values minimize_over_delta",
     "patient": "banach_window_value cesaro_value inf_value liminf_value window_oracle",
     "eigen": """DiscountVector EigenResult OperatorMatrix adjoint builtin_operator
                 geometric_invariance_check invariant_structure uniform_vector verify_eigen""",
     "axioms": """AXIOM_IDS AxiomReport DelayTransform MatrixTransform PairwiseSwapTransform
                  PermuteTransform ScaleTransform check_axiom check_unanimity improving_pair
-                 parse_axiom_id parse_transform random_stream replay_violation
+                 mixtures parse_axiom_id parse_transform random_stream replay_violation
                  run_counterexamples""",
     "panel": """ExpertPanel panel_criterion panel_from_rates rate_to_factor recover_cost
                 unanimity_probe weitzman_panel""",

@@ -22,6 +22,12 @@ are not tested.  :func:`check_unanimity` tests an expert panel's Pareto
 property with the same seeded trials and certificates; the harness alone
 writes that format.  ``run_counterexamples`` replays a fixed regression
 registry of four documented cases with hard-coded expected values.
+
+The continuity scan takes a batch of mixes of two streams as rows of
+values of one shape (:func:`_mixture_rows`), with a mask of the rows that
+canonicalization could change; every other row is its stream's canonical
+prefix and cycle as it stands, so a criterion evaluates it without a
+stream built.
 """
 
 from __future__ import annotations
@@ -35,12 +41,12 @@ import numpy as np
 
 from .discounting import (BanachWindow, Inf, Liminf, Maxmin, _Criterion, as_evaluator,
                           discounted_value, evaluate)
-from .errors import InvalidAxiom, InvalidPermutation, RegressionFailure
+from .errors import InvalidAxiom, InvalidPermutation, InvalidScale, RegressionFailure
 from .patient import inf_value
-from .streams import (Constant, Periodic, Stream, _mixture_rows, _stream, add,
-                      constant_stream, delay, inverse_permutation, make_stream, mixtures,
-                      pairwise_swap, permute, scale_translate, shift_left,
-                      stream_from_dict, stream_to_dict, sup_distance)
+from .streams import (Constant, Periodic, Stream, _stream, _window, add, constant_stream,
+                      delay, inverse_permutation, make_stream, pairwise_swap, permute,
+                      scale_translate, shift_left, stream_from_dict, stream_to_dict,
+                      sup_distance)
 
 if TYPE_CHECKING:   # imported where used, so that the panels load only with a panel check
     from .panel import ExpertPanel
@@ -391,6 +397,68 @@ def _judge_permuted(ev, tol, transform, x, d, sigma):
 #: values, one row per mix, and the minimizer's arrays over it stay a few
 #: hundred kB.
 _SCAN_CHUNK = 256
+
+
+def _mixture_rows(x: Stream, z: Stream, lams) -> tuple[int, np.ndarray, np.ndarray]:
+    """The mixes lam * x + (1 - lam) * z as rows of one window.
+
+    Returns ``n``, the index where the common cycle starts, the ``(m, n +
+    q)`` array whose row i holds the values ``(lam * x_t + 0.0) + ((1 -
+    lam) * z_t + 0.0)`` of the i-th lam on the aligned window, and a mask
+    of the rows that :func:`tempora.streams._canonical` could change:
+    those whose last prefix entry equals the cycle's last entry (the
+    prefix would absorb it), or whose cycle repeats with period ``q / r``
+    for a prime ``r`` dividing ``q`` (it is not minimal).  Every other row
+    is its stream's canonical prefix then cycle, bit for bit.  The values
+    are checked finite once, in one numpy call.
+
+    Raises:
+        InvalidScale: if a lam lies outside [0, 1].
+        InvalidStream: if a value overflows, with the message of the first
+            such row's constructor.
+    """
+    lam = np.array(lams, dtype=float).reshape(-1, 1)
+    if not ((lam >= 0.0) & (lam <= 1.0)).all():
+        raise InvalidScale("mixing weights must lie in [0, 1]")
+    n, (vx, vz) = _window((x, z))
+    vals = (lam * np.array(vx) + 0.0) + ((1.0 - lam) * np.array(vz) + 0.0)
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        Stream.from_values(vals[finite.argmin()].tolist(), n)  # raises for the first bad row
+    cyc = vals[:, n:]
+    q = cyc.shape[1]
+    mask = vals[:, n - 1] == vals[:, -1] if n else np.zeros(len(vals), bool)
+    for r in _primes_dividing(q):
+        mask |= (cyc == np.roll(cyc, q // r, axis=1)).all(axis=1)
+    return n, vals, mask
+
+
+def _primes_dividing(q: int) -> list[int]:
+    """The primes that divide ``q``, by trial division up to its root."""
+    out, r = [], 2
+    while r * r <= q:
+        if q % r == 0:
+            out.append(r)
+            while q % r == 0:
+                q //= r
+        r += 1
+    return out + [q] * (q > 1)
+
+
+def mixtures(x: Stream, z: Stream, lams) -> list[Stream]:
+    """The streams lam * x + (1 - lam) * z, one per lam in ``lams``.
+
+    Each is ``add(scale_translate(x, lam), scale_translate(z, 1 - lam))``:
+    the rows of :func:`_mixture_rows`, each canonicalized by the
+    constructor's helper without a second check.
+
+    Raises:
+        InvalidScale: if a lam lies outside [0, 1].
+        InvalidStream: if a value overflows, with the message of the first
+            such row's constructor.
+    """
+    n, vals, _ = _mixture_rows(x, z, lams)
+    return [_stream(row[:n], row[n:]) for row in vals.tolist()]
 
 
 def _mixes(ev, x, z, lams):

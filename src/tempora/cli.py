@@ -156,7 +156,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from . import discounting, jsonio
+    from . import discounting, jsonio, minimizer
     stream = jsonio.stream_from_dict(jsonio.load_json_file(args.stream))
     cost = jsonio.cost_from_dict(jsonio.load_json_file(args.cost))
     n = args.grid
@@ -165,11 +165,11 @@ def _cmd_sweep(args) -> int:
     print("delta,discounted,cost,total,is_argmin")
     for lo in range(0, n, _SWEEP_BLOCK):
         ds = [i / n for i in range(lo, min(lo + _SWEEP_BLOCK, n))]
-        dvs = discounting.discounted_values(stream, ds).tolist()
+        dvs = minimizer.discounted_values(stream, ds).tolist()
         cvs = [discounting.cost_eval(cost, d) for d in ds]
         sys.stdout.write("".join([f"{d!r},{dv!r},{cv!r},{dv + cv!r},0\n"
                                   for d, dv, cv in zip(ds, dvs, cvs)]))
-    d_star, v_star = discounting.minimize_over_delta(stream, cost)
+    d_star, v_star = minimizer.minimize_over_delta(stream, cost)
     dv = discounting.discounted_value(stream, d_star)
     print(f"{_fmt(d_star)},{_fmt(dv)},{_fmt(v_star - dv)},{_fmt(v_star)},1")
     return 0

@@ -43,12 +43,14 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
+        # One private C-ordered copy, from a list or an array: ``order="K"``
+        # would keep the F order of adjoint's transposed view.
+        m = np.array(self.entries, dtype=float, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidOperator(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all() or (m < 0).any():
+        # Reductions, not an elementwise mask a byte per entry; NaN fails both.
+        if not (m.min() >= 0.0 and m.max() < np.inf):
             raise InvalidOperator("matrix entries must be finite and >= 0")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -64,14 +66,13 @@ class DiscountVector:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float, order="C")
         if w.ndim != 1 or w.size < 1:
             raise InvalidOperator(f"expected a weight vector, got shape {w.shape}")
         if not np.isfinite(w).all() or (w < 0).any():
             raise InvalidOperator("weights must be finite and >= 0")
         if abs(w.sum() - 1.0) > 1e-12:
             raise InvalidOperator(f"weights must sum to 1, got {w.sum()!r}")
-        w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

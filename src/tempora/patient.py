@@ -14,8 +14,6 @@ import math
 from itertools import chain
 from typing import Sequence
 
-import numpy as np
-
 from .streams import Stream
 
 
@@ -78,6 +76,7 @@ def window_oracle(x: Stream, horizon: int) -> float:
     Only the window starts j < len(prefix) + period yield distinct windows,
     so an exhaustive scan over those is exact.
     """
+    import numpy as np
     if horizon < 0:
         raise ValueError(f"window horizon must be >= 0, got {horizon}")
     width = horizon + 1

@@ -21,11 +21,6 @@ repeated, so no operation has tail branches.  Such a result is validated
 once (new values are checked finite; values moved from a stream are
 finite already) and canonicalized by the one helper the constructor
 uses, without running the constructor's checks a second time.
-
-A batch of mixes of two streams is also given as rows of values of one
-shape (:func:`_mixture_rows`), with a mask of the rows that the helper
-could change; every other row is its stream's canonical prefix and cycle
-as it stands, so a criterion can evaluate it without a stream built.
 """
 
 from __future__ import annotations
@@ -33,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 from .errors import (InvalidPermutation, InvalidScale, InvalidStream, ParseError,
                      decoding, numeric, tagged)
@@ -253,68 +246,6 @@ def scale_translate(x: Stream, a: float, theta: float = 0.0) -> Stream:
     a, theta = float(a), float(theta)
     n, (v,) = _window((x,))
     return Stream.from_values([a * t + theta for t in v], n)
-
-
-def _mixture_rows(x: Stream, z: Stream, lams) -> tuple[int, np.ndarray, np.ndarray]:
-    """The mixes lam * x + (1 - lam) * z as rows of one window.
-
-    Returns ``n``, the index where the common cycle starts, the ``(m, n +
-    q)`` array whose row i holds the values ``(lam * x_t + 0.0) + ((1 -
-    lam) * z_t + 0.0)`` of the i-th lam on the aligned window, and a mask
-    of the rows that :func:`_canonical` could change: those whose last
-    prefix entry equals the cycle's last entry (the prefix would absorb
-    it), or whose cycle repeats with period ``q / r`` for a prime ``r``
-    dividing ``q`` (it is not minimal).  Every other row is its stream's
-    canonical prefix then cycle, bit for bit.  The values are checked
-    finite once, in one numpy call.
-
-    Raises:
-        InvalidScale: if a lam lies outside [0, 1].
-        InvalidStream: if a value overflows, with the message of the first
-            such row's constructor.
-    """
-    lam = np.array(lams, dtype=float).reshape(-1, 1)
-    if not ((lam >= 0.0) & (lam <= 1.0)).all():
-        raise InvalidScale("mixing weights must lie in [0, 1]")
-    n, (vx, vz) = _window((x, z))
-    vals = (lam * np.array(vx) + 0.0) + ((1.0 - lam) * np.array(vz) + 0.0)
-    finite = np.isfinite(vals).all(axis=1)
-    if not finite.all():
-        Stream.from_values(vals[finite.argmin()].tolist(), n)  # raises for the first bad row
-    cyc = vals[:, n:]
-    q = cyc.shape[1]
-    mask = vals[:, n - 1] == vals[:, -1] if n else np.zeros(len(vals), bool)
-    for r in _primes_dividing(q):
-        mask |= (cyc == np.roll(cyc, q // r, axis=1)).all(axis=1)
-    return n, vals, mask
-
-
-def _primes_dividing(q: int) -> list[int]:
-    """The primes that divide ``q``, by trial division up to its root."""
-    out, r = [], 2
-    while r * r <= q:
-        if q % r == 0:
-            out.append(r)
-            while q % r == 0:
-                q //= r
-        r += 1
-    return out + [q] * (q > 1)
-
-
-def mixtures(x: Stream, z: Stream, lams) -> list[Stream]:
-    """The streams lam * x + (1 - lam) * z, one per lam in ``lams``.
-
-    Each is ``add(scale_translate(x, lam), scale_translate(z, 1 - lam))``:
-    the rows of :func:`_mixture_rows`, each canonicalized by the
-    constructor's helper without a second check.
-
-    Raises:
-        InvalidScale: if a lam lies outside [0, 1].
-        InvalidStream: if a value overflows, with the message of the first
-            such row's constructor.
-    """
-    n, vals, _ = _mixture_rows(x, z, lams)
-    return [_stream(row[:n], row[n:]) for row in vals.tolist()]
 
 
 def delay(x: Stream) -> Stream:

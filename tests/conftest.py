@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tempora import Constant, Periodic, Stream, cli
 import tempora.discounting as D
+import tempora.minimizer as M
 import tempora.streams as S
 
 # Every property draws the same examples on every run, so a test result is
@@ -84,14 +85,14 @@ def spy(monkeypatch, owner, name, weight=None, into=None):
 #: The work the tests count: per count, the functions whose calls it counts
 #: and a call's weight (1 if None); a function renamed or moved changes a row.
 WORK = {
-    "golden": [(D, "_golden", None)],               # golden-section searches
-    "lockstep": [(D, "_golden_lockstep", lambda out, fun, a, *rest: a.size)],  # lockstep lanes
-    "scans": [(D, "_scan", None)],                  # full-grid scans
-    "pieces": [(D, "_minimize_on_interval", None)],  # piece searches
-    "horner": [(D, "_horner", lambda out, coeffs, d: len(coeffs) * d.size)],  # Horner steps
-    "powers": [(D, "_powers", None)],               # factor powers
+    "golden": [(M, "_golden", None)],               # golden-section searches
+    "lockstep": [(M, "_golden_lockstep", lambda out, fun, a, *rest: a.size)],  # lockstep lanes
+    "scans": [(M, "_scan", None)],                  # full-grid scans
+    "pieces": [(M, "_minimize_on_interval", None)],  # piece searches
+    "horner": [(M, "_horner", lambda out, coeffs, d: len(coeffs) * d.size)],  # Horner steps
+    "powers": [(M, "_powers", None)],               # factor powers
     # grid nodes of the coarse-to-fine scan (a full scan counts under "scans")
-    "nodes": [(D, "_dv_array", lambda out, prefix, cycle, d, *rest: d.size if d.ndim == 2 else 0)],
+    "nodes": [(M, "_dv_array", lambda out, prefix, cycle, d, *rest: d.size if d.ndim == 2 else 0)],
     "streams": [(S, "_unchecked", lambda out, cls, **fields: cls is S.Stream),  # streams built
                 (S.Stream, "__init__", None)],
     "batches": [(D, "evaluate_many", None)],        # batch evaluations

@@ -259,9 +259,9 @@ def test_the_minimizer_builds_no_stream_for_a_batch_row(monkeypatch, k, seed, se
     # These scans run scalar golden-section searches on rows of their
     # batches; the minimizer reads each row's values, and builds no stream
     # to search it, or to scan it on the full grid.
-    import tempora.discounting as D
+    import tempora.minimizer as M
     calls, streams = work(monkeypatch, "streams", "golden"), []
-    minimize = D._minimize_on_interval
+    minimize = M._minimize_on_interval
 
     def within(*args):
         # The streams built inside one piece search; the minimizer alone
@@ -271,7 +271,7 @@ def test_the_minimizer_builds_no_stream_for_a_batch_row(monkeypatch, k, seed, se
         streams.append(sum(calls["streams"]) - built)
         return out
 
-    monkeypatch.setattr(D, "_minimize_on_interval", within)
+    monkeypatch.setattr(M, "_minimize_on_interval", within)
     assert check_axiom(k, "continuity_segment", trials=1, seed=seed).passes == 1
     assert {"streams": sum(streams), "searches": len(calls["golden"])} == \
         {"streams": 0, "searches": searches}

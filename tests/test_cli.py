@@ -482,16 +482,33 @@ def test_help_and_a_usage_error_load_no_numpy(argv, code):
     assert "numpy" not in loaded
 
 
-@pytest.mark.parametrize("command", ["eval", "compare", "sweep"])
+#: Stream commands by id: the words past ``tempora`` (``NAME.json`` names
+#: a file of ``FILES``, or the quadratic ``cost.json``) and whether the
+#: command works on arrays.  numpy and ``tempora.minimizer`` load together,
+#: where a command searches over delta or takes D over many factors; a
+#: closed-form criterion needs neither.
+STREAM_COMMANDS = {
+    "eval": ("eval --stream probe.json --criterion maxmin.json", True),
+    "compare": ("compare --a probe.json --b alt.json --criterion edu.json", False),
+    "sweep": ("sweep --stream probe.json --cost cost.json --grid 3", True),
+    **{f"{name}-{k}": (f"{words} --criterion {k}.json", False)
+       for name, words in (("eval", "eval --stream probe.json"),
+                           ("eval_json", "eval --json --stream probe.json"),
+                           ("compare", "compare --a probe.json --b alt.json"))
+       for k in ("edu", "inf", "liminf", "banachwindow", "cesaro")},
+}
+
+
+@pytest.mark.parametrize("command", list(STREAM_COMMANDS))
 def test_stream_commands_load_no_harness_operators_or_panels(command, files):
     cost = write(files["tmp"] / "cost.json", {"quadratic": {"center": 0.9, "stiffness": 5}})
-    argv = {"eval": ["--stream", files["probe"], "--criterion", files["maxmin"]],
-            "compare": ["--a", files["probe"], "--b", files["alt"], "--criterion", files["edu"]],
-            "sweep": ["--stream", files["probe"], "--cost", cost, "--grid", "3"]}[command]
-    code, _, err, loaded = fresh_run(command, *argv)
+    words, arrays = STREAM_COMMANDS[command]
+    paths = {f"{name}.json": path for name, path in files.items()} | {"cost.json": cost}
+    code, _, err, loaded = fresh_run(*[paths.get(w, w) for w in shlex.split(words)])
     assert (code, err) == (0, "")
     assert "tempora.discounting" in loaded
     assert not loaded & {"tempora.axioms", "tempora.eigen", "tempora.panel", "statistics"}
+    assert ("numpy" in loaded, "tempora.minimizer" in loaded) == (arrays, arrays)
 
 
 def test_recover_cost_loads_the_panels_and_no_harness_or_operators(files):

@@ -16,6 +16,9 @@ def test_operator_validation():
         OperatorMatrix(np.array([[1.0, -0.1], [0.0, 1.0]]))
     with pytest.raises(InvalidOperator):
         OperatorMatrix(np.ones((2, 3)))
+    for bad in (np.nan, np.inf, -np.inf, -5e-324):
+        with pytest.raises(InvalidOperator, match="finite and >= 0"):
+            OperatorMatrix([[1.0, bad], [0.0, 1.0]])
     with pytest.raises(InvalidOperator):
         DiscountVector(np.array([0.5, 0.6]))
     with pytest.raises(InvalidOperator):
@@ -134,11 +137,14 @@ def traced_peak(call):
     ("cyclic_delay", {}), ("absorbing_delay", {}),
     ("permutation", {"sigma": list(range(1024))[::-1]}), ("scaling", {"factor": 2.5})])
 def test_adjoint_allocates_one_matrix_and_a_builtin_two(name, kwargs):
-    # adjoint once copied the transpose, and OperatorMatrix copied the copy.
+    # adjoint once copied the transpose, and OperatorMatrix copied the copy,
+    # as it copied the array it had just converted from a list.
     n = 1024
     array = n * n * 8
     m = builtin_operator(name, n, **kwargs)
     assert traced_peak(lambda: adjoint(m)) <= 1.1 * array
+    rows = m.entries.tolist()
+    assert traced_peak(lambda: OperatorMatrix(rows)) <= 1.1 * array
     assert traced_peak(lambda: builtin_operator(name, n, **kwargs)) <= 2.1 * array
 
 

@@ -45,6 +45,9 @@ def test_the_package_loads_each_submodule_on_first_use():
         assert loaded() == ["tempora"], loaded()
         tempora.Stream
         assert loaded() == ["tempora", "tempora.errors", "tempora.streams"], loaded()
+        assert "numpy" not in sys.modules
+        tempora.evaluate
+        assert "numpy" not in sys.modules
         assert tempora.jsonio is sys.modules["tempora.jsonio"]
         assert "tempora.panel" not in sys.modules
         assert tempora.errors.TemporaError is sys.modules["tempora.errors"].TemporaError

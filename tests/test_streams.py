@@ -13,9 +13,8 @@ from tempora import (Constant, Periodic, Stream, add, canonicalize_tail,
                      stream_from_dict, stream_to_dict, sup_distance, value_at)
 from tempora.errors import (InvalidPermutation, InvalidScale, InvalidStream,
                             ParseError)
-from tempora.axioms import MatrixTransform
-from tempora.streams import (_canonical, _minimal_cycle, _mixture_rows, inverse_permutation,
-                             mixtures, permutation_mapping)
+from tempora.axioms import MatrixTransform, _mixture_rows, mixtures
+from tempora.streams import _canonical, _minimal_cycle, inverse_permutation, permutation_mapping
 
 from conftest import spy, streams
 
