@@ -14,6 +14,7 @@ import gc
 import json
 import os
 import sys
+from typing import Callable
 
 # Each command imports the modules it runs, so ``--help`` loads no numpy.
 from .errors import (NoInvariantFound, NonConvergence, ParseError,
@@ -62,43 +63,57 @@ def _seed(text: str) -> int:
             f"invalid int value: {text!r} (read from --seed, else from TEMPORA_SEED)") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the command named ``command``, or of all seven when it
+    is None (for ``--help``, and for a usage error before a command)."""
     parser = argparse.ArgumentParser(
         prog="tempora",
         description="Evaluate and cross-validate intertemporal criteria.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # With one command, the metavar argparse gives all seven, so a top-level
+    # usage line still lists them.  None, argparse's default, for the full
+    # parser: a metavar also renames the command in its "invalid choice" and
+    # "required" errors.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_, run, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
+        add_arguments(p)
+    return parser
 
-    p = sub.add_parser("eval", help="constant equivalent of a stream")
-    p.set_defaults(run=_cmd_eval)
+
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stream", required=True, metavar="FILE")
     p.add_argument("--criterion", required=True, metavar="FILE")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("compare", help="rank two streams under a criterion")
-    p.set_defaults(run=_cmd_compare)
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", required=True, metavar="FILE")
     p.add_argument("--b", required=True, metavar="FILE")
     p.add_argument("--criterion", required=True, metavar="FILE")
 
-    p = sub.add_parser("sweep", help="CSV of discounted value and cost over a factor grid")
-    p.set_defaults(run=_cmd_sweep)
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stream", required=True, metavar="FILE")
     p.add_argument("--cost", required=True, metavar="FILE")
     p.add_argument("--grid", required=True, type=int, metavar="N")
 
-    p = sub.add_parser("axioms", help="run the axiom battery, JSON report")
-    p.set_defaults(run=_cmd_axioms)
+
+def _axioms_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--criterion", required=True, metavar="FILE")
     p.add_argument("--trials", required=True, type=int, metavar="N")
     # argparse converts a string default as it converts the flag, so a
-    # malformed TEMPORA_SEED is a usage error too.
+    # malformed TEMPORA_SEED is a usage error too.  The variable is read as
+    # the parser is built, on every call, so the parser is not cached.
     p.add_argument("--seed", type=_seed, default=os.environ.get("TEMPORA_SEED", "0"),
                    metavar="S")
     p.add_argument("--axiom", default=None, metavar="ID",
                    help="single axiom id, e.g. monotonicity or itis:scale:2")
 
-    p = sub.add_parser("recover-cost", help="conjugate cost lower bounds, CSV")
-    p.set_defaults(run=_cmd_recover_cost)
+
+def _recover_cost_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--criterion", required=True, metavar="FILE")
     p.add_argument("--grid", required=True, metavar="LIST",
                    help="comma-separated factors in [0, 1)")
@@ -107,15 +122,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, metavar="S",
                    help="accepted and ignored: the probe family draws no random streams")
 
-    p = sub.add_parser("eigen", help="invariant discount vector of an operator")
-    p.set_defaults(run=_cmd_eigen)
+
+def _eigen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--operator", required=True, metavar="FILE")
     p.add_argument("--cesaro", action="store_true",
                    help="average iterates (for periodic operators)")
 
-    p = sub.add_parser("counterexamples", help="replay the regression registry")
-    p.set_defaults(run=_cmd_counterexamples)
-    return parser
+
+def _no_arguments(p: argparse.ArgumentParser) -> None:
+    pass
 
 
 def _print_json(payload: dict) -> None:
@@ -241,17 +256,38 @@ def _cmd_counterexamples(args) -> int:
     return 0
 
 
+#: The commands, in the order ``--help`` lists them: name -> (help line,
+#: handler, a function that adds the command's arguments to its parser).
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int],
+                           Callable[[argparse.ArgumentParser], None]]] = {
+    "eval": ("constant equivalent of a stream", _cmd_eval, _eval_arguments),
+    "compare": ("rank two streams under a criterion", _cmd_compare, _compare_arguments),
+    "sweep": ("CSV of discounted value and cost over a factor grid", _cmd_sweep,
+              _sweep_arguments),
+    "axioms": ("run the axiom battery, JSON report", _cmd_axioms, _axioms_arguments),
+    "recover-cost": ("conjugate cost lower bounds, CSV", _cmd_recover_cost,
+                     _recover_cost_arguments),
+    "eigen": ("invariant discount vector of an operator", _cmd_eigen, _eigen_arguments),
+    "counterexamples": ("replay the regression registry", _cmd_counterexamples,
+                        _no_arguments),
+}
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # The parser of the named command alone: all seven take most of a short
+    # command's time to build.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     finally:
         # argparse links a parser, its groups and actions, and the help
-        # formatters it builds, in reference cycles: some 300 objects per
-        # call.  Collecting the young generations here frees them now, while
-        # they are young, instead of at a later full collection; an
-        # in-process caller's memory stays flat.
+        # formatters it builds, in reference cycles: about 70 objects for
+        # one command's parser, 290 for all seven.  Collecting the young
+        # generations here frees them now, while they are young, instead of
+        # at a later full collection.
         gc.collect(1)
     try:
         try:

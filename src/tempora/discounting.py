@@ -361,7 +361,12 @@ class Tabulated(_Cost, tag="tabulated"):
             raise InvalidCost("knot slopes must be finite: a segment is too steep for a float")
 
     def value(self, delta: float) -> float:
-        return _INF if delta > self.knots[-1][0] else self.pieces[0].scalar(delta)
+        return _INF if delta > self.knots[-1][0] else self._scalar(delta)
+
+    @functools.cached_property
+    def _scalar(self) -> Callable[[float], float]:
+        # Apart from ``pieces``, so one value builds no grid and loads no numpy.
+        return _interp(self)
 
     def isolated(self) -> list[tuple[float, float]]:
         """The knots and their costs: a minimum at a kink is found exactly."""
@@ -382,7 +387,7 @@ class Tabulated(_Cost, tag="tabulated"):
             kinks = sum((lo < k) & (k < hi) for k in ds)
             return steepest, _INF ** kinks - 1.0
 
-        return [_Piece(0.0, ds[-1], _interp(self), lambda g: np.interp(g, ds, ks), bound)]
+        return [_Piece(0.0, ds[-1], self._scalar, lambda g: np.interp(g, ds, ks), bound)]
 
 
 CostFunction = Union[IndicatorSet, Quadratic, Tabulated]

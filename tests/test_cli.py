@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -19,7 +22,7 @@ from tempora import Criterion, Edu, cli
 from tempora.axioms import AxiomReport, check_axiom, parse_axiom_id
 from tempora.eigen import MAX_BUILTIN_DIM
 
-from conftest import SATURATING, exact_dv, run_cli
+from conftest import SATURATING, exact_dv, run_cli, spy
 
 
 def write(path, payload):
@@ -145,11 +148,13 @@ def test_axioms_unexpected_failure_exits_one(files, monkeypatch):
 
 
 def test_axioms_seed_env_fallback(files, monkeypatch):
-    monkeypatch.setenv("TEMPORA_SEED", "7")
-    code, out, _ = run_cli(["axioms", "--criterion", files["edu"],
-                            "--trials", "2", "--axiom", "normalization"])
-    assert code == 0
-    assert json.loads(out)["seed"] == 7
+    # Read on every call, not once per process: so the parser is not cached.
+    for seed in (3, 4):
+        monkeypatch.setenv("TEMPORA_SEED", str(seed))
+        code, out, _ = run_cli(["axioms", "--criterion", files["edu"],
+                                "--trials", "1", "--axiom", "normalization"])
+        assert code == 0
+        assert json.loads(out)["seed"] == seed
 
 
 def test_recover_cost_reads_no_seed_variable(files, monkeypatch):
@@ -474,12 +479,60 @@ def fresh_run(*argv):
     return proc.returncode, out, proc.stderr, set(loaded.split())
 
 
-@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2)])
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2), (["axioms", "-h"], 0)])
 def test_help_and_a_usage_error_load_no_numpy(argv, code):
     got, out, err, loaded = fresh_run(*argv)
     assert got == code
     assert "usage: tempora" in out + err and "Traceback" not in err
     assert "numpy" not in loaded
+
+
+_ALL_SEVEN = "{eval,compare,sweep,axioms,recover-cost,eigen,counterexamples}"
+
+#: Help and usage errors, by their words past ``tempora``, each with a text
+#: its stderr holds or None: ``main`` builds the parser of the command that
+#: the first word names, or all seven.  The rows with ``_ALL_SEVEN`` fail at
+#: the top level after a command, and their usage line lists all seven.
+PARSER_ROWS = {
+    "": "error: the following arguments are required: command",
+    "frobnicate": "error: argument command: invalid choice: 'frobnicate'",
+    **{words: None for words in ("-h", "--help", "-h eval", "--bogus",
+                                 "axioms --criterion K --trials x",
+                                 "sweep --stream S --cost C --grid q")},
+    **{f"{name} -h": None for name in cli._COMMANDS},
+    "eval --stream S --criterion K --bogus": _ALL_SEVEN,
+    "eval --stream S --criterion K extra": _ALL_SEVEN,
+    "counterexamples x": _ALL_SEVEN,
+}
+
+
+def full_parser(argv):
+    """(exit code, stdout, stderr) of the parser of all seven commands on
+    ``argv``, which it answers with help or a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("words", list(PARSER_ROWS))
+def test_main_prints_what_the_full_parser_prints(words):
+    # Compared with the full parser, not with pinned text, since argparse's
+    # wording and wrapping change between Python versions.
+    argv = shlex.split(words)
+    want = full_parser(argv)
+    assert run_cli(argv) == want
+    if PARSER_ROWS[words] is not None:
+        assert want[2].startswith("usage: tempora [-h]") and PARSER_ROWS[words] in want[2]
+
+
+@pytest.mark.parametrize("words, built", [("eval -h", 1), ("axioms --trials x", 1),
+                                          ("--help", 7), ("frobnicate", 7)])
+def test_main_adds_the_subparser_of_the_named_command_alone(words, built, monkeypatch):
+    added = spy(monkeypatch, argparse._SubParsersAction, "add_parser")
+    run_cli(shlex.split(words))
+    assert len(added) == built
 
 
 #: Stream commands by id: the words past ``tempora`` (``NAME.json`` names
@@ -841,9 +894,10 @@ def test_sweep_at_the_float_limits_prints_discounted_values_within_the_stream(st
 
 def test_an_in_process_call_leaves_no_cycles_for_the_collector(files):
     # argparse links each call's parser, groups, actions and help formatters
-    # in reference cycles (about 290 objects per call): main frees them
-    # before the command runs.  A quadratic cost's pieces hold only numbers,
-    # not the cost, so a cost is no cycle either.
+    # in reference cycles (about 70 objects for one command's parser, 290
+    # for all seven): main frees them before the command runs.  A quadratic
+    # cost's pieces hold only numbers, not the cost, so a cost is no cycle
+    # either.
     quad = write(files["tmp"] / "quad.json",
                  {"variational": {"cost": {"quadratic": {"center": 0.8, "stiffness": 3.0}}}})
     run_cli(["eval", "--stream", files["probe"], "--criterion", quad])

@@ -2,6 +2,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -734,6 +736,26 @@ def test_tabulated_cost_eval_reads_one_interpolant_per_cost(monkeypatch):
         assert cost_eval(c, d).hex() == float(np.interp(d, xp, fp)).hex()
     assert cost_eval(c, 0.7 + 1e-12) == cost_eval(c, 0.99) == math.inf
     assert built == [c]
+    # The grid piece, built for a search, takes the same interpolant.
+    assert c.pieces[0].scalar(0.3) == cost_eval(c, 0.3)
+    assert built == [c]
+
+
+def test_one_tabulated_cost_value_loads_no_numpy():
+    # A value is the scalar interpolant alone: no grid piece, so neither
+    # numpy nor the minimizer, in a fresh process as under a closed-form
+    # criterion.
+    code = """if True:
+        import sys
+        from tempora.discounting import Tabulated, cost_eval
+        print(cost_eval(Tabulated(((0.2, 1.0), (0.5, 0.0), (0.8, 2.0))), 0.3).hex())
+        print(sorted({"numpy", "tempora.minimizer"} & set(sys.modules)))
+        """
+    src = os.path.dirname(os.path.dirname(D.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == [float(np.interp(0.3, [0.2, 0.5, 0.8], [1.0, 0.0, 2.0])).hex(),
+                                   "[]"]
 
 
 def test_tabulated_closed_form_matches_np_interp_on_random_tables():
