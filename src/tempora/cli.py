@@ -10,7 +10,7 @@ regression failure (or stdout closed early), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import gc
+import functools
 import json
 import os
 import sys
@@ -54,8 +54,13 @@ EXPECTED_PASS: dict[str, frozenset[str]] = {
 _SWEEP_BLOCK = 4096
 
 
+class _FromEnv(str):
+    """``axioms --seed``'s default: :func:`_seed` reads TEMPORA_SEED for it."""
+
+
 def _seed(text: str) -> int:
     """``axioms --seed``, or its fallback ``TEMPORA_SEED``, as an integer."""
+    text = os.environ.get("TEMPORA_SEED", text) if isinstance(text, _FromEnv) else text
     try:
         return int(text)
     except ValueError:
@@ -63,9 +68,10 @@ def _seed(text: str) -> int:
             f"invalid int value: {text!r} (read from --seed, else from TEMPORA_SEED)") from None
 
 
+@functools.cache
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of the command named ``command``, or of all seven when it
-    is None (for ``--help``, and for a usage error before a command)."""
+    is None (for ``--help``, or a usage error before a command), built once."""
     parser = argparse.ArgumentParser(
         prog="tempora",
         description="Evaluate and cross-validate intertemporal criteria.")
@@ -104,11 +110,10 @@ def _sweep_arguments(p: argparse.ArgumentParser) -> None:
 def _axioms_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--criterion", required=True, metavar="FILE")
     p.add_argument("--trials", required=True, type=int, metavar="N")
-    # argparse converts a string default as it converts the flag, so a
-    # malformed TEMPORA_SEED is a usage error too.  The variable is read as
-    # the parser is built, on every call, so the parser is not cached.
-    p.add_argument("--seed", type=_seed, default=os.environ.get("TEMPORA_SEED", "0"),
-                   metavar="S")
+    # argparse converts a string default as it converts the flag, on every
+    # parse, so TEMPORA_SEED is read per call by the cached parser, and a
+    # malformed value is a usage error, raised where a malformed --seed is.
+    p.add_argument("--seed", type=_seed, default=_FromEnv("0"), metavar="S")
     p.add_argument("--axiom", default=None, metavar="ID",
                    help="single axiom id, e.g. monotonicity or itis:scale:2")
 
@@ -282,13 +287,6 @@ def main(argv=None) -> int:
         args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    finally:
-        # argparse links a parser, its groups and actions, and the help
-        # formatters it builds, in reference cycles: about 70 objects for
-        # one command's parser, 290 for all seven.  Collecting the young
-        # generations here frees them now, while they are young, instead of
-        # at a later full collection.
-        gc.collect(1)
     try:
         try:
             return args.run(args)

@@ -32,6 +32,9 @@ from typing import Iterable, Sequence, Union
 from .errors import (InvalidPermutation, InvalidScale, InvalidStream, ParseError,
                      decoding, numeric, tagged)
 
+#: Most terms in an aligned window; a sum takes about 80 bytes a term.
+MAX_WINDOW = 1 << 21
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -212,9 +215,12 @@ def value_at(x: Stream, t: int) -> float:
 def _window(xs: Sequence[Stream], n: int = 0, q: int = 1) -> tuple[int, list[list[float]]]:
     """The aligned window of ``xs``: the index ``n`` where a common cycle
     starts (the longest prefix, and at least ``n``), and each stream's
-    values on [0, n + lcm(q, periods))."""
+    values on [0, n + lcm(q, periods)), checked against :data:`MAX_WINDOW`
+    before any list is built."""
     for x in xs:
         n, q = max(n, len(x.prefix)), math.lcm(q, x.period)
+    if n + q > MAX_WINDOW:
+        raise InvalidStream(f"aligned window of {n} + {q} terms exceeds {MAX_WINDOW}")
     return n, [x.values(n + q) for x in xs]
 
 

@@ -147,14 +147,27 @@ def test_axioms_unexpected_failure_exits_one(files, monkeypatch):
     assert json.loads(out)["unexpected_failures"] == ["monotonicity"]
 
 
+_SEED_ERROR = ("tempora axioms: error: argument --seed: invalid int value: 'abc' "
+               "(read from --seed, else from TEMPORA_SEED)\n")
+
+
 def test_axioms_seed_env_fallback(files, monkeypatch):
-    # Read on every call, not once per process: so the parser is not cached.
+    # Read on every call, though the parser is built once per process: a
+    # malformed value after good ones is the usage error a fresh parser
+    # gives, and --seed wins over it.
+    argv = ["axioms", "--criterion", files["edu"], "--trials", "1", "--axiom", "normalization"]
     for seed in (3, 4):
         monkeypatch.setenv("TEMPORA_SEED", str(seed))
-        code, out, _ = run_cli(["axioms", "--criterion", files["edu"],
-                                "--trials", "1", "--axiom", "normalization"])
+        code, out, _ = run_cli(argv)
         assert code == 0
         assert json.loads(out)["seed"] == seed
+    monkeypatch.setenv("TEMPORA_SEED", "abc")
+    got = run_cli(argv)
+    assert got == full_parser(argv)
+    assert got[0] == 2 and got[2].startswith("usage: tempora axioms ")
+    assert got[2].endswith(_SEED_ERROR)
+    code, out, _ = run_cli([*argv, "--seed", "5"])
+    assert code == 0 and json.loads(out)["seed"] == 5
 
 
 def test_recover_cost_reads_no_seed_variable(files, monkeypatch):
@@ -507,12 +520,13 @@ PARSER_ROWS = {
 
 
 def full_parser(argv):
-    """(exit code, stdout, stderr) of the parser of all seven commands on
-    ``argv``, which it answers with help or a usage error."""
+    """(exit code, stdout, stderr) of a freshly built parser of all seven
+    commands, not the cached one ``main`` uses, on ``argv``, which it
+    answers with help or a usage error."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             pytest.raises(SystemExit) as exc:
-        cli._build_parser().parse_args(argv)
+        cli._build_parser.__wrapped__().parse_args(argv)
     return exc.value.code, out.getvalue(), err.getvalue()
 
 
@@ -530,9 +544,20 @@ def test_main_prints_what_the_full_parser_prints(words):
 @pytest.mark.parametrize("words, built", [("eval -h", 1), ("axioms --trials x", 1),
                                           ("--help", 7), ("frobnicate", 7)])
 def test_main_adds_the_subparser_of_the_named_command_alone(words, built, monkeypatch):
+    cli._build_parser.cache_clear()
     added = spy(monkeypatch, argparse._SubParsersAction, "add_parser")
     run_cli(shlex.split(words))
     assert len(added) == built
+    run_cli(shlex.split(words))     # the parser is built once per process
+    assert len(added) == built
+
+
+def test_a_usage_error_leaves_the_cached_parser_as_it_was(files):
+    good = ["eval", "--stream", files["probe"], "--criterion", files["edu"]]
+    want = run_cli(good)
+    bad = [*good, "--bogus"]
+    assert run_cli(bad) == full_parser(bad)
+    assert run_cli(good) == want
 
 
 #: Stream commands by id: the words past ``tempora`` (``NAME.json`` names
@@ -893,20 +918,21 @@ def test_sweep_at_the_float_limits_prints_discounted_values_within_the_stream(st
 
 
 def test_an_in_process_call_leaves_no_cycles_for_the_collector(files):
-    # argparse links each call's parser, groups, actions and help formatters
-    # in reference cycles (about 70 objects for one command's parser, 290
-    # for all seven): main frees them before the command runs.  A quadratic
+    # Each command's parser is built, with argparse's reference cycles, by
+    # its first call; a parse on the cached parser forms none.  A quadratic
     # cost's pieces hold only numbers, not the cost, so a cost is no cycle
     # either.
     quad = write(files["tmp"] / "quad.json",
                  {"variational": {"cost": {"quadratic": {"center": 0.8, "stiffness": 3.0}}}})
-    run_cli(["eval", "--stream", files["probe"], "--criterion", quad])
+    argvs = (["eval", "--stream", files["probe"], "--criterion", quad],
+             ["eval", "--stream", files["alt"], "--criterion", files["maxmin"]],
+             ["counterexamples"])
+    for argv in argvs:
+        run_cli(argv)
     gc.collect()
     gc.disable()
     try:
-        for argv in (["eval", "--stream", files["probe"], "--criterion", quad],
-                     ["eval", "--stream", files["alt"], "--criterion", files["maxmin"]],
-                     ["counterexamples"]):
+        for argv in argvs:
             assert run_cli(argv)[0] == 0
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()

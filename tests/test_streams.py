@@ -14,7 +14,8 @@ from tempora import (Constant, Periodic, Stream, add, canonicalize_tail,
 from tempora.errors import (InvalidPermutation, InvalidScale, InvalidStream,
                             ParseError)
 from tempora.axioms import MatrixTransform, _mixture_rows, mixtures
-from tempora.streams import _canonical, _minimal_cycle, inverse_permutation, permutation_mapping
+from tempora.streams import (MAX_WINDOW, _canonical, _minimal_cycle, inverse_permutation,
+                             permutation_mapping)
 
 from conftest import spy, streams
 
@@ -147,6 +148,28 @@ def test_add_lcm_cycle_brute_force():
     assert out.period == 6
     for t in range(12):
         assert value_at(out, t) == value_at(x, t) + value_at(y, t)
+
+
+def coprime_pair(p, q):
+    """Two purely periodic streams of minimal periods ``p`` and ``q`` (primes)."""
+    return (make_stream([], Periodic(tuple(float(i % 7) for i in range(p)))),
+            make_stream([], Periodic(tuple(float(i % 5) for i in range(q)))))
+
+
+def test_coprime_periods_under_the_window_cap_add_exactly():
+    x, y = coprime_pair(1009, 1013)
+    out = add(x, y)
+    assert 1009 * 1013 <= MAX_WINDOW and out.period == 1009 * 1013
+    for t in (0, 1008, 1013, 1022116, 1022117 + 77):
+        assert value_at(out, t) == value_at(x, t) + value_at(y, t)
+
+
+def test_add_past_the_window_cap_raises_before_building_a_list(monkeypatch):
+    x, y = coprime_pair(10007, 10009)
+    built = spy(monkeypatch, Stream, "values")
+    with pytest.raises(InvalidStream, match=f"aligned window of 0 \\+ {10007 * 10009} terms"):
+        add(x, y)
+    assert built == []
 
 
 @settings(max_examples=60)
