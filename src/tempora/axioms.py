@@ -202,13 +202,12 @@ def random_stream(rng: np.random.Generator, max_prefix: int = 12,
     """Generator wide enough to hit every registry case shape: prefixes of
     length <= 12, values uniform in [lo, hi], constant or short-cycle tails."""
     n = int(rng.integers(0, max_prefix + 1))
-    prefix = tuple(float(v) for v in rng.uniform(lo, hi, n))
+    prefix = rng.uniform(lo, hi, n).tolist()
     if rng.random() < 0.5:
-        tail: Constant | Periodic = Constant(float(rng.uniform(lo, hi)))
+        cycle = [rng.uniform(lo, hi)]
     else:
-        p = int(rng.integers(1, max_period + 1))
-        tail = Periodic(tuple(float(v) for v in rng.uniform(lo, hi, p)))
-    return Stream(prefix, tail)
+        cycle = rng.uniform(lo, hi, int(rng.integers(1, max_period + 1))).tolist()
+    return _stream(prefix, cycle)
 
 
 def improving_pair(evaluator, seed) -> tuple[Stream, Stream]:
@@ -392,13 +391,6 @@ def _judge_permuted(ev, tol, transform, x, d, sigma):
     return _premised(ev, tol, x, d, moved)
 
 
-#: Mixes per batch of the continuity scan: large enough that numpy's fixed
-#: cost per call is spread thin, small enough that one batch's array of
-#: values, one row per mix, and the minimizer's arrays over it stay a few
-#: hundred kB.
-_SCAN_CHUNK = 256
-
-
 def _mixture_rows(x: Stream, z: Stream, lams) -> tuple[int, np.ndarray, np.ndarray]:
     """The mixes lam * x + (1 - lam) * z as rows of one window.
 
@@ -482,14 +474,15 @@ def _mixes(ev, x, z, lams):
 def _judge_continuity_segment(ev, tol, transform, x, z):
     """Falsification proxy: scan alpha -> I(alpha x + (1-alpha) z) on a
     10^4-step grid for jumps beyond the 1-Lipschitz allowance plus a 1e-6
-    slack.  The mixes are built ``_SCAN_CHUNK`` at a time, and one array
-    comparison finds the first jump among the values of each array of
-    :func:`_mixes`."""
+    slack.  The mixes are built a block of the minimizer's coarse-to-fine
+    scan at a time, and one array comparison finds the first jump among
+    the values of each array of :func:`_mixes`."""
+    from .minimizer import _BLOCK as chunk
     grid = 10001
     slack = sup_distance(x, z) / (grid - 1) + 1e-6
     prev = ev(z)
-    for start in range(1, grid, _SCAN_CHUNK):
-        lams = [i / (grid - 1) for i in range(start, min(start + _SCAN_CHUNK, grid))]
+    for start in range(1, grid, chunk):
+        lams = [i / (grid - 1) for i in range(start, min(start + chunk, grid))]
         at = 0
         for cur in _mixes(ev, x, z, lams):
             before = np.concatenate(([prev], cur[:-1]))
@@ -573,8 +566,21 @@ def check_axiom(criterion, axiom: str, trials: int, seed: int,
     draw, judge = _AXIOMS[axiom]
 
     def trial(rng, i):
-        instance = draw(ev, rng, transform, i)
-        verdict = judge(ev, tol, transform, **instance)
+        # The draw and the judge share each stream object's value, matched by
+        # identity: equal streams may differ in the sign of a zero.  The scan
+        # batches its mixes only when handed the criterion itself.
+        seen: list[tuple[Stream, float]] = []
+
+        def once(y):
+            for s, v in seen:
+                if s is y:
+                    return v
+            seen.append((y, ev(y)))
+            return seen[-1][1]
+
+        memo = ev if axiom == "continuity_segment" else once
+        instance = draw(memo, rng, transform, i)
+        verdict = judge(memo, tol, transform, **instance)
         return None if verdict is None else {**_cert(**instance), **verdict}
 
     return _run_trials(axiom, AXIOM_IDS.index(axiom), trials, seed, tol, trial,

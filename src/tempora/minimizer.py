@@ -549,11 +549,14 @@ def _scan(prefix, cycle, piece: _Piece, terms: tuple) -> tuple[tuple, list]:
 _STRIDE = 16
 _SEGMENTS = (_NODES - 1) // _STRIDE
 
-#: Most streams in one block of the coarse-to-fine scan.  Measured on the
-#: seed-0 continuity scan under a quadratic cost (256 mixes per batch):
-#: 87 ms at 64 streams, 63 at 128 and 49 at 256, against 83 ms with
-#: 64-stream blocks and no group pass.
-_BLOCK = 256
+#: Most streams in one block of the coarse-to-fine scan, and the mixes per
+#: batch of the harness's continuity scan.  Measured on its 16 scans under
+#: quadratic, tabulated, indicator and maxmin costs at harness seeds 0-3 (the
+#: seed-0 quadratic scan alone): 1.34-1.60 s (42-46 ms) at 256, the scan's
+#: former batch size, 0.99-1.16 s (30-36) at 512, 0.81-0.93 s (24-27) at
+#: 1024 and 0.76-0.83 s (21-23) at 2048; the largest traced peak was 1.24,
+#: 1.50, 2.48 and 4.68 MiB.
+_BLOCK = 1024
 
 #: Streams per group of a block's group pass (see :func:`_group_segments`),
 #: and the fewest streams of a block that take the pass: below that it

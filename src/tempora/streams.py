@@ -340,12 +340,18 @@ def pairwise_swap(x: Stream) -> Stream:
 
 
 def sup_distance(x: Stream, y: Stream) -> float:
-    """Exact sup over t of |x_t - y_t|.
-
-    The sup is attained on the aligned window, so a finite scan is exact.
-    """
-    _, (vx, vy) = _window((x, y))
-    return max(abs(a - b) for a, b in zip(vx, vy))
+    """Exact sup over t of |x_t - y_t|, with no aligned window: a scan up to
+    the longest prefix, then, per residue class modulo g = gcd(periods) (the
+    phases of the two cycles that meet, by the Chinese remainder theorem),
+    its max of one stream less its min of the other, either way round.
+    Float subtraction is monotone, so these are the window scan's bits."""
+    n, g = max(len(x.prefix), len(y.prefix)), math.gcd(x.period, y.period)
+    out = [abs(a - b) for a, b in zip(x.values(n), y.values(n))]
+    for r in range(g):
+        ax = x.tail_cycle[r::g]
+        ay = y.tail_cycle[(r + len(x.prefix) - len(y.prefix)) % g::g]
+        out += abs(max(ax) - min(ay)), abs(max(ay) - min(ax))
+    return max(out)
 
 
 # -- JSON encoding ----------------------------------------------------------

@@ -1139,8 +1139,8 @@ def test_lockstep_takes_the_factor_terms_once_per_distinct_factor_and_shape(monk
     # chunks, and every one of the quadratic scan, are certified monotone.
     # Its rows share one shape, and so do the lanes.
     k = Variational(Tabulated(((0.2, 1.0), (0.5, 0.0), (0.8, 2.0))))
-    n, vals, mask = scan_chunk(monkeypatch, k, 20)
-    assert vals.shape[0] == 256 and not mask.any()
+    n, vals, mask = scan_chunk(monkeypatch, k, 5)
+    assert vals.shape[0] == M._BLOCK and not mask.any()
     want = hex_bits(evaluate(k, _stream(row[:n], row[n:])) for row in vals.tolist())
     counts = {"lanes": 0, "distinct": 0}
     inside = []
@@ -1164,7 +1164,7 @@ def test_lockstep_takes_the_factor_terms_once_per_distinct_factor_and_shape(monk
     assert hex_bits(k.rows(n, vals)) == want
     # Neighbouring mixtures walk one golden path: d^n is taken once per
     # factor in a step, not once per lane.
-    assert counts["lanes"] >= 256 * 20
+    assert counts["lanes"] >= M._BLOCK * 20
     assert 0 < sum(powered) <= counts["distinct"] < counts["lanes"] / 100
 
 
@@ -1892,7 +1892,7 @@ def test_a_batch_at_the_float_limit_runs_no_search(monkeypatch):
     # would the margin's sum, f(lo) + f(hi) and M2, were they not taken in
     # halves, quarters and over 2^64.  Every bracket is then dropped or
     # certified monotone, as on the same stream scaled down, where before
-    # each of the 256 rows ran two lockstep lanes.
+    # each of the block's rows ran two lockstep lanes.
     x, cost = OVERFLOW_STREAMS[1], Quadratic(0.9, 5.0)
     calls = work(monkeypatch, "golden", "lockstep")
     for size in (1, M._BLOCK):
@@ -1967,11 +1967,11 @@ def test_a_continuity_scan_evaluates_a_fiftieth_of_the_grid_at_most(monkeypatch)
     assert report.passes == 1
     counts = counts_so_far()
     # The group pass: every 16 mixes of a block are taken at every coarse
-    # node as their two envelope rows, not one by one; only the last 16
-    # mixes, a block below _GROUPED_MIN, take every coarse node themselves
-    # (39 blocks of 256 give 39 * 32 rows, so 1264 in all).
+    # node as their two envelope rows, not one by one (9 blocks of 1024 give
+    # 9 * 128 rows, and the last, of 784, 98 rows, so 1250 in all); a block
+    # below _GROUPED_MIN would take every coarse node itself.
     assert counts["coarse_rows"] <= 2 * 10000 // M._GROUP + M._GROUPED_MIN
-    # 331233 nodes, the envelopes' included: the interpolation bound drops
+    # 329501 nodes, the envelopes' included: the interpolation bound drops
     # the short segments near each minimum that the slope bound keeps.
     assert counts["nodes"] <= 10001 * _NODES / 50
 
@@ -1983,7 +1983,7 @@ def test_the_coarse_stride_divides_the_grid():
 
 def test_a_continuity_scan_traces_under_a_megabyte_at_its_peak():
     # The scan takes its arrays a slice of rows at a time, so that its
-    # 256-row blocks do not raise the working set: the peak reads 0.39 MB.
+    # 1024-row blocks do not raise the working set: the peak reads 0.92 MB.
     k = Variational(Quadratic(0.8, 3.0))
     check_axiom(k, "continuity_segment", 1, 0)          # the grid's caches
     tracemalloc.start()
@@ -1993,6 +1993,30 @@ def test_a_continuity_scan_traces_under_a_megabyte_at_its_peak():
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6
+
+
+#: One criterion per cost shape that the continuity scan hands the minimizer.
+SCAN_CRITERIA = [Variational(Quadratic(0.8, 3.0)),
+                 Variational(Tabulated(((0.2, 1.0), (0.5, 0.0), (0.8, 2.0)))),
+                 Variational(IndicatorSet(points=(0.0, 0.3, 0.9), point_costs=(0.5, 0.0, 0.1),
+                                          intervals=((0.5, 0.7),))),
+                 Maxmin(points=(0.0, 0.3), intervals=((0.4, 0.6),))]
+
+
+def test_the_continuity_scans_trace_under_three_mebibytes_at_their_peak():
+    # A batch of the scan is one block of the minimizer, 1024 mixes, and
+    # its arrays are sliced: the largest peak of the 16 scans reads 2.48 MiB.
+    scans = [(k, seed) for k in SCAN_CRITERIA for seed in range(4)]
+    for k, seed in scans:
+        check_axiom(k, "continuity_segment", 1, seed)   # the grid's caches
+    tracemalloc.start()
+    try:
+        for k, seed in scans:
+            check_axiom(k, "continuity_segment", 1, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -14,8 +15,8 @@ from tempora import (Constant, Periodic, Stream, add, canonicalize_tail,
 from tempora.errors import (InvalidPermutation, InvalidScale, InvalidStream,
                             ParseError)
 from tempora.axioms import MatrixTransform, _mixture_rows, mixtures
-from tempora.streams import (MAX_WINDOW, _canonical, _minimal_cycle, inverse_permutation,
-                             permutation_mapping)
+from tempora.streams import (MAX_WINDOW, _canonical, _minimal_cycle, _window,
+                             inverse_permutation, permutation_mapping)
 
 from conftest import spy, streams
 
@@ -428,6 +429,41 @@ def test_sup_distance_windowed_oracle(rng):
         window = 10 * math.lcm(x.period, y.period) + len(x.prefix) + len(y.prefix)
         brute_sup = max(abs(value_at(x, t) - value_at(y, t)) for t in range(window))
         assert sup_distance(x, y) == brute_sup
+
+
+def window_sup_distance(x, y):
+    """The sup of |x_t - y_t| as a scan of the aligned window."""
+    _, (vx, vy) = _window((x, y))
+    return max(abs(a - b) for a, b in zip(vx, vy))
+
+
+#: Signed zeros, ties, and differences that overflow.
+sup_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308]) | st.floats(-5.0, 5.0)
+
+
+@st.composite
+def long_period_streams(draw):
+    """Prefixes up to 8, cycles of 1 to 60 values (fewer once reduced)."""
+    prefix = draw(st.lists(sup_values, max_size=8))
+    p = draw(st.integers(1, 60))
+    return Stream(tuple(prefix), Periodic(tuple(draw(st.lists(sup_values, min_size=p,
+                                                               max_size=p)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_period_streams(), long_period_streams())
+# Only zeros meet: the window scan's sup is +0.0, though -0.0 - 0.0 is -0.0.
+@example(constant_stream(-0.0), constant_stream(0.0))
+def test_sup_distance_has_the_bits_of_the_window_scan(x, y):
+    assert sup_distance(x, y).hex() == window_sup_distance(x, y).hex()
+
+
+def test_sup_distance_past_the_window_cap_finishes_under_a_second():
+    # Their window would hold 10007 * 10009 terms, past MAX_WINDOW.
+    x, y = coprime_pair(10007, 10009)
+    start = time.perf_counter()
+    assert sup_distance(x, y) == sup_distance(y, x) == 6.0
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=40)
